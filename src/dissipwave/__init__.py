@@ -12,10 +12,9 @@ Layers:
 """
 
 from .analysis import (DecayReport, DecayRow, EnergyLedger, FitResult,
-                       basic_energy, decay_report, dissipation_rate, e0_norm,
-                       fit_decay_rate, fit_exponential_rate, lp_norm,
-                       quantity_label, sobolev_norm, spectral_l2_sq,
-                       weighted_profile)
+                       decay_report, e0_norm, fit_decay_rate,
+                       fit_exponential_rate, lp_norm, quantity_label,
+                       sobolev_norm, spectral_l2_sq, weighted_profile)
 from .grid import (Field, Grid, SpectralField, derivative_field,
                    derivative_multiplier, forward_transform,
                    inverse_transform, make_grid, read_snapshot,
@@ -31,8 +30,7 @@ from .solver import (InstabilityError, SolverConfig, SolverState,
                      linear_step, solve, state_from_fields, step_semilinear,
                      time_derivative)
 from .symbols import (CutoffSpec, SymbolTable, build_symbol_table, cutoff,
-                      green_band, green_hat, green_hat_dt, green_hat_dtt,
-                      mu_pm, smooth_step)
+                      green_band, green_hat, green_hat_dt, smooth_step)
 
 __version__ = "0.1.0"
 

@@ -75,26 +75,6 @@ def e0_norm(u0: Field, u1: Field, s: int) -> float:
     return sobolev_norm(u0, s + 1) + sobolev_norm(u1, s)
 
 
-def basic_energy(state) -> float:
-    """Energy of a solver state.
-
-    E = 1/2 |u_t|^2 + 1/2 |grad u|^2 + 1/(theta+2) |u|_{theta+2}^{theta+2}.
-    Along the absorbing flow dE/dt = -|u_t|^2, so E never increases.
-    """
-    grid = state.grid
-    kinetic = 0.5 * spectral_l2_sq(grid, state.v_hat)
-    gradient = 0.5 * spectral_l2_sq(grid, state.u_hat, grid.freq_sq)
-    u = inverse_transform(SpectralField(grid, state.u_hat)).values
-    q = state.theta + 2
-    potential = float(np.sum(np.abs(u) ** q)) * grid.cell_volume / q
-    return kinetic + gradient + potential
-
-
-def dissipation_rate(state) -> float:
-    """Instantaneous dissipation |u_t|^2 of a solver state."""
-    return spectral_l2_sq(state.grid, state.v_hat)
-
-
 def weighted_profile(f: Field, t: float, r: float, derivative_order: int = 0) -> float:
     """Spatially weighted amplitude sup_x |f| (1+t)^((n+a)/2) (1+|x|^2/(1+t))^r.
 
@@ -218,32 +198,45 @@ class DecayReport:
         return all(r.passed for r in self.rows)
 
 
-def decay_report(times, series: dict, requests, kind: str, n_dims: int,
+def judge(quantity: str, fit: FitResult, target: float, tolerance: float,
+          one_sided: bool) -> DecayRow:
+    """Verdict on one fitted slope: within target +- tolerance, or, when
+    one-sided, at most target + tolerance."""
+    if one_sided:
+        ok = fit.slope <= target + tolerance
+    else:
+        ok = abs(fit.slope - target) <= tolerance
+    return DecayRow(quantity=quantity, slope=fit.slope, stderr=fit.stderr,
+                    target=target, tolerance=tolerance, one_sided=one_sided,
+                    passed=ok)
+
+
+def decay_report(series: dict, requests, kind: str, n_dims: int,
                  window) -> DecayReport:
     """Fit each requested (p, alpha_order, h) series and compare to targets.
 
+    series maps each quantity label to its own (times, values) pair.
     Semilinear time-derivative norms are judged one-sided: the measured
     slope only has to stay at or below target + tolerance.
     """
     rows = []
-    win = None
     for p, alpha_order, h in requests:
         label = quantity_label(p, alpha_order, h)
-        if label not in series:
-            raise KeyError(f"run record has no series {label!r}")
-        fit = fit_decay_rate(times, series[label], window)
-        win = fit.window
+        fit = fit_decay_rate(*series[label], window)
         target = target_slope(kind, n_dims, p, alpha_order, h)
-        tol = decay_tolerance(kind, h)
-        one_sided = kind == "semilinear" and h >= 1
-        if one_sided:
-            ok = fit.slope <= target + tol
-        else:
-            ok = abs(fit.slope - target) <= tol
-        rows.append(DecayRow(quantity=label, slope=fit.slope, stderr=fit.stderr,
-                             target=target, tolerance=tol, one_sided=one_sided,
-                             passed=ok))
-    return DecayReport(rows=tuple(rows), window=win or tuple(map(float, window)))
+        rows.append(judge(label, fit, target, decay_tolerance(kind, h),
+                          one_sided=kind == "semilinear" and h >= 1))
+    return DecayReport(rows=tuple(rows), window=tuple(map(float, window)))
+
+
+def energy_audit(energy, diss_integral) -> tuple[float, float, float]:
+    """E(0), the worst per-step rise of E, and the worst deviation of
+    E(t) - E(0) + int_0^t |u_tau|^2 from zero."""
+    e = np.asarray(energy, dtype=float)
+    worst_rise = float(np.max(np.diff(e))) if len(e) > 1 else 0.0
+    residual = float(np.max(np.abs(
+        e - e[0] + np.asarray(diss_integral, dtype=float))))
+    return float(e[0]), worst_rise, residual
 
 
 @dataclass
@@ -300,8 +293,7 @@ class EnergyLedger:
         """Worst deviation of E(t) - E(0) + int |u_tau|^2 from zero."""
         if not self.times:
             return 0.0
-        e = np.asarray(self.energy)
-        return float(np.max(np.abs(e - e[0] + np.asarray(self.dissipation_integral))))
+        return energy_audit(self.energy, self.dissipation_integral)[2]
 
     def rows(self):
         columns = (("energy", self.energy),

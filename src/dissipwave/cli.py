@@ -11,7 +11,7 @@ Configs are flat key=value text files ('#' starts a comment); --config also
 accepts a built-in preset name.  Each invocation writes into
 <out>/<name>/<timestamp>/ and leaves a manifest.txt that can be fed back in
 as a config file.  Exit codes: 0 all checks passed, 1 a verdict failed,
-2 bad configuration, 3 the run left the stability trust region.
+2 bad config or --run input, 3 the run left the stability trust region.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, oracle, presets, solver, symbols
-from .analysis import (DecayReport, DecayRow, fit_decay_rate,
-                       write_report_csv, write_series_csv)
+from .analysis import DecayReport, write_report_csv, write_series_csv
 from .grid import write_snapshot
 from .presets import (ExperimentPreset, builtin_presets, preset_from_config,
                       preset_to_config)
@@ -121,18 +120,14 @@ def write_manifest(run_dir: Path, argv_echo: str,
     (run_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
-def _verdict_line(row: DecayRow) -> str:
-    rel = "<=" if row.one_sided else "within"
-    status = "PASS" if row.passed else "FAIL"
-    return (f"{row.quantity}: slope {row.slope:+.4f} "
-            f"(target {rel} {row.target:+.3f}, tol {row.tolerance:.2f}) "
-            f"-> {status}")
-
-
 def _print_report(report: DecayReport) -> None:
     print(f"fit window: t in [{report.window[0]:g}, {report.window[1]:g}]")
     for row in report.rows:
-        print(_verdict_line(row))
+        rel = "<=" if row.one_sided else "within"
+        status = "PASS" if row.passed else "FAIL"
+        print(f"{row.quantity}: slope {row.slope:+.4f} "
+              f"(target {rel} {row.target:+.3f}, tol {row.tolerance:.2f}) "
+              f"-> {status}")
 
 
 # ---------------------------------------------------------------------------
@@ -204,29 +199,9 @@ def cmd_verify_symbols(args) -> int:
 # ---------------------------------------------------------------------------
 # green-bands
 
-def _band_report(run: presets.BandRun) -> DecayReport:
-    n = run.preset.n_dims
-    fits = run.fits()
-    rows = []
-    for label, target, tol in (("linf:band1", -0.5 * n, 0.10),
-                               ("linf:dx_band1", -0.5 * (n + 1), 0.10)):
-        fit = fits[label]
-        rows.append(DecayRow(quantity=label, slope=fit.slope,
-                             stderr=fit.stderr, target=target, tolerance=tol,
-                             one_sided=False,
-                             passed=abs(fit.slope - target) <= tol))
-    fit2 = fits["linf:band2"]
-    rows.append(DecayRow(quantity="linf:band2", slope=fit2.slope,
-                         stderr=fit2.stderr, target=-0.05, tolerance=0.0,
-                         one_sided=True,
-                         passed=fit2.slope <= -0.05 and fit2.r_squared >= 0.99))
-    window = (float(run.band1_times[0]), float(run.band1_times[-1]))
-    return DecayReport(rows=tuple(rows), window=window)
-
-
 def _run_bands_cmd(preset: ExperimentPreset, args, argv_echo: str) -> int:
     run = presets.run_bands(preset)
-    report = _band_report(run)
+    report = run.report()
     fit2 = run.fits()["linf:band2"]
     run_dir = make_run_dir(args.out, preset.name)
     write_series_csv(run_dir / "series.csv", run.rows())
@@ -263,6 +238,25 @@ def _snapshot_sink(run_dir: Path):
     return sink
 
 
+def _aborted(run_dir: Path, argv_echo: str, preset: ExperimentPreset,
+             exc: solver.InstabilityError) -> int:
+    print(f"run aborted: {exc}", file=sys.stderr)
+    write_manifest(run_dir, argv_echo, preset,
+                   [f"aborted: {exc}", "verdict: unstable"])
+    return EXIT_UNSTABLE
+
+
+def _decay_report(preset: ExperimentPreset, series: dict) -> DecayReport:
+    """The preset's decay report on (times, values) series, live or read
+    back from series.csv."""
+    try:
+        return preset.report(series)
+    except ValueError as exc:
+        # e.g. zero-amplitude data: nothing positive to fit, nothing to fail
+        print(f"decay fit skipped: {exc}")
+        return DecayReport(rows=(), window=preset.fit_window)
+
+
 def _run_experiment_cmd(preset: ExperimentPreset, args, argv_echo: str,
                         with_snapshots: bool) -> int:
     if preset.kind == "bands":
@@ -272,16 +266,8 @@ def _run_experiment_cmd(preset: ExperimentPreset, args, argv_echo: str,
     try:
         run = presets.run_experiment(preset, snapshot_sink=sink)
     except solver.InstabilityError as exc:
-        print(f"run aborted: {exc}", file=sys.stderr)
-        write_manifest(run_dir, argv_echo, preset,
-                       [f"aborted: {exc}", "verdict: unstable"])
-        return EXIT_UNSTABLE
-    try:
-        report = run.report()
-    except ValueError as exc:
-        # e.g. zero-amplitude data: nothing positive to fit, nothing to fail
-        print(f"decay fit skipped: {exc}")
-        report = DecayReport(rows=(), window=preset.fit_window)
+        return _aborted(run_dir, argv_echo, preset, exc)
+    report = _decay_report(preset, run.series_pairs())
     write_series_csv(run_dir / "series.csv", run.rows())
     write_report_csv(run_dir / "report.csv", report)
     comments = [f"initial data size e0 = {run.e0!r}"]
@@ -301,8 +287,12 @@ def cmd_simulate(args) -> int:
     return _run_experiment_cmd(preset, args, "simulate", args.snapshots)
 
 
-def _read_series_csv(path: Path):
-    lines = path.read_text().splitlines()
+def _read_series_csv(path: Path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Each series of a t,quantity,value csv as a (times, values) pair."""
+    try:
+        lines = path.read_text().splitlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
     if not lines or lines[0] != "t,quantity,value":
         raise ConfigError(f"{path}: not a series csv (bad header)")
     by_label: dict[str, list[tuple[float, float]]] = {}
@@ -311,8 +301,18 @@ def _read_series_csv(path: Path):
         if len(parts) != 3:
             raise ConfigError(f"{path}:{lineno}: expected t,quantity,value")
         t, label, v = parts
-        by_label.setdefault(label, []).append((float(t), float(v)))
-    return by_label
+        try:
+            by_label.setdefault(label, []).append((float(t), float(v)))
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: expected numbers, "
+                              f"got {line!r}") from None
+    series = {label: tuple(np.asarray(pairs).T)
+              for label, pairs in by_label.items()}
+    for label, pair in series.items():
+        if not np.all(np.isfinite(pair)):
+            raise ConfigError(f"{path}: series {label!r} holds a value "
+                              f"that is not finite")
+    return series
 
 
 def cmd_decay_report(args) -> int:
@@ -322,28 +322,13 @@ def cmd_decay_report(args) -> int:
     if args.run is None:
         return _run_experiment_cmd(preset, args, "decay-report", False)
 
-    by_label = _read_series_csv(Path(args.run) / "series.csv")
-    kind = "linear" if preset.kind == "linear" else "semilinear"
+    series = _read_series_csv(Path(args.run) / "series.csv")
     needed = [analysis.quantity_label(p, a, h) for p, a, h in preset.reports]
-    missing = sorted(set(needed) - set(by_label))
+    missing = sorted(set(needed) - set(series))
     if missing:
         raise ConfigError(
             f"{args.run}/series.csv lacks series: {', '.join(missing)}")
-    # refit each requested quantity against its own time column
-    report_rows = []
-    for (p, a, h), label in zip(preset.reports, needed):
-        arr = np.asarray(by_label[label])
-        fit = fit_decay_rate(arr[:, 0], arr[:, 1], preset.fit_window)
-        target = analysis.target_slope(kind, preset.n_dims, p, a, h)
-        tol = analysis.decay_tolerance(kind, h)
-        one_sided = kind == "semilinear" and h >= 1
-        ok = (fit.slope <= target + tol if one_sided
-              else abs(fit.slope - target) <= tol)
-        report_rows.append(DecayRow(quantity=label, slope=fit.slope,
-                                    stderr=fit.stderr, target=target,
-                                    tolerance=tol, one_sided=one_sided,
-                                    passed=ok))
-    report = DecayReport(rows=tuple(report_rows), window=preset.fit_window)
+    report = _decay_report(preset, series)
     run_dir = make_run_dir(args.out, preset.name)
     write_report_csv(run_dir / "report.csv", report)
     write_manifest(run_dir, "decay-report", preset, [
@@ -358,49 +343,38 @@ def cmd_decay_report(args) -> int:
 # ---------------------------------------------------------------------------
 # energy-audit
 
-def _audit_energy(times, energy, diss_integral, mono_tol: float,
-                  bal_tol: float):
-    """Check per-step non-increase and trapezoid balance, relative to E(0)."""
-    e = np.asarray(energy, dtype=float)
-    e0 = float(e[0])
-    steps = np.diff(e)
-    worst_rise = float(np.max(steps)) if len(steps) else 0.0
-    residual = float(np.max(np.abs(
-        e - e0 + np.asarray(diss_integral, dtype=float))))
-    mono_ok = worst_rise <= mono_tol * e0
-    bal_ok = residual <= bal_tol * e0
-    return e0, worst_rise, residual, mono_ok, bal_ok
+def _read_energy_csv(run: str) -> tuple[np.ndarray, np.ndarray]:
+    """Energy and dissipation integral columns of a prior energy.csv."""
+    series = _read_series_csv(Path(run) / "energy.csv")
+    for need in ("energy", "diss_integral"):
+        if need not in series:
+            raise ConfigError(f"{run}/energy.csv lacks the {need!r} series")
+    (t_e, energy), (t_i, integral) = series["energy"], series["diss_integral"]
+    if not np.array_equal(t_e, t_i):
+        raise ConfigError(f"{run}/energy.csv: the energy and diss_integral "
+                          f"series have different times")
+    return energy, integral
 
 
 def cmd_energy_audit(args) -> int:
     preset = resolve_preset(args.config, args.set)
     if preset.kind != "semilinear":
         raise ConfigError("energy-audit needs a semilinear preset")
-    run_dir = make_run_dir(args.out, preset.name)
-    if args.run is None:
+    if args.run is not None:
+        energy, integral = _read_energy_csv(args.run)
+        run_dir = make_run_dir(args.out, preset.name)
+    else:
+        run_dir = make_run_dir(args.out, preset.name)
         try:
-            run = presets.run_semilinear(preset)
+            ledger = presets.run_semilinear(preset).ledger
         except solver.InstabilityError as exc:
-            print(f"run aborted: {exc}", file=sys.stderr)
-            write_manifest(run_dir, "energy-audit", preset,
-                           [f"aborted: {exc}", "verdict: unstable"])
-            return EXIT_UNSTABLE
-        ledger = run.ledger
-        times = ledger.times
+            return _aborted(run_dir, "energy-audit", preset, exc)
         energy, integral = ledger.energy, ledger.dissipation_integral
         write_series_csv(run_dir / "energy.csv", ledger.rows())
-    else:
-        by_label = _read_series_csv(Path(args.run) / "energy.csv")
-        for need in ("energy", "diss_integral"):
-            if need not in by_label:
-                raise ConfigError(
-                    f"{args.run}/energy.csv lacks the {need!r} series")
-        e_pairs = np.asarray(by_label["energy"])
-        i_pairs = np.asarray(by_label["diss_integral"])
-        times, energy, integral = e_pairs[:, 0], e_pairs[:, 1], i_pairs[:, 1]
 
-    e0, worst_rise, residual, mono_ok, bal_ok = _audit_energy(
-        times, energy, integral, args.mono_tol, args.balance_tol)
+    e0, worst_rise, residual = analysis.energy_audit(energy, integral)
+    mono_ok = worst_rise <= args.mono_tol * e0
+    bal_ok = residual <= args.balance_tol * e0
     ok = mono_ok and bal_ok
     write_manifest(run_dir, "energy-audit", preset, [
         f"E(0) = {e0!r}",
@@ -409,7 +383,7 @@ def cmd_energy_audit(args) -> int:
         f"balance residual = {residual!r} (allowed {args.balance_tol:g} * E0)",
         f"verdict: {'pass' if ok else 'fail'}",
     ])
-    print(f"E(0) = {e0:.6e} over {len(times)} records")
+    print(f"E(0) = {e0:.6e} over {len(energy)} records")
     print(f"  worst per-step rise {worst_rise:.3e} vs "
           f"{args.mono_tol * e0:.3e} -> {'PASS' if mono_ok else 'FAIL'}")
     print(f"  balance residual {residual:.3e} vs "

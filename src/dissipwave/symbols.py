@@ -40,23 +40,6 @@ def _maybe_scalar(out, scalar: bool):
     return float(out[()]) if scalar else out
 
 
-def mu_pm(xi_sq):
-    """Characteristic exponents mu_plus, mu_minus of one Fourier mode.
-
-    Real for |xi| < 1/2, complex conjugates for |xi| > 1/2.  The pair is
-    built so mu_plus + mu_minus = -1 holds exactly.
-    """
-    xi_sq = np.asarray(xi_sq, dtype=np.float64)
-    if np.any(xi_sq < 0):
-        raise ValueError("xi_sq must be nonnegative")
-    root = np.sqrt(np.asarray(1.0 - 4.0 * xi_sq, dtype=np.complex128))
-    plus = 0.5 * (-1.0 + root)
-    minus = -1.0 - plus
-    if xi_sq.ndim == 0:
-        return complex(plus), complex(minus)
-    return plus, minus
-
-
 def _sinhc_series(w):
     # sinh(sqrt(w))/sqrt(w) = 1 + w/6 + w^2/120 + w^3/5040 + O(w^4)
     return 1.0 + (w / 6.0) * (1.0 + (w / 20.0) * (1.0 + w / 42.0))
@@ -127,11 +110,6 @@ def green_hat_dt(xi_sq, t):
         out[under] = np.exp(-0.5 * tu) * (
             np.cos(half_angle) - np.sin(half_angle) / root)
     return _maybe_scalar(out, scalar)
-
-
-def green_hat_dtt(xi_sq, t):
-    """Second time derivative, from the mode ODE g'' = -g' - xi_sq g."""
-    return -green_hat_dt(xi_sq, t) - np.asarray(xi_sq) * green_hat(xi_sq, t)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from dissipwave import (EnergyLedger, InstabilityError, SolverConfig,
                         forward_transform, gaussian_bump, inverse_transform,
                         linear_solution, linear_step, make_grid, run_bands,
                         run_linear, run_semilinear, solve, state_from_fields)
-from dissipwave.cli import _band_report
 from dissipwave.grid import Field, SpectralField
 from dissipwave.oracle import dalembert, free_wave_multiplier, mode_ode_series
 from dissipwave.presets import HEAT_GAP_LABEL, profile_label
@@ -194,7 +193,7 @@ def test_acceptance_5_semilinear_decay(semi1d_run, semi2d_run):
 
 
 def test_acceptance_6_band_decay(bands_run):
-    report = _band_report(bands_run)
+    report = bands_run.report()
     fits = bands_run.fits()
     b1 = _row(report, "linf:band1")
     dx = _row(report, "linf:dx_band1")

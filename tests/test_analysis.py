@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dissipwave import (EnergyLedger, Field, basic_energy, decay_report,
-                        derivative_field, dissipation_rate, e0_norm,
-                        fit_decay_rate, fit_exponential_rate,
+from dissipwave import (EnergyLedger, Field, decay_report, derivative_field,
+                        e0_norm, fit_decay_rate, fit_exponential_rate,
                         forward_transform, gaussian_bump, linear_solution,
                         lp_norm, make_grid, quantity_label, sobolev_norm,
                         spectral_l2_sq, state_from_fields, weighted_profile)
@@ -94,11 +93,12 @@ def test_basic_energy_manufactured_state():
     a = 0.3
     u0 = Field(g, a * np.sin(k * g.axis_coords))
     u1 = Field(g, np.zeros(g.shape))
-    state = state_from_fields(u0, u1, theta=2)
+    led = EnergyLedger(sobolev_index=1)
+    led.record(state_from_fields(u0, u1, theta=2))
     # gradient: (a^2 k^2/2) L; potential: (a^4/4) * (3/8) * (2L), mean of sin^4
     expected = 0.5 * a * a * k * k * 10.0 + (a**4 / 4.0) * (3.0 / 8.0) * 20.0
-    assert basic_energy(state) == pytest.approx(expected, rel=1e-12)
-    assert dissipation_rate(state) == pytest.approx(0.0, abs=1e-20)
+    assert led.energy[0] == pytest.approx(expected, rel=1e-12)
+    assert led.diss_rate[0] == pytest.approx(0.0, abs=1e-20)
 
 
 def test_weighted_profile_cancels_matching_bump():
@@ -217,23 +217,23 @@ def test_quantity_labels():
 def test_decay_report_pass_and_fail():
     t = np.linspace(1.0, 50.0, 30)
     series = {
-        "linf:u": (1 + t) ** (-0.52),
-        "l2:u": (1 + t) ** (-0.80),  # far from -0.25: must fail
+        "linf:u": (t, (1 + t) ** (-0.52)),
+        "l2:u": (t, (1 + t) ** (-0.80)),  # far from -0.25: must fail
     }
-    rep = decay_report(t, series, ((math.inf, 0, 0), (2, 0, 0)),
+    rep = decay_report(series, ((math.inf, 0, 0), (2, 0, 0)),
                        "semilinear", 1, (10.0, 50.0))
     by_q = {r.quantity: r for r in rep.rows}
     assert by_q["linf:u"].passed
     assert not by_q["l2:u"].passed
     assert not rep.passed
     with pytest.raises(KeyError):
-        decay_report(t, series, ((1, 0, 0),), "semilinear", 1, (10.0, 50.0))
+        decay_report(series, ((1, 0, 0),), "semilinear", 1, (10.0, 50.0))
 
 
 def test_decay_report_one_sided_time_derivative():
     t = np.linspace(1.0, 50.0, 30)
-    series = {"linf:dt_u": (1 + t) ** (-1.9)}  # steeper than target passes
-    rep = decay_report(t, series, ((math.inf, 0, 1),), "semilinear", 1,
+    series = {"linf:dt_u": (t, (1 + t) ** (-1.9))}  # steeper than target passes
+    rep = decay_report(series, ((math.inf, 0, 1),), "semilinear", 1,
                        (10.0, 50.0))
     assert rep.rows[0].one_sided and rep.rows[0].passed
 
@@ -273,7 +273,7 @@ def test_series_csv_format(tmp_path):
 
 def test_report_csv_format(tmp_path):
     t = np.linspace(1.0, 50.0, 30)
-    rep = decay_report(t, {"linf:u": (1 + t) ** (-0.5)},
+    rep = decay_report({"linf:u": (t, (1 + t) ** (-0.5))},
                        ((math.inf, 0, 0),), "linear", 1, (10.0, 50.0))
     path = tmp_path / "report.csv"
     write_report_csv(path, rep)

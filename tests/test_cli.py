@@ -229,14 +229,55 @@ def test_decay_report_missing_series_exits_2(tmp_path, capsys):
     assert "lacks series" in capsys.readouterr().err
 
 
+def _read_report(run_dir):
+    lines = (run_dir / "report.csv").read_text().splitlines()[1:]
+    return {q: (float(slope), verdict) for q, slope, *_, verdict
+            in (line.split(",") for line in lines)}
+
+
 def test_decay_report_reuses_simulate_output(tmp_path, capsys):
-    path = _write_config(tmp_path, _tiny_preset())
-    assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 0
-    prior = _only_run_dir(tmp_path / "o", "cli-tiny")
-    code = main(["decay-report", "--config", path, "--run", str(prior),
-                 "--out", str(tmp_path / "r")])
-    assert code == 0  # no requested norms: vacuously green
-    assert (_only_run_dir(tmp_path / "r", "cli-tiny") / "report.csv").exists()
+    # zero data has nothing positive to fit: both paths give an empty report
+    for amplitude, n_rows in ((0.1, 1), (0.0, 0)):
+        p = _tiny_preset(amplitude=amplitude, reports=((math.inf, 0, 0),),
+                         snapshot_times=(0.2, 0.4, 0.6, 0.8, 1.0),
+                         fit_window=(0.1, 1.05))
+        case = tmp_path / f"amplitude{amplitude}"
+        case.mkdir()
+        path = _write_config(case, p)
+        live_code = main(["simulate", "--config", path,
+                          "--out", str(case / "o")])
+        prior = _only_run_dir(case / "o", "cli-tiny")
+        code = main(["decay-report", "--config", path, "--run", str(prior),
+                     "--out", str(case / "r")])
+        assert code == live_code
+        live = _read_report(prior)
+        replay = _read_report(_only_run_dir(case / "r", "cli-tiny"))
+        assert len(live) == n_rows
+        assert set(replay) == set(live)
+        for q, (slope, verdict) in live.items():
+            assert replay[q][0] == pytest.approx(slope, rel=1e-12)
+            assert replay[q][1] == verdict
+
+
+@pytest.mark.parametrize("series_text", [
+    None,
+    "t,quantity,value\n1.0,linf:u,abc\n",
+    "t,quantity,value\n1.0,linf:u,nan\n",
+], ids=["missing", "unparsable", "nonfinite"])
+def test_decay_report_bad_run_input_exits_2(tmp_path, capsys, series_text):
+    p = _tiny_preset(kind="linear", theta=1, name="lin-tiny",
+                     reports=((math.inf, 0, 0),), fit_window=(1.0, 12.0))
+    path = _write_config(tmp_path, p)
+    run_dir = tmp_path / "prior"
+    run_dir.mkdir()
+    if series_text is not None:
+        (run_dir / "series.csv").write_text(series_text)
+    code = main(["decay-report", "--config", path, "--run", str(run_dir),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_decay_report_rejects_bands(tmp_path, capsys):
@@ -264,6 +305,28 @@ def test_energy_audit_fresh_then_reuse(tmp_path, capsys):
                  "--out", str(tmp_path / "r"),
                  "--mono-tol", "1e-6", "--balance-tol", "1e-3"])
     assert code == 0
+
+
+@pytest.mark.parametrize("energy_text", [
+    None,
+    "t,quantity,value\n0.0,energy,1.0\n0.0,diss_integral,x\n",
+    "t,quantity,value\n0.0,energy,1.0\n",
+    "t,quantity,value\n0.0,energy,1.0\n0.1,energy,0.9\n0.0,diss_integral,0.0\n",
+], ids=["missing", "unparsable", "no-integral", "unaligned"])
+def test_energy_audit_bad_run_input_exits_2(tmp_path, capsys, energy_text):
+    path = _write_config(tmp_path, _tiny_preset())
+    run_dir = tmp_path / "prior"
+    run_dir.mkdir()
+    if energy_text is not None:
+        (run_dir / "energy.csv").write_text(energy_text)
+    out = tmp_path / "o"
+    out.mkdir()
+    code = main(["energy-audit", "--config", path, "--run", str(run_dir),
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert list(out.iterdir()) == []  # validated before any run directory
 
 
 def test_energy_audit_requires_semilinear(tmp_path, capsys):

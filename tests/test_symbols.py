@@ -8,17 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dissipwave import (CutoffSpec, build_symbol_table, cutoff, green_band,
-                        green_hat, green_hat_dt, green_hat_dtt, make_grid,
-                        mode_ode, mu_pm, smooth_step)
+                        green_hat, green_hat_dt, make_grid, mode_ode,
+                        smooth_step)
 from dissipwave.symbols import W_SERIES
-
-
-@settings(max_examples=60, deadline=None)
-@given(xi_sq=st.floats(min_value=0.0, max_value=1e4))
-def test_mu_pm_vieta(xi_sq):
-    plus, minus = mu_pm(xi_sq)
-    assert abs(plus + minus + 1.0) < 1e-14
-    assert abs(plus * minus - xi_sq) < 1e-10 * max(1.0, xi_sq)
 
 
 def test_green_hat_zero_frequency():
@@ -82,14 +74,6 @@ def test_green_hat_dt_is_time_derivative():
         t, h = 2.0, 1e-5
         fd = (float(green_hat(xi_sq, t + h)) - float(green_hat(xi_sq, t - h))) / (2 * h)
         assert fd == pytest.approx(float(green_hat_dt(xi_sq, t)), abs=1e-8)
-
-
-def test_green_hat_dtt_identity():
-    for xi_sq in (0.0, 0.2, 0.25, 1.5):
-        t = 1.7
-        lhs = float(green_hat_dtt(xi_sq, t))
-        rhs = -float(green_hat_dt(xi_sq, t)) - xi_sq * float(green_hat(xi_sq, t))
-        assert lhs == pytest.approx(rhs, abs=1e-15)
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,7 +2,10 @@
 
 All L^2-type quantities are evaluated spectrally through the Parseval
 identity sum |f_j|^2 dx^n = (dx/N)^n sum |c_k|^2, so they can be read off
-solver states without leaving Fourier space.  Decay rates are ordinary
+solver states without leaving Fourier space.  States hold the half
+spectrum of real fields, so the sum over the full lattice becomes a sum
+over the stored modes weighted by their Hermitian multiplicity (see
+parseval_weight).  Decay rates are ordinary
 least-squares fits of log(value) against log(1 + t).
 """
 
@@ -15,21 +18,30 @@ from functools import lru_cache
 import numpy as np
 from scipy.stats import linregress
 
-from .grid import Field, Grid, SpectralField, inverse_transform
+from .grid import Field, Grid
 
 MIN_FIT_POINTS = 5
 
 
-def _parseval_factor(grid: Grid) -> float:
-    return grid.cell_volume / grid.mode_count
+@lru_cache(maxsize=64)
+def parseval_weight(grid: Grid) -> np.ndarray:
+    """Per-mode weight of the half-spectrum Parseval sum: (dx/N)^n times
+    the Hermitian multiplicity of each last-axis column."""
+    return grid.mode_multiplicity * (grid.cell_volume / grid.mode_count)
+
+
+def _power(coeffs: np.ndarray) -> np.ndarray:
+    return coeffs.real * coeffs.real + coeffs.imag * coeffs.imag
 
 
 def spectral_l2_sq(grid: Grid, coeffs: np.ndarray, weight=None) -> float:
-    """Weighted squared L^2 norm computed from DFT coefficients."""
-    power = np.abs(coeffs) ** 2
-    if weight is not None:
-        power = power * weight
-    return float(np.sum(power)) * _parseval_factor(grid)
+    """Squared L^2-type norm of a real field from its half-spectrum
+    coefficients, sum weight * |c|^2.  weight is a per-mode Parseval weight
+    such as sobolev_weight(grid, s); the default parseval_weight(grid)
+    gives the plain L^2 norm."""
+    if weight is None:
+        weight = parseval_weight(grid)
+    return float(np.sum(_power(coeffs) * weight))
 
 
 def lp_norm(f: Field, p) -> float:
@@ -45,15 +57,16 @@ def lp_norm(f: Field, p) -> float:
 
 @lru_cache(maxsize=64)
 def sobolev_weight(grid: Grid, s: int) -> np.ndarray:
-    """Spectral weight sum_{k=0}^{s} |xi|^(2k) of the H^s norm."""
+    """Parseval weight of the squared H^s norm on the half spectrum:
+    sum_{k=0}^{s} |xi|^(2k) times parseval_weight."""
     if s < 0 or s != int(s):
         raise ValueError(f"s must be a nonnegative integer, got {s}")
-    out = np.ones(grid.shape)
-    power = np.ones(grid.shape)
+    out = np.ones(grid.spectral_shape)
+    power = np.ones(grid.spectral_shape)
     for _ in range(int(s)):
         power = power * grid.freq_sq
         out = out + power
-    return out
+    return out * parseval_weight(grid)
 
 
 def sobolev_norm(f: Field, s: int) -> float:
@@ -261,11 +274,13 @@ class EnergyLedger:
     def record(self, state) -> None:
         grid = state.grid
         s = self.sobolev_index
-        u_field = inverse_transform(SpectralField(grid, state.u_hat))
-        u = u_field.values
+        u = state.u
         q = state.theta + 2
-        kinetic = 0.5 * spectral_l2_sq(grid, state.v_hat)
-        gradient = 0.5 * spectral_l2_sq(grid, state.u_hat, grid.freq_sq)
+        u_power = _power(state.u_hat)
+        v_power = _power(state.v_hat)
+        w = parseval_weight(grid)
+        kinetic = 0.5 * float(np.sum(v_power * w))
+        gradient = 0.5 * float(np.sum(u_power * w * grid.freq_sq))
         potential = float(np.sum(np.abs(u) ** q)) * grid.cell_volume / q
         energy = kinetic + gradient + potential
         rate = 2.0 * kinetic
@@ -284,10 +299,10 @@ class EnergyLedger:
         self.diss_rate.append(rate)
         self.dissipation_integral.append(run)
         self.sup_norm.append(float(np.max(np.abs(u))))
-        self.u_sobolev.append(math.sqrt(spectral_l2_sq(
-            grid, state.u_hat, sobolev_weight(grid, s + 1))))
-        self.ut_sobolev.append(math.sqrt(spectral_l2_sq(
-            grid, state.v_hat, sobolev_weight(grid, s))))
+        self.u_sobolev.append(math.sqrt(float(np.sum(
+            u_power * sobolev_weight(grid, s + 1)))))
+        self.ut_sobolev.append(math.sqrt(float(np.sum(
+            v_power * sobolev_weight(grid, s)))))
 
     def balance_residual(self) -> float:
         """Worst deviation of E(t) - E(0) + int |u_tau|^2 from zero."""

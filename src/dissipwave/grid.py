@@ -2,9 +2,21 @@
 
 The computational domain is the box [-half_width, half_width)^n_dims sampled
 on a uniform lattice with points_per_dim points per axis.  The frequency
-lattice carries the angular frequencies xi_j = (pi / half_width) * j for
-j in [-N/2, N/2), stored in FFT order.  The forward transform is the plain
-(unnormalized) DFT sum; the inverse carries the 1/N factor per axis.
+lattice carries the angular frequencies xi_j = (pi / half_width) * j.
+
+Every field is real, so its DFT is Hermitian, c(-k) = conj(c(k)), and only
+half of it is stored: the real-to-complex layout of numpy.fft.rfftn, of
+shape shape[:-1] + (N//2 + 1,).  Every axis but the last holds all modes
+j in [-N/2, N/2) in FFT order; the last axis holds j = 0 .. N/2 only.  Each
+interior last-axis column (0 < j < N/2) stands for itself and its
+conjugate partner, which mode_multiplicity records for sums over modes.
+The forward transform is the plain (unnormalized) DFT sum; the inverse
+carries the 1/N factor per axis and returns a real field by construction.
+
+An exponential Duhamel step then costs four half-size transforms: the
+inverse of the state (shared with the energy ledger and the guard), the
+forward transform of the source, the inverse of the predicted state and
+the forward transform of its source.
 """
 
 from __future__ import annotations
@@ -16,10 +28,6 @@ from functools import cached_property
 import numpy as np
 
 SNAPSHOT_MAGIC = b"DWF1"
-
-# Relative imaginary residue tolerated when casting an inverse transform
-# back to a real field.  Anything larger indicates non-Hermitian input.
-IMAG_RESIDUE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -49,6 +57,11 @@ class Grid:
         return (self.points_per_dim,) * self.n_dims
 
     @property
+    def spectral_shape(self) -> tuple[int, ...]:
+        """Shape of the stored half spectrum."""
+        return self.shape[:-1] + (self.points_per_dim // 2 + 1,)
+
+    @property
     def cell_volume(self) -> float:
         return self.dx ** self.n_dims
 
@@ -76,19 +89,28 @@ class Grid:
         return out
 
     @cached_property
-    def axis_freqs(self) -> np.ndarray:
-        """Angular frequencies (pi / half_width) * j in FFT storage order."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.points_per_dim, d=self.dx)
-
-    @cached_property
     def freq_grids(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.meshgrid(*(self.axis_freqs,) * self.n_dims,
+        """Broadcastable angular frequencies (pi / half_width) * j, one per
+        axis: FFT order on every axis but the last, 0 .. N/2 on the last."""
+        n, d = self.points_per_dim, self.dx
+        full = 2.0 * np.pi * np.fft.fftfreq(n, d=d)
+        half = 2.0 * np.pi * np.fft.rfftfreq(n, d=d)
+        return tuple(np.meshgrid(*(full,) * (self.n_dims - 1), half,
                                  indexing="ij", sparse=True))
 
     @cached_property
+    def mode_multiplicity(self) -> np.ndarray:
+        """Lattice modes each stored last-axis column stands for: 2 for the
+        interior columns, whose conjugate partners are not stored, 1 for
+        the zero and Nyquist columns."""
+        out = np.full(self.points_per_dim // 2 + 1, 2.0)
+        out[0] = out[-1] = 1.0
+        return out
+
+    @cached_property
     def freq_sq(self) -> np.ndarray:
-        """|xi|^2 on the full frequency lattice."""
-        out = np.zeros(self.shape)
+        """|xi|^2 on the stored half spectrum."""
+        out = np.zeros(self.spectral_shape)
         for f in self.freq_grids:
             out = out + f * f
         return out
@@ -130,39 +152,30 @@ class Field:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Complex DFT coefficients in FFT storage order."""
+    """Half-spectrum DFT coefficients of a real field (rfftn layout)."""
 
     grid: Grid
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
         c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != self.grid.shape:
+        if c.shape != self.grid.spectral_shape:
             raise ValueError(
-                f"coefficient shape {c.shape} does not match grid shape {self.grid.shape}")
+                f"coefficient shape {c.shape} does not match the half "
+                f"spectrum shape {self.grid.spectral_shape}")
         object.__setattr__(self, "coeffs", c)
 
 
 def forward_transform(field: Field) -> SpectralField:
-    """Plain-sum DFT of a real field."""
-    return SpectralField(field.grid, np.fft.fftn(field.values))
+    """Plain-sum DFT of a real field, half spectrum."""
+    return SpectralField(field.grid, np.fft.rfftn(field.values))
 
 
 def inverse_transform(spectral: SpectralField) -> Field:
-    """Inverse DFT (1/N per axis).  Rejects non-Hermitian input.
-
-    The imaginary residue must stay below IMAG_RESIDUE_TOL relative to the
-    field magnitude; larger residues indicate corrupted coefficients rather
-    than rounding noise.
-    """
-    w = np.fft.ifftn(spectral.coeffs)
-    scale = float(np.max(np.abs(w)))
-    residue = float(np.max(np.abs(w.imag)))
-    if residue > IMAG_RESIDUE_TOL * max(scale, 1e-300):
-        raise ValueError(
-            f"inverse transform has imaginary residue {residue:.3e} "
-            f"(relative to magnitude {scale:.3e}); coefficients are not Hermitian")
-    return Field(spectral.grid, np.ascontiguousarray(w.real))
+    """Inverse DFT (1/N per axis) of a half spectrum: a real field."""
+    grid = spectral.grid
+    return Field(grid, np.fft.irfftn(spectral.coeffs, s=grid.shape,
+                                     axes=tuple(range(grid.n_dims))))
 
 
 def derivative_multiplier(grid: Grid, alpha: tuple[int, ...]) -> np.ndarray:
@@ -177,16 +190,15 @@ def derivative_multiplier(grid: Grid, alpha: tuple[int, ...]) -> np.ndarray:
             f"alpha has length {len(alpha)}, expected {grid.n_dims}")
     if any(a < 0 or a != int(a) for a in alpha):
         raise ValueError(f"alpha must be nonnegative integers, got {alpha}")
-    mult = np.ones(grid.shape, dtype=np.complex128)
-    n = grid.points_per_dim
-    for axis, order in enumerate(alpha):
+    mult = np.ones(grid.spectral_shape, dtype=np.complex128)
+    for order, freqs in zip(alpha, grid.freq_grids):
         if order == 0:
             continue
-        freqs = grid.axis_freqs.copy()
-        freqs[n // 2] = 0.0
-        shape = [1] * grid.n_dims
-        shape[axis] = n
-        mult = mult * (1j * freqs.reshape(shape)) ** int(order)
+        freqs = freqs.copy()
+        # each sparse axis array is one-dimensional in content; the
+        # Nyquist mode sits at index N/2 in both the full and half layouts
+        freqs.flat[grid.points_per_dim // 2] = 0.0
+        mult = mult * (1j * freqs) ** int(order)
     return mult
 
 

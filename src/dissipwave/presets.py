@@ -208,8 +208,12 @@ def _norm_of(state: solver.SolverState, p, alpha_order: int, h: int) -> float:
     """Requested norm of a derivative of the state.
 
     Spatial derivatives are taken along the first axis; mixed multi-index
-    directions are not needed by the built-in presets.
+    directions are not needed by the built-in presets.  Without a spatial
+    derivative the norm is taken of the physical field directly, so u
+    reuses the state's shared physical u.
     """
+    if not alpha_order:
+        return analysis.lp_norm(solver.time_derivative(state, h), p)
     grid = state.grid
     if h == 0:
         coeffs = state.u_hat
@@ -217,9 +221,8 @@ def _norm_of(state: solver.SolverState, p, alpha_order: int, h: int) -> float:
         coeffs = state.v_hat
     else:
         coeffs = forward_transform(solver.time_derivative(state, h)).coeffs
-    if alpha_order:
-        alpha = (alpha_order,) + (0,) * (grid.n_dims - 1)
-        coeffs = coeffs * derivative_multiplier(grid, alpha)
+    alpha = (alpha_order,) + (0,) * (grid.n_dims - 1)
+    coeffs = coeffs * derivative_multiplier(grid, alpha)
     return analysis.lp_norm(inverse_transform(SpectralField(grid, coeffs)), p)
 
 

@@ -9,6 +9,7 @@ stepper on the spectral system is kept as an independent reference route.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -37,13 +38,24 @@ class InstabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverState:
-    """Spectral state (u, u_t) at one instant.  Immutable."""
+    """Spectral state (u, u_t) at one instant, half-spectrum layout.
+
+    Immutable.  nonlin_sign is the sign s of the source s |u|^theta u:
+    -1 for the absorbing equation, +1 for the growth experiment.
+    """
 
     grid: Grid
     u_hat: np.ndarray
     v_hat: np.ndarray
     time: float
     theta: int
+    nonlin_sign: int = -1
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        """Physical-space u, transformed once and shared by the step, the
+        guard, the energy ledger and the observers."""
+        return inverse_transform(SpectralField(self.grid, self.u_hat)).values
 
 
 @dataclass(frozen=True)
@@ -90,17 +102,19 @@ class SolverConfig:
         return self.dealias
 
 
-def state_from_fields(u0: Field, u1: Field, theta: int, time: float = 0.0) -> SolverState:
+def state_from_fields(u0: Field, u1: Field, theta: int, time: float = 0.0,
+                      nonlin_sign: int = -1) -> SolverState:
     if u0.grid != u1.grid:
         raise ValueError("u0 and u1 must share a grid")
     return SolverState(grid=u0.grid,
                        u_hat=forward_transform(u0).coeffs,
                        v_hat=forward_transform(u1).coeffs,
-                       time=float(time), theta=int(theta))
+                       time=float(time), theta=int(theta),
+                       nonlin_sign=int(nonlin_sign))
 
 
 def u_field(state: SolverState) -> Field:
-    return inverse_transform(SpectralField(state.grid, state.u_hat))
+    return Field(state.grid, state.u)
 
 
 def v_field(state: SolverState) -> Field:
@@ -163,14 +177,12 @@ def linear_step(state: SolverState, table: SymbolTable) -> SolverState:
 
 def dealias_mask(grid: Grid) -> np.ndarray:
     """2/3-rule mask: keep integer modes |j| <= N/3 along each axis."""
-    n = grid.points_per_dim
-    j = np.fft.fftfreq(n, d=1.0 / n)  # integer mode numbers in FFT order
-    keep = np.abs(j) <= n / 3.0
-    mask = np.ones(grid.shape, dtype=bool)
-    for axis in range(grid.n_dims):
-        shape = [1] * grid.n_dims
-        shape[axis] = n
-        mask = mask & keep.reshape(shape)
+    # xi_j = (pi / half_width) j, and N/3 is never within rounding of an
+    # integer for power-of-two N
+    cut = grid.points_per_dim / 3.0 * np.pi / grid.half_width
+    mask = np.ones(grid.spectral_shape, dtype=bool)
+    for freqs in grid.freq_grids:
+        mask = mask & (np.abs(freqs) <= cut)
     return mask.astype(np.float64)
 
 
@@ -198,10 +210,10 @@ def _make_step_cache(grid: Grid, config: SolverConfig) -> _StepCache:
     sigma = 0.5 * dt * (nodes + 1.0)
     w = 0.5 * dt * weights
     xi_sq = grid.freq_sq
-    g0 = np.zeros(grid.shape)
-    g1 = np.zeros(grid.shape)
-    gt0 = np.zeros(grid.shape)
-    gt1 = np.zeros(grid.shape)
+    g0 = np.zeros(grid.spectral_shape)
+    g1 = np.zeros(grid.spectral_shape)
+    gt0 = np.zeros(grid.spectral_shape)
+    gt1 = np.zeros(grid.spectral_shape)
     for s_q, w_q in zip(sigma, w):
         ker = green_hat(xi_sq, dt - s_q)
         ker_t = green_hat_dt(xi_sq, dt - s_q)
@@ -216,34 +228,29 @@ def _make_step_cache(grid: Grid, config: SolverConfig) -> _StepCache:
 
 
 def _source_hat(u: np.ndarray, config: SolverConfig, cache: _StepCache) -> np.ndarray:
-    f_hat = np.fft.fftn(apply_nonlinearity(u, config.theta, config.nonlin_sign))
+    f_hat = np.fft.rfftn(apply_nonlinearity(u, config.theta, config.nonlin_sign))
     if cache.mask is not None:
         f_hat = f_hat * cache.mask
     return f_hat
 
 
-def _guard(u: np.ndarray, time: float, config: SolverConfig) -> None:
-    sup = float(np.max(np.abs(u)))
+def _guard(state: SolverState, config: SolverConfig) -> None:
+    sup = float(np.max(np.abs(state.u)))
     bound = GUARD_FACTOR * config.delta_bar
     if not np.isfinite(sup) or sup > bound:
-        raise InstabilityError(time=time, sup=sup, bound=bound)
+        raise InstabilityError(time=state.time, sup=sup, bound=bound)
 
 
 def _step_duhamel(state: SolverState, config: SolverConfig,
                   cache: _StepCache) -> SolverState:
-    # states stay Hermitian: every multiplier is real and every source is
-    # the transform of a real array
-    u = np.fft.ifftn(state.u_hat).real
-    _guard(u, state.time, config)
-    f0 = _source_hat(u, config, cache)
-
+    f0 = _source_hat(state.u, config, cache)
     predicted = linear_step(state, cache.table)
-    u_pred = np.fft.ifftn(predicted.u_hat).real
-    f1 = _source_hat(u_pred, config, cache)
+    f1 = _source_hat(predicted.u, config, cache)
 
     u_new = predicted.u_hat + cache.quad_g0 * f0 + cache.quad_g1 * f1
     v_new = predicted.v_hat + cache.quad_gt0 * f0 + cache.quad_gt1 * f1
-    return replace(state, u_hat=u_new, v_hat=v_new, time=predicted.time)
+    return replace(state, u_hat=u_new, v_hat=v_new, time=predicted.time,
+                   nonlin_sign=config.nonlin_sign)
 
 
 def _step_rk4(state: SolverState, config: SolverConfig,
@@ -251,33 +258,38 @@ def _step_rk4(state: SolverState, config: SolverConfig,
     xi_sq = state.grid.freq_sq
     dt = config.dt
 
-    def rhs(u_hat, v_hat):
-        u = np.fft.ifftn(u_hat).real
-        f_hat = _source_hat(u, config, cache)
-        return v_hat, -xi_sq * u_hat - v_hat + f_hat
+    def rhs(s: SolverState):
+        f_hat = _source_hat(s.u, config, cache)
+        return s.v_hat, -xi_sq * s.u_hat - s.v_hat + f_hat
 
-    u = np.fft.ifftn(state.u_hat).real
-    _guard(u, state.time, config)
+    def stage(h, ku, kv):
+        return replace(state, u_hat=state.u_hat + h * ku,
+                       v_hat=state.v_hat + h * kv)
 
-    u0, v0 = state.u_hat, state.v_hat
-    ku1, kv1 = rhs(u0, v0)
-    ku2, kv2 = rhs(u0 + 0.5 * dt * ku1, v0 + 0.5 * dt * kv1)
-    ku3, kv3 = rhs(u0 + 0.5 * dt * ku2, v0 + 0.5 * dt * kv2)
-    ku4, kv4 = rhs(u0 + dt * ku3, v0 + dt * kv3)
-    u_new = u0 + (dt / 6.0) * (ku1 + 2 * ku2 + 2 * ku3 + ku4)
-    v_new = v0 + (dt / 6.0) * (kv1 + 2 * kv2 + 2 * kv3 + kv4)
-    return replace(state, u_hat=u_new, v_hat=v_new, time=state.time + dt)
+    ku1, kv1 = rhs(state)
+    ku2, kv2 = rhs(stage(0.5 * dt, ku1, kv1))
+    ku3, kv3 = rhs(stage(0.5 * dt, ku2, kv2))
+    ku4, kv4 = rhs(stage(dt, ku3, kv3))
+    u_new = state.u_hat + (dt / 6.0) * (ku1 + 2 * ku2 + 2 * ku3 + ku4)
+    v_new = state.v_hat + (dt / 6.0) * (kv1 + 2 * kv2 + 2 * kv3 + kv4)
+    return replace(state, u_hat=u_new, v_hat=v_new, time=state.time + dt,
+                   nonlin_sign=config.nonlin_sign)
 
 
 def step_semilinear(state: SolverState, config: SolverConfig,
                     cache: _StepCache | None = None) -> SolverState:
     """One step of the configured integrator.  Raises InstabilityError when
-    the iterate exceeds 10 * delta_bar in sup norm."""
+    the new iterate exceeds 10 * delta_bar in sup norm.  The check reads
+    the new state's shared physical u, which the next step and the ledger
+    reuse, so it costs no extra transform."""
     if cache is None:
         cache = _make_step_cache(state.grid, config)
     if config.integrator == "reference_rk4":
-        return _step_rk4(state, config, cache)
-    return _step_duhamel(state, config, cache)
+        new = _step_rk4(state, config, cache)
+    else:
+        new = _step_duhamel(state, config, cache)
+    _guard(new, config)
+    return new
 
 
 def _snapshot_steps(config: SolverConfig, n_steps: int) -> dict[int, float]:
@@ -307,13 +319,15 @@ def solve(u0: Field, u1: Field, config: SolverConfig, observers=(),
             f"t_final = {config.t_final} is not a multiple of dt = {config.dt}")
     snaps = _snapshot_steps(config, n_steps)
 
-    state = state_from_fields(u0, u1, config.theta)
+    state = state_from_fields(u0, u1, config.theta,
+                              nonlin_sign=config.nonlin_sign)
     cache = _make_step_cache(state.grid, config)
     if ledger is not None:
         ledger.record(state)
     if 0 in snaps:
         for obs in observers:
             obs(state)
+    _guard(state, config)
     for k in range(1, n_steps + 1):
         state = step_semilinear(state, config, cache)
         if ledger is not None:
@@ -325,10 +339,11 @@ def solve(u0: Field, u1: Field, config: SolverConfig, observers=(),
 
 
 def time_derivative(state: SolverState, h: int) -> Field:
-    """h-th time derivative of the absorbing flow read off the state.
+    """h-th time derivative of the flow read off the state.
 
     h = 0 gives u, h = 1 gives u_t, h = 2 substitutes the equation:
-    u_tt = Lap u - u_t - |u|^theta u, Laplacian evaluated spectrally.
+    u_tt = Lap u - u_t + sign |u|^theta u with the state's nonlin_sign,
+    Laplacian evaluated spectrally.
     """
     if h not in (0, 1, 2):
         raise ValueError(f"h must be 0, 1 or 2, got {h}")
@@ -339,5 +354,5 @@ def time_derivative(state: SolverState, h: int) -> Field:
     grid = state.grid
     linear_part = inverse_transform(SpectralField(
         grid, -grid.freq_sq * state.u_hat - state.v_hat))
-    u = u_field(state).values
-    return Field(grid, linear_part.values + apply_nonlinearity(u, state.theta))
+    return Field(grid, linear_part.values
+                 + apply_nonlinearity(state.u, state.theta, state.nonlin_sign))

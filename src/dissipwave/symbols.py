@@ -128,7 +128,8 @@ class SymbolTable:
 
 
 def build_symbol_table(grid: Grid, delta: float) -> SymbolTable:
-    """Tabulate the symbol at time increment delta over the frequency lattice."""
+    """Tabulate the symbol at time increment delta over the stored half
+    spectrum of the frequency lattice."""
     if delta < 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
     xi_sq = grid.freq_sq
@@ -215,14 +216,21 @@ def _delta_spectrum(grid: Grid) -> np.ndarray:
     return forward_transform(Field(grid, values)).coeffs
 
 
-def _check_band_resolution(band: int, grid: Grid, spec: CutoffSpec) -> None:
+def _shell_mode_count(grid: Grid, lo: float, hi: float) -> int:
+    """Lattice modes with lo < |xi| < hi on the full lattice: each stored
+    half-spectrum mode counts with its Hermitian multiplicity."""
     radius = grid.freq_radius
+    inside = (radius > lo) & (radius < hi)
+    return int(np.sum(inside * grid.mode_multiplicity))
+
+
+def _check_band_resolution(band: int, grid: Grid, spec: CutoffSpec) -> None:
     for lo, hi in spec.transition_intervals(band):
         if hi > grid.nyquist_freq:
             raise ValueError(
                 f"band {band} transition ({lo}, {hi}) extends beyond the "
                 f"lattice Nyquist frequency {grid.nyquist_freq:.4g}")
-        count = int(np.count_nonzero((radius > lo) & (radius < hi)))
+        count = _shell_mode_count(grid, lo, hi)
         if count < MIN_TRANSITION_MODES:
             raise ValueError(
                 f"band {band} transition ({lo}, {hi}) is sampled by only "

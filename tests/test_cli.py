@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from dissipwave import ExperimentPreset, preset_to_config, read_snapshot
+from dissipwave import (ExperimentPreset, builtin_presets, preset_to_config,
+                        read_snapshot)
 from dissipwave.cli import (ConfigError, main, make_run_dir,
                             parse_config_text, resolve_preset)
 
@@ -338,6 +339,18 @@ def test_energy_audit_requires_semilinear(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # verify-symbols / green-bands
+
+
+def test_verify_symbols_check_points_match_full_lattice():
+    # the check points come from np.unique(freq_sq); the stored half
+    # spectrum must hold exactly the |xi|^2 values of the full lattice
+    for preset in builtin_presets().values():
+        g = preset.grid
+        f = 2.0 * np.pi * np.fft.fftfreq(g.points_per_dim, d=g.dx)
+        full = np.zeros(g.shape)
+        for axis in np.meshgrid(*(f,) * g.n_dims, indexing="ij", sparse=True):
+            full = full + axis * axis
+        assert np.array_equal(np.unique(g.freq_sq), np.unique(full))
 
 
 def test_verify_symbols_passes(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Linear stepping, the two semilinear integrators, guards, derivatives."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,13 +43,19 @@ def test_dealias_default_follows_theta():
 
 
 def test_dealias_mask_two_thirds_rule():
+    # the last axis stores j = 0 .. N/2 only; negative j live on the others
     g = make_grid(1, 64, 8.0)
     m = dealias_mask(g)
-    assert m.shape == g.shape
+    assert m.shape == g.spectral_shape == (33,)
     assert m[0] == 1.0
-    assert m[21] == 1.0 and m[-21] == 1.0  # |j| = 21 <= 64/3
-    assert m[22] == 0.0 and m[-22] == 0.0
+    assert m[21] == 1.0  # |j| = 21 <= 64/3
+    assert m[22] == 0.0
     assert m[32] == 0.0  # nyquist always dropped
+    m2 = dealias_mask(make_grid(2, 64, 8.0))
+    assert m2.shape == (64, 33)
+    assert m2[21, 0] == 1.0 and m2[-21, 0] == 1.0 and m2[0, 21] == 1.0
+    assert m2[22, 0] == 0.0 and m2[-22, 0] == 0.0 and m2[0, 22] == 0.0
+    assert m2[32, 0] == 0.0 and m2[0, 32] == 0.0
 
 
 def test_apply_nonlinearity_signs_and_powers(rng):
@@ -173,6 +181,24 @@ def test_guard_respects_delta_bar():
         solve(u0, _zero(g), cfg)
 
 
+def test_guard_checks_the_final_state():
+    # growth flow: the first state beyond 10 * delta_bar is the last one
+    # when t_final stops right on it, and solve must still refuse it
+    g = make_grid(1, 128, 16.0)
+    u0 = gaussian_bump(g, 1.0, 1.0)
+    dt = 0.02
+    cfg = SolverConfig(theta=1, dt=dt, t_final=20.0, nonlin_sign=+1)
+    with pytest.raises(InstabilityError) as first:
+        solve(u0, _zero(g), cfg)
+    n = int(round(first.value.time / dt))
+    before = solve(u0, _zero(g), replace(cfg, t_final=(n - 1) * dt))
+    assert np.max(np.abs(u_field(before).values)) <= first.value.bound
+    with pytest.raises(InstabilityError) as last:
+        solve(u0, _zero(g), replace(cfg, t_final=n * dt))
+    assert last.value.time == pytest.approx(n * dt)
+    assert last.value.sup > last.value.bound
+
+
 def test_solve_observers_and_ledger(grid1d, bump1d):
     from dissipwave import EnergyLedger
     cfg = SolverConfig(theta=3, dt=0.1, t_final=1.0,
@@ -211,6 +237,20 @@ def test_time_derivative_orders(grid1d, bump1d):
     assert np.max(np.abs(got - expected)) < 1e-12
     with pytest.raises(ValueError):
         time_derivative(state, 3)
+
+
+def test_time_derivative_uses_the_state_sign(grid1d, bump1d):
+    # growth flow: u_tt = lap u - u_t + |u|^theta u
+    cfg = SolverConfig(theta=3, dt=0.1, t_final=0.2, nonlin_sign=+1)
+    state = solve(bump1d, gaussian_bump(grid1d, 0.2, 1.5), cfg)
+    assert state.nonlin_sign == +1
+    u = u_field(state).values
+    v = time_derivative(state, 1).values
+    lap = inverse_transform(
+        SpectralField(grid1d, -grid1d.freq_sq * state.u_hat)).values
+    expected = lap - v + np.abs(u) ** 3 * u
+    got = time_derivative(state, 2).values
+    assert np.max(np.abs(got - expected)) < 1e-12
 
 
 def test_time_derivative_matches_finite_difference():
@@ -252,8 +292,10 @@ def test_linear_solution_semigroup_property(t, s):
 
 
 def test_step_semilinear_preserves_time_accounting(grid1d, bump1d):
-    cfg = SolverConfig(theta=2, dt=0.125, t_final=0.25)
+    cfg = SolverConfig(theta=2, dt=0.125, t_final=0.25, nonlin_sign=+1)
     state = state_from_fields(bump1d, _zero(grid1d), theta=2)
-    stepped = step_semilinear(state, cfg)
-    assert stepped.time == pytest.approx(0.125)
-    assert stepped.theta == 2
+    for integrator in ("exponential_duhamel", "reference_rk4"):
+        stepped = step_semilinear(state, replace(cfg, integrator=integrator))
+        assert stepped.time == pytest.approx(0.125)
+        assert stepped.theta == 2
+        assert stepped.nonlin_sign == +1

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dissipwave import (CutoffSpec, build_symbol_table, cutoff, green_band,
-                        green_hat, green_hat_dt, make_grid, mode_ode,
-                        smooth_step)
-from dissipwave.symbols import W_SERIES
+from dissipwave import (CutoffSpec, build_symbol_table, builtin_presets,
+                        cutoff, green_band, green_hat, green_hat_dt,
+                        make_grid, mode_ode, smooth_step)
+from dissipwave.symbols import W_SERIES, _shell_mode_count
 
 
 def test_green_hat_zero_frequency():
@@ -89,7 +89,7 @@ def test_symbol_table_structure():
     g = make_grid(1, 64, 8.0)
     table = build_symbol_table(g, 0.25)
     assert table.delta == 0.25
-    assert table.g.shape == g.shape
+    assert table.g.shape == g.spectral_shape
     assert np.array_equal(table.g_tt, -table.g_t - g.freq_sq * table.g)
     assert float(table.g[0]) == pytest.approx(1.0 - math.exp(-0.25), abs=1e-14)
 
@@ -161,6 +161,15 @@ def test_green_band_requires_resolution():
     tiny = make_grid(1, 32, 6.0)
     with pytest.raises(ValueError, match="modes"):
         green_band(1, tiny, 1.0, CutoffSpec(0.125, 2.0))
+
+
+def test_band_transition_counts_full_lattice():
+    # half-spectrum modes count with their conjugate partners, so the
+    # transition shells of bands1d hold as many modes as on the full lattice
+    preset = builtin_presets()["bands1d"]
+    counts = [_shell_mode_count(preset.grid, lo, hi)
+              for lo, hi in preset.cutoff_spec.transition_intervals(2)]
+    assert counts == [58, 128]
 
 
 def test_green_band_requires_nyquist_headroom():

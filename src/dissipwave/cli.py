@@ -11,7 +11,8 @@ Configs are flat key=value text files ('#' starts a comment); --config also
 accepts a built-in preset name.  Each invocation writes into
 <out>/<name>/<timestamp>/ and leaves a manifest.txt that can be fed back in
 as a config file.  Exit codes: 0 all checks passed, 1 a verdict failed,
-2 bad config or --run input, 3 the run left the stability trust region.
+2 bad config or --run input, 3 the run left the stability trust region,
+4 an internal error (an uncaught exception).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_UNSTABLE = 3
+EXIT_ERROR = 4
 
 
 class ConfigError(Exception):
@@ -248,13 +250,16 @@ def _aborted(run_dir: Path, argv_echo: str, preset: ExperimentPreset,
 
 def _decay_report(preset: ExperimentPreset, series: dict) -> DecayReport:
     """The preset's decay report on (times, values) series, live or read
-    back from series.csv."""
+    back from series.csv.  Data with nothing positive to fit (zero
+    amplitude) gives an empty passing report; any other fit error, such as
+    a fit window with too few samples, is a config error."""
     try:
         return preset.report(series)
-    except ValueError as exc:
-        # e.g. zero-amplitude data: nothing positive to fit, nothing to fail
+    except analysis.NothingToFit as exc:
         print(f"decay fit skipped: {exc}")
         return DecayReport(rows=(), window=preset.fit_window)
+    except ValueError as exc:
+        raise ConfigError(f"{preset.name}: decay fit: {exc}") from exc
 
 
 def _run_experiment_cmd(preset: ExperimentPreset, args, argv_echo: str,
@@ -456,6 +461,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -160,10 +160,14 @@ def free_wave_multiplier(grid, t: float) -> np.ndarray:
     return out
 
 
-def heat_reference(data: Field, t: float) -> Field:
-    """Exact periodic heat evolution exp(t Laplacian) applied to data."""
+def heat_reference(data: Field | SpectralField, t: float) -> Field:
+    """Exact periodic heat evolution exp(t Laplacian) applied to data.
+
+    data may be given by its spectrum, so a series of times transforms it
+    only once.
+    """
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    spec = forward_transform(data)
+    spec = data if isinstance(data, SpectralField) else forward_transform(data)
     damped = spec.coeffs * np.exp(-data.grid.freq_sq * t)
     return inverse_transform(SpectralField(data.grid, damped))

@@ -57,6 +57,11 @@ class SolverState:
         guard, the energy ledger and the observers."""
         return inverse_transform(SpectralField(self.grid, self.u_hat)).values
 
+    @cached_property
+    def u_sup(self) -> float:
+        """sup|u|, computed once and shared by the guard and the ledger."""
+        return float(np.max(np.abs(self.u)))
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -235,7 +240,7 @@ def _source_hat(u: np.ndarray, config: SolverConfig, cache: _StepCache) -> np.nd
 
 
 def _guard(state: SolverState, config: SolverConfig) -> None:
-    sup = float(np.max(np.abs(state.u)))
+    sup = state.u_sup
     bound = GUARD_FACTOR * config.delta_bar
     if not np.isfinite(sup) or sup > bound:
         raise InstabilityError(time=state.time, sup=sup, bound=bound)

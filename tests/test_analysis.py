@@ -1,20 +1,22 @@
 """Norms, energy ledger, decay fitting, report plumbing."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dissipwave import (EnergyLedger, Field, decay_report, derivative_field,
-                        e0_norm, fit_decay_rate, fit_exponential_rate,
-                        forward_transform, gaussian_bump, linear_solution,
-                        lp_norm, make_grid, quantity_label, sobolev_norm,
-                        spectral_l2_sq, state_from_fields, weighted_profile)
-from dissipwave.analysis import (MIN_FIT_POINTS, decay_tolerance, field_label,
-                                 target_slope, write_report_csv,
-                                 write_series_csv)
+from dissipwave import (EnergyLedger, Field, builtin_presets, decay_report,
+                        derivative_field, e0_norm, fit_decay_rate,
+                        fit_exponential_rate, forward_transform,
+                        gaussian_bump, linear_solution, lp_norm, make_grid,
+                        quantity_label, sobolev_norm, solve, spectral_l2_sq,
+                        state_from_fields, weighted_profile)
+from dissipwave.analysis import (MIN_FIT_POINTS, NothingToFit,
+                                 decay_tolerance, field_label, target_slope,
+                                 write_report_csv, write_series_csv)
 
 
 def test_lp_norm_indicator(grid1d):
@@ -168,14 +170,22 @@ def test_fit_decay_rate_window_excludes_outside_points():
 
 
 def test_fit_decay_rate_validation():
+    # only finite data with no positive value is NothingToFit; too few
+    # samples is a window error even for zero data
     t = np.linspace(1.0, 10.0, MIN_FIT_POINTS - 1)
-    with pytest.raises(ValueError, match="samples"):
-        fit_decay_rate(t, np.ones(len(t)), (1.0, 10.0))
+    for data in (np.ones(len(t)), np.zeros(len(t))):
+        with pytest.raises(ValueError, match="samples") as info:
+            fit_decay_rate(t, data, (1.0, 10.0))
+        assert not isinstance(info.value, NothingToFit)
     t = np.linspace(1.0, 10.0, 10)
     vals = np.ones(10)
     vals[3] = 0.0
-    with pytest.raises(ValueError, match="positive"):
-        fit_decay_rate(t, vals, (1.0, 10.0))
+    for bad in (vals, np.full(10, np.nan)):
+        with pytest.raises(ValueError, match="positive") as info:
+            fit_decay_rate(t, bad, (1.0, 10.0))
+        assert not isinstance(info.value, NothingToFit)
+    with pytest.raises(NothingToFit):
+        fit_decay_rate(t, np.zeros(10), (1.0, 10.0))
     with pytest.raises(ValueError, match="window"):
         fit_decay_rate(t, np.ones(10), (10.0, 1.0))
 
@@ -240,7 +250,8 @@ def test_decay_report_one_sided_time_derivative():
 
 def test_energy_ledger_linear_balance():
     # linear flow obeys the energy law once the potential term is negligible,
-    # so a small amplitude isolates the trapezoid quadrature error
+    # so a small amplitude isolates the quadrature error of the dissipation
+    # integral
     g = make_grid(1, 256, 20.0)
     u0 = gaussian_bump(g, 0.01, 1.0)
     u1 = Field(g, np.zeros(g.shape))
@@ -252,6 +263,37 @@ def test_energy_ledger_linear_balance():
     assert led.balance_residual() < 1e-4 * led.energy[0]
     assert led.e0 == 0.0
     assert len(led.times) == 1001
+
+
+def _linear_flow_balance(dt, t_final=2.0):
+    # theta 7 makes the potential term (|u|^9 at amplitude 0.01) negligible
+    # against the quadrature error at every dt below
+    g = make_grid(1, 256, 20.0)
+    u0 = gaussian_bump(g, 0.01, 1.0)
+    u1 = Field(g, np.zeros(g.shape))
+    led = EnergyLedger(sobolev_index=1)
+    for k in range(int(round(t_final / dt)) + 1):
+        u, v = linear_solution(u0, u1, k * dt)
+        led.record(state_from_fields(u, v, theta=7, time=k * dt))
+    return led.balance_residual() / led.energy[0]
+
+
+def test_energy_ledger_balance_is_fourth_order():
+    residuals = [_linear_flow_balance(dt) for dt in (0.1, 0.05, 0.025)]
+    orders = np.log2(np.array(residuals[:-1]) / np.array(residuals[1:]))
+    assert np.all(orders >= 3.5), (residuals, orders)
+
+
+def test_energy_ledger_semi1d_data_at_dt_0_04():
+    # the built-in semi1d-theta3 data up to t = 2 at its step: u_t(0) = 0,
+    # so the first intervals carry the steepest relative change of the rate
+    preset = replace(builtin_presets()["semi1d-theta3"], dt=0.04,
+                     t_final=2.0, snapshot_times=())
+    u0, u1 = preset.initial_data()
+    led = EnergyLedger(sobolev_index=preset.sobolev_s)
+    solve(u0, u1, preset.solver_config(), ledger=led)
+    assert len(led.times) == 51
+    assert led.balance_residual() <= 1e-6 * led.energy[0]
 
 
 def test_energy_ledger_requires_increasing_times(grid1d):

@@ -114,11 +114,38 @@ def test_simulate_vacuous_reports_pass(tmp_path, capsys):
 
 
 def test_simulate_zero_amplitude_still_passes(tmp_path, capsys):
-    p = _tiny_preset(amplitude=0.0, reports=((math.inf, 0, 0),))
+    # six samples in the fit window: the fit fails only for want of
+    # positive data
+    p = _tiny_preset(amplitude=0.0, reports=((math.inf, 0, 0),),
+                     snapshot_times=(0.5, 0.6, 0.7, 0.8, 0.9, 1.0))
     path = _write_config(tmp_path, p)
     code = main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
     assert code == 0
     assert "decay fit skipped" in capsys.readouterr().out
+
+
+def test_simulate_too_few_window_samples_exits_2(tmp_path, capsys):
+    p = _tiny_preset(reports=((math.inf, 0, 0),))  # 2 samples in the window
+    path = _write_config(tmp_path, p)
+    code = main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error:") and "2 samples" in err[0]
+
+
+def test_uncaught_exception_exits_4(tmp_path, capsys, monkeypatch):
+    import dissipwave.cli as cli
+
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_simulate", crash)
+    path = _write_config(tmp_path, _tiny_preset())
+    code = main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["internal error: RuntimeError: boom"]
 
 
 def test_simulate_unknown_key_exits_2(tmp_path, capsys):
@@ -168,7 +195,8 @@ def test_simulate_series_bytes_deterministic(tmp_path, capsys):
 
 
 def test_manifest_is_relaunchable(tmp_path, capsys):
-    p = _tiny_preset(reports=((math.inf, 0, 0), (2.0, 1, 1)))
+    p = _tiny_preset(reports=((math.inf, 0, 0), (2.0, 1, 1)),
+                     snapshot_times=(0.5, 0.6, 0.7, 0.8, 0.9, 1.0))
     path = _write_config(tmp_path, p)
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) in (0, 1)
     manifest = _only_run_dir(tmp_path / "o", "cli-tiny") / "manifest.txt"

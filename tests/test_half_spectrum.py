@@ -102,15 +102,35 @@ class FullReference:
         u_hat, v_hat = np.fft.fftn(u0.values), np.fft.fftn(u1.values)
         step = self.rk4 if integrator == "reference_rk4" else self.duhamel
         energy, rate = self.energy(u_hat, v_hat)
-        energies, integrals = [energy], [0.0]
+        energies, rates = [energy], [rate]
         for _ in range(STEPS):
             u_hat, v_hat = step(u_hat, v_hat)
-            energy, new_rate = self.energy(u_hat, v_hat)
-            integrals.append(integrals[-1]
-                             + 0.5 * self.config.dt * (rate + new_rate))
+            energy, rate = self.energy(u_hat, v_hat)
             energies.append(energy)
-            rate = new_rate
-        return np.fft.ifftn(u_hat).real, np.array(energies), np.array(integrals)
+            rates.append(rate)
+        return (np.fft.ifftn(u_hat).real, np.array(energies),
+                _cumulative_simpson(rates, self.config.dt))
+
+
+def _cumulative_simpson(f, dt):
+    """Cumulative integral of equally spaced samples f, 0 at the first.
+
+    Interval i integrates the quadratic through the samples j, j+1, j+2
+    with j = i rounded down to even (the last interval of an odd count
+    uses the last three samples): dt/12 (5 f_j + 8 f_j+1 - f_j+2) for the
+    first interval of that triple, dt/12 (-f_j + 8 f_j+1 + 5 f_j+2) for
+    the second.
+    """
+    n = len(f) - 1
+    pieces = np.empty(n)
+    for i in range(n):
+        j = min(i - i % 2, n - 2)
+        f0, f1, f2 = f[j:j + 3]
+        if i == j:
+            pieces[i] = dt / 12.0 * (5.0 * f0 + 8.0 * f1 - f2)
+        else:
+            pieces[i] = dt / 12.0 * (-f0 + 8.0 * f1 + 5.0 * f2)
+    return np.concatenate(([0.0], np.cumsum(pieces)))
 
 
 def _rel(got, want):

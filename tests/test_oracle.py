@@ -139,6 +139,9 @@ def test_heat_reference_single_mode():
     out = heat_reference(f, t)
     expected = np.exp(-k * k * t) * np.cos(k * g.axis_coords)
     assert np.max(np.abs(out.values - expected)) < 1e-12
+    # given by its spectrum, the data is not transformed again
+    assert np.array_equal(heat_reference(forward_transform(f), t).values,
+                          out.values)
 
 
 def test_heat_reference_preserves_mean(rng):

@@ -9,13 +9,10 @@ import argparse
 import sys
 
 from dissipwave import builtin_presets
-from dissipwave.cli import EXIT_ERROR, EXIT_PASS, main as cli_main
+from dissipwave.cli import VERDICT, main as cli_main
 
 SUBCOMMAND = {"linear": "simulate", "semilinear": "simulate",
               "bands": "green-bands"}
-
-# exit 4 is an uncaught exception inside the CLI, not a verdict
-LABELS = {EXIT_PASS: "ok", EXIT_ERROR: "error"}
 
 
 def main() -> int:
@@ -41,7 +38,7 @@ def main() -> int:
 
     print("\nsummary:")
     for name, code in results.items():
-        print(f"  {name:16s} exit {code} ({LABELS.get(code, 'check output')})")
+        print(f"  {name:16s} exit {code} ({VERDICT[code]})")
     return max(results.values())
 
 

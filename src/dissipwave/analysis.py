@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
@@ -22,6 +23,10 @@ from scipy.stats import linregress
 from .grid import Field, Grid
 
 MIN_FIT_POINTS = 5
+
+# energy audit bounds relative to E(0): per-step rise and balance residual
+MONO_TOL = 1e-8
+BALANCE_TOL = 1e-6
 
 
 class NothingToFit(ValueError):
@@ -121,9 +126,10 @@ class FitResult:
     window: tuple[float, float]
 
 
-def _fit_window(times, values, window):
+def fit_window_mask(times, window) -> np.ndarray:
+    """The samples of times inside the closed fit window; a ValueError if
+    the window is empty or holds fewer than MIN_FIT_POINTS of them."""
     times = np.asarray(times, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError(f"fit window must satisfy lo < hi, got ({lo}, {hi})")
@@ -132,13 +138,20 @@ def _fit_window(times, values, window):
         raise ValueError(
             f"fit window ({lo}, {hi}) contains {int(mask.sum())} samples; "
             f"need at least {MIN_FIT_POINTS}")
+    return mask
+
+
+def _fit_window(times, values, window):
+    times = np.asarray(times, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    mask = fit_window_mask(times, window)
     vals = values[mask]
     finite = np.all(np.isfinite(vals))
     if finite and np.all(vals <= 0):
         raise NothingToFit("no positive value inside the fit window")
     if not finite or np.any(vals <= 0):
         raise ValueError("fit requires positive finite values inside the window")
-    return times[mask], vals, (lo, hi)
+    return times[mask], vals, (float(window[0]), float(window[1]))
 
 
 def fit_decay_rate(times, values, window) -> FitResult:
@@ -251,14 +264,18 @@ def decay_report(series: dict, requests, kind: str, n_dims: int,
     return DecayReport(rows=tuple(rows), window=tuple(map(float, window)))
 
 
-def energy_audit(energy, diss_integral) -> tuple[float, float, float]:
-    """E(0), the worst per-step rise of E, and the worst deviation of
-    E(t) - E(0) + int_0^t |u_tau|^2 from zero."""
+def energy_audit(energy, diss_integral, mono_tol: float = MONO_TOL,
+                 balance_tol: float = BALANCE_TOL):
+    """E(0), the worst per-step rise of E, the worst deviation of
+    E(t) - E(0) + int_0^t |u_tau|^2 from zero, and whether the rise stays
+    within mono_tol * E(0) and the deviation within balance_tol * E(0)."""
     e = np.asarray(energy, dtype=float)
+    e0 = float(e[0])
     worst_rise = float(np.max(np.diff(e))) if len(e) > 1 else 0.0
     residual = float(np.max(np.abs(
         e - e[0] + np.asarray(diss_integral, dtype=float))))
-    return float(e[0]), worst_rise, residual
+    return (e0, worst_rise, residual, worst_rise <= mono_tol * e0,
+            residual <= balance_tol * e0)
 
 
 @dataclass
@@ -318,29 +335,54 @@ class EnergyLedger:
             return 0.0
         return energy_audit(self.energy, self.dissipation_integral)[2]
 
-    def rows(self):
-        columns = (("energy", self.energy),
-                   ("diss_rate", self.diss_rate),
-                   ("diss_integral", self.dissipation_integral),
-                   ("linf:u", self.sup_norm),
-                   (f"h{self.sobolev_index + 1}:u", self.u_sobolev),
-                   (f"h{self.sobolev_index}:dt_u", self.ut_sobolev))
-        for name, vals in columns:
-            for t, v in zip(self.times, vals):
-                yield float(t), name, float(v)
+    def series_pairs(self) -> dict:
+        """Each column as a (times, values) pair, by its energy.csv label."""
+        s = self.sobolev_index
+        columns = {"energy": self.energy, "diss_rate": self.diss_rate,
+                   "diss_integral": self.dissipation_integral,
+                   "linf:u": self.sup_norm, f"h{s + 1}:u": self.u_sobolev,
+                   f"h{s}:dt_u": self.ut_sobolev}
+        return {name: (self.times, vals) for name, vals in columns.items()}
 
 
-def write_series_csv(path, rows) -> None:
+def write_series_csv(path, series: dict) -> None:
     """Long-format time series: header t,quantity,value.
 
-    rows is an iterable of (time, quantity_name, value) triples; values are
-    written with repr for lossless round-trips and byte-stable reruns.
+    series maps each label to its (times, values) pair, as decay_report
+    takes it; values are written with repr for lossless, byte-stable rereads.
     """
     lines = ["t,quantity,value"]
-    for t, name, v in rows:
-        lines.append(f"{float(t)!r},{name},{float(v)!r}")
+    for name, (times, values) in series.items():
+        lines += [f"{float(t)!r},{name},{float(v)!r}"
+                  for t, v in zip(times, values)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def read_series_csv(path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """A write_series_csv file read back as {label: (times, values)}; a
+    ValueError for a bad header or line or a value that is not finite."""
+    lines = Path(path).read_text().splitlines()
+    if not lines or lines[0] != "t,quantity,value":
+        raise ValueError(f"{path}: not a series csv (bad header)")
+    by_label: dict[str, list[tuple[float, float]]] = {}
+    for lineno, line in enumerate(lines[1:], 2):
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise ValueError(f"{path}:{lineno}: expected t,quantity,value")
+        t, label, v = parts
+        try:
+            by_label.setdefault(label, []).append((float(t), float(v)))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: expected numbers, "
+                             f"got {line!r}") from None
+    series = {label: tuple(np.asarray(pairs).T)
+              for label, pairs in by_label.items()}
+    for label, pair in series.items():
+        if not np.all(np.isfinite(pair)):
+            raise ValueError(f"{path}: series {label!r} holds a value "
+                             f"that is not finite")
+    return series
 
 
 def write_report_csv(path, report: DecayReport) -> None:

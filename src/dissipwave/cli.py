@@ -8,11 +8,12 @@ Subcommands:
   energy-audit     check energy monotonicity and balance of a semilinear run
 
 Configs are flat key=value text files ('#' starts a comment); --config also
-accepts a built-in preset name.  Each invocation writes into
-<out>/<name>/<timestamp>/ and leaves a manifest.txt that can be fed back in
-as a config file.  Exit codes: 0 all checks passed, 1 a verdict failed,
-2 bad config or --run input, 3 the run left the stability trust region,
-4 an internal error (an uncaught exception).
+accepts a built-in preset name.  A subcommand checks all its input before it
+makes <out>/<name>/<timestamp>/; main closes that directory with a
+manifest.txt whose comments end in the verdict and that relaunches as a
+config file.  Exit codes: 0 all checks passed, 1 a verdict failed, 2 bad
+config or --run input, 3 the run left the stability trust region, 4 an
+internal error (an uncaught exception).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, oracle, presets, solver, symbols
-from .analysis import DecayReport, write_report_csv, write_series_csv
+from .analysis import DecayReport
 from .grid import write_snapshot
 from .presets import (ExperimentPreset, builtin_presets, preset_from_config,
                       preset_to_config)
@@ -40,6 +41,10 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_UNSTABLE = 3
 EXIT_ERROR = 4
+
+# the manifest's closing verdict word for each exit code
+VERDICT = {EXIT_PASS: "pass", EXIT_FAIL: "fail", EXIT_CONFIG: "error",
+           EXIT_UNSTABLE: "unstable", EXIT_ERROR: "error"}
 
 
 class ConfigError(Exception):
@@ -147,84 +152,75 @@ def _symbol_check_points(preset: ExperimentPreset | None):
     return xi_sq, times
 
 
-def cmd_verify_symbols(args) -> int:
-    preset = None
-    if args.config is not None:
-        preset = resolve_preset(args.config, args.set)
+def cmd_verify_symbols(args, open_run):
+    preset = (None if args.config is None
+              else resolve_preset(args.config, args.set))
     xi_sq, times = _symbol_check_points(preset)
     tol = args.tol
+    ode_tol = tol * 1e-2
+    try:  # the oracle's own argument check, on no times
+        oracle.mode_ode_series(0.0, (), tol=ode_tol)
+    except ValueError as exc:
+        raise ConfigError(f"--tol {tol:g} asks the ODE reference for "
+                          f"{ode_tol:g}: {exc}") from exc
+    run_dir = open_run("verify-symbols", preset)
 
-    rows = []
+    series = {}
     max_g = max_gt = 0.0
     for x in xi_sq:
         ref_g, ref_gt, _err = oracle.mode_ode_series(float(x), times,
-                                                     tol=tol * 1e-2)
-        g = symbols.green_hat(float(x), times)
-        gt = symbols.green_hat_dt(float(x), times)
-        for i, t in enumerate(times):
-            eg = abs(float(g[i] - ref_g[i]))
-            egt = abs(float(gt[i] - ref_gt[i]))
-            rows.append((float(t), f"abs_err_g:xi_sq={float(x):.6g}", eg))
-            rows.append((float(t), f"abs_err_gt:xi_sq={float(x):.6g}", egt))
-            max_g = max(max_g, eg)
-            max_gt = max(max_gt, egt)
+                                                     tol=ode_tol)
+        eg = np.abs(symbols.green_hat(float(x), times) - ref_g)
+        egt = np.abs(symbols.green_hat_dt(float(x), times) - ref_gt)
+        series[f"abs_err_g:xi_sq={float(x):.6g}"] = (times, eg)
+        series[f"abs_err_gt:xi_sq={float(x):.6g}"] = (times, egt)
+        max_g, max_gt = max(max_g, eg.max()), max(max_gt, egt.max())
 
     # continuity across the oscillatory/overdamped branch switch at |xi| = 1/2
-    branch_ts = (0.1, 1.0, 10.0, 50.0)
     max_branch = 0.0
-    for t in branch_ts:
+    for t in (0.1, 1.0, 10.0, 50.0):
         center = t * math.exp(-0.5 * t)
         for x in (0.25 - 1e-9, 0.25, 0.25 + 1e-9):
             max_branch = max(max_branch, abs(float(symbols.green_hat(x, t)) - center))
 
     ok = max_g <= tol and max_gt <= tol and max_branch <= tol
-    run_dir = make_run_dir(args.out, "verify-symbols")
-    write_series_csv(run_dir / "symbols.csv", rows)
-    write_manifest(run_dir, "verify-symbols", preset, [
-        f"modes checked: {len(xi_sq)}, times per mode: {len(times)}",
-        f"max |G - ode| = {max_g:.3e}",
-        f"max |G_t - ode| = {max_gt:.3e}",
-        f"max branch-point gap = {max_branch:.3e}",
-        f"tolerance = {tol:.1e}",
-        f"verdict: {'pass' if ok else 'fail'}",
-    ])
+    analysis.write_series_csv(run_dir / "symbols.csv", series)
     print(f"mode symbol vs ODE reference over {len(xi_sq)} modes x "
           f"{len(times)} times:")
     print(f"  max |G - ode|   = {max_g:.3e}")
     print(f"  max |G_t - ode| = {max_gt:.3e}")
     print(f"  branch-point continuity gap = {max_branch:.3e}")
     print(f"  tolerance {tol:.1e} -> {'PASS' if ok else 'FAIL'}")
-    print(f"wrote {run_dir}")
-    return EXIT_PASS if ok else EXIT_FAIL
+    return ok, [f"modes checked: {len(xi_sq)}, times per mode: {len(times)}",
+                f"max |G - ode| = {max_g:.3e}",
+                f"max |G_t - ode| = {max_gt:.3e}",
+                f"max branch-point gap = {max_branch:.3e}",
+                f"tolerance = {tol:.1e}"]
 
 
 # ---------------------------------------------------------------------------
 # green-bands
 
-def _run_bands_cmd(preset: ExperimentPreset, args, argv_echo: str) -> int:
+def _run_bands_cmd(preset: ExperimentPreset, open_run):
+    run_dir = open_run(preset.name, preset)
     run = presets.run_bands(preset)
     report = run.report()
     fit2 = run.fits()["linf:band2"]
-    run_dir = make_run_dir(args.out, preset.name)
-    write_series_csv(run_dir / "series.csv", run.rows())
-    write_report_csv(run_dir / "report.csv", report)
-    write_manifest(run_dir, argv_echo, preset, [
-        f"middle band log-linear fit r^2 = {fit2.r_squared:.6f}",
-        f"verdict: {'pass' if report.passed else 'fail'}",
-    ])
+    analysis.write_series_csv(run_dir / "series.csv", run.series_pairs())
+    analysis.write_report_csv(run_dir / "report.csv", report)
     _print_report(report)
     print(f"middle band exponential fit r^2 = {fit2.r_squared:.4f} "
           f"(need >= 0.99)")
-    print(f"wrote {run_dir}")
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    return report.passed, [
+        f"middle band log-linear fit r^2 = {fit2.r_squared:.6f}"]
 
 
-def cmd_green_bands(args) -> int:
+def cmd_green_bands(args, open_run):
     preset = resolve_preset(args.config, args.set, default_name="bands1d")
     if preset.kind != "bands":
         raise ConfigError(f"green-bands needs a bands preset, got kind="
                           f"{preset.kind!r}")
-    return _run_bands_cmd(preset, args, "green-bands")
+    return _run_bands_cmd(preset, open_run)
 
 
 # ---------------------------------------------------------------------------
@@ -240,19 +236,10 @@ def _snapshot_sink(run_dir: Path):
     return sink
 
 
-def _aborted(run_dir: Path, argv_echo: str, preset: ExperimentPreset,
-             exc: solver.InstabilityError) -> int:
-    print(f"run aborted: {exc}", file=sys.stderr)
-    write_manifest(run_dir, argv_echo, preset,
-                   [f"aborted: {exc}", "verdict: unstable"])
-    return EXIT_UNSTABLE
-
-
 def _decay_report(preset: ExperimentPreset, series: dict) -> DecayReport:
-    """The preset's decay report on (times, values) series, live or read
-    back from series.csv.  Data with nothing positive to fit (zero
-    amplitude) gives an empty passing report; any other fit error, such as
-    a fit window with too few samples, is a config error."""
+    """The preset's decay report on (times, values) series, live or replayed.
+    Data with nothing positive to fit (zero amplitude) gives an empty passing
+    report; any other fit error, such as too few samples, is a config error."""
     try:
         return preset.report(series)
     except analysis.NothingToFit as exc:
@@ -262,87 +249,66 @@ def _decay_report(preset: ExperimentPreset, series: dict) -> DecayReport:
         raise ConfigError(f"{preset.name}: decay fit: {exc}") from exc
 
 
-def _run_experiment_cmd(preset: ExperimentPreset, args, argv_echo: str,
-                        with_snapshots: bool) -> int:
+def _run_experiment_cmd(preset: ExperimentPreset, open_run,
+                        with_snapshots: bool):
     if preset.kind == "bands":
-        return _run_bands_cmd(preset, args, argv_echo)
-    run_dir = make_run_dir(args.out, preset.name)
+        return _run_bands_cmd(preset, open_run)
+    if preset.reports:  # count the samples the fits will get
+        try:
+            analysis.fit_window_mask(preset.snapshot_times, preset.fit_window)
+        except ValueError as exc:
+            raise ConfigError(f"{preset.name}: decay fit: {exc}") from exc
+    run_dir = open_run(preset.name, preset)
+
     sink = _snapshot_sink(run_dir) if with_snapshots else None
-    try:
-        run = presets.run_experiment(preset, snapshot_sink=sink)
-    except solver.InstabilityError as exc:
-        return _aborted(run_dir, argv_echo, preset, exc)
-    report = _decay_report(preset, run.series_pairs())
-    write_series_csv(run_dir / "series.csv", run.rows())
-    write_report_csv(run_dir / "report.csv", report)
+    run = presets.run_experiment(preset, snapshot_sink=sink)
+    series = run.series_pairs()
+    report = _decay_report(preset, series)
+    analysis.write_series_csv(run_dir / "series.csv", series)
+    analysis.write_report_csv(run_dir / "report.csv", report)
     comments = [f"initial data size e0 = {run.e0!r}"]
     if run.ledger is not None:
-        write_series_csv(run_dir / "energy.csv", run.ledger.rows())
+        analysis.write_series_csv(run_dir / "energy.csv",
+                                  run.ledger.series_pairs())
         comments.append(
             f"energy balance residual = {run.ledger.balance_residual()!r}")
-    comments.append(f"verdict: {'pass' if report.passed else 'fail'}")
-    write_manifest(run_dir, argv_echo, preset, comments)
     _print_report(report)
-    print(f"wrote {run_dir}")
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    return report.passed, comments
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, open_run):
     preset = resolve_preset(args.config, args.set)
-    return _run_experiment_cmd(preset, args, "simulate", args.snapshots)
+    return _run_experiment_cmd(preset, open_run, args.snapshots)
 
 
-def _read_series_csv(path: Path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Each series of a t,quantity,value csv as a (times, values) pair."""
+def _read_series(path: Path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """analysis.read_series_csv with its errors as config errors."""
     try:
-        lines = path.read_text().splitlines()
+        return analysis.read_series_csv(path)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
-    if not lines or lines[0] != "t,quantity,value":
-        raise ConfigError(f"{path}: not a series csv (bad header)")
-    by_label: dict[str, list[tuple[float, float]]] = {}
-    for lineno, line in enumerate(lines[1:], 2):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ConfigError(f"{path}:{lineno}: expected t,quantity,value")
-        t, label, v = parts
-        try:
-            by_label.setdefault(label, []).append((float(t), float(v)))
-        except ValueError:
-            raise ConfigError(f"{path}:{lineno}: expected numbers, "
-                              f"got {line!r}") from None
-    series = {label: tuple(np.asarray(pairs).T)
-              for label, pairs in by_label.items()}
-    for label, pair in series.items():
-        if not np.all(np.isfinite(pair)):
-            raise ConfigError(f"{path}: series {label!r} holds a value "
-                              f"that is not finite")
-    return series
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
-def cmd_decay_report(args) -> int:
+def cmd_decay_report(args, open_run):
     preset = resolve_preset(args.config, args.set)
     if preset.kind == "bands":
         raise ConfigError("decay-report works on linear/semilinear runs")
     if args.run is None:
-        return _run_experiment_cmd(preset, args, "decay-report", False)
+        return _run_experiment_cmd(preset, open_run, False)
 
-    series = _read_series_csv(Path(args.run) / "series.csv")
+    series = _read_series(Path(args.run) / "series.csv")
     needed = [analysis.quantity_label(p, a, h) for p, a, h in preset.reports]
     missing = sorted(set(needed) - set(series))
     if missing:
         raise ConfigError(
             f"{args.run}/series.csv lacks series: {', '.join(missing)}")
-    report = _decay_report(preset, series)
-    run_dir = make_run_dir(args.out, preset.name)
-    write_report_csv(run_dir / "report.csv", report)
-    write_manifest(run_dir, "decay-report", preset, [
-        f"series source: {args.run}",
-        f"verdict: {'pass' if report.passed else 'fail'}",
-    ])
+    report = _decay_report(preset, series)  # a fit error here is bad input
+    run_dir = open_run(preset.name, preset)
+    analysis.write_report_csv(run_dir / "report.csv", report)
     _print_report(report)
-    print(f"wrote {run_dir}")
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    return report.passed, [f"series source: {args.run}"]
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +316,7 @@ def cmd_decay_report(args) -> int:
 
 def _read_energy_csv(run: str) -> tuple[np.ndarray, np.ndarray]:
     """Energy and dissipation integral columns of a prior energy.csv."""
-    series = _read_series_csv(Path(run) / "energy.csv")
+    series = _read_series(Path(run) / "energy.csv")
     for need in ("energy", "diss_integral"):
         if need not in series:
             raise ConfigError(f"{run}/energy.csv lacks the {need!r} series")
@@ -361,40 +327,30 @@ def _read_energy_csv(run: str) -> tuple[np.ndarray, np.ndarray]:
     return energy, integral
 
 
-def cmd_energy_audit(args) -> int:
+def cmd_energy_audit(args, open_run):
     preset = resolve_preset(args.config, args.set)
     if preset.kind != "semilinear":
         raise ConfigError("energy-audit needs a semilinear preset")
     if args.run is not None:
         energy, integral = _read_energy_csv(args.run)
-        run_dir = make_run_dir(args.out, preset.name)
-    else:
-        run_dir = make_run_dir(args.out, preset.name)
-        try:
-            ledger = presets.run_semilinear(preset).ledger
-        except solver.InstabilityError as exc:
-            return _aborted(run_dir, "energy-audit", preset, exc)
+    run_dir = open_run(preset.name, preset)
+    if args.run is None:
+        ledger = presets.run_semilinear(preset).ledger
         energy, integral = ledger.energy, ledger.dissipation_integral
-        write_series_csv(run_dir / "energy.csv", ledger.rows())
+        analysis.write_series_csv(run_dir / "energy.csv", ledger.series_pairs())
 
-    e0, worst_rise, residual = analysis.energy_audit(energy, integral)
-    mono_ok = worst_rise <= args.mono_tol * e0
-    bal_ok = residual <= args.balance_tol * e0
-    ok = mono_ok and bal_ok
-    write_manifest(run_dir, "energy-audit", preset, [
-        f"E(0) = {e0!r}",
-        f"worst per-step energy rise = {worst_rise!r} "
-        f"(allowed {args.mono_tol:g} * E0)",
-        f"balance residual = {residual!r} (allowed {args.balance_tol:g} * E0)",
-        f"verdict: {'pass' if ok else 'fail'}",
-    ])
+    e0, worst_rise, residual, mono_ok, bal_ok = analysis.energy_audit(
+        energy, integral, args.mono_tol, args.balance_tol)
     print(f"E(0) = {e0:.6e} over {len(energy)} records")
     print(f"  worst per-step rise {worst_rise:.3e} vs "
           f"{args.mono_tol * e0:.3e} -> {'PASS' if mono_ok else 'FAIL'}")
     print(f"  balance residual {residual:.3e} vs "
           f"{args.balance_tol * e0:.3e} -> {'PASS' if bal_ok else 'FAIL'}")
-    print(f"wrote {run_dir}")
-    return EXIT_PASS if ok else EXIT_FAIL
+    return mono_ok and bal_ok, [
+        f"E(0) = {e0!r}",
+        f"worst per-step energy rise = {worst_rise!r} "
+        f"(allowed {args.mono_tol:g} * E0)",
+        f"balance residual = {residual!r} (allowed {args.balance_tol:g} * E0)"]
 
 
 # ---------------------------------------------------------------------------
@@ -406,64 +362,70 @@ def build_parser() -> argparse.ArgumentParser:
                     "equation with absorbing power nonlinearity")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=False):
+    def command(name, func, help, config_required=False):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", required=config_required, default=None,
                        help="config file path or built-in preset name")
         p.add_argument("--set", action="append", default=[], metavar="K=V",
                        help="override one config key (repeatable)")
         p.add_argument("--out", default=None,
                        help=f"output root (default ${OUT_ENV} or ./{DEFAULT_OUT})")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("verify-symbols",
-                       help="cross-check mode symbols against an ODE solver")
-    common(p)
+    p = command("verify-symbols", cmd_verify_symbols,
+                "cross-check mode symbols against an ODE solver")
     p.add_argument("--tol", type=float, default=1e-8,
                    help="max allowed symbol error (default 1e-8)")
-    p.set_defaults(func=cmd_verify_symbols)
-
-    p = sub.add_parser("green-bands",
-                       help="band kernel decay study (default preset bands1d)")
-    common(p)
-    p.set_defaults(func=cmd_green_bands)
-
-    p = sub.add_parser("simulate", help="run a preset or config end to end")
-    common(p, config_required=True)
+    command("green-bands", cmd_green_bands,
+            "band kernel decay study (default preset bands1d)")
+    p = command("simulate", cmd_simulate, "run a preset or config end to end",
+                config_required=True)
     p.add_argument("--snapshots", action="store_true",
                    help="also write u snapshots as .dwf files")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("decay-report",
-                       help="fit decay slopes against theory targets")
-    common(p, config_required=True)
+    p = command("decay-report", cmd_decay_report,
+                "fit decay slopes against theory targets", config_required=True)
     p.add_argument("--run", default=None, metavar="DIR",
                    help="reuse series.csv from a previous run directory")
-    p.set_defaults(func=cmd_decay_report)
-
-    p = sub.add_parser("energy-audit",
-                       help="energy monotonicity and balance check")
-    common(p, config_required=True)
+    p = command("energy-audit", cmd_energy_audit,
+                "energy monotonicity and balance check", config_required=True)
     p.add_argument("--run", default=None, metavar="DIR",
                    help="reuse energy.csv from a previous run directory")
-    p.add_argument("--mono-tol", type=float, default=1e-8,
+    p.add_argument("--mono-tol", type=float, default=analysis.MONO_TOL,
                    help="allowed per-step rise relative to E(0)")
-    p.add_argument("--balance-tol", type=float, default=1e-6,
+    p.add_argument("--balance-tol", type=float, default=analysis.BALANCE_TOL,
                    help="allowed balance residual relative to E(0)")
-    p.set_defaults(func=cmd_energy_audit)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand: each returns (passed, manifest comments) or
+    raises, and this is the one place that maps the outcome to an exit
+    code, a stderr line and the manifest's closing verdict."""
+    args = build_parser().parse_args(argv)
+    opened = []  # the (run directory, preset) a subcommand opened
+
+    def open_run(name: str, preset: ExperimentPreset | None) -> Path:
+        opened.append((make_run_dir(args.out, name), preset))
+        return opened[-1][0]
+
     try:
-        return args.func(args)
+        passed, comments = args.func(args, open_run)
+        code = EXIT_PASS if passed else EXIT_FAIL
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, comments = EXIT_CONFIG, [f"config error: {exc}"]
+    except solver.InstabilityError as exc:
+        code, comments = EXIT_UNSTABLE, [f"run aborted: {exc}"]
     except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        code = EXIT_ERROR
+        comments = [f"internal error: {type(exc).__name__}: {exc}"]
+    if code > EXIT_FAIL:  # no verdict: the one-line message goes to stderr
+        print(comments[0], file=sys.stderr)
+    for run_dir, preset in opened:
+        write_manifest(run_dir, args.command, preset,
+                       comments + [f"verdict: {VERDICT[code]}"])
+        print(f"wrote {run_dir}")
+    return code
 
 
 if __name__ == "__main__":

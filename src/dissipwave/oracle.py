@@ -51,7 +51,7 @@ def mode_ode_series(xi_sq: float, times, tol: float = 1e-10):
     """
     if xi_sq < 0:
         raise ValueError(f"xi_sq must be nonnegative, got {xi_sq}")
-    if tol < 1e-12:
+    if not tol >= 1e-12:  # NaN too
         raise ValueError(f"tol must be at least 1e-12, got {tol}")
     times = np.atleast_1d(np.asarray(times, dtype=np.float64))
     if np.any(times < 0) or np.any(np.diff(times) <= 0):

@@ -15,9 +15,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analysis, oracle, solver, symbols
-from .analysis import EnergyLedger, quantity_label
-from .grid import (Field, Grid, SpectralField, derivative_multiplier,
-                   forward_transform, inverse_transform, make_grid)
+from .analysis import MIN_FIT_POINTS, EnergyLedger, quantity_label
+from .grid import (Field, Grid, SpectralField, derivative_field,
+                   forward_transform, inverse_transform, make_grid,
+                   spectral_derivative)
 
 KINDS = ("linear", "semilinear", "bands")
 
@@ -85,10 +86,14 @@ class ExperimentPreset:
                     f"got {self.half_width}")
             if any(t < 0 or t > self.t_final + 1e-9 for t in self.snapshot_times):
                 raise ValueError("snapshot times must lie in [0, t_final]")
+        if self.kind == "semilinear":
+            solver.step_schedule(self.solver_config())  # validates the dt grid
         if self.kind == "bands":
             symbols.CutoffSpec(self.eps, self.outer_radius)  # validates
-            if not self.band1_times or not self.band2_times:
-                raise ValueError("bands presets need band1_times and band2_times")
+            # each band series is fit over its own times
+            if min(len(self.band1_times), len(self.band2_times)) < MIN_FIT_POINTS:
+                raise ValueError(f"bands presets need at least {MIN_FIT_POINTS} "
+                                 f"band1_times and band2_times")
 
     @property
     def grid(self) -> Grid:
@@ -141,11 +146,6 @@ class ExperimentRun:
     ledger: EnergyLedger | None = None
     e0: float = 0.0
 
-    def rows(self):
-        for name, vals in self.series.items():
-            for t, v in zip(self.times, vals):
-                yield float(t), name, float(v)
-
     def series_pairs(self) -> dict:
         return {name: (self.times, vals) for name, vals in self.series.items()}
 
@@ -164,13 +164,10 @@ class BandRun:
     band2_times: np.ndarray
     band2_sup: np.ndarray
 
-    def rows(self):
-        for t, v in zip(self.band1_times, self.band1_sup):
-            yield float(t), "linf:band1", float(v)
-        for t, v in zip(self.band1_times, self.band1_grad_sup):
-            yield float(t), "linf:dx_band1", float(v)
-        for t, v in zip(self.band2_times, self.band2_sup):
-            yield float(t), "linf:band2", float(v)
+    def series_pairs(self) -> dict:
+        return {"linf:band1": (self.band1_times, self.band1_sup),
+                "linf:dx_band1": (self.band1_times, self.band1_grad_sup),
+                "linf:band2": (self.band2_times, self.band2_sup)}
 
     def fits(self):
         """Fits of the three band series.
@@ -216,14 +213,14 @@ def _norm_of(state: solver.SolverState, p, alpha_order: int, h: int) -> float:
         return analysis.lp_norm(solver.time_derivative(state, h), p)
     grid = state.grid
     if h == 0:
-        coeffs = state.u_hat
+        spectral = SpectralField(grid, state.u_hat)
     elif h == 1:
-        coeffs = state.v_hat
+        spectral = SpectralField(grid, state.v_hat)
     else:
-        coeffs = forward_transform(solver.time_derivative(state, h)).coeffs
+        spectral = forward_transform(solver.time_derivative(state, h))
     alpha = (alpha_order,) + (0,) * (grid.n_dims - 1)
-    coeffs = coeffs * derivative_multiplier(grid, alpha)
-    return analysis.lp_norm(inverse_transform(SpectralField(grid, coeffs)), p)
+    return analysis.lp_norm(
+        inverse_transform(spectral_derivative(spectral, alpha)), p)
 
 
 def _record_state(preset: ExperimentPreset, state: solver.SolverState,
@@ -268,22 +265,20 @@ def run_linear(preset: ExperimentPreset, snapshot_sink=None) -> ExperimentRun:
         series[HEAT_GAP_LABEL].append(float(np.max(np.abs(gap))))
         if snapshot_sink is not None:
             snapshot_sink(float(t), u, solver.v_field(state))
-    run = ExperimentRun(preset=preset,
-                        times=np.asarray(times),
-                        series={k: np.asarray(v) for k, v in series.items()},
-                        e0=analysis.e0_norm(u0, u1, preset.sobolev_s))
-    return run
+    return ExperimentRun(preset=preset,
+                         times=np.asarray(times),
+                         series={k: np.asarray(v) for k, v in series.items()},
+                         e0=analysis.e0_norm(u0, u1, preset.sobolev_s))
 
 
-def run_semilinear(preset: ExperimentPreset, snapshot_sink=None,
-                   with_ledger: bool = True) -> ExperimentRun:
+def run_semilinear(preset: ExperimentPreset, snapshot_sink=None) -> ExperimentRun:
     """March the semilinear preset, recording norms at the snapshot times."""
     if preset.kind != "semilinear":
         raise ValueError(f"preset {preset.name!r} is not semilinear")
     u0, u1 = preset.initial_data()
     s = preset.sobolev_s
     e0 = analysis.e0_norm(u0, u1, s)
-    ledger = EnergyLedger(sobolev_index=s, e0=e0) if with_ledger else None
+    ledger = EnergyLedger(sobolev_index=s, e0=e0)
     times: list = []
     series = _empty_series(preset)
 
@@ -310,9 +305,7 @@ def run_bands(preset: ExperimentPreset) -> BandRun:
     for t in preset.band1_times:
         kernel = symbols.green_band(1, grid, t, spec)
         b1_sup.append(float(np.max(np.abs(kernel.values))))
-        coeffs = forward_transform(kernel).coeffs * derivative_multiplier(
-            grid, (1,) + (0,) * (grid.n_dims - 1))
-        grad = inverse_transform(SpectralField(grid, coeffs))
+        grad = derivative_field(kernel, (1,) + (0,) * (grid.n_dims - 1))
         b1_grad.append(float(np.max(np.abs(grad.values))))
     b2_sup = []
     for t in preset.band2_times:

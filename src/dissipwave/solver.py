@@ -297,8 +297,14 @@ def step_semilinear(state: SolverState, config: SolverConfig,
     return new
 
 
-def _snapshot_steps(config: SolverConfig, n_steps: int) -> dict[int, float]:
-    out: dict[int, float] = {}
+def step_schedule(config: SolverConfig) -> tuple[int, dict[int, float]]:
+    """Step count and {step: snapshot time}; a ValueError if t_final or a
+    snapshot time is not a multiple of dt or a snapshot lies past t_final."""
+    n_steps = int(round(config.t_final / config.dt))
+    if abs(n_steps * config.dt - config.t_final) > 1e-9 * max(1.0, config.t_final):
+        raise ValueError(
+            f"t_final = {config.t_final} is not a multiple of dt = {config.dt}")
+    snaps: dict[int, float] = {}
     for t in config.snapshot_times:
         k = int(round(t / config.dt))
         if abs(k * config.dt - t) > 1e-9 * max(1.0, abs(t)):
@@ -306,8 +312,8 @@ def _snapshot_steps(config: SolverConfig, n_steps: int) -> dict[int, float]:
                 f"snapshot time {t} is not a multiple of dt = {config.dt}")
         if k > n_steps:
             raise ValueError(f"snapshot time {t} lies beyond t_final")
-        out[k] = t
-    return out
+        snaps[k] = t
+    return n_steps, snaps
 
 
 def solve(u0: Field, u1: Field, config: SolverConfig, observers=(),
@@ -318,11 +324,7 @@ def solve(u0: Field, u1: Field, config: SolverConfig, observers=(),
     time; a ledger (analysis.EnergyLedger) records every step including the
     initial state.  Returns the final state.
     """
-    n_steps = int(round(config.t_final / config.dt))
-    if abs(n_steps * config.dt - config.t_final) > 1e-9 * max(1.0, config.t_final):
-        raise ValueError(
-            f"t_final = {config.t_final} is not a multiple of dt = {config.dt}")
-    snaps = _snapshot_steps(config, n_steps)
+    n_steps, snaps = step_schedule(config)
 
     state = state_from_fields(u0, u1, config.theta,
                               nonlin_sign=config.nonlin_sign)

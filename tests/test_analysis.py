@@ -15,8 +15,9 @@ from dissipwave import (EnergyLedger, Field, builtin_presets, decay_report,
                         quantity_label, sobolev_norm, solve, spectral_l2_sq,
                         state_from_fields, weighted_profile)
 from dissipwave.analysis import (MIN_FIT_POINTS, NothingToFit,
-                                 decay_tolerance, field_label, target_slope,
-                                 write_report_csv, write_series_csv)
+                                 decay_tolerance, field_label, read_series_csv,
+                                 target_slope, write_report_csv,
+                                 write_series_csv)
 
 
 def test_lp_norm_indicator(grid1d):
@@ -308,9 +309,29 @@ def test_energy_ledger_requires_increasing_times(grid1d):
 
 def test_series_csv_format(tmp_path):
     path = tmp_path / "series.csv"
-    write_series_csv(path, [(0.5, "linf:u", 1.25), (1.0, "linf:u", 0.625)])
+    write_series_csv(path, {"linf:u": ((0.5, 1.0), (1.25, 0.625)),
+                            "l2:u": (np.array([0.5]), np.array([2.0]))})
     text = path.read_text()
-    assert text == "t,quantity,value\n0.5,linf:u,1.25\n1.0,linf:u,0.625\n"
+    assert text == ("t,quantity,value\n0.5,linf:u,1.25\n1.0,linf:u,0.625\n"
+                    "0.5,l2:u,2.0\n")
+
+
+def test_series_csv_round_trip_is_exact(tmp_path):
+    # each series keeps its own times; repr-written values read back exactly
+    rng = np.random.default_rng(7)
+    t1 = np.sort(rng.uniform(0.0, 100.0, 17))
+    t2 = np.geomspace(1e-3, 1e3, 9)
+    series = {"linf:u": (t1, rng.lognormal(size=17)),
+              "energy": (t2, rng.normal(scale=1e-12, size=9)),
+              "abs_err_g:xi_sq=0.25": (t2, np.full(9, math.pi))}
+    path = tmp_path / "series.csv"
+    write_series_csv(path, series)
+    back = read_series_csv(path)
+    assert list(back) == list(series)
+    for label, (times, values) in series.items():
+        for written, read in zip((times, values), back[label]):
+            assert [repr(float(x)) for x in read] == \
+                [repr(float(x)) for x in written]
 
 
 def test_report_csv_format(tmp_path):
@@ -325,8 +346,9 @@ def test_report_csv_format(tmp_path):
 
 
 def test_csv_byte_determinism(tmp_path):
-    rows = [(0.1 * k, "l2:u", math.exp(-0.3 * k)) for k in range(20)]
+    t = 0.1 * np.arange(20)
+    series = {"l2:u": (t, np.exp(-0.3 * t))}
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_series_csv(p1, rows)
-    write_series_csv(p2, rows)
+    write_series_csv(p1, series)
+    write_series_csv(p2, series)
     assert p1.read_bytes() == p2.read_bytes()

@@ -127,17 +127,63 @@ def test_simulate_zero_amplitude_still_passes(tmp_path, capsys):
 def test_simulate_too_few_window_samples_exits_2(tmp_path, capsys):
     p = _tiny_preset(reports=((math.inf, 0, 0),))  # 2 samples in the window
     path = _write_config(tmp_path, p)
-    code = main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
+    out = tmp_path / "o"
+    out.mkdir()
+    code = main(["simulate", "--config", path, "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("config error:") and "2 samples" in err[0]
+    assert list(out.iterdir()) == []  # counted before any run directory
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--set", "reports=inf:0:0"],
+    ["simulate", "--set", "integrator=euler"],
+    ["simulate", "--set", "snapshot_times=0.5,0.73,1.0"],
+    ["simulate", "--set", "dt=0.3"],
+    ["simulate", "--set", "delta_bar=2"],
+    ["verify-symbols", "--tol", "1e-11"],
+    ["verify-symbols", "--tol", "nan"],
+], ids=["window-samples", "integrator", "off-grid-snapshot", "off-grid-dt",
+        "delta-bar", "tol", "tol-nan"])
+def test_bad_input_exits_2_before_any_run_directory(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    out.mkdir()
+    path = _write_config(tmp_path, _tiny_preset())
+    config = ["--config", path] if argv[0] == "simulate" else []
+    code = main(argv[:1] + config + argv[1:] + ["--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert list(out.iterdir()) == []
+
+
+def test_crash_after_run_dir_leaves_error_manifest(tmp_path, capsys,
+                                                   monkeypatch):
+    import dissipwave.analysis as analysis
+
+    def full_disk(path, report):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(analysis, "write_report_csv", full_disk)
+    path = _write_config(tmp_path, _tiny_preset())
+    code = main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "internal error: OSError: disk full"]
+    run_dir = _only_run_dir(tmp_path / "o", "cli-tiny")
+    comments = [line for line in
+                (run_dir / "manifest.txt").read_text().splitlines()
+                if line.startswith("#")]
+    assert comments[-2:] == ["# internal error: OSError: disk full",
+                             "# verdict: error"]
 
 
 def test_uncaught_exception_exits_4(tmp_path, capsys, monkeypatch):
     import dissipwave.cli as cli
 
-    def crash(args):
+    def crash(args, open_run):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(cli, "cmd_simulate", crash)
@@ -290,9 +336,13 @@ def test_decay_report_reuses_simulate_output(tmp_path, capsys):
 
 @pytest.mark.parametrize("series_text", [
     None,
+    "t,value\n1.0,0.5\n",
+    "t,quantity,value\n1.0,linf:u\n",
     "t,quantity,value\n1.0,linf:u,abc\n",
     "t,quantity,value\n1.0,linf:u,nan\n",
-], ids=["missing", "unparsable", "nonfinite"])
+    "t,quantity,value\n1.0,linf:u,0.5\n2.0,linf:u,0.4\n",
+], ids=["missing", "header", "columns", "unparsable", "nonfinite",
+        "window-samples"])
 def test_decay_report_bad_run_input_exits_2(tmp_path, capsys, series_text):
     p = _tiny_preset(kind="linear", theta=1, name="lin-tiny",
                      reports=((math.inf, 0, 0),), fit_window=(1.0, 12.0))
@@ -403,6 +453,18 @@ def test_green_bands_small_grid(tmp_path, capsys):
     assert (run_dir / "series.csv").exists()
     assert (run_dir / "report.csv").exists()
     assert "linf:band2" in (run_dir / "series.csv").read_text()
+
+
+def test_green_bands_too_few_band_times_exits_2(tmp_path, capsys):
+    out = tmp_path / "o"
+    out.mkdir()
+    code = main(["green-bands", "--set", "band1_times=10,20,40",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert "band1_times" in err[0]
+    assert list(out.iterdir()) == []
 
 
 def test_green_bands_rejects_non_bands_config(tmp_path, capsys):

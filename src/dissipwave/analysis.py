@@ -66,12 +66,17 @@ def lp_norm(f: Field, p) -> float:
     return total ** (1.0 / p)
 
 
+def check_sobolev_index(s) -> None:
+    """A ValueError unless s is a nonnegative integer."""
+    if s < 0 or s != int(s):
+        raise ValueError(f"s must be a nonnegative integer, got {s}")
+
+
 @lru_cache(maxsize=64)
 def sobolev_weight(grid: Grid, s: int) -> np.ndarray:
     """Parseval weight of the squared H^s norm on the half spectrum:
     sum_{k=0}^{s} |xi|^(2k) times parseval_weight."""
-    if s < 0 or s != int(s):
-        raise ValueError(f"s must be a nonnegative integer, got {s}")
+    check_sobolev_index(s)
     out = np.ones(grid.spectral_shape)
     power = np.ones(grid.spectral_shape)
     for _ in range(int(s)):
@@ -99,6 +104,14 @@ def e0_norm(u0: Field, u1: Field, s: int) -> float:
     return sobolev_norm(u0, s + 1) + sobolev_norm(u1, s)
 
 
+def check_profile_r(r: float, n_dims: int) -> None:
+    """A ValueError unless the envelope exponent r of weighted_profile
+    exceeds max(n/2, 1)."""
+    if not r > max(n_dims / 2.0, 1.0):
+        raise ValueError(
+            f"r must exceed max(n/2, 1) = {max(n_dims / 2.0, 1.0)}, got {r}")
+
+
 def weighted_profile(f: Field, t: float, r: float, derivative_order: int = 0) -> float:
     """Spatially weighted amplitude sup_x |f| (1+t)^((n+a)/2) (1+|x|^2/(1+t))^r.
 
@@ -107,9 +120,7 @@ def weighted_profile(f: Field, t: float, r: float, derivative_order: int = 0) ->
     order a to shift the time exponent accordingly.
     """
     n = f.grid.n_dims
-    if not r > max(n / 2.0, 1.0):
-        raise ValueError(
-            f"r must exceed max(n/2, 1) = {max(n / 2.0, 1.0)}, got {r}")
+    check_profile_r(r, n)
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     envelope = (1.0 + f.grid.radius_sq / (1.0 + t)) ** r
@@ -141,35 +152,31 @@ def fit_window_mask(times, window) -> np.ndarray:
     return mask
 
 
-def _fit_window(times, values, window):
+def _fit_log(times, values, window, abscissa) -> FitResult:
+    """OLS fit of log(value) against abscissa(t) inside the window."""
     times = np.asarray(times, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     mask = fit_window_mask(times, window)
-    vals = values[mask]
+    ts, vals = times[mask], values[mask]
     finite = np.all(np.isfinite(vals))
     if finite and np.all(vals <= 0):
         raise NothingToFit("no positive value inside the fit window")
     if not finite or np.any(vals <= 0):
         raise ValueError("fit requires positive finite values inside the window")
-    return times[mask], vals, (float(window[0]), float(window[1]))
+    res = linregress(abscissa(ts), np.log(vals))
+    return FitResult(slope=float(res.slope), stderr=float(res.stderr),
+                     r_squared=float(res.rvalue) ** 2, n_points=len(ts),
+                     window=(float(window[0]), float(window[1])))
 
 
 def fit_decay_rate(times, values, window) -> FitResult:
     """OLS slope of log(value) vs log(1 + t) inside the window."""
-    ts, vals, win = _fit_window(times, values, window)
-    res = linregress(np.log1p(ts), np.log(vals))
-    return FitResult(slope=float(res.slope), stderr=float(res.stderr),
-                     r_squared=float(res.rvalue) ** 2, n_points=len(ts),
-                     window=win)
+    return _fit_log(times, values, window, np.log1p)
 
 
 def fit_exponential_rate(times, values, window) -> FitResult:
     """OLS slope of log(value) vs t inside the window (exponential decay)."""
-    ts, vals, win = _fit_window(times, values, window)
-    res = linregress(ts, np.log(vals))
-    return FitResult(slope=float(res.slope), stderr=float(res.stderr),
-                     r_squared=float(res.rvalue) ** 2, n_points=len(ts),
-                     window=win)
+    return _fit_log(times, values, window, lambda ts: ts)
 
 
 def field_label(alpha_order: int = 0, h: int = 0) -> str:
@@ -292,7 +299,6 @@ class EnergyLedger:
     """
 
     sobolev_index: int
-    e0: float = 0.0
     times: list = field(default_factory=list)
     energy: list = field(default_factory=list)
     diss_rate: list = field(default_factory=list)

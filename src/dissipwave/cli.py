@@ -99,9 +99,11 @@ def resolve_preset(config_arg: str | None, sets: list[str],
             f"(known: {', '.join(sorted(builtins))})")
     _apply_overrides(cfg, sets)
     try:
-        return preset_from_config(cfg)
-    except ValueError as exc:
+        preset = preset_from_config(cfg)
+        preset.data_files  # read and grid-checked here, reused by the run
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
+    return preset
 
 
 def make_run_dir(out_root: str | None, name: str) -> Path:
@@ -170,8 +172,8 @@ def cmd_verify_symbols(args, open_run):
     for x in xi_sq:
         ref_g, ref_gt, _err = oracle.mode_ode_series(float(x), times,
                                                      tol=ode_tol)
-        eg = np.abs(symbols.green_hat(float(x), times) - ref_g)
-        egt = np.abs(symbols.green_hat_dt(float(x), times) - ref_gt)
+        g, g_t = symbols.green_pair(float(x), times)
+        eg, egt = np.abs(g - ref_g), np.abs(g_t - ref_gt)
         series[f"abs_err_g:xi_sq={float(x):.6g}"] = (times, eg)
         series[f"abs_err_gt:xi_sq={float(x):.6g}"] = (times, egt)
         max_g, max_gt = max(max_g, eg.max()), max(max_gt, egt.max())
@@ -181,7 +183,7 @@ def cmd_verify_symbols(args, open_run):
     for t in (0.1, 1.0, 10.0, 50.0):
         center = t * math.exp(-0.5 * t)
         for x in (0.25 - 1e-9, 0.25, 0.25 + 1e-9):
-            max_branch = max(max_branch, abs(float(symbols.green_hat(x, t)) - center))
+            max_branch = max(max_branch, abs(symbols.green_pair(x, t)[0] - center))
 
     ok = max_g <= tol and max_gt <= tol and max_branch <= tol
     analysis.write_series_csv(run_dir / "symbols.csv", series)
@@ -230,7 +232,7 @@ def _snapshot_sink(run_dir: Path):
     snap_dir = run_dir / "snapshots"
     snap_dir.mkdir(exist_ok=True)
 
-    def sink(t: float, u, v) -> None:
+    def sink(t: float, u) -> None:
         write_snapshot(snap_dir / f"u_t{t:.6f}.dwf", u, t)
 
     return sink

@@ -10,7 +10,8 @@ format, so a run's manifest can be fed back in as a config file.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from . import analysis, oracle, solver, symbols
 from .analysis import MIN_FIT_POINTS, EnergyLedger, quantity_label
 from .grid import (Field, Grid, SpectralField, derivative_field,
                    forward_transform, inverse_transform, make_grid,
-                   spectral_derivative)
+                   read_snapshot, spectral_derivative)
 
 KINDS = ("linear", "semilinear", "bands")
 
@@ -29,10 +30,14 @@ DOMAIN_MARGIN = 1.6
 HEAT_GAP_LABEL = "linf:heat_gap"
 
 
-def gaussian_bump(grid: Grid, amplitude: float, width: float) -> Field:
-    """Radial Gaussian amplitude * exp(-|x|^2 / (2 width^2)) centered at 0."""
+def _check_width(width: float) -> None:
     if not width > 0:
         raise ValueError(f"width must be positive, got {width}")
+
+
+def gaussian_bump(grid: Grid, amplitude: float, width: float) -> Field:
+    """Radial Gaussian amplitude * exp(-|x|^2 / (2 width^2)) centered at 0."""
+    _check_width(width)
     return Field(grid, amplitude * np.exp(-0.5 * grid.radius_sq / (width * width)))
 
 
@@ -69,6 +74,12 @@ class ExperimentPreset:
     band2_times: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        for f in fields(self):  # every float field and float-list entry
+            value = getattr(self, f.name)
+            items = value if isinstance(value, tuple) else (value,)
+            if (f.type.startswith(("float", "tuple[float"))
+                    and not all(map(math.isfinite, items))):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         self.grid  # validates dimension, point count, half width
@@ -86,8 +97,11 @@ class ExperimentPreset:
                     f"got {self.half_width}")
             if any(t < 0 or t > self.t_final + 1e-9 for t in self.snapshot_times):
                 raise ValueError("snapshot times must lie in [0, t_final]")
+            _check_width(self.width)
+            analysis.check_sobolev_index(self.sobolev_s)
         if self.kind == "semilinear":
             solver.step_schedule(self.solver_config())  # validates the dt grid
+            analysis.check_profile_r(self.profile_r, self.n_dims)
         if self.kind == "bands":
             symbols.CutoffSpec(self.eps, self.outer_radius)  # validates
             # each band series is fit over its own times
@@ -109,19 +123,24 @@ class ExperimentPreset:
 
     def initial_data(self) -> tuple[Field, Field]:
         grid = self.grid
-        u0 = (self._load_field(self.u0_file) if self.u0_file
+        files = self.data_files
+        u0 = (files[self.u0_file] if self.u0_file
               else gaussian_bump(grid, self.amplitude, self.width))
-        u1 = (self._load_field(self.u1_file) if self.u1_file
+        u1 = (files[self.u1_file] if self.u1_file
               else gaussian_bump(grid, self.u1_amplitude, self.width))
         return u0, u1
 
-    def _load_field(self, path: str) -> Field:
-        from .grid import read_snapshot
-        f, _t = read_snapshot(path)
-        if f.grid != self.grid:
-            raise ValueError(
-                f"initial data file {path} was written on a different grid")
-        return f
+    @cached_property
+    def data_files(self) -> dict[str, Field]:
+        """The initial-data files by path, each read and grid-checked once."""
+        files = {}
+        for path in filter(None, (self.u0_file, self.u1_file)):
+            field, _t = read_snapshot(path)
+            if field.grid != self.grid:
+                raise ValueError(
+                    f"initial data file {path} was written on a different grid")
+            files[path] = field
+        return files
 
     def solver_config(self) -> solver.SolverConfig:
         return solver.SolverConfig(
@@ -264,7 +283,7 @@ def run_linear(preset: ExperimentPreset, snapshot_sink=None) -> ExperimentRun:
         gap = u.values - oracle.heat_reference(heat_data, t).values
         series[HEAT_GAP_LABEL].append(float(np.max(np.abs(gap))))
         if snapshot_sink is not None:
-            snapshot_sink(float(t), u, solver.v_field(state))
+            snapshot_sink(float(t), u)
     return ExperimentRun(preset=preset,
                          times=np.asarray(times),
                          series={k: np.asarray(v) for k, v in series.items()},
@@ -276,19 +295,18 @@ def run_semilinear(preset: ExperimentPreset, snapshot_sink=None) -> ExperimentRu
     if preset.kind != "semilinear":
         raise ValueError(f"preset {preset.name!r} is not semilinear")
     u0, u1 = preset.initial_data()
-    s = preset.sobolev_s
-    e0 = analysis.e0_norm(u0, u1, s)
-    ledger = EnergyLedger(sobolev_index=s, e0=e0)
+    ledger = EnergyLedger(sobolev_index=preset.sobolev_s)
     times: list = []
     series = _empty_series(preset)
 
     def observer(state: solver.SolverState) -> None:
         _record_state(preset, state, times, series)
         if snapshot_sink is not None:
-            snapshot_sink(state.time, solver.u_field(state), solver.v_field(state))
+            snapshot_sink(state.time, solver.u_field(state))
 
     solver.solve(u0, u1, preset.solver_config(), observers=(observer,),
                  ledger=ledger)
+    e0 = ledger.u_sobolev[0] + ledger.ut_sobolev[0]  # = e0_norm(u0, u1, s)
     return ExperimentRun(preset=preset,
                          times=np.asarray(times),
                          series={k: np.asarray(v) for k, v in series.items()},

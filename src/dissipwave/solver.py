@@ -1,9 +1,12 @@
 """Time integration of u_tt - Lap u + u_t = -|u|^theta u in Fourier space.
 
-The linear flow is applied exactly through the tabulated Green function
-symbol, so the only discretization error of the exponential integrator
-comes from the quadrature of the nonlinear source.  A classical RK4
-stepper on the spectral system is kept as an independent reference route.
+The linear flow is applied exactly: a symbols.SymbolTable holds the
+per-mode propagator over one increment, and linear_step and
+linear_solution only multiply and add with it.  The Duhamel quadrature
+weights of the exponential integrator come from the same symbols.green_pair
+evaluation, so its only discretization error is the quadrature of the
+nonlinear source.  A classical RK4 stepper on the spectral system is kept
+as an independent reference route.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import Field, Grid, SpectralField, forward_transform, inverse_transform
-from .symbols import SymbolTable, build_symbol_table, green_hat, green_hat_dt
+from .symbols import SymbolTable, build_symbol_table, green_pair
 
 INTEGRATORS = ("reference_rk4", "exponential_duhamel")
 
@@ -122,10 +125,6 @@ def u_field(state: SolverState) -> Field:
     return Field(state.grid, state.u)
 
 
-def v_field(state: SolverState) -> Field:
-    return inverse_transform(SpectralField(state.grid, state.v_hat))
-
-
 def apply_nonlinearity(u: np.ndarray, theta: int, sign: int = -1) -> np.ndarray:
     """Pointwise source sign * |u|^theta u.
 
@@ -144,39 +143,24 @@ def apply_nonlinearity(u: np.ndarray, theta: int, sign: int = -1) -> np.ndarray:
 
 
 def linear_solution(u0: Field, u1: Field, t: float) -> tuple[Field, Field]:
-    """Exact solution (u, u_t) of the linear damped wave at time t.
-
-    Per mode: u_hat(t) = G (u0_hat + u1_hat) + G_t u0_hat, and the velocity
-    follows by differentiating, using G_tt = -G_t - |xi|^2 G.
-    """
+    """Exact solution (u, u_t) of the linear damped wave at time t: the
+    propagator tabulated at t applied to the data transforms."""
     if u0.grid != u1.grid:
         raise ValueError("u0 and u1 must share a grid")
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     grid = u0.grid
-    xi_sq = grid.freq_sq
-    g = green_hat(xi_sq, t)
-    g_t = green_hat_dt(xi_sq, t)
-    g_tt = -g_t - xi_sq * g
-    c0 = forward_transform(u0).coeffs
-    c1 = forward_transform(u1).coeffs
-    csum = c0 + c1
-    u_hat = g * csum + g_t * c0
-    v_hat = g_t * csum + g_tt * c0
+    u_hat, v_hat = build_symbol_table(grid, t).apply(
+        forward_transform(u0).coeffs, forward_transform(u1).coeffs)
     return (inverse_transform(SpectralField(grid, u_hat)),
             inverse_transform(SpectralField(grid, v_hat)))
 
 
 def linear_step(state: SolverState, table: SymbolTable) -> SolverState:
-    """Advance the linear flow by the table increment (exact per mode).
-
-    The per-mode propagator is [[G_t + G, G], [G_tt + G_t, G_t]] and forms
-    a semigroup in the increment.
-    """
+    """Advance the linear flow by the table increment (exact per mode)."""
     if table.grid != state.grid:
         raise ValueError("symbol table grid does not match the state grid")
-    u_new = (table.g_t + table.g) * state.u_hat + table.g * state.v_hat
-    v_new = (table.g_tt + table.g_t) * state.u_hat + table.g_t * state.v_hat
+    u_new, v_new = table.apply(state.u_hat, state.v_hat)
     return replace(state, u_hat=u_new, v_hat=v_new, time=state.time + table.delta)
 
 
@@ -220,8 +204,7 @@ def _make_step_cache(grid: Grid, config: SolverConfig) -> _StepCache:
     gt0 = np.zeros(grid.spectral_shape)
     gt1 = np.zeros(grid.spectral_shape)
     for s_q, w_q in zip(sigma, w):
-        ker = green_hat(xi_sq, dt - s_q)
-        ker_t = green_hat_dt(xi_sq, dt - s_q)
+        ker, ker_t = green_pair(xi_sq, dt - s_q)
         lo = 1.0 - s_q / dt
         hi = s_q / dt
         g0 += w_q * lo * ker
@@ -357,7 +340,7 @@ def time_derivative(state: SolverState, h: int) -> Field:
     if h == 0:
         return u_field(state)
     if h == 1:
-        return v_field(state)
+        return inverse_transform(SpectralField(state.grid, state.v_hat))
     grid = state.grid
     linear_part = inverse_transform(SpectralField(
         grid, -grid.freq_sq * state.u_hat - state.v_hat))

@@ -26,40 +26,25 @@ W_SERIES = 1e-4
 MIN_TRANSITION_MODES = 8
 
 
-def _as_float_arrays(xi_sq, t):
+def green_pair(xi_sq, t):
+    """Green function symbol G, the mode solution with g(0) = 0,
+    g'(0) = 1, and its time derivative G_t, from one branch split.
+
+    Vectorized over broadcastable xi_sq >= 0 and t >= 0; each exponential,
+    sine and cosine is computed once and shared by G and G_t.
+    """
+    scalar = np.ndim(xi_sq) == 0 and np.ndim(t) == 0
     xi_sq = np.asarray(xi_sq, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     if np.any(xi_sq < 0):
         raise ValueError("xi_sq must be nonnegative")
     if np.any(t < 0):
         raise ValueError("t must be nonnegative")
-    return np.broadcast_arrays(xi_sq, t)
-
-
-def _maybe_scalar(out, scalar: bool):
-    return float(out[()]) if scalar else out
-
-
-def _sinhc_series(w):
-    # sinh(sqrt(w))/sqrt(w) = 1 + w/6 + w^2/120 + w^3/5040 + O(w^4)
-    return 1.0 + (w / 6.0) * (1.0 + (w / 20.0) * (1.0 + w / 42.0))
-
-
-def _cosh_series(w):
-    # cosh(sqrt(w)) = 1 + w/2 + w^2/24 + w^3/720 + O(w^4)
-    return 1.0 + (w / 2.0) * (1.0 + (w / 12.0) * (1.0 + w / 30.0))
-
-
-def green_hat(xi_sq, t):
-    """Green function symbol: the mode solution with g(0) = 0, g'(0) = 1.
-
-    Vectorized over broadcastable xi_sq >= 0 and t >= 0.
-    """
-    scalar = np.ndim(xi_sq) == 0 and np.ndim(t) == 0
-    xi_sq, t = _as_float_arrays(xi_sq, t)
+    xi_sq, t = np.broadcast_arrays(xi_sq, t)
     m = 1.0 - 4.0 * xi_sq
     w = m * t * t / 4.0
-    out = np.empty_like(w)
+    g = np.empty_like(w)
+    g_t = np.empty_like(w)
 
     series = np.abs(w) <= W_SERIES
     over = ~series & (m > 0)
@@ -67,76 +52,80 @@ def green_hat(xi_sq, t):
 
     if np.any(series):
         ts, ws = t[series], w[series]
-        out[series] = ts * np.exp(-0.5 * ts) * _sinhc_series(ws)
+        decay = np.exp(-0.5 * ts)
+        # sinh(sqrt(w))/sqrt(w) = 1 + w/6 + w^2/120 + w^3/5040 + O(w^4)
+        sinhc = 1.0 + (ws / 6.0) * (1.0 + (ws / 20.0) * (1.0 + ws / 42.0))
+        # cosh(sqrt(w)) = 1 + w/2 + w^2/24 + w^3/720 + O(w^4)
+        cosh = 1.0 + (ws / 2.0) * (1.0 + (ws / 12.0) * (1.0 + ws / 30.0))
+        g[series] = ts * decay * sinhc
+        g_t[series] = decay * (cosh - 0.5 * ts * sinhc)
     if np.any(over):
         # both exponents are nonpositive, so no overflow
         root = np.sqrt(m[over])
         to = t[over]
-        out[over] = (np.exp(0.5 * (root - 1.0) * to)
-                     - np.exp(-0.5 * (root + 1.0) * to)) / root
+        mu_p = 0.5 * (root - 1.0)
+        mu_m = -0.5 * (root + 1.0)
+        e_p = np.exp(mu_p * to)
+        e_m = np.exp(mu_m * to)
+        g[over] = (e_p - e_m) / root
+        g_t[over] = (mu_p * e_p - mu_m * e_m) / root
     if np.any(under):
         root = np.sqrt(-m[under])
         tu = t[under]
-        out[under] = 2.0 * np.exp(-0.5 * tu) * np.sin(0.5 * root * tu) / root
-    return _maybe_scalar(out, scalar)
+        decay = np.exp(-0.5 * tu)
+        half_angle = 0.5 * root * tu
+        sine = np.sin(half_angle)
+        g[under] = 2.0 * decay * sine / root
+        g_t[under] = decay * (np.cos(half_angle) - sine / root)
+    if scalar:
+        return float(g[()]), float(g_t[()])
+    return g, g_t
+
+
+def green_hat(xi_sq, t):
+    """Green function symbol G (see green_pair)."""
+    return green_pair(xi_sq, t)[0]
 
 
 def green_hat_dt(xi_sq, t):
     """Time derivative of the Green function symbol.  Equals 1 at t = 0."""
-    scalar = np.ndim(xi_sq) == 0 and np.ndim(t) == 0
-    xi_sq, t = _as_float_arrays(xi_sq, t)
-    m = 1.0 - 4.0 * xi_sq
-    w = m * t * t / 4.0
-    out = np.empty_like(w)
-
-    series = np.abs(w) <= W_SERIES
-    over = ~series & (m > 0)
-    under = ~series & (m < 0)
-
-    if np.any(series):
-        ts, ws = t[series], w[series]
-        out[series] = np.exp(-0.5 * ts) * (
-            _cosh_series(ws) - 0.5 * ts * _sinhc_series(ws))
-    if np.any(over):
-        root = np.sqrt(m[over])
-        to = t[over]
-        mu_p = 0.5 * (root - 1.0)
-        mu_m = -0.5 * (root + 1.0)
-        out[over] = (mu_p * np.exp(mu_p * to) - mu_m * np.exp(mu_m * to)) / root
-    if np.any(under):
-        root = np.sqrt(-m[under])
-        tu = t[under]
-        half_angle = 0.5 * root * tu
-        out[under] = np.exp(-0.5 * tu) * (
-            np.cos(half_angle) - np.sin(half_angle) / root)
-    return _maybe_scalar(out, scalar)
+    return green_pair(xi_sq, t)[1]
 
 
 @dataclass(frozen=True)
 class SymbolTable:
-    """Symbol and its first two time derivatives tabulated on a grid.
+    """Exact per-mode propagator of the linear flow over the increment delta.
 
-    g_tt is defined through the mode ODE identity, so
-    g_tt = -g_t - freq_sq * g holds exactly.
+    (u_hat, v_hat) advance as [[uu, uv], [vu, vv]] (u_hat, v_hat) with
+    uu = G_t + G, uv = G, vu = G_tt + G_t and vv = G_t at t = delta, where
+    G_tt = -G_t - |xi|^2 G is the mode ODE identity.  The entries form a
+    semigroup in the increment.
     """
 
     grid: Grid
     delta: float
-    g: np.ndarray
-    g_t: np.ndarray
-    g_tt: np.ndarray
+    uu: np.ndarray
+    uv: np.ndarray
+    vu: np.ndarray
+    vv: np.ndarray
+
+    def apply(self, u_hat: np.ndarray,
+              v_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(u_hat, v_hat) advanced by delta."""
+        return (self.uu * u_hat + self.uv * v_hat,
+                self.vu * u_hat + self.vv * v_hat)
 
 
 def build_symbol_table(grid: Grid, delta: float) -> SymbolTable:
-    """Tabulate the symbol at time increment delta over the stored half
+    """Tabulate the propagator at time increment delta over the stored half
     spectrum of the frequency lattice."""
     if delta < 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
     xi_sq = grid.freq_sq
-    g = green_hat(xi_sq, delta)
-    g_t = green_hat_dt(xi_sq, delta)
+    g, g_t = green_pair(xi_sq, delta)
     g_tt = -g_t - xi_sq * g
-    return SymbolTable(grid=grid, delta=float(delta), g=g, g_t=g_t, g_tt=g_tt)
+    return SymbolTable(grid=grid, delta=float(delta), uu=g_t + g, uv=g,
+                       vu=g_tt + g_t, vv=g_t)
 
 
 @dataclass(frozen=True)

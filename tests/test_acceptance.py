@@ -86,7 +86,7 @@ def test_acceptance_2_propagator_exactness():
     tc = build_symbol_table(grid, 1.1)
 
     def entries(t):
-        return (t.g_t + t.g, t.g, t.g_tt + t.g_t, t.g_t)
+        return (t.uu, t.uv, t.vu, t.vv)
 
     a11, a12, a21, a22 = entries(ta)
     b11, b12, b21, b22 = entries(tb)

@@ -145,12 +145,27 @@ def test_simulate_too_few_window_samples_exits_2(tmp_path, capsys):
     ["simulate", "--set", "delta_bar=2"],
     ["verify-symbols", "--tol", "1e-11"],
     ["verify-symbols", "--tol", "nan"],
+    ["simulate", "--set", "width=-1"],
+    ["simulate", "--set", "width=nan"],
+    ["simulate", "--set", "profile_r=0.1"],
+    ["simulate", "--set", "sobolev_index=-3"],
+    ["simulate", "--set", "u0_file=/nonexistent.dwf"],
+    ["simulate", "--set", "u1_file=CONFIG"],  # a text file, not DWF1
+    ["simulate", "--set", "amplitude=nan"],
+    ["simulate", "--set", "kind=linear", "--set", "half_width=inf"],
+    ["simulate", "--set", "kind=linear", "--set", "amplitude=nan"],
+    ["simulate", "--set", "kind=linear", "--set", "snapshot_times=0.5,nan"],
+    ["simulate", "--set", "kind=linear", "--set", "t_final=nan"],
 ], ids=["window-samples", "integrator", "off-grid-snapshot", "off-grid-dt",
-        "delta-bar", "tol", "tol-nan"])
+        "delta-bar", "tol", "tol-nan", "width", "width-nan", "profile-r",
+        "sobolev-index", "u0-file-missing", "u1-file-not-dwf1",
+        "amplitude-nan", "linear-half-width-inf", "linear-amplitude-nan",
+        "linear-snapshot-nan", "linear-t-final-nan"])
 def test_bad_input_exits_2_before_any_run_directory(tmp_path, capsys, argv):
     out = tmp_path / "o"
     out.mkdir()
     path = _write_config(tmp_path, _tiny_preset())
+    argv = [a.replace("CONFIG", path) for a in argv]
     config = ["--config", path] if argv[0] == "simulate" else []
     code = main(argv[:1] + config + argv[1:] + ["--out", str(out)])
     assert code == 2
@@ -384,6 +399,7 @@ def test_energy_audit_fresh_then_reuse(tmp_path, capsys):
                  "--out", str(tmp_path / "r"),
                  "--mono-tol", "1e-6", "--balance-tol", "1e-3"])
     assert code == 0
+    assert (_only_run_dir(tmp_path / "r", "cli-tiny") / "manifest.txt").exists()
 
 
 @pytest.mark.parametrize("energy_text", [

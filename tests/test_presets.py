@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from dissipwave import (ExperimentPreset, builtin_presets, gaussian_bump,
-                        make_grid, preset_from_config, preset_to_config,
-                        run_bands, run_experiment, run_linear, run_semilinear,
-                        write_snapshot)
+from dissipwave import (ExperimentPreset, builtin_presets, e0_norm,
+                        gaussian_bump, make_grid, preset_from_config,
+                        preset_to_config, run_bands, run_experiment,
+                        run_linear, run_semilinear, write_snapshot)
 from dissipwave.presets import HEAT_GAP_LABEL, _rounded_times, profile_label
 
 
@@ -120,6 +120,7 @@ def test_semilinear_tiny_run_series_shapes():
         assert vals.shape == (2,)
         assert np.all(vals > 0)
     assert run.e0 > 0
+    assert run.e0 == e0_norm(*p.initial_data(), p.sobolev_s)  # read off the ledger
     # ledger saw every step: 20 steps plus the initial record
     assert len(run.ledger.times) == 21
     assert run.ledger.balance_residual() < 1e-3 * run.ledger.energy[0]
@@ -144,11 +145,11 @@ def test_run_experiment_dispatch_matches_kind():
 def test_snapshot_sink_receives_fields():
     p = _tiny()
     seen = []
-    run_semilinear(p, snapshot_sink=lambda t, u, v: seen.append((t, u, v)))
+    run_semilinear(p, snapshot_sink=lambda t, u: seen.append((t, u)))
     assert len(seen) == 2
-    t0, u0, v0 = seen[0]
+    t0, u0 = seen[0]
     assert t0 == pytest.approx(0.5, abs=1e-9)
-    assert u0.grid == p.grid and v0.grid == p.grid
+    assert u0.grid == p.grid
 
 
 def test_initial_data_from_snapshot_file(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dissipwave import (CutoffSpec, build_symbol_table, builtin_presets,
                         cutoff, green_band, green_hat, green_hat_dt,
                         make_grid, mode_ode, smooth_step)
-from dissipwave.symbols import W_SERIES, _shell_mode_count
+from dissipwave.symbols import W_SERIES, _shell_mode_count, green_pair
 
 
 def test_green_hat_zero_frequency():
@@ -85,17 +85,41 @@ def test_green_hat_matches_mode_ode(xi_sq, t):
     assert abs(float(green_hat_dt(xi_sq, t)) - ref.derivative) < 1e-8
 
 
+def test_green_pair_pins_values():
+    # exact values, compared as repr: t = 0, xi_sq = 0 (overdamped), and
+    # one point in each of the series, overdamped and oscillatory branches
+    xi_sq = np.array([0.3, 0.0, 0.25 + 1e-6, 0.1875, 1.0])
+    t = np.array([0.0, 1.0, 2.0, 4.0, 7.0])
+    want_g = ["0.0", "0.6321205588285577", "0.7357583918370613",
+              "0.6361847456071568", "-0.007643713713069364"]
+    want_gt = ["1.0", "0.36787944117144233", "-4.905057253398797e-07",
+               "-0.10925911803392525", "0.0332847520988389"]
+    g, g_t = green_pair(xi_sq, t)
+    assert [repr(float(v)) for v in g] == want_g
+    assert [repr(float(v)) for v in g_t] == want_gt
+    for k in range(len(t)):
+        pair = green_pair(float(xi_sq[k]), float(t[k]))
+        assert [repr(v) for v in pair] == [want_g[k], want_gt[k]]
+        assert repr(green_hat(xi_sq[k], t[k])) == want_g[k]
+        assert repr(green_hat_dt(xi_sq[k], t[k])) == want_gt[k]
+
+
 def test_symbol_table_structure():
     g = make_grid(1, 64, 8.0)
     table = build_symbol_table(g, 0.25)
     assert table.delta == 0.25
-    assert table.g.shape == g.spectral_shape
-    assert np.array_equal(table.g_tt, -table.g_t - g.freq_sq * table.g)
-    assert float(table.g[0]) == pytest.approx(1.0 - math.exp(-0.25), abs=1e-14)
+    assert table.uv.shape == g.spectral_shape
+    g_0, g_t = green_pair(g.freq_sq, 0.25)
+    assert np.array_equal(table.uv, g_0) and np.array_equal(table.vv, g_t)
+    # uu = G_t + G, and vu = G_tt + G_t = -|xi|^2 G by the mode ODE, up to
+    # the rounding of two additions on entries of size <= 7
+    assert np.max(np.abs(table.uu - table.vv - g_0)) < 1e-14
+    assert np.max(np.abs(table.vu + g.freq_sq * g_0)) < 1e-14
+    assert float(table.uv[0]) == pytest.approx(1.0 - math.exp(-0.25), abs=1e-14)
 
 
 def test_symbol_table_semigroup_per_mode():
-    # [[Gt+G, G], [Gtt+Gt, Gt]] must satisfy P(t+s) = P(t) P(s) per mode
+    # the stored [[uu, uv], [vu, vv]] must satisfy P(t+s) = P(t) P(s) per mode
     g = make_grid(1, 64, 8.0)
     t, s = 0.7, 0.45
     pt = _propagator_entries(g, t)
@@ -111,7 +135,7 @@ def test_symbol_table_semigroup_per_mode():
 
 def _propagator_entries(g, t):
     tab = build_symbol_table(g, t)
-    return (tab.g_t + tab.g, tab.g, tab.g_tt + tab.g_t, tab.g_t)
+    return (tab.uu, tab.uv, tab.vu, tab.vv)
 
 
 def test_smooth_step_shape():
@@ -193,7 +217,7 @@ def test_green_band_sum_reconstructs_kernel():
     table = build_symbol_table(g, t)
     from dissipwave.grid import SpectralField, inverse_transform
     from dissipwave.symbols import _delta_spectrum
-    full = inverse_transform(SpectralField(g, _delta_spectrum(g) * table.g))
+    full = inverse_transform(SpectralField(g, _delta_spectrum(g) * table.uv))
     assert np.max(np.abs(total - full.values)) < 1e-10
 
 

@@ -17,8 +17,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.stats import linregress
 
 from .grid import Field, Grid
 
@@ -152,6 +150,22 @@ def fit_window_mask(times, window) -> np.ndarray:
     return mask
 
 
+def _linregress(x: np.ndarray, y: np.ndarray):
+    """Slope, its standard error and r of the OLS line through (x, y),
+    bit for bit as scipy.stats.linregress computes them (r is nan for a
+    constant y, 0.0 for any other zero variance, and clipped to [-1, 1])."""
+    if np.amax(x) == np.amin(x):
+        raise ValueError("Cannot calculate a linear regression "
+                         "if all x values are identical")
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = np.float64(np.nan if ssxym == 0 else 0.0)
+    else:
+        r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+    stderr = np.sqrt((1 - r**2) * ssym / ssxm / (len(x) - 2))
+    return ssxym / ssxm, stderr, r
+
+
 def _fit_log(times, values, window, abscissa) -> FitResult:
     """OLS fit of log(value) against abscissa(t) inside the window."""
     times = np.asarray(times, dtype=np.float64)
@@ -163,9 +177,9 @@ def _fit_log(times, values, window, abscissa) -> FitResult:
         raise NothingToFit("no positive value inside the fit window")
     if not finite or np.any(vals <= 0):
         raise ValueError("fit requires positive finite values inside the window")
-    res = linregress(abscissa(ts), np.log(vals))
-    return FitResult(slope=float(res.slope), stderr=float(res.stderr),
-                     r_squared=float(res.rvalue) ** 2, n_points=len(ts),
+    slope, stderr, r = _linregress(abscissa(ts), np.log(vals))
+    return FitResult(slope=float(slope), stderr=float(stderr),
+                     r_squared=float(r) ** 2, n_points=len(ts),
                      window=(float(window[0]), float(window[1])))
 
 
@@ -290,11 +304,11 @@ class EnergyLedger:
     """Per-step record of energy, dissipation, and norm growth.
 
     dissipation_integral is int_0^t |u_tau|^2 dtau at each recorded time,
-    the cumulative Simpson rule (scipy.integrate.cumulative_simpson) over
-    the recorded dissipation rates: each interval integrates the quadratic
-    through it and its neighbour, so the rule is fourth order at every
-    record, the first interval included (two records fall back to the
-    trapezoid).  Energy balance is audited as
+    the cumulative Simpson rule over the recorded dissipation rates (see
+    _cumulative_simpson): each interval integrates the quadratic through
+    it and its neighbour, so the rule is fourth order at every record, the
+    first interval included (two records fall back to the trapezoid).
+    Energy balance is audited as
     E(t) - E(0) + dissipation_integral(t) = 0 up to scheme error.
     """
 
@@ -333,7 +347,7 @@ class EnergyLedger:
         """int_0^t |u_tau|^2 dtau at each recorded time, 0 at the first."""
         if not self.times:
             return np.zeros(0)
-        return cumulative_simpson(self.diss_rate, x=self.times, initial=0.0)
+        return _cumulative_simpson(self.diss_rate, self.times)
 
     def balance_residual(self) -> float:
         """Worst deviation of E(t) - E(0) + int |u_tau|^2 from zero."""
@@ -349,6 +363,36 @@ class EnergyLedger:
                    "linf:u": self.sup_norm, f"h{s + 1}:u": self.u_sobolev,
                    f"h{s}:dt_u": self.ut_sobolev}
         return {name: (self.times, vals) for name, vals in columns.items()}
+
+
+def _simpson_intervals(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Integral over each [x_k, x_k+1] of the quadratic through records
+    k, k+1 and k+2 (Cartwright, J. Math. Sci. Math. Educ. 12 (2), eqn (8))."""
+    x21, x32 = dx[:-1], dx[1:]
+    x21_x31 = x21 / (x21 + x32)
+    x21x21_x31x32 = x21_x31 * (x21 / x32)
+    return x21 / 6 * ((3 - x21_x31) * y[:-2]
+                      + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
+                      - x21x21_x31x32 * y[2:])
+
+
+def _cumulative_simpson(y, x) -> np.ndarray:
+    """int_x0^x y at each x, 0 first, bit for bit as
+    scipy.integrate.cumulative_simpson(y, x=x, initial=0.0) computes it:
+    even intervals take the quadratic through the next record, odd ones and
+    the last one the quadratic through the previous record; fewer than 3
+    records take the trapezoid."""
+    y, dx = np.asarray(y, dtype=np.float64), np.diff(x)
+    if len(y) < 3:
+        parts = dx * (y[1:] + y[:-1]) / 2.0
+    else:
+        forward = _simpson_intervals(y, dx)
+        backward = _simpson_intervals(y[::-1], dx[::-1])[::-1]
+        parts = np.empty(len(dx))
+        parts[:-1:2] = forward[::2]
+        parts[1::2] = backward[::2]
+        parts[-1] = backward[-1]
+    return np.concatenate(([0.0], np.cumsum(parts)))
 
 
 def write_series_csv(path, series: dict) -> None:

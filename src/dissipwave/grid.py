@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import numpy.fft  # noqa: F401  numpy loads it lazily; load it with the package
 
 SNAPSHOT_MAGIC = b"DWF1"
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .grid import Field, forward_transform, inverse_transform, SpectralField
 
@@ -31,6 +30,8 @@ class OdeResult:
 
 def _integrate(xi_sq: float, times: np.ndarray, rtol: float, atol: float) -> np.ndarray:
     """Solve g'' + g' + xi_sq g = 0, g(0) = 0, g'(0) = 1, sampled at `times`."""
+    # the package's only scipy use: other subcommands never load scipy
+    from scipy.integrate import solve_ivp
 
     def rhs(_t, y):
         return (y[1], -y[1] - xi_sq * y[0])

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .grid import Field, Grid, SpectralField, forward_transform, inverse_transform
 from .symbols import SymbolTable, build_symbol_table, green_pair
@@ -195,7 +196,7 @@ def _make_step_cache(grid: Grid, config: SolverConfig) -> _StepCache:
     # Gauss-Legendre quadrature of int_0^dt G(dt - s) F(s) ds with F
     # interpolated linearly between its endpoint evaluations: the integral
     # collapses to g0 * F(0) + g1 * F(dt) with per-mode weights.
-    nodes, weights = np.polynomial.legendre.leggauss(_QUAD_POINTS)
+    nodes, weights = leggauss(_QUAD_POINTS)
     sigma = 0.5 * dt * (nodes + 1.0)
     w = 0.5 * dt * weights
     xi_sq = grid.freq_sq

@@ -1,12 +1,15 @@
 """Norms, energy ledger, decay fitting, report plumbing."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import cumulative_simpson
+from scipy.stats import linregress
 
 from dissipwave import (EnergyLedger, Field, builtin_presets, decay_report,
                         derivative_field, e0_norm, fit_decay_rate,
@@ -149,9 +152,41 @@ def test_fit_decay_rate_exact_power_law():
 
 
 def test_fit_decay_rate_constant_series():
+    # ssym == ssxym == 0: r and with it stderr and r^2 are nan, as in scipy,
+    # and no 0/0 is evaluated on the way
     t = np.linspace(1.0, 20.0, 10)
-    fit = fit_decay_rate(t, np.full(10, 2.0), (1.0, 20.0))
-    assert abs(fit.slope) < 1e-14
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fit in (fit_decay_rate, fit_exponential_rate):
+            res = fit(t, np.full(10, 2.0), (1.0, 20.0))
+            assert res.slope == 0.0
+            assert math.isnan(res.stderr) and math.isnan(res.r_squared)
+
+
+def test_fit_identical_times_raise_without_warning():
+    t = np.array([0.5, 3.0, 3.0, 3.0, 3.0, 3.0, 9.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fit in (fit_decay_rate, fit_exponential_rate):
+            with pytest.raises(ValueError, match="^Cannot calculate a linear "
+                               "regression if all x values are identical$"):
+                fit(t, np.arange(1.0, 8.0), (2.0, 4.0))
+
+
+@pytest.mark.parametrize("fit, abscissa", [
+    (fit_decay_rate, np.log1p), (fit_exponential_rate, lambda ts: ts)],
+    ids=["log1p", "linear"])
+def test_fit_matches_scipy_linregress_bitwise(fit, abscissa):
+    rng = np.random.default_rng(20081018)
+    for _ in range(100):
+        n = int(rng.integers(MIN_FIT_POINTS, 300))
+        t = np.sort(rng.uniform(0.0, 100.0, n))
+        vals = np.exp(rng.normal(size=n)) * (1 + t) ** rng.uniform(-2.0, 0.0)
+        res = fit(t, vals, (0.0, 100.0))
+        ref = linregress(abscissa(t), np.log(vals))
+        assert repr(res.slope) == repr(float(ref.slope))
+        assert repr(res.stderr) == repr(float(ref.stderr))
+        assert repr(res.r_squared) == repr(float(ref.rvalue) ** 2)
 
 
 def test_fit_decay_rate_perturbed_power_law():
@@ -294,6 +329,20 @@ def test_energy_ledger_semi1d_data_at_dt_0_04():
     solve(u0, u1, preset.solver_config(), ledger=led)
     assert len(led.times) == 51
     assert led.balance_residual() <= 1e-6 * led.energy[0]
+
+
+def test_dissipation_integral_matches_scipy_cumulative_simpson_bitwise():
+    # lengths 1 and 2 take the trapezoid; odd and even lengths split the
+    # intervals between the forward and backward quadratics differently
+    rng = np.random.default_rng(20081018)
+    assert EnergyLedger(sobolev_index=1).dissipation_integral.shape == (0,)
+    for n in range(1, 65):
+        times = np.cumsum(rng.uniform(0.01, 1.0, n))
+        rates = rng.uniform(0.0, 2.0, n)
+        led = EnergyLedger(sobolev_index=1, times=list(times),
+                           diss_rate=list(rates))
+        ref = cumulative_simpson(rates, x=times, initial=0.0)
+        assert led.dissipation_integral.tobytes() == ref.tobytes(), n
 
 
 def test_energy_ledger_requires_increasing_times(grid1d):

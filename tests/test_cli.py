@@ -1,8 +1,11 @@
 """CLI plumbing: config parsing, run directories, exit codes, CSV outputs."""
 
 import math
+import os
 import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -502,3 +505,43 @@ def test_module_entry_point_subprocess(tmp_path):
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "wrote" in proc.stdout
+
+
+_NO_SCIPY_RUN = textwrap.dedent("""
+    import sys
+    from pathlib import Path
+
+    import dissipwave.cli as cli
+
+    def scipy_modules():
+        return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+    cfg, out = sys.argv[1], Path(sys.argv[2])
+    assert not scipy_modules(), scipy_modules()[:5]
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out / "o")]) == 0
+    (run_dir,) = (out / "o" / "cli-tiny").iterdir()
+    assert len((run_dir / "report.csv").read_text().splitlines()) == 3
+    replays = {"decay-report": [],
+               "energy-audit": ["--mono-tol", "1e-6", "--balance-tol", "1e-3"]}
+    for command, tols in replays.items():
+        assert cli.main([command, "--config", cfg, "--run", str(run_dir),
+                         "--out", str(out / command), *tols]) == 0, command
+    assert not scipy_modules(), scipy_modules()[:5]
+""")
+
+
+def test_cli_path_loads_no_scipy(tmp_path):
+    # the fits and the energy ledger run on numpy alone: simulate fits two
+    # decay rates (both pass on this data) and integrates the dissipation,
+    # and the replays refit and re-audit its outputs
+    cfg = _write_config(tmp_path, _tiny_preset(
+        reports=((1, 0, 0), (2, 0, 0)),
+        snapshot_times=(0.2, 0.4, 0.6, 0.8, 1.0), fit_window=(0.1, 1.05)))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_RUN, cfg, str(tmp_path)],
+        capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr

@@ -320,12 +320,13 @@ class EnergyLedger:
     u_sobolev: list = field(default_factory=list)
     ut_sobolev: list = field(default_factory=list)
 
-    def record(self, state) -> None:
-        if self.times and state.time <= self.times[-1]:
+    def record(self, t: float, state, theta: int) -> None:
+        """Record the state at time t of the flow with source power theta."""
+        if self.times and t <= self.times[-1]:
             raise ValueError("ledger times must be strictly increasing")
         grid = state.grid
         s = self.sobolev_index
-        q = state.theta + 2
+        q = theta + 2
         u_power = _power(state.u_hat)
         v_power = _power(state.v_hat)
         w = parseval_weight(grid)
@@ -333,7 +334,7 @@ class EnergyLedger:
         gradient = 0.5 * float(np.sum(u_power * w * grid.freq_sq))
         potential = float(np.sum(np.abs(state.u) ** q)) * grid.cell_volume / q
 
-        self.times.append(float(state.time))
+        self.times.append(float(t))
         self.energy.append(kinetic + gradient + potential)
         self.diss_rate.append(2.0 * kinetic)
         self.sup_norm.append(state.u_sup)

@@ -330,6 +330,10 @@ def _read_energy_csv(run: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmd_energy_audit(args, open_run):
+    for flag, tol in (("--mono-tol", args.mono_tol),
+                      ("--balance-tol", args.balance_tol)):
+        if not (math.isfinite(tol) and tol >= 0):
+            raise ConfigError(f"{flag} must be finite and >= 0, got {tol:g}")
     preset = resolve_preset(args.config, args.set)
     if preset.kind != "semilinear":
         raise ConfigError("energy-audit needs a semilinear preset")

@@ -220,8 +220,9 @@ class BandRun:
         return analysis.DecayReport(rows=rows, window=window)
 
 
-def _norm_of(state: solver.SolverState, p, alpha_order: int, h: int) -> float:
-    """Requested norm of a derivative of the state.
+def _norm_of(state: solver.SolverState, config: solver.SolverConfig | None,
+             p, alpha_order: int, h: int) -> float:
+    """Requested norm of a derivative of the state (config None: linear).
 
     Spatial derivatives are taken along the first axis; mixed multi-index
     directions are not needed by the built-in presets.  Without a spatial
@@ -229,27 +230,29 @@ def _norm_of(state: solver.SolverState, p, alpha_order: int, h: int) -> float:
     reuses the state's shared physical u.
     """
     if not alpha_order:
-        return analysis.lp_norm(solver.time_derivative(state, h), p)
+        return analysis.lp_norm(solver.time_derivative(state, h, config), p)
     grid = state.grid
     if h == 0:
         spectral = SpectralField(grid, state.u_hat)
     elif h == 1:
         spectral = SpectralField(grid, state.v_hat)
     else:
-        spectral = forward_transform(solver.time_derivative(state, h))
+        spectral = forward_transform(solver.time_derivative(state, h, config))
     alpha = (alpha_order,) + (0,) * (grid.n_dims - 1)
     return analysis.lp_norm(
         inverse_transform(spectral_derivative(spectral, alpha)), p)
 
 
-def _record_state(preset: ExperimentPreset, state: solver.SolverState,
-                  times: list, series: dict) -> None:
-    times.append(state.time)
+def _record_state(preset: ExperimentPreset,
+                  config: solver.SolverConfig | None, t: float,
+                  state: solver.SolverState, times: list,
+                  series: dict) -> None:
+    times.append(t)
     for p, a, h in preset.reports:
-        series[quantity_label(p, a, h)].append(_norm_of(state, p, a, h))
+        series[quantity_label(p, a, h)].append(_norm_of(state, config, p, a, h))
     if preset.kind == "semilinear":
         series[profile_label(preset.profile_r)].append(
-            analysis.weighted_profile(solver.u_field(state), state.time,
+            analysis.weighted_profile(solver.u_field(state), t,
                                       preset.profile_r))
 
 
@@ -273,12 +276,12 @@ def run_linear(preset: ExperimentPreset, snapshot_sink=None) -> ExperimentRun:
     grid = preset.grid
     u0, u1 = preset.initial_data()
     heat_data = forward_transform(Field(grid, u0.values + u1.values))
-    start = solver.state_from_fields(u0, u1, preset.theta)
+    start = solver.state_from_fields(u0, u1)
     times: list = []
     series = _empty_series(preset)
     for t in preset.snapshot_times:
         state = solver.linear_step(start, symbols.build_symbol_table(grid, t))
-        _record_state(preset, state, times, series)
+        _record_state(preset, None, t, state, times, series)
         u = solver.u_field(state)
         gap = u.values - oracle.heat_reference(heat_data, t).values
         series[HEAT_GAP_LABEL].append(float(np.max(np.abs(gap))))
@@ -295,17 +298,17 @@ def run_semilinear(preset: ExperimentPreset, snapshot_sink=None) -> ExperimentRu
     if preset.kind != "semilinear":
         raise ValueError(f"preset {preset.name!r} is not semilinear")
     u0, u1 = preset.initial_data()
+    config = preset.solver_config()
     ledger = EnergyLedger(sobolev_index=preset.sobolev_s)
     times: list = []
     series = _empty_series(preset)
 
-    def observer(state: solver.SolverState) -> None:
-        _record_state(preset, state, times, series)
+    def observer(t: float, state: solver.SolverState) -> None:
+        _record_state(preset, config, t, state, times, series)
         if snapshot_sink is not None:
-            snapshot_sink(state.time, solver.u_field(state))
+            snapshot_sink(t, solver.u_field(state))
 
-    solver.solve(u0, u1, preset.solver_config(), observers=(observer,),
-                 ledger=ledger)
+    solver.solve(u0, u1, config, observers=(observer,), ledger=ledger)
     e0 = ledger.u_sobolev[0] + ledger.ut_sobolev[0]  # = e0_norm(u0, u1, s)
     return ExperimentRun(preset=preset,
                          times=np.asarray(times),

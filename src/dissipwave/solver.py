@@ -7,11 +7,14 @@ weights of the exponential integrator come from the same symbols.green_pair
 evaluation, so its only discretization error is the quadrature of the
 nonlinear source.  A classical RK4 stepper on the spectral system is kept
 as an independent reference route.
+
+A SolverState holds the flow only: the SolverConfig owns the equation, and
+solve owns the clock, stamping each snapshot with its configured time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -42,18 +45,12 @@ class InstabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverState:
-    """Spectral state (u, u_t) at one instant, half-spectrum layout.
-
-    Immutable.  nonlin_sign is the sign s of the source s |u|^theta u:
-    -1 for the absorbing equation, +1 for the growth experiment.
-    """
+    """Spectral flow (u, u_t) at one instant, half-spectrum layout.
+    Immutable; it holds no time and no equation (see the module docstring)."""
 
     grid: Grid
     u_hat: np.ndarray
     v_hat: np.ndarray
-    time: float
-    theta: int
-    nonlin_sign: int = -1
 
     @cached_property
     def u(self) -> np.ndarray:
@@ -111,15 +108,12 @@ class SolverConfig:
         return self.dealias
 
 
-def state_from_fields(u0: Field, u1: Field, theta: int, time: float = 0.0,
-                      nonlin_sign: int = -1) -> SolverState:
+def state_from_fields(u0: Field, u1: Field) -> SolverState:
     if u0.grid != u1.grid:
         raise ValueError("u0 and u1 must share a grid")
     return SolverState(grid=u0.grid,
                        u_hat=forward_transform(u0).coeffs,
-                       v_hat=forward_transform(u1).coeffs,
-                       time=float(time), theta=int(theta),
-                       nonlin_sign=int(nonlin_sign))
+                       v_hat=forward_transform(u1).coeffs)
 
 
 def u_field(state: SolverState) -> Field:
@@ -161,8 +155,7 @@ def linear_step(state: SolverState, table: SymbolTable) -> SolverState:
     """Advance the linear flow by the table increment (exact per mode)."""
     if table.grid != state.grid:
         raise ValueError("symbol table grid does not match the state grid")
-    u_new, v_new = table.apply(state.u_hat, state.v_hat)
-    return replace(state, u_hat=u_new, v_hat=v_new, time=state.time + table.delta)
+    return SolverState(state.grid, *table.apply(state.u_hat, state.v_hat))
 
 
 def dealias_mask(grid: Grid) -> np.ndarray:
@@ -223,11 +216,11 @@ def _source_hat(u: np.ndarray, config: SolverConfig, cache: _StepCache) -> np.nd
     return f_hat
 
 
-def _guard(state: SolverState, config: SolverConfig) -> None:
+def _guard(state: SolverState, config: SolverConfig, t: float) -> None:
     sup = state.u_sup
     bound = GUARD_FACTOR * config.delta_bar
     if not np.isfinite(sup) or sup > bound:
-        raise InstabilityError(time=state.time, sup=sup, bound=bound)
+        raise InstabilityError(time=t, sup=sup, bound=bound)
 
 
 def _step_duhamel(state: SolverState, config: SolverConfig,
@@ -238,8 +231,7 @@ def _step_duhamel(state: SolverState, config: SolverConfig,
 
     u_new = predicted.u_hat + cache.quad_g0 * f0 + cache.quad_g1 * f1
     v_new = predicted.v_hat + cache.quad_gt0 * f0 + cache.quad_gt1 * f1
-    return replace(state, u_hat=u_new, v_hat=v_new, time=predicted.time,
-                   nonlin_sign=config.nonlin_sign)
+    return SolverState(state.grid, u_new, v_new)
 
 
 def _step_rk4(state: SolverState, config: SolverConfig,
@@ -252,8 +244,8 @@ def _step_rk4(state: SolverState, config: SolverConfig,
         return s.v_hat, -xi_sq * s.u_hat - s.v_hat + f_hat
 
     def stage(h, ku, kv):
-        return replace(state, u_hat=state.u_hat + h * ku,
-                       v_hat=state.v_hat + h * kv)
+        return SolverState(state.grid, state.u_hat + h * ku,
+                           state.v_hat + h * kv)
 
     ku1, kv1 = rhs(state)
     ku2, kv2 = rhs(stage(0.5 * dt, ku1, kv1))
@@ -261,24 +253,17 @@ def _step_rk4(state: SolverState, config: SolverConfig,
     ku4, kv4 = rhs(stage(dt, ku3, kv3))
     u_new = state.u_hat + (dt / 6.0) * (ku1 + 2 * ku2 + 2 * ku3 + ku4)
     v_new = state.v_hat + (dt / 6.0) * (kv1 + 2 * kv2 + 2 * kv3 + kv4)
-    return replace(state, u_hat=u_new, v_hat=v_new, time=state.time + dt,
-                   nonlin_sign=config.nonlin_sign)
+    return SolverState(state.grid, u_new, v_new)
 
 
 def step_semilinear(state: SolverState, config: SolverConfig,
                     cache: _StepCache | None = None) -> SolverState:
-    """One step of the configured integrator.  Raises InstabilityError when
-    the new iterate exceeds 10 * delta_bar in sup norm.  The check reads
-    the new state's shared physical u, which the next step and the ledger
-    reuse, so it costs no extra transform."""
+    """One step of the configured integrator; solve guards the result."""
     if cache is None:
         cache = _make_step_cache(state.grid, config)
     if config.integrator == "reference_rk4":
-        new = _step_rk4(state, config, cache)
-    else:
-        new = _step_duhamel(state, config, cache)
-    _guard(new, config)
-    return new
+        return _step_rk4(state, config, cache)
+    return _step_duhamel(state, config, cache)
 
 
 def step_schedule(config: SolverConfig) -> tuple[int, dict[int, float]]:
@@ -302,39 +287,38 @@ def step_schedule(config: SolverConfig) -> tuple[int, dict[int, float]]:
 
 def solve(u0: Field, u1: Field, config: SolverConfig, observers=(),
           ledger=None) -> SolverState:
-    """March the semilinear equation to t_final.
+    """March the semilinear equation to t_final; returns the final state.
 
-    Observers are called with the solver state at every requested snapshot
-    time; a ledger (analysis.EnergyLedger) records every step including the
-    initial state.  Returns the final state.
+    Step k is at time k dt, a snapshot step at its configured time.  Each
+    state, the first included, is guarded, then given to the ledger
+    (analysis.EnergyLedger) and, at snapshot steps, to each observer as
+    (t, state); all share the state's one physical u.
     """
     n_steps, snaps = step_schedule(config)
 
-    state = state_from_fields(u0, u1, config.theta,
-                              nonlin_sign=config.nonlin_sign)
+    state = state_from_fields(u0, u1)
     cache = _make_step_cache(state.grid, config)
-    if ledger is not None:
-        ledger.record(state)
-    if 0 in snaps:
-        for obs in observers:
-            obs(state)
-    _guard(state, config)
-    for k in range(1, n_steps + 1):
-        state = step_semilinear(state, config, cache)
+    for k in range(n_steps + 1):
+        if k:
+            state = step_semilinear(state, config, cache)
+        t = snaps.get(k, k * config.dt)
+        _guard(state, config, t)
         if ledger is not None:
-            ledger.record(state)
+            ledger.record(t, state, config.theta)
         if k in snaps:
             for obs in observers:
-                obs(state)
+                obs(t, state)
     return state
 
 
-def time_derivative(state: SolverState, h: int) -> Field:
+def time_derivative(state: SolverState, h: int,
+                    config: SolverConfig | None) -> Field:
     """h-th time derivative of the flow read off the state.
 
     h = 0 gives u, h = 1 gives u_t, h = 2 substitutes the equation:
-    u_tt = Lap u - u_t + sign |u|^theta u with the state's nonlin_sign,
-    Laplacian evaluated spectrally.
+    u_tt = Lap u - u_t + sign |u|^theta u with config's theta and sign, or
+    u_tt = Lap u - u_t for the linear flow (config None), the Laplacian
+    evaluated spectrally.
     """
     if h not in (0, 1, 2):
         raise ValueError(f"h must be 0, 1 or 2, got {h}")
@@ -345,5 +329,7 @@ def time_derivative(state: SolverState, h: int) -> Field:
     grid = state.grid
     linear_part = inverse_transform(SpectralField(
         grid, -grid.freq_sq * state.u_hat - state.v_hat))
+    if config is None:
+        return linear_part
     return Field(grid, linear_part.values
-                 + apply_nonlinearity(state.u, state.theta, state.nonlin_sign))
+                 + apply_nonlinearity(state.u, config.theta, config.nonlin_sign))

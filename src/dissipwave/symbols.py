@@ -94,16 +94,15 @@ def green_hat_dt(xi_sq, t):
 
 @dataclass(frozen=True)
 class SymbolTable:
-    """Exact per-mode propagator of the linear flow over the increment delta.
+    """Exact per-mode propagator of the linear flow over one time increment.
 
     (u_hat, v_hat) advance as [[uu, uv], [vu, vv]] (u_hat, v_hat) with
-    uu = G_t + G, uv = G, vu = G_tt + G_t and vv = G_t at t = delta, where
+    uu = G_t + G, uv = G, vu = G_tt + G_t and vv = G_t at the increment, where
     G_tt = -G_t - |xi|^2 G is the mode ODE identity.  The entries form a
     semigroup in the increment.
     """
 
     grid: Grid
-    delta: float
     uu: np.ndarray
     uv: np.ndarray
     vu: np.ndarray
@@ -111,7 +110,7 @@ class SymbolTable:
 
     def apply(self, u_hat: np.ndarray,
               v_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(u_hat, v_hat) advanced by delta."""
+        """(u_hat, v_hat) advanced by the increment."""
         return (self.uu * u_hat + self.uv * v_hat,
                 self.vu * u_hat + self.vv * v_hat)
 
@@ -124,8 +123,7 @@ def build_symbol_table(grid: Grid, delta: float) -> SymbolTable:
     xi_sq = grid.freq_sq
     g, g_t = green_pair(xi_sq, delta)
     g_tt = -g_t - xi_sq * g
-    return SymbolTable(grid=grid, delta=float(delta), uu=g_t + g, uv=g,
-                       vu=g_tt + g_t, vv=g_t)
+    return SymbolTable(grid=grid, uu=g_t + g, uv=g, vu=g_tt + g_t, vv=g_t)
 
 
 @dataclass(frozen=True)

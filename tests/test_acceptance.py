@@ -15,6 +15,7 @@ from dissipwave import (EnergyLedger, InstabilityError, SolverConfig,
                         forward_transform, gaussian_bump, inverse_transform,
                         linear_solution, linear_step, make_grid, run_bands,
                         run_linear, run_semilinear, solve, state_from_fields)
+from dissipwave.analysis import fit_window_mask
 from dissipwave.grid import Field, SpectralField
 from dissipwave.oracle import dalembert, free_wave_multiplier, mode_ode_series
 from dissipwave.presets import HEAT_GAP_LABEL, profile_label
@@ -100,7 +101,7 @@ def test_acceptance_2_propagator_exactness():
     u0 = gaussian_bump(grid, 1.0, 1.0)
     u1 = gaussian_bump(grid, 0.3, 2.0)
     table = build_symbol_table(grid, 0.25)
-    state = state_from_fields(u0, u1, theta=3)
+    state = state_from_fields(u0, u1)
     for _ in range(64):
         state = linear_step(state, table)
     exact_u, exact_v = linear_solution(u0, u1, 16.0)
@@ -280,3 +281,13 @@ def test_norm_interpolation_along_trajectory(semi1d_run):
     l2 = semi1d_run.series["l2:u"]
     sup = semi1d_run.series["linf:u"]
     assert np.all(l2 <= np.sqrt(l1 * sup) * (1 + 1e-12))
+
+
+def test_semilinear_fits_see_every_configured_window_sample(semi1d_run,
+                                                            semi2d_run):
+    # supporting check: the recorded times are the configured snapshot
+    # times, so each fit window holds all 11 samples, its edges included
+    for run in (semi1d_run, semi2d_run):
+        preset = run.preset
+        assert run.times.tolist() == list(preset.snapshot_times)
+        assert int(fit_window_mask(run.times, preset.fit_window).sum()) == 11

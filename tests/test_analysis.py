@@ -100,7 +100,7 @@ def test_basic_energy_manufactured_state():
     u0 = Field(g, a * np.sin(k * g.axis_coords))
     u1 = Field(g, np.zeros(g.shape))
     led = EnergyLedger(sobolev_index=1)
-    led.record(state_from_fields(u0, u1, theta=2))
+    led.record(0.0, state_from_fields(u0, u1), 2)
     # gradient: (a^2 k^2/2) L; potential: (a^4/4) * (3/8) * (2L), mean of sin^4
     expected = 0.5 * a * a * k * k * 10.0 + (a**4 / 4.0) * (3.0 / 8.0) * 20.0
     assert led.energy[0] == pytest.approx(expected, rel=1e-12)
@@ -295,7 +295,7 @@ def test_energy_ledger_linear_balance():
     dt = 0.001
     for k in range(0, 1001):
         u, v = linear_solution(u0, u1, k * dt)
-        led.record(state_from_fields(u, v, theta=3, time=k * dt))
+        led.record(k * dt, state_from_fields(u, v), 3)
     assert led.balance_residual() < 1e-4 * led.energy[0]
     assert len(led.times) == 1001
 
@@ -309,7 +309,7 @@ def _linear_flow_balance(dt, t_final=2.0):
     led = EnergyLedger(sobolev_index=1)
     for k in range(int(round(t_final / dt)) + 1):
         u, v = linear_solution(u0, u1, k * dt)
-        led.record(state_from_fields(u, v, theta=7, time=k * dt))
+        led.record(k * dt, state_from_fields(u, v), 7)
     return led.balance_residual() / led.energy[0]
 
 
@@ -349,10 +349,10 @@ def test_energy_ledger_requires_increasing_times(grid1d):
     u0 = gaussian_bump(grid1d, 1.0, 1.0)
     u1 = Field(grid1d, np.zeros(grid1d.shape))
     led = EnergyLedger(sobolev_index=1)
-    st0 = state_from_fields(u0, u1, theta=2, time=0.0)
-    led.record(st0)
+    st0 = state_from_fields(u0, u1)
+    led.record(0.0, st0, 2)
     with pytest.raises(ValueError, match="increasing"):
-        led.record(st0)
+        led.record(0.0, st0, 2)
 
 
 def test_series_csv_format(tmp_path):

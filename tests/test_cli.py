@@ -12,6 +12,7 @@ import pytest
 
 from dissipwave import (ExperimentPreset, builtin_presets, preset_to_config,
                         read_snapshot)
+from dissipwave.analysis import read_series_csv
 from dissipwave.cli import (ConfigError, main, make_run_dir,
                             parse_config_text, resolve_preset)
 
@@ -159,17 +160,23 @@ def test_simulate_too_few_window_samples_exits_2(tmp_path, capsys):
     ["simulate", "--set", "kind=linear", "--set", "amplitude=nan"],
     ["simulate", "--set", "kind=linear", "--set", "snapshot_times=0.5,nan"],
     ["simulate", "--set", "kind=linear", "--set", "t_final=nan"],
+    ["energy-audit", "--mono-tol", "nan"],
+    ["energy-audit", "--mono-tol", "-1"],
+    ["energy-audit", "--mono-tol", "inf"],
+    ["energy-audit", "--balance-tol", "nan"],
 ], ids=["window-samples", "integrator", "off-grid-snapshot", "off-grid-dt",
         "delta-bar", "tol", "tol-nan", "width", "width-nan", "profile-r",
         "sobolev-index", "u0-file-missing", "u1-file-not-dwf1",
         "amplitude-nan", "linear-half-width-inf", "linear-amplitude-nan",
-        "linear-snapshot-nan", "linear-t-final-nan"])
+        "linear-snapshot-nan", "linear-t-final-nan", "mono-tol-nan",
+        "mono-tol-negative", "mono-tol-inf", "balance-tol-nan"])
 def test_bad_input_exits_2_before_any_run_directory(tmp_path, capsys, argv):
     out = tmp_path / "o"
     out.mkdir()
     path = _write_config(tmp_path, _tiny_preset())
     argv = [a.replace("CONFIG", path) for a in argv]
-    config = ["--config", path] if argv[0] == "simulate" else []
+    config = (["--config", path] if argv[0] in ("simulate", "energy-audit")
+              else [])
     code = main(argv[:1] + config + argv[1:] + ["--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err.splitlines()
@@ -247,6 +254,37 @@ def test_simulate_writes_snapshots(tmp_path, capsys):
     field, t = read_snapshot(snaps[0])
     assert t == pytest.approx(0.5, abs=1e-9)
     assert field.grid.points_per_dim == 64
+
+
+def test_series_times_are_the_configured_snapshot_times(tmp_path, capsys):
+    # a running sum of 0.04 steps lands off each of these times (25 steps
+    # sum to 1.0000000000000002); series.csv must hold the configured ones
+    times = (0.0, 0.4, 0.8, 1.0, 1.2, 1.6, 2.0)
+    p = _tiny_preset(dt=0.04, t_final=2.0, snapshot_times=times,
+                     reports=((math.inf, 0, 0),), fit_window=(0.4, 2.0))
+    path = _write_config(tmp_path, p)
+    assert main(["simulate", "--config", path,
+                 "--out", str(tmp_path / "o")]) in (0, 1)
+    run_dir = _only_run_dir(tmp_path / "o", "cli-tiny")
+    series = read_series_csv(run_dir / "series.csv")
+    assert set(series) == {"linf:u", "profile_r2:u"}
+    for recorded, _values in series.values():
+        assert [repr(float(t)) for t in recorded] == list(map(repr, times))
+
+
+def test_window_edge_sample_counted_before_the_run_is_fit(tmp_path, capsys):
+    # the pre-check counts the configured times in [1, 2]; the fit after
+    # the solve must see the same samples, the edge at t = 2 included
+    out = tmp_path / "o"
+    code = main(["simulate", "--config", "semi1d-theta3",
+                 "--set", "t_final=2.0",
+                 "--set", "snapshot_times=1.0,1.2,1.4,1.6,2.0",
+                 "--set", "fit_window_lo=1.0", "--set", "fit_window_hi=2.0",
+                 "--out", str(out)])
+    assert code in (0, 1)
+    assert capsys.readouterr().err == ""
+    manifest = (_only_run_dir(out, "semi1d-theta3") / "manifest.txt")
+    assert "verdict: error" not in manifest.read_text()
 
 
 def test_simulate_series_bytes_deterministic(tmp_path, capsys):

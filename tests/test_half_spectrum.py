@@ -185,7 +185,7 @@ def test_solver_and_linear_runner_raise_no_fft_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         solve(u0, Field(grid, np.zeros(grid.shape)), config,
-              observers=(lambda s: u_field(s),),
+              observers=(lambda t, s: u_field(s),),
               ledger=EnergyLedger(sobolev_index=1))
         run = run_linear(preset)
     assert len(run.times) == 3
@@ -194,7 +194,7 @@ def test_solver_and_linear_runner_raise_no_fft_warnings():
 def test_state_u_is_computed_once():
     grid = make_grid(1, 64, 8.0)
     state = state_from_fields(gaussian_bump(grid, 0.5, 1.0),
-                              Field(grid, np.zeros(grid.shape)), theta=3)
+                              Field(grid, np.zeros(grid.shape)))
     assert state.u is state.u
     assert np.max(np.abs(state.u - gaussian_bump(grid, 0.5, 1.0).values)) \
         < 1e-15

@@ -1,12 +1,13 @@
 """Experiment presets: validation, config round trips, tiny end-to-end runs."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dissipwave import (ExperimentPreset, builtin_presets, e0_norm,
-                        gaussian_bump, make_grid, preset_from_config,
+from dissipwave import (ExperimentPreset, build_symbol_table, builtin_presets,
+                        e0_norm, gaussian_bump, make_grid, preset_from_config,
                         preset_to_config, run_bands, run_experiment,
                         run_linear, run_semilinear, write_snapshot)
 from dissipwave.presets import HEAT_GAP_LABEL, _rounded_times, profile_label
@@ -132,6 +133,33 @@ def test_linear_run_includes_heat_gap():
     assert HEAT_GAP_LABEL in run.series
     assert run.series[HEAT_GAP_LABEL].shape == (2,)
     assert set(run.series) == {"linf:u", HEAT_GAP_LABEL}
+
+
+def test_linear_flow_second_time_derivative_has_no_source():
+    # u_tt of the linear flow is Lap u - u_t: at amplitude 1 a theta 3
+    # source would move the sup norm by order one
+    p = _tiny(kind="linear", amplitude=1.0, u1_amplitude=0.3,
+              reports=((math.inf, 0, 2),))
+    run = run_linear(p)
+    grid = p.grid
+    u0, u1 = p.initial_data()
+    for t, got in zip(run.times, run.series["linf:dt2_u"]):
+        u_hat, v_hat = build_symbol_table(grid, t).apply(
+            np.fft.rfftn(u0.values), np.fft.rfftn(u1.values))
+        utt = np.fft.irfftn(-grid.freq_sq * u_hat - v_hat, s=grid.shape,
+                            axes=(0,))
+        assert got == float(np.max(np.abs(utt)))
+
+
+def test_lin1d_second_time_derivative_meets_the_linear_rate():
+    # sup |u_tt| of the linear flow in 1d decays like t^(-5/2)
+    p = replace(builtin_presets()["lin1d"],
+                reports=((math.inf, 0, 0), (math.inf, 0, 2)))
+    report = run_linear(p).report()
+    row = report.rows[1]
+    assert row.quantity == "linf:dt2_u" and row.target == -2.5
+    assert row.slope == pytest.approx(-2.502, abs=1e-3)
+    assert report.passed
 
 
 def test_run_experiment_dispatch_matches_kind():

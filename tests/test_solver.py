@@ -1,6 +1,6 @@
 """Linear stepping, the two semilinear integrators, guards, derivatives."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -71,14 +71,11 @@ def test_apply_nonlinearity_signs_and_powers(rng):
 def test_linear_step_is_linear(grid1d, rng):
     table = build_symbol_table(grid1d, 0.3)
     s1 = state_from_fields(Field(grid1d, rng.standard_normal(grid1d.shape)),
-                           Field(grid1d, rng.standard_normal(grid1d.shape)),
-                           theta=3)
+                           Field(grid1d, rng.standard_normal(grid1d.shape)))
     s2 = state_from_fields(Field(grid1d, rng.standard_normal(grid1d.shape)),
-                           Field(grid1d, rng.standard_normal(grid1d.shape)),
-                           theta=3)
+                           Field(grid1d, rng.standard_normal(grid1d.shape)))
     combo = SolverState(grid=grid1d, u_hat=2.0 * s1.u_hat - 0.5 * s2.u_hat,
-                        v_hat=2.0 * s1.v_hat - 0.5 * s2.v_hat, time=0.0,
-                        theta=3)
+                        v_hat=2.0 * s1.v_hat - 0.5 * s2.v_hat)
     stepped = linear_step(combo, table)
     a, b = linear_step(s1, table), linear_step(s2, table)
     assert np.max(np.abs(stepped.u_hat - (2 * a.u_hat - 0.5 * b.u_hat))) < 1e-12
@@ -86,20 +83,19 @@ def test_linear_step_is_linear(grid1d, rng):
 
 
 def test_linear_step_semigroup(grid1d, bump1d):
-    state = state_from_fields(bump1d, _zero(grid1d), theta=3)
+    state = state_from_fields(bump1d, _zero(grid1d))
     two_half = linear_step(linear_step(state, build_symbol_table(grid1d, 0.4)),
                            build_symbol_table(grid1d, 0.4))
     one_full = linear_step(state, build_symbol_table(grid1d, 0.8))
     assert np.max(np.abs(two_half.u_hat - one_full.u_hat)) < 1e-10
     assert np.max(np.abs(two_half.v_hat - one_full.v_hat)) < 1e-10
-    assert two_half.time == pytest.approx(one_full.time)
 
 
 def test_repeated_linear_step_matches_linear_solution():
     g = make_grid(1, 128, 16.0)
     u0, u1 = gaussian_bump(g, 1.0, 1.0), _zero(g)
     table = build_symbol_table(g, 0.25)
-    state = state_from_fields(u0, u1, theta=3)
+    state = state_from_fields(u0, u1)
     for _ in range(16):
         state = linear_step(state, table)
     u_exact, v_exact = linear_solution(u0, u1, 4.0)
@@ -108,7 +104,7 @@ def test_repeated_linear_step_matches_linear_solution():
 
 def test_linear_step_grid_mismatch():
     g1, g2 = make_grid(1, 64, 8.0), make_grid(1, 128, 8.0)
-    state = state_from_fields(gaussian_bump(g1, 1.0, 1.0), _zero(g1), theta=3)
+    state = state_from_fields(gaussian_bump(g1, 1.0, 1.0), _zero(g1))
     with pytest.raises(ValueError, match="grid"):
         linear_step(state, build_symbol_table(g2, 0.1))
 
@@ -206,12 +202,11 @@ def test_solve_observers_and_ledger(grid1d, bump1d):
     seen = []
     led = EnergyLedger(sobolev_index=1)
     final = solve(bump1d, _zero(grid1d), cfg,
-                  observers=(lambda s: seen.append(s.time),), ledger=led)
-    assert len(seen) == 3
-    assert seen[0] == 0.0
-    assert seen[1] == pytest.approx(0.5, abs=1e-9)
-    assert len(led.times) == 11
-    assert final.time == pytest.approx(1.0, abs=1e-9)
+                  observers=(lambda t, s: seen.append((t, s)),), ledger=led)
+    # the configured times exactly, not a sum of dt increments
+    assert [t for t, _ in seen] == [0.0, 0.5, 1.0]
+    assert seen[-1][1] is final
+    assert led.times == [0.1 * k for k in range(10)] + [1.0]
 
 
 def test_solve_rejects_misaligned_snapshots(grid1d, bump1d):
@@ -224,32 +219,36 @@ def test_solve_rejects_misaligned_snapshots(grid1d, bump1d):
 
 
 def test_time_derivative_orders(grid1d, bump1d):
-    state = state_from_fields(bump1d, gaussian_bump(grid1d, 0.2, 1.5), theta=3)
-    assert np.array_equal(time_derivative(state, 0).values,
+    cfg = SolverConfig(theta=3, dt=0.1, t_final=1.0)
+    state = state_from_fields(bump1d, gaussian_bump(grid1d, 0.2, 1.5))
+    assert np.array_equal(time_derivative(state, 0, cfg).values,
                           u_field(state).values)
     # second order must satisfy the equation: u_tt = lap u - u_t - |u|^th u
     u = u_field(state).values
-    v = time_derivative(state, 1).values
+    v = time_derivative(state, 1, cfg).values
     lap = inverse_transform(
         SpectralField(grid1d, -grid1d.freq_sq * state.u_hat)).values
     expected = lap - v + apply_nonlinearity(u, 3)
-    got = time_derivative(state, 2).values
+    got = time_derivative(state, 2, cfg).values
     assert np.max(np.abs(got - expected)) < 1e-12
+    # the linear flow (no config) has no source: u_tt = lap u - u_t
+    linear = time_derivative(state, 2, None).values
+    assert np.max(np.abs(linear - (lap - v))) < 1e-12
+    assert np.max(np.abs(got - linear)) > 1e-3
     with pytest.raises(ValueError):
-        time_derivative(state, 3)
+        time_derivative(state, 3, cfg)
 
 
-def test_time_derivative_uses_the_state_sign(grid1d, bump1d):
+def test_time_derivative_uses_the_config_sign(grid1d, bump1d):
     # growth flow: u_tt = lap u - u_t + |u|^theta u
     cfg = SolverConfig(theta=3, dt=0.1, t_final=0.2, nonlin_sign=+1)
     state = solve(bump1d, gaussian_bump(grid1d, 0.2, 1.5), cfg)
-    assert state.nonlin_sign == +1
     u = u_field(state).values
-    v = time_derivative(state, 1).values
+    v = time_derivative(state, 1, cfg).values
     lap = inverse_transform(
         SpectralField(grid1d, -grid1d.freq_sq * state.u_hat)).values
     expected = lap - v + np.abs(u) ** 3 * u
-    got = time_derivative(state, 2).values
+    got = time_derivative(state, 2, cfg).values
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
@@ -264,9 +263,10 @@ def test_time_derivative_matches_finite_difference():
         _, v = linear_solution(u0, _zero(g), t)
         return v.values
 
-    state = state_from_fields(*linear_solution(u0, _zero(g), 1.0), theta=5)
+    state = state_from_fields(*linear_solution(u0, _zero(g), 1.0))
     fd = (v_at(1.0 + h) - v_at(1.0 - h)) / (2 * h)
-    utt = time_derivative(state, 2).values
+    cfg = SolverConfig(theta=5, dt=0.1, t_final=1.0)
+    utt = time_derivative(state, 2, cfg).values
     assert np.max(np.abs(fd - utt)) < 1e-8
 
 
@@ -274,7 +274,7 @@ def test_state_from_fields_grid_mismatch():
     g1, g2 = make_grid(1, 64, 8.0), make_grid(1, 64, 4.0)
     with pytest.raises(ValueError, match="grid"):
         state_from_fields(gaussian_bump(g1, 1.0, 1.0),
-                          Field(g2, np.zeros(g2.shape)), theta=3)
+                          Field(g2, np.zeros(g2.shape)))
 
 
 @settings(max_examples=15, deadline=None)
@@ -291,11 +291,38 @@ def test_linear_solution_semigroup_property(t, s):
     assert np.max(np.abs(vb.values - vc.values)) < 1e-10
 
 
-def test_step_semilinear_preserves_time_accounting(grid1d, bump1d):
-    cfg = SolverConfig(theta=2, dt=0.125, t_final=0.25, nonlin_sign=+1)
-    state = state_from_fields(bump1d, _zero(grid1d), theta=2)
+def test_solver_state_holds_the_flow_only(grid1d, bump1d):
+    # the equation is the config's and the clock is solve's: one step of
+    # either integrator is the flow solve reaches at t = dt
+    assert [f.name for f in fields(SolverState)] == ["grid", "u_hat", "v_hat"]
+    cfg = SolverConfig(theta=2, dt=0.125, t_final=0.125, nonlin_sign=+1)
+    state = state_from_fields(bump1d, _zero(grid1d))
     for integrator in ("exponential_duhamel", "reference_rk4"):
-        stepped = step_semilinear(state, replace(cfg, integrator=integrator))
-        assert stepped.time == pytest.approx(0.125)
-        assert stepped.theta == 2
-        assert stepped.nonlin_sign == +1
+        config = replace(cfg, integrator=integrator)
+        stepped = step_semilinear(state, config)
+        final = solve(bump1d, _zero(grid1d), config)
+        assert np.array_equal(stepped.u_hat, final.u_hat)
+        assert np.array_equal(stepped.v_hat, final.v_hat)
+
+
+def test_solve_makes_four_transforms_per_duhamel_step(grid1d, bump1d,
+                                                      monkeypatch):
+    # start-up: the two data transforms and the initial u; per step: the
+    # source at u_n and at the prediction (forward), the predicted u and
+    # the new u (inverse).  The guard, the ledger and the observers share
+    # each state's u, so a state rebuilt after its guard (for instance by
+    # dataclasses.replace) would add an inverse transform per step
+    from dissipwave import EnergyLedger
+    counts = {"rfftn": 0, "irfftn": 0}
+    for name in counts:
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    steps = 8
+    cfg = SolverConfig(theta=3, dt=0.125, t_final=steps * 0.125,
+                       snapshot_times=(0.0, 0.5, 1.0))
+    solve(bump1d, gaussian_bump(grid1d, 0.2, 1.5), cfg,
+          observers=(lambda t, s: s.u_sup,),
+          ledger=EnergyLedger(sobolev_index=1))
+    assert counts == {"rfftn": 2 + 2 * steps, "irfftn": 1 + 2 * steps}

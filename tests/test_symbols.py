@@ -107,7 +107,6 @@ def test_green_pair_pins_values():
 def test_symbol_table_structure():
     g = make_grid(1, 64, 8.0)
     table = build_symbol_table(g, 0.25)
-    assert table.delta == 0.25
     assert table.uv.shape == g.spectral_shape
     g_0, g_t = green_pair(g.freq_sq, 0.25)
     assert np.array_equal(table.uv, g_0) and np.array_equal(table.vv, g_t)

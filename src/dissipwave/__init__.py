@@ -21,10 +21,9 @@ from .grid import (Field, Grid, SpectralField, derivative_field,
                    spectral_derivative, write_snapshot)
 from .oracle import (dalembert, free_wave_multiplier, heat_reference,
                      mode_ode, mode_ode_series)
-from .presets import (BandRun, ExperimentPreset, ExperimentRun,
-                      builtin_presets, gaussian_bump, preset_from_config,
-                      preset_to_config, run_bands, run_experiment,
-                      run_linear, run_semilinear)
+from .presets import (ExperimentPreset, ExperimentRun, builtin_presets,
+                      gaussian_bump, preset_from_config, preset_to_config,
+                      run_bands, run_experiment, run_linear, run_semilinear)
 from .solver import (InstabilityError, SolverConfig, SolverState,
                      apply_nonlinearity, dealias_mask, linear_solution,
                      linear_step, solve, state_from_fields, step_semilinear,

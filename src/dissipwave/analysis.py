@@ -12,7 +12,7 @@ least-squares fits of log(value) against log(1 + t).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -110,12 +110,11 @@ def check_profile_r(r: float, n_dims: int) -> None:
             f"r must exceed max(n/2, 1) = {max(n_dims / 2.0, 1.0)}, got {r}")
 
 
-def weighted_profile(f: Field, t: float, r: float, derivative_order: int = 0) -> float:
-    """Spatially weighted amplitude sup_x |f| (1+t)^((n+a)/2) (1+|x|^2/(1+t))^r.
+def weighted_profile(f: Field, t: float, r: float) -> float:
+    """Spatially weighted amplitude sup_x |f| (1+t)^(n/2) (1+|x|^2/(1+t))^r.
 
     A bounded profile across time witnesses the pointwise decay rate
-    together with its spatial envelope.  Pass the derivative field and its
-    order a to shift the time exponent accordingly.
+    together with its spatial envelope.
     """
     n = f.grid.n_dims
     check_profile_r(r, n)
@@ -123,7 +122,7 @@ def weighted_profile(f: Field, t: float, r: float, derivative_order: int = 0) ->
         raise ValueError(f"t must be nonnegative, got {t}")
     envelope = (1.0 + f.grid.radius_sq / (1.0 + t)) ** r
     amp = float(np.max(np.abs(f.values) * envelope))
-    return amp * (1.0 + t) ** (0.5 * (n + derivative_order))
+    return amp * (1.0 + t) ** (0.5 * n)
 
 
 @dataclass(frozen=True)
@@ -242,6 +241,7 @@ class DecayRow:
     tolerance: float
     one_sided: bool
     passed: bool
+    r_squared: float  # of the fit; report.csv does not carry it
 
 
 @dataclass(frozen=True)
@@ -264,7 +264,7 @@ def judge(quantity: str, fit: FitResult, target: float, tolerance: float,
         ok = abs(fit.slope - target) <= tolerance
     return DecayRow(quantity=quantity, slope=fit.slope, stderr=fit.stderr,
                     target=target, tolerance=tolerance, one_sided=one_sided,
-                    passed=ok)
+                    passed=ok, r_squared=fit.r_squared)
 
 
 def decay_report(series: dict, requests, kind: str, n_dims: int,
@@ -283,6 +283,26 @@ def decay_report(series: dict, requests, kind: str, n_dims: int,
         rows.append(judge(label, fit, target, decay_tolerance(kind, h),
                           one_sided=kind == "semilinear" and h >= 1))
     return DecayReport(rows=tuple(rows), window=tuple(map(float, window)))
+
+
+def band_report(series: dict, n_dims: int) -> DecayReport:
+    """Verdicts on the band kernel sup norms, each fit over the span of its
+    own times: band 1 decays like the linear flow (sup slope -n/2, its
+    x-derivative -(n+1)/2, each within 0.10); the middle band decays
+    exponentially (log-slope against t at most -0.05, with r^2 >= 0.99)."""
+    def fit(label, fitter):
+        times, values = series[label]
+        return fitter(times, values, (times[0], times[-1]))
+
+    band2 = judge("linf:band2", fit("linf:band2", fit_exponential_rate),
+                  -0.05, 0.0, one_sided=True)
+    rows = (judge("linf:band1", fit("linf:band1", fit_decay_rate),
+                  -0.5 * n_dims, 0.10, one_sided=False),
+            judge("linf:dx_band1", fit("linf:dx_band1", fit_decay_rate),
+                  -0.5 * (n_dims + 1), 0.10, one_sided=False),
+            replace(band2, passed=band2.passed and band2.r_squared >= 0.99))
+    times = series["linf:band1"][0]
+    return DecayReport(rows=rows, window=(float(times[0]), float(times[-1])))
 
 
 def energy_audit(energy, diss_integral, mono_tol: float = MONO_TOL,

@@ -203,26 +203,12 @@ def cmd_verify_symbols(args, open_run):
 # ---------------------------------------------------------------------------
 # green-bands
 
-def _run_bands_cmd(preset: ExperimentPreset, open_run):
-    run_dir = open_run(preset.name, preset)
-    run = presets.run_bands(preset)
-    report = run.report()
-    fit2 = run.fits()["linf:band2"]
-    analysis.write_series_csv(run_dir / "series.csv", run.series_pairs())
-    analysis.write_report_csv(run_dir / "report.csv", report)
-    _print_report(report)
-    print(f"middle band exponential fit r^2 = {fit2.r_squared:.4f} "
-          f"(need >= 0.99)")
-    return report.passed, [
-        f"middle band log-linear fit r^2 = {fit2.r_squared:.6f}"]
-
-
 def cmd_green_bands(args, open_run):
     preset = resolve_preset(args.config, args.set, default_name="bands1d")
     if preset.kind != "bands":
         raise ConfigError(f"green-bands needs a bands preset, got kind="
                           f"{preset.kind!r}")
-    return _run_bands_cmd(preset, open_run)
+    return _run_experiment_cmd(preset, open_run, False)
 
 
 # ---------------------------------------------------------------------------
@@ -253,28 +239,32 @@ def _decay_report(preset: ExperimentPreset, series: dict) -> DecayReport:
 
 def _run_experiment_cmd(preset: ExperimentPreset, open_run,
                         with_snapshots: bool):
-    if preset.kind == "bands":
-        return _run_bands_cmd(preset, open_run)
-    if preset.reports:  # count the samples the fits will get
+    """Run a preset of any kind: the one writer of series.csv and report.csv."""
+    bands = preset.kind == "bands"
+    if preset.reports and not bands:  # count the samples the fits will get
         try:
             analysis.fit_window_mask(preset.snapshot_times, preset.fit_window)
         except ValueError as exc:
             raise ConfigError(f"{preset.name}: decay fit: {exc}") from exc
     run_dir = open_run(preset.name, preset)
 
-    sink = _snapshot_sink(run_dir) if with_snapshots else None
+    sink = _snapshot_sink(run_dir) if with_snapshots and not bands else None
     run = presets.run_experiment(preset, snapshot_sink=sink)
-    series = run.series_pairs()
-    report = _decay_report(preset, series)
-    analysis.write_series_csv(run_dir / "series.csv", series)
+    report = _decay_report(preset, run.series)
+    analysis.write_series_csv(run_dir / "series.csv", run.series)
     analysis.write_report_csv(run_dir / "report.csv", report)
+    _print_report(report)
+    if bands:
+        r_sq = next(r.r_squared for r in report.rows
+                    if r.quantity == "linf:band2")
+        print(f"middle band exponential fit r^2 = {r_sq:.4f} (need >= 0.99)")
+        return report.passed, [f"middle band log-linear fit r^2 = {r_sq:.6f}"]
     comments = [f"initial data size e0 = {run.e0!r}"]
     if run.ledger is not None:
         analysis.write_series_csv(run_dir / "energy.csv",
                                   run.ledger.series_pairs())
         comments.append(
             f"energy balance residual = {run.ledger.balance_residual()!r}")
-    _print_report(report)
     return report.passed, comments
 
 

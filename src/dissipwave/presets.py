@@ -1,9 +1,10 @@
 """Experiment presets and runners.
 
 A preset bundles a grid, Gaussian initial data, stepping parameters, the
-snapshot schedule, and the decay quantities to record.  Runners turn a
-preset into time series; the CLI and the acceptance suite both consume
-them.  Presets round-trip losslessly through the flat key=value config
+snapshot schedule, and the decay quantities to record.  Each runner turns
+a preset into one ExperimentRun whose series map every label to its own
+(times, values) pair; the CLI and the acceptance suite both consume it.
+Presets round-trip losslessly through the flat key=value config
 format, so a run's manifest can be fed back in as a config file.
 """
 
@@ -33,6 +34,15 @@ HEAT_GAP_LABEL = "linf:heat_gap"
 def _check_width(width: float) -> None:
     if not width > 0:
         raise ValueError(f"width must be positive, got {width}")
+
+
+def _check_times(name: str, times, positive: bool = False) -> None:
+    """A ValueError unless times is strictly increasing and, when positive
+    is set, starts above 0."""
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError(f"{name} must be strictly increasing, got {times}")
+    if positive and times and not times[0] > 0:
+        raise ValueError(f"{name} must be positive, got {times}")
 
 
 def gaussian_bump(grid: Grid, amplitude: float, width: float) -> Field:
@@ -83,6 +93,7 @@ class ExperimentPreset:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         self.grid  # validates dimension, point count, half width
+        _check_times("snapshot_times", self.snapshot_times)
         if self.kind == "semilinear":
             min_theta = 2 + math.floor(1.0 / self.n_dims)
             if self.theta < min_theta:
@@ -108,6 +119,8 @@ class ExperimentPreset:
             if min(len(self.band1_times), len(self.band2_times)) < MIN_FIT_POINTS:
                 raise ValueError(f"bands presets need at least {MIN_FIT_POINTS} "
                                  f"band1_times and band2_times")
+            _check_times("band1_times", self.band1_times, positive=True)
+            _check_times("band2_times", self.band2_times, positive=True)
 
     @property
     def grid(self) -> Grid:
@@ -149,75 +162,28 @@ class ExperimentPreset:
             snapshot_times=self.snapshot_times, delta_bar=self.delta_bar)
 
     def report(self, series: dict) -> analysis.DecayReport:
-        """Decay verdicts on the requested norms; series maps each quantity
-        label to its own (times, values) pair."""
+        """Verdicts on a run's series, which map each label to its own
+        (times, values) pair: the band rules for a bands preset, else the
+        decay targets of the requested norms."""
+        if self.kind == "bands":
+            return analysis.band_report(series, self.n_dims)
         return analysis.decay_report(series, self.reports, self.kind,
                                      self.n_dims, self.fit_window)
 
 
 @dataclass
 class ExperimentRun:
-    """Collected time series of one linear or semilinear run."""
+    """The recorded series of one run, {label: (times, values)}; a
+    semilinear run also keeps its energy ledger and every linear or
+    semilinear run its initial data size e0."""
 
     preset: ExperimentPreset
-    times: np.ndarray
     series: dict
     ledger: EnergyLedger | None = None
     e0: float = 0.0
 
-    def series_pairs(self) -> dict:
-        return {name: (self.times, vals) for name, vals in self.series.items()}
-
     def report(self) -> analysis.DecayReport:
-        return self.preset.report(self.series_pairs())
-
-
-@dataclass
-class BandRun:
-    """Sup-norm series of the low and middle band kernels."""
-
-    preset: ExperimentPreset
-    band1_times: np.ndarray
-    band1_sup: np.ndarray
-    band1_grad_sup: np.ndarray
-    band2_times: np.ndarray
-    band2_sup: np.ndarray
-
-    def series_pairs(self) -> dict:
-        return {"linf:band1": (self.band1_times, self.band1_sup),
-                "linf:dx_band1": (self.band1_times, self.band1_grad_sup),
-                "linf:band2": (self.band2_times, self.band2_sup)}
-
-    def fits(self):
-        """Fits of the three band series.
-
-        Band 1 sup norms follow power laws in 1 + t; the middle band decays
-        exponentially, so its log is fit against t directly.
-        """
-        w1 = (self.band1_times[0], self.band1_times[-1])
-        w2 = (self.band2_times[0], self.band2_times[-1])
-        return {
-            "linf:band1": analysis.fit_decay_rate(self.band1_times, self.band1_sup, w1),
-            "linf:dx_band1": analysis.fit_decay_rate(self.band1_times, self.band1_grad_sup, w1),
-            "linf:band2": analysis.fit_exponential_rate(self.band2_times, self.band2_sup, w2),
-        }
-
-    def report(self) -> analysis.DecayReport:
-        """Band 1 decays like the linear flow: sup slope -n/2, its
-        x-derivative -(n+1)/2, each within 0.10.  The middle band must decay
-        exponentially: log-slope at most -0.05 with fit r^2 >= 0.99."""
-        n = self.preset.n_dims
-        fits = self.fits()
-        band2 = analysis.judge("linf:band2", fits["linf:band2"], -0.05, 0.0,
-                               one_sided=True)
-        rows = (analysis.judge("linf:band1", fits["linf:band1"], -0.5 * n,
-                               0.10, one_sided=False),
-                analysis.judge("linf:dx_band1", fits["linf:dx_band1"],
-                               -0.5 * (n + 1), 0.10, one_sided=False),
-                replace(band2, passed=band2.passed
-                        and fits["linf:band2"].r_squared >= 0.99))
-        window = (float(self.band1_times[0]), float(self.band1_times[-1]))
-        return analysis.DecayReport(rows=rows, window=window)
+        return self.preset.report(self.series)
 
 
 def _norm_of(state: solver.SolverState, config: solver.SolverConfig | None,
@@ -245,13 +211,11 @@ def _norm_of(state: solver.SolverState, config: solver.SolverConfig | None,
 
 def _record_state(preset: ExperimentPreset,
                   config: solver.SolverConfig | None, t: float,
-                  state: solver.SolverState, times: list,
-                  series: dict) -> None:
-    times.append(t)
+                  state: solver.SolverState, values: dict) -> None:
     for p, a, h in preset.reports:
-        series[quantity_label(p, a, h)].append(_norm_of(state, config, p, a, h))
+        values[quantity_label(p, a, h)].append(_norm_of(state, config, p, a, h))
     if preset.kind == "semilinear":
-        series[profile_label(preset.profile_r)].append(
+        values[profile_label(preset.profile_r)].append(
             analysis.weighted_profile(solver.u_field(state), t,
                                       preset.profile_r))
 
@@ -263,6 +227,12 @@ def _empty_series(preset: ExperimentPreset) -> dict:
     if preset.kind == "linear":
         series[HEAT_GAP_LABEL] = []
     return series
+
+
+def _pairs(times, values: dict) -> dict:
+    """{label: (times, values)} for value lists sampled at the same times."""
+    times = np.asarray(times)
+    return {label: (times, np.asarray(v)) for label, v in values.items()}
 
 
 def run_linear(preset: ExperimentPreset, snapshot_sink=None) -> ExperimentRun:
@@ -277,19 +247,16 @@ def run_linear(preset: ExperimentPreset, snapshot_sink=None) -> ExperimentRun:
     u0, u1 = preset.initial_data()
     heat_data = forward_transform(Field(grid, u0.values + u1.values))
     start = solver.state_from_fields(u0, u1)
-    times: list = []
-    series = _empty_series(preset)
+    values = _empty_series(preset)
     for t in preset.snapshot_times:
         state = solver.linear_step(start, symbols.build_symbol_table(grid, t))
-        _record_state(preset, None, t, state, times, series)
+        _record_state(preset, None, t, state, values)
         u = solver.u_field(state)
         gap = u.values - oracle.heat_reference(heat_data, t).values
-        series[HEAT_GAP_LABEL].append(float(np.max(np.abs(gap))))
+        values[HEAT_GAP_LABEL].append(float(np.max(np.abs(gap))))
         if snapshot_sink is not None:
             snapshot_sink(float(t), u)
-    return ExperimentRun(preset=preset,
-                         times=np.asarray(times),
-                         series={k: np.asarray(v) for k, v in series.items()},
+    return ExperimentRun(preset, _pairs(preset.snapshot_times, values),
                          e0=analysis.e0_norm(u0, u1, preset.sobolev_s))
 
 
@@ -301,43 +268,36 @@ def run_semilinear(preset: ExperimentPreset, snapshot_sink=None) -> ExperimentRu
     config = preset.solver_config()
     ledger = EnergyLedger(sobolev_index=preset.sobolev_s)
     times: list = []
-    series = _empty_series(preset)
+    values = _empty_series(preset)
 
     def observer(t: float, state: solver.SolverState) -> None:
-        _record_state(preset, config, t, state, times, series)
+        times.append(t)
+        _record_state(preset, config, t, state, values)
         if snapshot_sink is not None:
             snapshot_sink(t, solver.u_field(state))
 
     solver.solve(u0, u1, config, observers=(observer,), ledger=ledger)
     e0 = ledger.u_sobolev[0] + ledger.ut_sobolev[0]  # = e0_norm(u0, u1, s)
-    return ExperimentRun(preset=preset,
-                         times=np.asarray(times),
-                         series={k: np.asarray(v) for k, v in series.items()},
-                         ledger=ledger, e0=e0)
+    return ExperimentRun(preset, _pairs(times, values), ledger=ledger, e0=e0)
 
 
-def run_bands(preset: ExperimentPreset) -> BandRun:
+def run_bands(preset: ExperimentPreset) -> ExperimentRun:
     """Sample sup norms of the band kernels over the preset's time lists."""
     if preset.kind != "bands":
         raise ValueError(f"preset {preset.name!r} is not a bands preset")
     grid = preset.grid
     spec = preset.cutoff_spec
-    b1_sup, b1_grad = [], []
+    band1: dict = {"linf:band1": [], "linf:dx_band1": []}
     for t in preset.band1_times:
         kernel = symbols.green_band(1, grid, t, spec)
-        b1_sup.append(float(np.max(np.abs(kernel.values))))
+        band1["linf:band1"].append(float(np.max(np.abs(kernel.values))))
         grad = derivative_field(kernel, (1,) + (0,) * (grid.n_dims - 1))
-        b1_grad.append(float(np.max(np.abs(grad.values))))
-    b2_sup = []
-    for t in preset.band2_times:
-        kernel = symbols.green_band(2, grid, t, spec)
-        b2_sup.append(float(np.max(np.abs(kernel.values))))
-    return BandRun(preset=preset,
-                   band1_times=np.asarray(preset.band1_times),
-                   band1_sup=np.asarray(b1_sup),
-                   band1_grad_sup=np.asarray(b1_grad),
-                   band2_times=np.asarray(preset.band2_times),
-                   band2_sup=np.asarray(b2_sup))
+        band1["linf:dx_band1"].append(float(np.max(np.abs(grad.values))))
+    band2 = [float(np.max(np.abs(symbols.green_band(2, grid, t, spec).values)))
+             for t in preset.band2_times]
+    return ExperimentRun(preset, {
+        **_pairs(preset.band1_times, band1),
+        **_pairs(preset.band2_times, {"linf:band2": band2})})
 
 
 def run_experiment(preset: ExperimentPreset, snapshot_sink=None):

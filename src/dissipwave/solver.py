@@ -257,10 +257,9 @@ def _step_rk4(state: SolverState, config: SolverConfig,
 
 
 def step_semilinear(state: SolverState, config: SolverConfig,
-                    cache: _StepCache | None = None) -> SolverState:
-    """One step of the configured integrator; solve guards the result."""
-    if cache is None:
-        cache = _make_step_cache(state.grid, config)
+                    cache: _StepCache) -> SolverState:
+    """One step of the configured integrator with the run's step cache;
+    solve guards the result."""
     if config.integrator == "reference_rk4":
         return _step_rk4(state, config, cache)
     return _step_duhamel(state, config, cache)
@@ -268,7 +267,8 @@ def step_semilinear(state: SolverState, config: SolverConfig,
 
 def step_schedule(config: SolverConfig) -> tuple[int, dict[int, float]]:
     """Step count and {step: snapshot time}; a ValueError if t_final or a
-    snapshot time is not a multiple of dt or a snapshot lies past t_final."""
+    snapshot time is not a multiple of dt, a snapshot lies past t_final or
+    two snapshots fall on one step."""
     n_steps = int(round(config.t_final / config.dt))
     if abs(n_steps * config.dt - config.t_final) > 1e-9 * max(1.0, config.t_final):
         raise ValueError(
@@ -281,6 +281,9 @@ def step_schedule(config: SolverConfig) -> tuple[int, dict[int, float]]:
                 f"snapshot time {t} is not a multiple of dt = {config.dt}")
         if k > n_steps:
             raise ValueError(f"snapshot time {t} lies beyond t_final")
+        if k in snaps:
+            raise ValueError(f"snapshot times {snaps[k]} and {t} fall on "
+                             f"one step of dt = {config.dt}")
         snaps[k] = t
     return n_steps, snaps
 

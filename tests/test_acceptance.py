@@ -176,8 +176,8 @@ def test_acceptance_5_semilinear_decay(semi1d_run, semi2d_run):
     s_2d = _row(rep2, "linf:u")
     s_2d_dt = _row(rep2, "linf:dt_u")
 
-    profile = semi1d_run.series[profile_label(2.0)]
-    i10 = int(np.argmin(np.abs(semi1d_run.times - 10.0)))
+    times, profile = semi1d_run.series[profile_label(2.0)]
+    i10 = int(np.argmin(np.abs(times - 10.0)))
     ratio = float(np.max(profile[i10:]) / profile[i10])
     profile_ok = ratio <= 3.0
 
@@ -195,11 +195,10 @@ def test_acceptance_5_semilinear_decay(semi1d_run, semi2d_run):
 
 def test_acceptance_6_band_decay(bands_run):
     report = bands_run.report()
-    fits = bands_run.fits()
     b1 = _row(report, "linf:band1")
     dx = _row(report, "linf:dx_band1")
     b2 = _row(report, "linf:band2")
-    r2 = fits["linf:band2"].r_squared
+    r2 = b2.r_squared
     ok = report.passed
     _verdict(6, "band decay", ok,
              f"low band slope {b1.slope:+.4f} (-0.5±0.10), "
@@ -247,8 +246,7 @@ def test_acceptance_8_oracle_agreement(lin1d_run):
                     float(np.max(np.abs(integral_half.values - sine))),
                     float(np.max(np.abs(sum_half.values - cosine))))
 
-    gap_fit = fit_decay_rate(lin1d_run.times,
-                             lin1d_run.series[HEAT_GAP_LABEL],
+    gap_fit = fit_decay_rate(*lin1d_run.series[HEAT_GAP_LABEL],
                              builtin_presets()["lin1d"].fit_window)
     ok = worst <= 1e-8 and gap_fit.slope < -0.6
     _verdict(8, "oracle agreement", ok,
@@ -277,9 +275,9 @@ def test_acceptance_9_a_priori_boundedness(semi1d_run, semi2d_run):
 
 def test_norm_interpolation_along_trajectory(semi1d_run):
     # supporting check: L2 <= sqrt(L1 * Linf) holds along the computed run
-    l1 = semi1d_run.series["l1:u"]
-    l2 = semi1d_run.series["l2:u"]
-    sup = semi1d_run.series["linf:u"]
+    l1 = semi1d_run.series["l1:u"][1]
+    l2 = semi1d_run.series["l2:u"][1]
+    sup = semi1d_run.series["linf:u"][1]
     assert np.all(l2 <= np.sqrt(l1 * sup) * (1 + 1e-12))
 
 
@@ -289,5 +287,6 @@ def test_semilinear_fits_see_every_configured_window_sample(semi1d_run,
     # times, so each fit window holds all 11 samples, its edges included
     for run in (semi1d_run, semi2d_run):
         preset = run.preset
-        assert run.times.tolist() == list(preset.snapshot_times)
-        assert int(fit_window_mask(run.times, preset.fit_window).sum()) == 11
+        for times, _ in run.series.values():
+            assert times.tolist() == list(preset.snapshot_times)
+            assert int(fit_window_mask(times, preset.fit_window).sum()) == 11

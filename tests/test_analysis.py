@@ -115,15 +115,15 @@ def test_weighted_profile_cancels_matching_bump():
     assert weighted_profile(f, t, r) == pytest.approx((1 + t) ** 0.5, rel=1e-12)
 
 
-def test_weighted_profile_derivative_exponent():
-    g = make_grid(1, 64, 8.0)
-    vals = np.zeros(g.shape)
-    vals[g.origin_index] = 1.0
-    f = Field(g, vals)
+def test_weighted_profile_time_exponent():
+    # a unit spike at the origin, where the envelope is 1, reads (1+t)^(n/2)
     t = 8.0
-    base = weighted_profile(f, t, 2.0)
-    with_order = weighted_profile(f, t, 2.0, derivative_order=1)
-    assert with_order == pytest.approx(base * (1 + t) ** 0.5, rel=1e-12)
+    for n in (1, 2):
+        g = make_grid(n, 64, 8.0)
+        vals = np.zeros(g.shape)
+        vals[g.origin_index] = 1.0
+        assert weighted_profile(Field(g, vals), t, 2.0) == pytest.approx(
+            (1 + t) ** (0.5 * n), rel=1e-12)
 
 
 def test_weighted_profile_monotone_in_r(grid1d, rng):

@@ -164,12 +164,21 @@ def test_simulate_too_few_window_samples_exits_2(tmp_path, capsys):
     ["energy-audit", "--mono-tol", "-1"],
     ["energy-audit", "--mono-tol", "inf"],
     ["energy-audit", "--balance-tol", "nan"],
+    ["simulate", "--set", "snapshot_times=0.5,0.5,0.6,0.7,0.8",
+     "--set", "reports=inf:0:0"],
+    ["simulate", "--set", "snapshot_times=0.5,0.5000000001,1.0"],
+    ["simulate", "--set", "snapshot_times=1.0,0.5"],
+    ["green-bands", "--set", "band1_times=80,10,20,40,60"],
+    ["green-bands", "--set", "band2_times=0,5,10,20,40"],
 ], ids=["window-samples", "integrator", "off-grid-snapshot", "off-grid-dt",
         "delta-bar", "tol", "tol-nan", "width", "width-nan", "profile-r",
         "sobolev-index", "u0-file-missing", "u1-file-not-dwf1",
         "amplitude-nan", "linear-half-width-inf", "linear-amplitude-nan",
         "linear-snapshot-nan", "linear-t-final-nan", "mono-tol-nan",
-        "mono-tol-negative", "mono-tol-inf", "balance-tol-nan"])
+        "mono-tol-negative", "mono-tol-inf", "balance-tol-nan",
+        "repeated-snapshot", "snapshots-on-one-step", "unsorted-snapshots",
+        "band1-times-unsorted",
+        "band2-times-zero"])
 def test_bad_input_exits_2_before_any_run_directory(tmp_path, capsys, argv):
     out = tmp_path / "o"
     out.mkdir()
@@ -529,6 +538,66 @@ def test_green_bands_rejects_non_bands_config(tmp_path, capsys):
     code = main(["green-bands", "--config", path, "--out", str(tmp_path / "o")])
     assert code == 2
     assert "bands preset" in capsys.readouterr().err
+
+
+def _load_perfbench_launch(monkeypatch):
+    """perfbench/launch.py as a module (it imports perfbench/layers.py)."""
+    import importlib.util
+
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    spec = importlib.util.spec_from_file_location("perfbench_launch",
+                                                  perfbench / "launch.py")
+    launch = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(launch)
+    return launch
+
+
+def test_each_kind_calls_its_runner_once_through_the_module(tmp_path, capsys,
+                                                           monkeypatch):
+    # the benchmark times a run by rebinding the presets runners on every
+    # dissipwave module and wraps the TRACED functions by name, so the CLI
+    # must reach each runner through the module, once per run, and every
+    # traced name must exist
+    import dissipwave
+    import dissipwave.presets as presets
+    launch = _load_perfbench_launch(monkeypatch)
+    for module, names in launch.TRACED.items():
+        for name in names:
+            assert callable(getattr(getattr(dissipwave, module), name, None)), \
+                f"{module}.{name}"
+
+    calls = dict.fromkeys(launch.RUN_CALLS, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    originals = {name: getattr(presets, name) for name in launch.RUN_CALLS}
+    wrappers = {name: counted(name, fn) for name, fn in originals.items()}
+    for name, fn in originals.items():
+        launch._rebind(fn, wrappers[name])
+    bands = ExperimentPreset(name="cli-bands", kind="bands", n_dims=1,
+                             grid_points=512, half_width=64.0, eps=0.45,
+                             outer_radius=2.0,
+                             band1_times=(2.0, 4.0, 8.0, 12.0, 16.0),
+                             band2_times=(1.0, 2.0, 3.0, 4.0, 5.0))
+    runs = [("simulate", _tiny_preset(name="cli-lin", kind="linear")),
+            ("simulate", _tiny_preset()), ("green-bands", bands)]
+    try:
+        for command, preset in runs:
+            path = _write_config(tmp_path, preset, name=f"{preset.name}.cfg")
+            code = main([command, "--config", path,
+                         "--out", str(tmp_path / "o")])
+            assert code in (0, 1)
+            assert (_only_run_dir(tmp_path / "o", preset.name)
+                    / "series.csv").exists()
+    finally:
+        for name, fn in originals.items():
+            launch._rebind(wrappers[name], fn)
+    assert calls == {"run_linear": 1, "run_semilinear": 1, "run_bands": 1}
 
 
 # ---------------------------------------------------------------------------

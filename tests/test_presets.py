@@ -113,11 +113,10 @@ def test_kind_dispatch_guards():
 def test_semilinear_tiny_run_series_shapes():
     p = _tiny()
     run = run_semilinear(p)
-    assert run.times.shape == (2,)
-    assert run.times[0] == pytest.approx(0.5, abs=1e-9)
     labels = {"linf:u", "l2:u", profile_label(p.profile_r)}
     assert set(run.series) == labels
-    for vals in run.series.values():
+    for times, vals in run.series.values():
+        assert times.tolist() == [0.5, 1.0]
         assert vals.shape == (2,)
         assert np.all(vals > 0)
     assert run.e0 > 0
@@ -131,7 +130,8 @@ def test_linear_run_includes_heat_gap():
     p = _tiny(kind="linear", theta=1, reports=((math.inf, 0, 0),))
     run = run_linear(p)
     assert HEAT_GAP_LABEL in run.series
-    assert run.series[HEAT_GAP_LABEL].shape == (2,)
+    times, gap = run.series[HEAT_GAP_LABEL]
+    assert times.tolist() == [0.5, 1.0] and gap.shape == (2,)
     assert set(run.series) == {"linf:u", HEAT_GAP_LABEL}
 
 
@@ -143,7 +143,7 @@ def test_linear_flow_second_time_derivative_has_no_source():
     run = run_linear(p)
     grid = p.grid
     u0, u1 = p.initial_data()
-    for t, got in zip(run.times, run.series["linf:dt2_u"]):
+    for t, got in zip(*run.series["linf:dt2_u"]):
         u_hat, v_hat = build_symbol_table(grid, t).apply(
             np.fft.rfftn(u0.values), np.fft.rfftn(u1.values))
         utt = np.fft.irfftn(-grid.freq_sq * u_hat - v_hat, s=grid.shape,
@@ -206,13 +206,15 @@ def test_tiny_bands_run_shapes():
                          band1_times=(2.0, 4.0, 8.0, 12.0, 16.0),
                          band2_times=(1.0, 2.0, 3.0, 4.0, 5.0))
     run = run_bands(p)
-    assert run.band1_sup.shape == (5,)
-    assert run.band2_sup.shape == (5,)
-    fits = run.fits()
-    assert set(fits) == {"linf:band1", "linf:dx_band1", "linf:band2"}
-    assert all(f.n_points == 5 for f in fits.values())
+    assert list(run.series) == ["linf:band1", "linf:dx_band1", "linf:band2"]
+    for label, (times, vals) in run.series.items():
+        band = p.band2_times if label == "linf:band2" else p.band1_times
+        assert times.tolist() == list(band) and vals.shape == (5,)
+    report = run.report()
+    assert [r.quantity for r in report.rows] == list(run.series)
+    assert report.window == (2.0, 16.0)
     # the middle band decays monotonically from the start
-    assert np.all(np.diff(run.band2_sup) < 0)
+    assert np.all(np.diff(run.series["linf:band2"][1]) < 0)
 
 
 def test_report_runs_on_tiny_series():

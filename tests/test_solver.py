@@ -13,7 +13,8 @@ from dissipwave import (Field, InstabilityError, SolverConfig, SolverState,
                         linear_solution, linear_step, make_grid, solve,
                         state_from_fields)
 from dissipwave.grid import SpectralField
-from dissipwave.solver import step_semilinear, time_derivative, u_field
+from dissipwave.solver import (_make_step_cache, step_semilinear,
+                              time_derivative, u_field)
 
 
 def _zero(grid):
@@ -216,6 +217,12 @@ def test_solve_rejects_misaligned_snapshots(grid1d, bump1d):
     cfg = SolverConfig(theta=3, dt=0.3, t_final=1.0)
     with pytest.raises(ValueError, match="t_final"):
         solve(bump1d, _zero(grid1d), cfg)
+    # both round to step 25 within the alignment slack; keeping one would
+    # record fewer samples than were configured
+    cfg = SolverConfig(theta=3, dt=0.04, t_final=2.0,
+                       snapshot_times=(1.0, 1.0000000001))
+    with pytest.raises(ValueError, match="fall on one step"):
+        solve(bump1d, _zero(grid1d), cfg)
 
 
 def test_time_derivative_orders(grid1d, bump1d):
@@ -299,7 +306,8 @@ def test_solver_state_holds_the_flow_only(grid1d, bump1d):
     state = state_from_fields(bump1d, _zero(grid1d))
     for integrator in ("exponential_duhamel", "reference_rk4"):
         config = replace(cfg, integrator=integrator)
-        stepped = step_semilinear(state, config)
+        stepped = step_semilinear(state, config,
+                                  _make_step_cache(grid1d, config))
         final = solve(bump1d, _zero(grid1d), config)
         assert np.array_equal(stepped.u_hat, final.u_hat)
         assert np.array_equal(stepped.v_hat, final.v_hat)

@@ -13,10 +13,11 @@ conjugate partner, which mode_multiplicity records for sums over modes.
 The forward transform is the plain (unnormalized) DFT sum; the inverse
 carries the 1/N factor per axis and returns a real field by construction.
 
-An exponential Duhamel step then costs four half-size transforms: the
-inverse of the state (shared with the energy ledger and the guard), the
-forward transform of the source, the inverse of the predicted state and
-the forward transform of its source.
+An exponential Duhamel step then costs two half-size transforms: the
+inverse of the state (shared with the energy ledger and the guard) and
+the forward transform of its source.  The step is third-order exponential
+Adams-Bashforth and reuses the source spectra of earlier steps (see
+solver).
 """
 
 from __future__ import annotations

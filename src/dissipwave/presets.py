@@ -114,7 +114,9 @@ class ExperimentPreset:
             solver.step_schedule(self.solver_config())  # validates the dt grid
             analysis.check_profile_r(self.profile_r, self.n_dims)
         if self.kind == "bands":
-            symbols.CutoffSpec(self.eps, self.outer_radius)  # validates
+            for band in (1, 2):  # the run samples both transitions
+                symbols._check_band_resolution(band, self.grid,
+                                               self.cutoff_spec)
             # each band series is fit over its own times
             if min(len(self.band1_times), len(self.band2_times)) < MIN_FIT_POINTS:
                 raise ValueError(f"bands presets need at least {MIN_FIT_POINTS} "

@@ -170,6 +170,7 @@ def test_simulate_too_few_window_samples_exits_2(tmp_path, capsys):
     ["simulate", "--set", "snapshot_times=1.0,0.5"],
     ["green-bands", "--set", "band1_times=80,10,20,40,60"],
     ["green-bands", "--set", "band2_times=0,5,10,20,40"],
+    ["green-bands", "--set", "grid_points=16", "--set", "half_width=2"],
 ], ids=["window-samples", "integrator", "off-grid-snapshot", "off-grid-dt",
         "delta-bar", "tol", "tol-nan", "width", "width-nan", "profile-r",
         "sobolev-index", "u0-file-missing", "u1-file-not-dwf1",
@@ -178,7 +179,7 @@ def test_simulate_too_few_window_samples_exits_2(tmp_path, capsys):
         "mono-tol-negative", "mono-tol-inf", "balance-tol-nan",
         "repeated-snapshot", "snapshots-on-one-step", "unsorted-snapshots",
         "band1-times-unsorted",
-        "band2-times-zero"])
+        "band2-times-zero", "band-grid-unresolved"])
 def test_bad_input_exits_2_before_any_run_directory(tmp_path, capsys, argv):
     out = tmp_path / "o"
     out.mkdir()

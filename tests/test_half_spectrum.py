@@ -52,14 +52,20 @@ class FullReference:
         self.g_t = green_hat_dt(xi_sq, dt)
         self.g_tt = -self.g_t - xi_sq * self.g
         self.mask = _full_dealias_mask(grid) if config.dealias_enabled else 1.0
+        # exponential Adams-Bashforth 3: the weights of F_n, F_{n-1},
+        # F_{n-2}, quadratic Lagrange basis through s/dt = 0, -1, -2
         nodes, weights = np.polynomial.legendre.leggauss(8)
-        self.w = [np.zeros(grid.shape) for _ in range(4)]
+        self.wu = [np.zeros(grid.shape) for _ in range(3)]
+        self.wv = [np.zeros(grid.shape) for _ in range(3)]
         for s, w in zip(0.5 * dt * (nodes + 1.0), 0.5 * dt * weights):
             ker, ker_t = green_hat(xi_sq, dt - s), green_hat_dt(xi_sq, dt - s)
-            for out, term in zip(self.w, ((1 - s / dt) * ker, (s / dt) * ker,
-                                          (1 - s / dt) * ker_t,
-                                          (s / dt) * ker_t)):
-                out += w * term
+            tau = s / dt
+            basis = ((tau + 1) * (tau + 2) / 2, -tau * (tau + 2),
+                     tau * (tau + 1) / 2)
+            for wu, wv, b in zip(self.wu, self.wv, basis):
+                wu += w * b * ker
+                wv += w * b * ker_t
+        self.history = None
 
     def source(self, u_hat):
         u = np.fft.ifftn(u_hat).real
@@ -69,11 +75,22 @@ class FullReference:
     def duhamel(self, u_hat, v_hat):
         g, g_t, g_tt = self.g, self.g_t, self.g_tt
         f0 = self.source(u_hat)
-        pu = (g_t + g) * u_hat + g * v_hat
-        pv = (g_tt + g_t) * u_hat + g_t * v_hat
-        f1 = self.source(pu)
-        w0, w1, wt0, wt1 = self.w
-        return pu + w0 * f0 + w1 * f1, pv + wt0 * f0 + wt1 * f1
+        if self.history is None:
+            # Taylor seed from the exact source rate sign (theta+1)|u|^theta u_t
+            u, u_t = np.fft.ifftn(u_hat).real, np.fft.ifftn(v_hat).real
+            theta = self.config.theta
+            rate = np.fft.fftn(self.config.nonlin_sign * (theta + 1)
+                               * np.abs(u) ** theta * u_t) * self.mask
+            dt = self.config.dt
+            self.history = (f0 - dt * rate, f0 - 2 * dt * rate)
+        sources = (f0, *self.history)
+        self.history = (f0, self.history[0])
+        u_new = (g_t + g) * u_hat + g * v_hat
+        v_new = (g_tt + g_t) * u_hat + g_t * v_hat
+        for f, wu, wv in zip(sources, self.wu, self.wv):
+            u_new = u_new + wu * f
+            v_new = v_new + wv * f
+        return u_new, v_new
 
     def rk4(self, u_hat, v_hat):
         dt = self.config.dt

@@ -130,19 +130,29 @@ def test_integrators_agree_at_small_dt():
     assert np.max(np.abs(outs[0] - outs[1])) < 1e-6
 
 
-def test_duhamel_second_order_convergence():
-    g = make_grid(1, 64, 8.0)
-    u0 = gaussian_bump(g, 1.0, 1.0)
-
+def _duhamel_order(u0, u1):
     def run(dt):
         cfg = SolverConfig(theta=3, dt=dt, t_final=0.5,
                            integrator="exponential_duhamel")
-        return u_field(solve(u0, _zero(g), cfg)).values
+        return u_field(solve(u0, u1, cfg)).values
 
     ref = run(0.5 / 512)
     e1 = np.max(np.abs(run(0.05) - ref))
     e2 = np.max(np.abs(run(0.025) - ref))
-    assert np.log2(e1 / e2) > 1.8
+    return np.log2(e1 / e2)
+
+
+def test_duhamel_third_order_convergence():
+    g = make_grid(1, 64, 8.0)
+    assert _duhamel_order(gaussian_bump(g, 1.0, 1.0), _zero(g)) > 2.8
+
+
+def test_duhamel_seeded_start_keeps_third_order():
+    # nonzero u_t: the Taylor seed of the source history carries the rate
+    # F_t; a constant start (F_{-1} = F_{-2} = F_0) reads order 1.4
+    g = make_grid(1, 64, 8.0)
+    assert _duhamel_order(gaussian_bump(g, 1.0, 1.0),
+                          gaussian_bump(g, 0.8, 1.2)) > 2.8
 
 
 def test_rk4_fourth_order_convergence():
@@ -306,19 +316,20 @@ def test_solver_state_holds_the_flow_only(grid1d, bump1d):
     state = state_from_fields(bump1d, _zero(grid1d))
     for integrator in ("exponential_duhamel", "reference_rk4"):
         config = replace(cfg, integrator=integrator)
-        stepped = step_semilinear(state, config,
-                                  _make_step_cache(grid1d, config))
+        stepped, _ = step_semilinear(state, config,
+                                     _make_step_cache(grid1d, config), None)
         final = solve(bump1d, _zero(grid1d), config)
         assert np.array_equal(stepped.u_hat, final.u_hat)
         assert np.array_equal(stepped.v_hat, final.v_hat)
 
 
-def test_solve_makes_four_transforms_per_duhamel_step(grid1d, bump1d,
-                                                      monkeypatch):
-    # start-up: the two data transforms and the initial u; per step: the
-    # source at u_n and at the prediction (forward), the predicted u and
-    # the new u (inverse).  The guard, the ledger and the observers share
-    # each state's u, so a state rebuilt after its guard (for instance by
+def test_solve_makes_two_transforms_per_duhamel_step(grid1d, bump1d,
+                                                     monkeypatch):
+    # start-up: the two data transforms, the initial u, and the seed of the
+    # source history (the inverse of u_t, the forward transform of the
+    # source rate); per step: the source at u_n (forward) and the new u
+    # (inverse).  The guard, the ledger and the observers share each
+    # state's u, so a state rebuilt after its guard (for instance by
     # dataclasses.replace) would add an inverse transform per step
     from dissipwave import EnergyLedger
     counts = {"rfftn": 0, "irfftn": 0}
@@ -333,4 +344,4 @@ def test_solve_makes_four_transforms_per_duhamel_step(grid1d, bump1d,
     solve(bump1d, gaussian_bump(grid1d, 0.2, 1.5), cfg,
           observers=(lambda t, s: s.u_sup,),
           ledger=EnergyLedger(sobolev_index=1))
-    assert counts == {"rfftn": 2 + 2 * steps, "irfftn": 1 + 2 * steps}
+    assert counts == {"rfftn": 3 + steps, "irfftn": 2 + steps}

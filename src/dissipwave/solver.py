@@ -219,6 +219,7 @@ def _make_step_cache(grid: Grid, config: SolverConfig) -> _StepCache:
 
 def _masked_hat(values: np.ndarray, cache: _StepCache,
                 out: np.ndarray | None = None) -> np.ndarray:
+    # numpy.fft takes out= from numpy 2.0, the floor pyproject.toml declares
     f_hat = np.fft.rfftn(values, out=out)
     if cache.mask is not None:
         f_hat *= cache.mask

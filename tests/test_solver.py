@@ -1,6 +1,8 @@
 """Linear stepping, the two semilinear integrators, guards, derivatives."""
 
+import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -345,3 +347,12 @@ def test_solve_makes_two_transforms_per_duhamel_step(grid1d, bump1d,
           observers=(lambda t, s: s.u_sup,),
           ledger=EnergyLedger(sobolev_index=1))
     assert counts == {"rfftn": 3 + steps, "irfftn": 2 + steps}
+
+
+def test_declared_numpy_floor_has_the_fft_out_argument():
+    # the Duhamel step writes each source spectrum into its recycled
+    # buffer through numpy.fft's out=, which numpy 2.0 added; an older
+    # numpy raises TypeError on every semilinear step
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    floor = re.search(r'"numpy>=(\d+)', text)
+    assert floor is not None and int(floor.group(1)) >= 2

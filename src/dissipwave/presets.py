@@ -337,21 +337,22 @@ def builtin_presets() -> dict[str, ExperimentPreset]:
         reports=((sup, 0, 0),))
     # semilinear amplitudes put the Sobolev data size near 0.1; the widths
     # and steps keep the energy-balance residual under 1e-6 E(0).  The
-    # quadrature of the ledger's fourth-order dissipation integral, not the
-    # solver, sets that residual: 4.6e-7 E(0) for semi1d at dt 0.04
+    # quadrature of the ledger's sixth-order dissipation integral, not the
+    # solver, sets that residual: 2.7e-8 E(0) for semi1d at dt 0.1.  The
+    # semi2d step divides 1.0, 1.5 and 2.0, the snapshot times of short cuts
     semi1d = ExperimentPreset(
         name="semi1d-theta3", kind="semilinear", n_dims=1, grid_points=4096,
-        half_width=200.0, amplitude=0.0485, width=2.0, theta=3, dt=0.04,
+        half_width=200.0, amplitude=0.0485, width=2.0, theta=3, dt=0.1,
         t_final=100.0,
-        snapshot_times=_rounded_times(1.0, 100.0, 30, 0.04, include=(10.0,)),
+        snapshot_times=_rounded_times(1.0, 100.0, 30, 0.1, include=(10.0,)),
         fit_window=(20.0, 100.0),
         reports=((sup, 0, 0), (2, 0, 0), (1, 0, 0), (sup, 0, 1)),
         profile_r=2.0)
     semi2d = ExperimentPreset(
         name="semi2d-theta2", kind="semilinear", n_dims=2, grid_points=256,
-        half_width=80.0, amplitude=0.0226, width=2.0, theta=2, dt=0.02,
+        half_width=80.0, amplitude=0.0226, width=2.0, theta=2, dt=0.025,
         t_final=50.0,
-        snapshot_times=_rounded_times(1.0, 50.0, 25, 0.02, include=(10.0,)),
+        snapshot_times=_rounded_times(1.0, 50.0, 25, 0.025, include=(10.0,)),
         fit_window=(10.0, 50.0),
         reports=((sup, 0, 0), (sup, 0, 1)),
         profile_r=2.0)

@@ -141,11 +141,15 @@ def apply_nonlinearity(u: np.ndarray, theta: int, sign: int = -1) -> np.ndarray:
 
 
 def _abs_power(u: np.ndarray, theta: int) -> np.ndarray:
-    """|u|^theta for a positive integer theta (see apply_nonlinearity)."""
-    u_sq = u * u
-    if theta % 2 == 0:
-        return u_sq ** (theta // 2)
-    return np.abs(u) * (u_sq ** ((theta - 1) // 2) if theta > 1 else 1.0)
+    """|u|^theta for a positive integer theta (see apply_nonlinearity), a
+    fresh array from products only and at most one temporary: numpy takes
+    array ** k through libm pow for every k above 2."""
+    power = np.abs(u) if theta % 2 else u * u
+    if theta > 2:
+        u_sq = u * u
+        for _ in range((theta - 1) // 2):
+            power *= u_sq
+    return power
 
 
 def linear_solution(u0: Field, u1: Field, t: float) -> tuple[Field, Field]:

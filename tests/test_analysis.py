@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import cumulative_simpson
 from scipy.stats import linregress
 
 from dissipwave import (EnergyLedger, Field, builtin_presets, decay_report,
@@ -313,15 +312,16 @@ def _linear_flow_balance(dt, t_final=2.0):
     return led.balance_residual() / led.energy[0]
 
 
-def test_energy_ledger_balance_is_fourth_order():
+def test_energy_ledger_balance_is_sixth_order():
     residuals = [_linear_flow_balance(dt) for dt in (0.1, 0.05, 0.025)]
     orders = np.log2(np.array(residuals[:-1]) / np.array(residuals[1:]))
-    assert np.all(orders >= 3.5), (residuals, orders)
+    assert np.all(orders >= 5.5), (residuals, orders)
 
 
 def test_energy_ledger_semi1d_data_at_dt_0_04():
-    # the built-in semi1d-theta3 data up to t = 2 at its step: u_t(0) = 0,
-    # so the first intervals carry the steepest relative change of the rate
+    # the built-in semi1d-theta3 data up to t = 2 at dt 0.04, a finer step
+    # than the preset's: u_t(0) = 0, so the first intervals carry the
+    # steepest relative change of the rate
     preset = replace(builtin_presets()["semi1d-theta3"], dt=0.04,
                      t_final=2.0, snapshot_times=())
     u0, u1 = preset.initial_data()
@@ -331,18 +331,37 @@ def test_energy_ledger_semi1d_data_at_dt_0_04():
     assert led.balance_residual() <= 1e-6 * led.energy[0]
 
 
-def test_dissipation_integral_matches_scipy_cumulative_simpson_bitwise():
-    # lengths 1 and 2 take the trapezoid; odd and even lengths split the
-    # intervals between the forward and backward quadratics differently
+@pytest.mark.parametrize("jitter", [0.0, 1e-9])
+def test_dissipation_integral_is_sixth_order(jitter):
+    # a smooth rate on equispaced times, and on times off the grid by up to
+    # 1e-9 relative, as snapshot steps are stamped with their set times
     rng = np.random.default_rng(20081018)
-    assert EnergyLedger(sobolev_index=1).dissipation_integral.shape == (0,)
-    for n in range(1, 65):
-        times = np.cumsum(rng.uniform(0.01, 1.0, n))
-        rates = rng.uniform(0.0, 2.0, n)
+    errors = []
+    for n in (41, 81, 161):
+        times = np.linspace(0.0, 2.0, n) * (1.0 + jitter * rng.uniform(-1, 1, n))
+        rates = np.exp(-times) * np.cos(3.0 * times)
+        exact = (np.exp(-times) * (3.0 * np.sin(3.0 * times)
+                                   - np.cos(3.0 * times)) + 1.0) / 10.0
         led = EnergyLedger(sobolev_index=1, times=list(times),
                            diss_rate=list(rates))
-        ref = cumulative_simpson(rates, x=times, initial=0.0)
-        assert led.dissipation_integral.tobytes() == ref.tobytes(), n
+        errors.append(float(np.max(np.abs(led.dissipation_integral - exact))))
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all(orders >= 5.5), orders
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_dissipation_integral_is_exact_for_polynomials(n):
+    # n records fix a polynomial of degree n - 1, and six records a quintic
+    assert EnergyLedger(sobolev_index=1).dissipation_integral.shape == (0,)
+    rng = np.random.default_rng(n)
+    times = np.cumsum(rng.uniform(0.1, 1.0, n))
+    rate = np.polynomial.Polynomial(rng.standard_normal(min(n, 6)))
+    led = EnergyLedger(sobolev_index=1, times=list(times),
+                       diss_rate=list(rate(times)))
+    exact = rate.integ()(times) - rate.integ()(times[0])
+    assert led.dissipation_integral.shape == (n,)
+    np.testing.assert_allclose(led.dissipation_integral, exact, rtol=0,
+                               atol=1e-12 * max(1.0, np.max(np.abs(exact))))
 
 
 def test_energy_ledger_requires_increasing_times(grid1d):

@@ -475,6 +475,16 @@ def test_energy_audit_bad_run_input_exits_2(tmp_path, capsys, energy_text):
     assert list(out.iterdir()) == []  # validated before any run directory
 
 
+def test_energy_audit_passes_small_semi1d_data(tmp_path, capsys):
+    # small data (E(0) near 2e-3) whose balance residual a fourth-order
+    # ledger quadrature put over its bound: 1.931e-9 against 1.911e-9
+    code = main(["energy-audit", "--config", "semi1d-theta3",
+                 "--set", "width=3.0", "--set", "u1_amplitude=-0.02425",
+                 "--out", str(tmp_path / "o")])
+    assert code == 0
+    assert "balance residual" in capsys.readouterr().out
+
+
 def test_energy_audit_requires_semilinear(tmp_path, capsys):
     code = main(["energy-audit", "--config", "lin1d",
                  "--out", str(tmp_path / "o")])

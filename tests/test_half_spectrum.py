@@ -126,27 +126,29 @@ class FullReference:
             energies.append(energy)
             rates.append(rate)
         return (np.fft.ifftn(u_hat).real, np.array(energies),
-                _cumulative_simpson(rates, self.config.dt))
+                _cumulative_quintic(rates, self.config.dt))
 
 
-def _cumulative_simpson(f, dt):
-    """Cumulative integral of equally spaced samples f, 0 at the first.
+def _cumulative_quintic(f, dt):
+    """Cumulative integral of equally spaced samples f (at least 6), 0 at
+    the first.
 
-    Interval i integrates the quadratic through the samples j, j+1, j+2
-    with j = i rounded down to even (the last interval of an odd count
-    uses the last three samples): dt/12 (5 f_j + 8 f_j+1 - f_j+2) for the
-    first interval of that triple, dt/12 (-f_j + 8 f_j+1 + 5 f_j+2) for
-    the second.
+    Interval i integrates the quintic through the samples j .. j+5 with
+    j = i - 2 clamped to [0, len(f) - 6], so the two intervals at each end
+    take a stencil shifted inward.  In units of dt/1440 the weights are
+    (11, -93, 802, 802, -93, 11) inside, (475, 1427, -798, 482, -173, 27)
+    and (-27, 637, 1022, -258, 77, -11) for the first and second interval,
+    mirrored for the last and second to last.
     """
+    interior = (11, -93, 802, 802, -93, 11)
+    first = (475, 1427, -798, 482, -173, 27)
+    second = (-27, 637, 1022, -258, 77, -11)
+    by_offset = (first, second, interior, second[::-1], first[::-1])
     n = len(f) - 1
     pieces = np.empty(n)
     for i in range(n):
-        j = min(i - i % 2, n - 2)
-        f0, f1, f2 = f[j:j + 3]
-        if i == j:
-            pieces[i] = dt / 12.0 * (5.0 * f0 + 8.0 * f1 - f2)
-        else:
-            pieces[i] = dt / 12.0 * (-f0 + 8.0 * f1 + 5.0 * f2)
+        j = min(max(i - 2, 0), n - 5)
+        pieces[i] = dt / 1440.0 * np.dot(by_offset[i - j], f[j:j + 6])
     return np.concatenate(([0.0], np.cumsum(pieces)))
 
 

@@ -11,6 +11,7 @@ from dissipwave import (ExperimentPreset, build_symbol_table, builtin_presets,
                         preset_to_config, run_bands, run_experiment,
                         run_linear, run_semilinear, write_snapshot)
 from dissipwave.presets import HEAT_GAP_LABEL, _rounded_times, profile_label
+from dissipwave.solver import step_schedule
 
 
 def _tiny(**over):
@@ -74,6 +75,16 @@ def test_rounded_times_are_dt_multiples():
     assert ts == tuple(sorted(set(ts)))
     for t in ts:
         assert abs(round(t / 0.05) * 0.05 - t) < 1e-9
+
+
+def test_semi2d_step_divides_the_short_cut_times():
+    # a short semi2d run stops at t = 2 with snapshots at 1.0, 1.5 and 2.0;
+    # a preset step that does not divide them fails the schedule
+    cut = replace(builtin_presets()["semi2d-theta2"], t_final=2.0,
+                  snapshot_times=(1.0, 1.5, 2.0))
+    n_steps, snaps = step_schedule(cut.solver_config())
+    assert n_steps * cut.dt == pytest.approx(2.0)
+    assert sorted(snaps.values()) == [1.0, 1.5, 2.0]
 
 
 def test_theta_floor_depends_on_dimension():

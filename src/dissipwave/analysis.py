@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,13 +54,18 @@ def spectral_l2_sq(grid: Grid, coeffs: np.ndarray, weight=None) -> float:
     return float(np.sum(_power(coeffs) * weight))
 
 
+def check_lp_exponent(p) -> None:
+    """A ValueError unless p is a real >= 1 or inf."""
+    if not p >= 1:
+        raise ValueError(f"p must be >= 1 or inf, got {p}")
+
+
 def lp_norm(f: Field, p) -> float:
     """L^p norm on the box; p may be 1, 2, any real >= 1, or inf."""
+    check_lp_exponent(p)
     if p == math.inf:
         return float(np.max(np.abs(f.values)))
     p = float(p)
-    if p < 1:
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
     total = float(np.sum(np.abs(f.values) ** p)) * f.grid.cell_volume
     return total ** (1.0 / p)
 
@@ -305,18 +311,33 @@ def band_report(series: dict, n_dims: int) -> DecayReport:
     return DecayReport(rows=rows, window=(float(times[0]), float(times[-1])))
 
 
-def energy_audit(energy, diss_integral, mono_tol: float = MONO_TOL,
-                 balance_tol: float = BALANCE_TOL):
-    """E(0), the worst per-step rise of E, the worst deviation of
-    E(t) - E(0) + int_0^t |u_tau|^2 from zero, and whether the rise stays
-    within mono_tol * E(0) and the deviation within balance_tol * E(0)."""
+class EnergyAudit(NamedTuple):
+    e0: float
+    worst_rise: float  # the largest per-step rise of E
+    residual: float    # the largest |E(t) - E(0) + int_0^t |u_tau|^2|
+    monotone: bool     # worst_rise <= mono_tol * e0
+    balanced: bool     # residual <= balance_tol * e0
+
+
+def energy_audit(series: dict, mono_tol: float = MONO_TOL,
+                 balance_tol: float = BALANCE_TOL) -> EnergyAudit:
+    """The energy law checked on energy.csv's series, {label: (times,
+    values)}; a ValueError if the energy or diss_integral series is
+    missing or the two have different times."""
+    for need in ("energy", "diss_integral"):
+        if need not in series:
+            raise ValueError(f"no {need!r} series")
+    (t_e, energy), (t_i, integral) = series["energy"], series["diss_integral"]
+    if not np.array_equal(t_e, t_i):
+        raise ValueError("the energy and diss_integral series have "
+                         "different times")
     e = np.asarray(energy, dtype=float)
     e0 = float(e[0])
     worst_rise = float(np.max(np.diff(e))) if len(e) > 1 else 0.0
     residual = float(np.max(np.abs(
-        e - e[0] + np.asarray(diss_integral, dtype=float))))
-    return (e0, worst_rise, residual, worst_rise <= mono_tol * e0,
-            residual <= balance_tol * e0)
+        e - e[0] + np.asarray(integral, dtype=float))))
+    return EnergyAudit(e0, worst_rise, residual, worst_rise <= mono_tol * e0,
+                       residual <= balance_tol * e0)
 
 
 @dataclass
@@ -327,8 +348,9 @@ class EnergyLedger:
     the cumulative sixth-order rule over the recorded dissipation rates (see
     _cumulative_quintic): each interval integrates the quintic through the
     six records nearest it, so the rule is sixth order at every record, the
-    end intervals included.  Energy balance is audited as
-    E(t) - E(0) + dissipation_integral(t) = 0 up to scheme error.
+    end intervals included.  energy_audit checks the balance
+    E(t) - E(0) + dissipation_integral(t) = 0, up to scheme error, on
+    series_pairs.
     """
 
     sobolev_index: int
@@ -372,12 +394,6 @@ class EnergyLedger:
     def dissipation_integral(self) -> np.ndarray:
         """int_0^t |u_tau|^2 dtau at each recorded time, 0 at the first."""
         return _cumulative_quintic(self.diss_rate, self.times)
-
-    def balance_residual(self) -> float:
-        """Worst deviation of E(t) - E(0) + int |u_tau|^2 from zero."""
-        if not self.times:
-            return 0.0
-        return energy_audit(self.energy, self.dissipation_integral)[2]
 
     def series_pairs(self) -> dict:
         """Each column as a (times, values) pair, by its energy.csv label."""

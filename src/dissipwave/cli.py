@@ -261,10 +261,10 @@ def _run_experiment_cmd(preset: ExperimentPreset, open_run,
         return report.passed, [f"middle band log-linear fit r^2 = {r_sq:.6f}"]
     comments = [f"initial data size e0 = {run.e0!r}"]
     if run.ledger is not None:
-        analysis.write_series_csv(run_dir / "energy.csv",
-                                  run.ledger.series_pairs())
-        comments.append(
-            f"energy balance residual = {run.ledger.balance_residual()!r}")
+        energy = run.ledger.series_pairs()
+        analysis.write_series_csv(run_dir / "energy.csv", energy)
+        comments.append(f"energy balance residual = "
+                        f"{analysis.energy_audit(energy).residual!r}")
     return report.passed, comments
 
 
@@ -306,19 +306,6 @@ def cmd_decay_report(args, open_run):
 # ---------------------------------------------------------------------------
 # energy-audit
 
-def _read_energy_csv(run: str) -> tuple[np.ndarray, np.ndarray]:
-    """Energy and dissipation integral columns of a prior energy.csv."""
-    series = _read_series(Path(run) / "energy.csv")
-    for need in ("energy", "diss_integral"):
-        if need not in series:
-            raise ConfigError(f"{run}/energy.csv lacks the {need!r} series")
-    (t_e, energy), (t_i, integral) = series["energy"], series["diss_integral"]
-    if not np.array_equal(t_e, t_i):
-        raise ConfigError(f"{run}/energy.csv: the energy and diss_integral "
-                          f"series have different times")
-    return energy, integral
-
-
 def cmd_energy_audit(args, open_run):
     for flag, tol in (("--mono-tol", args.mono_tol),
                       ("--balance-tol", args.balance_tol)):
@@ -328,16 +315,20 @@ def cmd_energy_audit(args, open_run):
     if preset.kind != "semilinear":
         raise ConfigError("energy-audit needs a semilinear preset")
     if args.run is not None:
-        energy, integral = _read_energy_csv(args.run)
+        series = _read_series(Path(args.run) / "energy.csv")
+        try:
+            audit = analysis.energy_audit(series, args.mono_tol,
+                                          args.balance_tol)
+        except ValueError as exc:
+            raise ConfigError(f"{args.run}/energy.csv: {exc}") from None
     run_dir = open_run(preset.name, preset)
     if args.run is None:
-        ledger = presets.run_semilinear(preset).ledger
-        energy, integral = ledger.energy, ledger.dissipation_integral
-        analysis.write_series_csv(run_dir / "energy.csv", ledger.series_pairs())
+        series = presets.run_semilinear(preset).ledger.series_pairs()
+        analysis.write_series_csv(run_dir / "energy.csv", series)
+        audit = analysis.energy_audit(series, args.mono_tol, args.balance_tol)
 
-    e0, worst_rise, residual, mono_ok, bal_ok = analysis.energy_audit(
-        energy, integral, args.mono_tol, args.balance_tol)
-    print(f"E(0) = {e0:.6e} over {len(energy)} records")
+    e0, worst_rise, residual, mono_ok, bal_ok = audit
+    print(f"E(0) = {e0:.6e} over {len(series['energy'][1])} records")
     print(f"  worst per-step rise {worst_rise:.3e} vs "
           f"{args.mono_tol * e0:.3e} -> {'PASS' if mono_ok else 'FAIL'}")
     print(f"  balance residual {residual:.3e} vs "

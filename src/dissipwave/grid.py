@@ -12,12 +12,6 @@ interior last-axis column (0 < j < N/2) stands for itself and its
 conjugate partner, which mode_multiplicity records for sums over modes.
 The forward transform is the plain (unnormalized) DFT sum; the inverse
 carries the 1/N factor per axis and returns a real field by construction.
-
-An exponential Duhamel step then costs two half-size transforms: the
-inverse of the state (shared with the energy ledger and the guard) and
-the forward transform of its source.  The step is third-order exponential
-Adams-Bashforth and reuses the source spectra of earlier steps (see
-solver).
 """
 
 from __future__ import annotations
@@ -180,6 +174,12 @@ def inverse_transform(spectral: SpectralField) -> Field:
                                      axes=tuple(range(grid.n_dims))))
 
 
+def check_multi_index(alpha: tuple[int, ...]) -> None:
+    """A ValueError unless every order in alpha is a nonnegative integer."""
+    if any(a < 0 or a != int(a) for a in alpha):
+        raise ValueError(f"alpha must be nonnegative integers, got {alpha}")
+
+
 def derivative_multiplier(grid: Grid, alpha: tuple[int, ...]) -> np.ndarray:
     """Per-mode factor prod_k (i xi_k)^alpha_k for the derivative D^alpha.
 
@@ -190,8 +190,7 @@ def derivative_multiplier(grid: Grid, alpha: tuple[int, ...]) -> np.ndarray:
     if len(alpha) != grid.n_dims:
         raise ValueError(
             f"alpha has length {len(alpha)}, expected {grid.n_dims}")
-    if any(a < 0 or a != int(a) for a in alpha):
-        raise ValueError(f"alpha must be nonnegative integers, got {alpha}")
+    check_multi_index(alpha)
     mult = np.ones(grid.spectral_shape, dtype=np.complex128)
     for order, freqs in zip(alpha, grid.freq_grids):
         if order == 0:

@@ -18,9 +18,8 @@ import numpy as np
 
 from . import analysis, oracle, solver, symbols
 from .analysis import MIN_FIT_POINTS, EnergyLedger, quantity_label
-from .grid import (Field, Grid, SpectralField, derivative_field,
-                   forward_transform, inverse_transform, make_grid,
-                   read_snapshot, spectral_derivative)
+from .grid import (Field, Grid, check_multi_index, derivative_field,
+                   forward_transform, make_grid, read_snapshot)
 
 KINDS = ("linear", "semilinear", "bands")
 
@@ -110,6 +109,15 @@ class ExperimentPreset:
                 raise ValueError("snapshot times must lie in [0, t_final]")
             _check_width(self.width)
             analysis.check_sobolev_index(self.sobolev_s)
+            for p, a, h in self.reports:  # the rules of the norm's users
+                try:
+                    analysis.check_lp_exponent(p)
+                    check_multi_index((a,))
+                    solver.check_time_order(h)
+                    analysis.target_slope(self.kind, self.n_dims, p, a, h)
+                except ValueError as exc:
+                    entry = _format_reports([(p, a, h)])
+                    raise ValueError(f"reports entry {entry}: {exc}") from None
         if self.kind == "semilinear":
             solver.step_schedule(self.solver_config())  # validates the dt grid
             analysis.check_profile_r(self.profile_r, self.n_dims)
@@ -193,22 +201,12 @@ def _norm_of(state: solver.SolverState, config: solver.SolverConfig | None,
     """Requested norm of a derivative of the state (config None: linear).
 
     Spatial derivatives are taken along the first axis; mixed multi-index
-    directions are not needed by the built-in presets.  Without a spatial
-    derivative the norm is taken of the physical field directly, so u
-    reuses the state's shared physical u.
+    directions are not needed by the built-in presets.
     """
-    if not alpha_order:
-        return analysis.lp_norm(solver.time_derivative(state, h, config), p)
-    grid = state.grid
-    if h == 0:
-        spectral = SpectralField(grid, state.u_hat)
-    elif h == 1:
-        spectral = SpectralField(grid, state.v_hat)
-    else:
-        spectral = forward_transform(solver.time_derivative(state, h, config))
-    alpha = (alpha_order,) + (0,) * (grid.n_dims - 1)
-    return analysis.lp_norm(
-        inverse_transform(spectral_derivative(spectral, alpha)), p)
+    f = solver.time_derivative(state, h, config)
+    if alpha_order:
+        f = derivative_field(f, (alpha_order,) + (0,) * (f.grid.n_dims - 1))
+    return analysis.lp_norm(f, p)
 
 
 def _record_state(preset: ExperimentPreset,

@@ -3,15 +3,14 @@
 The linear flow is applied exactly: a symbols.SymbolTable holds the
 per-mode propagator over one increment, and linear_step and
 linear_solution only multiply and add with it.  The exponential integrator
-(key exponential_duhamel, which named a second-order predictor-corrector
-step before; outputs differ from it at about 1e-8 relative) is a
-third-order exponential Adams-Bashforth step: the Duhamel integral takes
-the source as the quadratic through its spectra at the last three steps,
-with per-mode weights from the same symbols.green_pair evaluation.  A step
-makes two half-size transforms, the source at u_n and the new u; the first
-seeds the history from the Taylor line F_0 + t F_t through the data, with
-the exact source rate F_t.  A classical RK4 stepper on the spectral system
-is kept as an independent reference route.
+(key exponential_duhamel) is a third-order exponential Adams-Bashforth
+step: the Duhamel integral takes the source as the quadratic through its
+spectra at the last three steps, with per-mode weights from the same
+symbols.green_pair evaluation.  A step makes two half-size transforms, the
+source at u_n and the new u; the first seeds the history from the Taylor
+line F_0 + t F_t through the data, with the exact source rate F_t.  A
+classical RK4 stepper on the spectral system is kept as an independent
+reference route.
 
 A SolverState holds the flow only: the SolverConfig owns the equation, and
 solve owns the clock, stamping each snapshot with its configured time.
@@ -364,6 +363,12 @@ def solve(u0: Field, u1: Field, config: SolverConfig, observers=(),
     return state
 
 
+def check_time_order(h: int) -> None:
+    """A ValueError unless time_derivative can give the h-th derivative."""
+    if h not in (0, 1, 2):
+        raise ValueError(f"h must be 0, 1 or 2, got {h}")
+
+
 def time_derivative(state: SolverState, h: int,
                     config: SolverConfig | None) -> Field:
     """h-th time derivative of the flow read off the state.
@@ -373,8 +378,7 @@ def time_derivative(state: SolverState, h: int,
     u_tt = Lap u - u_t for the linear flow (config None), the Laplacian
     evaluated spectrally.
     """
-    if h not in (0, 1, 2):
-        raise ValueError(f"h must be 0, 1 or 2, got {h}")
+    check_time_order(h)
     if h == 0:
         return u_field(state)
     if h == 1:

@@ -17,9 +17,9 @@ from dissipwave import (EnergyLedger, Field, builtin_presets, decay_report,
                         quantity_label, sobolev_norm, solve, spectral_l2_sq,
                         state_from_fields, weighted_profile)
 from dissipwave.analysis import (MIN_FIT_POINTS, NothingToFit,
-                                 decay_tolerance, field_label, read_series_csv,
-                                 target_slope, write_report_csv,
-                                 write_series_csv)
+                                 decay_tolerance, energy_audit, field_label,
+                                 read_series_csv, target_slope,
+                                 write_report_csv, write_series_csv)
 
 
 def test_lp_norm_indicator(grid1d):
@@ -295,7 +295,7 @@ def test_energy_ledger_linear_balance():
     for k in range(0, 1001):
         u, v = linear_solution(u0, u1, k * dt)
         led.record(k * dt, state_from_fields(u, v), 3)
-    assert led.balance_residual() < 1e-4 * led.energy[0]
+    assert energy_audit(led.series_pairs()).residual < 1e-4 * led.energy[0]
     assert len(led.times) == 1001
 
 
@@ -309,7 +309,7 @@ def _linear_flow_balance(dt, t_final=2.0):
     for k in range(int(round(t_final / dt)) + 1):
         u, v = linear_solution(u0, u1, k * dt)
         led.record(k * dt, state_from_fields(u, v), 7)
-    return led.balance_residual() / led.energy[0]
+    return energy_audit(led.series_pairs()).residual / led.energy[0]
 
 
 def test_energy_ledger_balance_is_sixth_order():
@@ -328,7 +328,7 @@ def test_energy_ledger_semi1d_data_at_dt_0_04():
     led = EnergyLedger(sobolev_index=preset.sobolev_s)
     solve(u0, u1, preset.solver_config(), ledger=led)
     assert len(led.times) == 51
-    assert led.balance_residual() <= 1e-6 * led.energy[0]
+    assert energy_audit(led.series_pairs()).residual <= 1e-6 * led.energy[0]
 
 
 @pytest.mark.parametrize("jitter", [0.0, 1e-9])
@@ -372,6 +372,42 @@ def test_energy_ledger_requires_increasing_times(grid1d):
     led.record(0.0, st0, 2)
     with pytest.raises(ValueError, match="increasing"):
         led.record(0.0, st0, 2)
+
+
+def _energy_series(energy, integral, integral_times=None):
+    times = np.arange(len(energy), dtype=float)
+    if integral_times is None:
+        integral_times = times
+    return {"energy": (times, np.asarray(energy, dtype=float)),
+            "diss_integral": (np.asarray(integral_times, dtype=float),
+                              np.asarray(integral, dtype=float))}
+
+
+def test_energy_audit_values_and_inclusive_bounds():
+    # E - E(0) + int reads 0, 0, 0.25, 0.5; E steps by -1, 0.5, -1.5; both
+    # worst values are 0.5 = 0.125 E(0), exact in binary
+    series = _energy_series([4.0, 3.0, 3.5, 2.0], [0.0, 1.0, 0.25, 2.5])
+    audit = energy_audit(series, 0.125, 0.125)
+    assert audit == (4.0, 0.5, 0.5, True, True)
+    assert (audit.e0, audit.worst_rise, audit.residual) == (4.0, 0.5, 0.5)
+    below = np.nextafter(0.125, 0.0)
+    assert energy_audit(series, below, 0.125)[3:] == (False, True)
+    assert energy_audit(series, 0.125, below)[3:] == (True, False)
+
+
+def test_energy_audit_of_one_record_has_no_rise():
+    audit = energy_audit(_energy_series([2.0], [0.0]), 0.0, 0.0)
+    assert audit == (2.0, 0.0, 0.0, True, True)
+
+
+@pytest.mark.parametrize("drop, integral_times", [
+    ("energy", None), ("diss_integral", None), (None, [0.0, 1.0, 2.5]),
+], ids=["no-energy", "no-integral", "unaligned"])
+def test_energy_audit_rejects_incomplete_series(drop, integral_times):
+    series = _energy_series([3.0, 2.0, 1.5], [0.0, 1.0, 1.5], integral_times)
+    series.pop(drop, None)
+    with pytest.raises(ValueError):
+        energy_audit(series)
 
 
 def test_series_csv_format(tmp_path):

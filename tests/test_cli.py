@@ -141,6 +141,11 @@ def test_simulate_too_few_window_samples_exits_2(tmp_path, capsys):
     assert list(out.iterdir()) == []  # counted before any run directory
 
 
+# six snapshot times inside the tiny preset's fit window, so the sample
+# count passes and only the reports entry is wrong
+SIX_SNAPSHOTS = ["--set", "snapshot_times=0.5,0.6,0.7,0.8,0.9,1.0"]
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--set", "reports=inf:0:0"],
     ["simulate", "--set", "integrator=euler"],
@@ -171,6 +176,12 @@ def test_simulate_too_few_window_samples_exits_2(tmp_path, capsys):
     ["green-bands", "--set", "band1_times=80,10,20,40,60"],
     ["green-bands", "--set", "band2_times=0,5,10,20,40"],
     ["green-bands", "--set", "grid_points=16", "--set", "half_width=2"],
+    ["simulate", *SIX_SNAPSHOTS, "--set", "reports=0.5:0:0"],
+    ["simulate", *SIX_SNAPSHOTS, "--set", "reports=nan:0:0"],
+    ["simulate", *SIX_SNAPSHOTS, "--set", "reports=inf:-1:0"],
+    ["simulate", *SIX_SNAPSHOTS, "--set", "reports=inf:0:3"],
+    ["simulate", *SIX_SNAPSHOTS, "--set", "kind=linear",
+     "--set", "reports=2:0:0"],
 ], ids=["window-samples", "integrator", "off-grid-snapshot", "off-grid-dt",
         "delta-bar", "tol", "tol-nan", "width", "width-nan", "profile-r",
         "sobolev-index", "u0-file-missing", "u1-file-not-dwf1",
@@ -179,7 +190,9 @@ def test_simulate_too_few_window_samples_exits_2(tmp_path, capsys):
         "mono-tol-negative", "mono-tol-inf", "balance-tol-nan",
         "repeated-snapshot", "snapshots-on-one-step", "unsorted-snapshots",
         "band1-times-unsorted",
-        "band2-times-zero", "band-grid-unresolved"])
+        "band2-times-zero", "band-grid-unresolved", "report-p-below-1",
+        "report-p-nan", "report-alpha-negative", "report-h-3",
+        "report-linear-l2"])
 def test_bad_input_exits_2_before_any_run_directory(tmp_path, capsys, argv):
     out = tmp_path / "o"
     out.mkdir()
@@ -551,17 +564,19 @@ def test_green_bands_rejects_non_bands_config(tmp_path, capsys):
     assert "bands preset" in capsys.readouterr().err
 
 
-def _load_perfbench_launch(monkeypatch):
-    """perfbench/launch.py as a module (it imports perfbench/layers.py)."""
+def _load_perfbench(monkeypatch, name):
+    """perfbench/<name>.py as a module; launch.py imports its layers.py
+    and checks.py's dataclasses look their module up in sys.modules."""
     import importlib.util
 
     perfbench = Path(__file__).resolve().parent.parent / "perfbench"
     monkeypatch.syspath_prepend(str(perfbench))
-    spec = importlib.util.spec_from_file_location("perfbench_launch",
-                                                  perfbench / "launch.py")
-    launch = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(launch)
-    return launch
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  perfbench / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_each_kind_calls_its_runner_once_through_the_module(tmp_path, capsys,
@@ -572,7 +587,7 @@ def test_each_kind_calls_its_runner_once_through_the_module(tmp_path, capsys,
     # traced name must exist
     import dissipwave
     import dissipwave.presets as presets
-    launch = _load_perfbench_launch(monkeypatch)
+    launch = _load_perfbench(monkeypatch, "launch")
     for module, names in launch.TRACED.items():
         for name in names:
             assert callable(getattr(getattr(dissipwave, module), name, None)), \
@@ -609,6 +624,29 @@ def test_each_kind_calls_its_runner_once_through_the_module(tmp_path, capsys,
         for name, fn in originals.items():
             launch._rebind(wrappers[name], fn)
     assert calls == {"run_linear": 1, "run_semilinear": 1, "run_bands": 1}
+
+
+def test_benchmark_checker_reads_what_simulate_writes(tmp_path, capsys,
+                                                     monkeypatch):
+    # the benchmark judges a run from its files with its own parsers, so
+    # the energy.csv and report.csv simulate writes must pass them cleanly
+    checks = _load_perfbench(monkeypatch, "checks")
+    path = _write_config(tmp_path, _tiny_preset(
+        reports=((math.inf, 0, 0),), snapshot_times=(0.5, 0.6, 0.7, 0.8,
+                                                     0.9, 1.0)))
+    # the slope verdict over half a time unit is beside the point here
+    assert main(["simulate", "--config", path,
+                 "--out", str(tmp_path / "o")]) in (0, 1)
+    proc = checks.Proc(label="simulate", preset="cli-tiny",
+                       out=tmp_path / "o", code=0)
+    margins = {}
+    checks.check_energy(checks.read_energy(proc.run_dir / "energy.csv"),
+                        proc, margins)
+    rows = checks.read_report(proc.run_dir / "report.csv")
+    assert proc.errors == []
+    assert [row["quantity"] for row in rows] == ["linf:u"]
+    assert set(margins) == {"analysis.margin.energy.cli-tiny.monotone",
+                            "analysis.margin.energy.cli-tiny.balance"}
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dissipwave import (ExperimentPreset, build_symbol_table, builtin_presets,
-                        e0_norm, gaussian_bump, make_grid, preset_from_config,
-                        preset_to_config, run_bands, run_experiment,
-                        run_linear, run_semilinear, write_snapshot)
-from dissipwave.presets import HEAT_GAP_LABEL, _rounded_times, profile_label
+from dissipwave import (ExperimentPreset, SolverConfig, SpectralField,
+                        apply_nonlinearity, build_symbol_table,
+                        builtin_presets, e0_norm, gaussian_bump,
+                        inverse_transform, lp_norm, make_grid,
+                        preset_from_config, preset_to_config, run_bands,
+                        run_experiment, run_linear, run_semilinear,
+                        spectral_derivative, state_from_fields,
+                        write_snapshot)
+from dissipwave.analysis import energy_audit
+from dissipwave.presets import (HEAT_GAP_LABEL, _norm_of, _rounded_times,
+                                profile_label)
 from dissipwave.solver import step_schedule
 
 
@@ -116,7 +122,7 @@ def test_kind_dispatch_guards():
         run_linear(p)
     with pytest.raises(ValueError, match="not a bands"):
         run_bands(p)
-    lin = _tiny(kind="linear", theta=1)
+    lin = _tiny(kind="linear", theta=1, reports=((math.inf, 0, 0),))
     with pytest.raises(ValueError, match="not semilinear"):
         run_semilinear(lin)
 
@@ -134,7 +140,8 @@ def test_semilinear_tiny_run_series_shapes():
     assert run.e0 == e0_norm(*p.initial_data(), p.sobolev_s)  # read off the ledger
     # ledger saw every step: 20 steps plus the initial record
     assert len(run.ledger.times) == 21
-    assert run.ledger.balance_residual() < 1e-3 * run.ledger.energy[0]
+    assert (energy_audit(run.ledger.series_pairs()).residual
+            < 1e-3 * run.ledger.energy[0])
 
 
 def test_linear_run_includes_heat_gap():
@@ -162,6 +169,31 @@ def test_linear_flow_second_time_derivative_has_no_source():
         assert got == float(np.max(np.abs(utt)))
 
 
+@pytest.mark.parametrize("config", [
+    None, SolverConfig(theta=3, dt=0.05, t_final=1.0),
+], ids=["linear", "semilinear"])
+def test_norm_of_matches_the_spectral_derivative(config):
+    # _norm_of differentiates the physical time derivative in space; the
+    # spectral route differentiates u_hat, v_hat or the spectrum of u_tt
+    grid = make_grid(2, 32, 8.0)
+    state = state_from_fields(gaussian_bump(grid, 0.5, 1.0),
+                              gaussian_bump(grid, -0.3, 1.5))
+    utt_hat = -grid.freq_sq * state.u_hat - state.v_hat
+    if config is not None:
+        utt_hat = utt_hat + np.fft.rfftn(
+            apply_nonlinearity(state.u, config.theta, config.nonlin_sign))
+    spectra = {0: state.u_hat, 1: state.v_hat, 2: utt_hat}
+    for alpha in (0, 1, 2):
+        for h in (0, 1, 2):
+            d_hat = spectral_derivative(SpectralField(grid, spectra[h]),
+                                        (alpha, 0))
+            for p in (1, 2, math.inf):
+                want = lp_norm(inverse_transform(d_hat), p)
+                got = _norm_of(state, config, p, alpha, h)
+                assert got == pytest.approx(want, rel=1e-12, abs=0), \
+                    (alpha, h, p)
+
+
 def test_lin1d_second_time_derivative_meets_the_linear_rate():
     # sup |u_tt| of the linear flow in 1d decays like t^(-5/2)
     p = replace(builtin_presets()["lin1d"],
@@ -177,7 +209,7 @@ def test_run_experiment_dispatch_matches_kind():
     p = _tiny()
     run = run_experiment(p)
     assert run.preset is p
-    lin = _tiny(kind="linear", theta=1)
+    lin = _tiny(kind="linear", theta=1, reports=((math.inf, 0, 0),))
     assert HEAT_GAP_LABEL in run_experiment(lin).series
 
 

@@ -4,14 +4,16 @@ A preset bundles a grid, Gaussian initial data, stepping parameters, the
 snapshot schedule, and the decay quantities to record.  Each runner turns
 a preset into one ExperimentRun whose series map every label to its own
 (times, values) pair; the CLI and the acceptance suite both consume it.
-Presets round-trip losslessly through the flat key=value config
-format, so a run's manifest can be fed back in as a config file.
+Presets round-trip losslessly through the flat key=value config format,
+whose keys are the preset's fields (n_dims as dimension, fit_window as
+fit_window_lo and fit_window_hi), each checked whatever the kind, so a
+run's manifest can be fed back in as a config file.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -107,24 +109,26 @@ class ExperimentPreset:
                     f"got {self.half_width}")
             if any(t < 0 or t > self.t_final + 1e-9 for t in self.snapshot_times):
                 raise ValueError("snapshot times must lie in [0, t_final]")
-            _check_width(self.width)
-            analysis.check_sobolev_index(self.sobolev_s)
-            for p, a, h in self.reports:  # the rules of the norm's users
-                try:
-                    analysis.check_lp_exponent(p)
-                    check_multi_index((a,))
-                    solver.check_time_order(h)
-                    analysis.target_slope(self.kind, self.n_dims, p, a, h)
-                except ValueError as exc:
-                    entry = _format_reports([(p, a, h)])
-                    raise ValueError(f"reports entry {entry}: {exc}") from None
+        # every kind checks every key, so no manifest holds a rejected value
+        _check_width(self.width)
+        analysis.check_sobolev_index(self.sobolev_s)
+        for p, a, h in self.reports:  # the rules of the norm's users
+            try:
+                analysis.check_lp_exponent(p)
+                check_multi_index((a,))
+                solver.check_time_order(h)
+                analysis.target_slope(self.kind, self.n_dims, p, a, h)
+            except ValueError as exc:
+                entry = _format_reports([(p, a, h)])
+                raise ValueError(f"reports entry {entry}: {exc}") from None
+        config = self.solver_config()  # the stepping keys
+        spec = self.cutoff_spec  # eps and outer_radius
         if self.kind == "semilinear":
-            solver.step_schedule(self.solver_config())  # validates the dt grid
+            solver.step_schedule(config)  # validates the dt grid
             analysis.check_profile_r(self.profile_r, self.n_dims)
         if self.kind == "bands":
             for band in (1, 2):  # the run samples both transitions
-                symbols._check_band_resolution(band, self.grid,
-                                               self.cutoff_spec)
+                symbols._check_band_resolution(band, self.grid, spec)
             # each band series is fit over its own times
             if min(len(self.band1_times), len(self.band2_times)) < MIN_FIT_POINTS:
                 raise ValueError(f"bands presets need at least {MIN_FIT_POINTS} "
@@ -363,26 +367,20 @@ def builtin_presets() -> dict[str, ExperimentPreset]:
 
 
 # ---------------------------------------------------------------------------
-# flat key=value config schema
-
-_TRUE = ("true", "1", "yes", "on")
-_FALSE = ("false", "0", "no", "off")
+# flat key=value config: the preset's fields are the schema
 
 
-def _parse_bool(text: str):
+def _parse_bool(text: str) -> bool:
     t = text.strip().lower()
-    if t in _TRUE:
+    if t in ("true", "1", "yes", "on"):
         return True
-    if t in _FALSE:
+    if t in ("false", "0", "no", "off"):
         return False
-    if t in ("auto", "none", ""):
-        return None
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    items = [s.strip() for s in text.split(",") if s.strip()]
-    return tuple(float(s) for s in items)
+    return tuple(float(s.strip()) for s in text.split(",") if s.strip())
 
 
 def _parse_reports(text: str) -> tuple[tuple[float, int, int], ...]:
@@ -398,100 +396,83 @@ def _parse_reports(text: str) -> tuple[tuple[float, int, int], ...]:
 
 
 def _format_reports(reports) -> str:
-    items = []
-    for p, a, h in reports:
-        head = "inf" if p == math.inf else f"{p:g}"
-        items.append(f"{head}:{a}:{h}")
-    return ",".join(items)
+    return ",".join(f"{'inf' if p == math.inf else f'{p:g}'}:{a}:{h}"
+                    for p, a, h in reports)
 
 
 def _format_float_list(values) -> str:
     return ",".join(repr(float(v)) for v in values)
 
 
-def _parse_optional_int(text: str):
-    t = text.strip().lower()
-    if t in ("auto", "none", ""):
-        return None
-    return int(t)
+def _or_auto(parse, fmt):
+    """The (parse, format) pair of an `X | None` field: None is written
+    auto and read from auto, none or blank text."""
+    return ((lambda text: None if text.strip().lower() in ("auto", "none", "")
+             else parse(text)),
+            lambda value: "auto" if value is None else fmt(value))
 
 
-_SCHEMA = {
-    "name": (str, str, "name"),
-    "kind": (str, str, "kind"),
-    "dimension": (int, str, "n_dims"),
-    "grid_points": (int, str, "grid_points"),
-    "half_width": (float, repr, "half_width"),
-    "amplitude": (float, repr, "amplitude"),
-    "width": (float, repr, "width"),
-    "u1_amplitude": (float, repr, "u1_amplitude"),
-    "u0_file": (str, str, "u0_file"),
-    "u1_file": (str, str, "u1_file"),
-    "theta": (int, str, "theta"),
-    "dt": (float, repr, "dt"),
-    "t_final": (float, repr, "t_final"),
-    "integrator": (str, str, "integrator"),
-    "dealias": (_parse_bool, lambda v: "auto" if v is None else str(v).lower(), "dealias"),
-    "delta_bar": (float, repr, "delta_bar"),
-    "snapshot_times": (_parse_float_list, _format_float_list, "snapshot_times"),
-    "fit_window_lo": (float, repr, None),
-    "fit_window_hi": (float, repr, None),
-    "reports": (_parse_reports, _format_reports, "reports"),
-    "profile_r": (float, repr, "profile_r"),
-    "sobolev_index": (_parse_optional_int,
-                      lambda v: "auto" if v is None else str(v), "sobolev_index"),
-    "eps": (float, repr, "eps"),
-    "outer_radius": (float, repr, "outer_radius"),
-    "band1_times": (_parse_float_list, _format_float_list, "band1_times"),
-    "band2_times": (_parse_float_list, _format_float_list, "band2_times"),
+# field type -> (parse, format); a scalar float keeps repr, so 16 stays 16
+_CODECS = {
+    "str": (str, str),
+    "int": (int, str),
+    "float": (float, repr),
+    "bool | None": _or_auto(_parse_bool, lambda v: str(v).lower()),
+    "int | None": _or_auto(lambda text: int(text.strip().lower()), str),
+    "tuple[float, ...]": (_parse_float_list, _format_float_list),
+    "tuple[tuple[float, int, int], ...]": (_parse_reports, _format_reports),
 }
 
-REQUIRED_KEYS = ("name", "kind", "dimension", "grid_points", "half_width")
+
+def _config_keys() -> dict:
+    """Config key -> (field, end, (parse, format)) in field order.  Each
+    field is written under its own name, except n_dims (dimension) and
+    fit_window, whose ends 0 and 1 are fit_window_lo and fit_window_hi."""
+    keys = {}
+    for f in fields(ExperimentPreset):
+        if f.name == "fit_window":
+            for end, key in enumerate(("fit_window_lo", "fit_window_hi")):
+                keys[key] = (f, end, (float, lambda v: repr(float(v))))
+        else:
+            key = "dimension" if f.name == "n_dims" else f.name
+            keys[key] = (f, None, _CODECS[f.type])  # a new type needs a codec
+    return keys
+
+
+_KEYS = _config_keys()
 
 
 def preset_to_config(preset: ExperimentPreset) -> dict[str, str]:
     """Flatten a preset to the key=value form (complete, relaunchable)."""
-    out: dict[str, str] = {}
-    for key, (_parse, fmt, attr) in _SCHEMA.items():
-        if key == "fit_window_lo":
-            out[key] = repr(float(preset.fit_window[0]))
-        elif key == "fit_window_hi":
-            out[key] = repr(float(preset.fit_window[1]))
-        else:
-            out[key] = fmt(getattr(preset, attr))
-    return out
+    return {key: fmt(getattr(preset, f.name) if end is None
+                     else getattr(preset, f.name)[end])
+            for key, (f, end, (_parse, fmt)) in _KEYS.items()}
 
 
 def preset_from_config(cfg: dict[str, str]) -> ExperimentPreset:
     """Build a validated preset from flat config text values.
 
-    Unknown keys are hard errors; missing optional keys fall back to the
-    dataclass defaults.
+    Unknown keys are hard errors; missing optional keys, and a fit window
+    end given alone, fall back to the dataclass defaults.
     """
-    unknown = sorted(set(cfg) - set(_SCHEMA))
+    unknown = sorted(set(cfg) - set(_KEYS))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    missing = sorted(k for k in REQUIRED_KEYS if k not in cfg)
+    missing = sorted(key for key, (f, _end, _codec) in _KEYS.items()
+                     if f.default is MISSING and key not in cfg)
     if missing:
         raise ValueError(f"missing required config keys: {', '.join(missing)}")
 
     kwargs = {}
-    window = [None, None]
     for key, raw in cfg.items():
-        parse, _fmt, attr = _SCHEMA[key]
+        f, end, (parse, _fmt) = _KEYS[key]
         try:
             value = parse(raw)
         except (ValueError, TypeError) as exc:
             raise ValueError(f"config key {key}: {exc}") from exc
-        if key == "fit_window_lo":
-            window[0] = value
-        elif key == "fit_window_hi":
-            window[1] = value
-        else:
-            kwargs[attr] = value
-    preset = ExperimentPreset(**kwargs)
-    if window[0] is not None or window[1] is not None:
-        lo = window[0] if window[0] is not None else preset.fit_window[0]
-        hi = window[1] if window[1] is not None else preset.fit_window[1]
-        preset = replace(preset, fit_window=(lo, hi))
-    return preset
+        if end is not None:  # one end of a pair, the other as given or default
+            pair = list(kwargs.get(f.name, f.default))
+            pair[end] = value
+            value = tuple(pair)
+        kwargs[f.name] = value
+    return ExperimentPreset(**kwargs)

@@ -182,6 +182,11 @@ SIX_SNAPSHOTS = ["--set", "snapshot_times=0.5,0.6,0.7,0.8,0.9,1.0"]
     ["simulate", *SIX_SNAPSHOTS, "--set", "reports=inf:0:3"],
     ["simulate", *SIX_SNAPSHOTS, "--set", "kind=linear",
      "--set", "reports=2:0:0"],
+    ["simulate", "--config", "lin2d", "--set", "integrator=euler"],
+    ["simulate", "--config", "lin2d", "--set", "theta=0"],
+    ["simulate", "--config", "lin2d", "--set", "delta_bar=7"],
+    ["simulate", "--config", "lin1d", "--set", "eps=-1"],
+    ["green-bands", "--set", "reports=0.5:-1:7"],
 ], ids=["window-samples", "integrator", "off-grid-snapshot", "off-grid-dt",
         "delta-bar", "tol", "tol-nan", "width", "width-nan", "profile-r",
         "sobolev-index", "u0-file-missing", "u1-file-not-dwf1",
@@ -192,14 +197,15 @@ SIX_SNAPSHOTS = ["--set", "snapshot_times=0.5,0.6,0.7,0.8,0.9,1.0"]
         "band1-times-unsorted",
         "band2-times-zero", "band-grid-unresolved", "report-p-below-1",
         "report-p-nan", "report-alpha-negative", "report-h-3",
-        "report-linear-l2"])
+        "report-linear-l2", "linear-integrator", "linear-theta-0",
+        "linear-delta-bar", "linear-eps", "bands-reports"])
 def test_bad_input_exits_2_before_any_run_directory(tmp_path, capsys, argv):
     out = tmp_path / "o"
     out.mkdir()
     path = _write_config(tmp_path, _tiny_preset())
     argv = [a.replace("CONFIG", path) for a in argv]
     config = (["--config", path] if argv[0] in ("simulate", "energy-audit")
-              else [])
+              and "--config" not in argv else [])
     code = main(argv[:1] + config + argv[1:] + ["--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err.splitlines()

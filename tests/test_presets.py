@@ -46,6 +46,73 @@ def test_config_round_trip_all_builtins():
         assert preset_from_config(cfg) == p
 
 
+def test_config_keys_and_their_order():
+    assert list(preset_to_config(builtin_presets()["semi1d-theta3"])) == [
+        "name", "kind", "dimension", "grid_points", "half_width",
+        "amplitude", "width", "u1_amplitude", "u0_file", "u1_file", "theta",
+        "dt", "t_final", "integrator", "dealias", "delta_bar",
+        "snapshot_times", "fit_window_lo", "fit_window_hi", "reports",
+        "profile_r", "sobolev_index", "eps", "outer_radius", "band1_times",
+        "band2_times"]
+
+
+@pytest.mark.parametrize("over, key, text", [
+    (dict(dealias=True), "dealias", "true"),
+    (dict(dealias=False), "dealias", "false"),
+    (dict(dealias=None), "dealias", "auto"),
+    (dict(sobolev_index=3), "sobolev_index", "3"),
+    (dict(sobolev_index=None), "sobolev_index", "auto"),
+    (dict(reports=()), "reports", ""),
+    (dict(half_width=16), "half_width", "16"),
+], ids=["dealias-true", "dealias-false", "dealias-auto", "sobolev-3",
+        "sobolev-auto", "reports-empty", "int-valued-float"])
+def test_config_round_trip_of_non_default_encodings(over, key, text):
+    p = _tiny(**over)
+    cfg = preset_to_config(p)
+    assert cfg[key] == text
+    assert preset_from_config(cfg) == p
+
+
+@pytest.mark.parametrize("key, text, window", [
+    ("fit_window_lo", "25", (25.0, 100.0)),
+    ("fit_window_hi", "90", (20.0, 90.0)),
+])
+def test_config_one_fit_window_end_keeps_the_other_default(key, text, window):
+    cfg = preset_to_config(_tiny())
+    del cfg["fit_window_lo"], cfg["fit_window_hi"]
+    cfg[key] = text
+    p = preset_from_config(cfg)
+    assert p.fit_window == window
+    assert preset_to_config(p)[key] == repr(float(text))
+    assert preset_from_config(preset_to_config(p)) == p
+
+
+@pytest.mark.parametrize("text, value", [
+    ("AUTO", None), ("", None), ("True", True), ("off", False), (" yes ", True),
+])
+def test_config_dealias_spellings(text, value):
+    cfg = preset_to_config(_tiny())
+    cfg["dealias"] = text
+    assert preset_from_config(cfg).dealias is value
+
+
+@pytest.mark.parametrize("edit, message", [
+    (dict(dealias="maybe"),
+     "config key dealias: expected a boolean, got 'maybe'"),
+    (dict(sobolev_index=" X "),
+     "config key sobolev_index: invalid literal for int() with base 10: 'x'"),
+    (dict(kind=None, dimension=None),
+     "missing required config keys: dimension, kind"),
+    (dict(b="1", a="2"), "unknown config keys: a, b"),
+], ids=["bool", "optional-int", "missing", "unknown"])
+def test_config_error_messages(edit, message):
+    cfg = {**preset_to_config(_tiny()), **edit}
+    cfg = {k: v for k, v in cfg.items() if v is not None}
+    with pytest.raises(ValueError) as info:
+        preset_from_config(cfg)
+    assert str(info.value) == message
+
+
 def test_config_unknown_key_rejected():
     cfg = preset_to_config(_tiny())
     cfg["cleverness"] = "11"

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Run every built-in preset through the CLI and summarize the verdicts.
+"""Run every built-in preset through `simulate`, then `verify-symbols`, and
+summarize the verdicts.
 
 Usage: python3 scripts/run_all.py [--out DIR] [--snapshots]
 Exit code is the worst exit code among the individual runs.
@@ -11,23 +12,20 @@ import sys
 from dissipwave import builtin_presets
 from dissipwave.cli import VERDICT, main as cli_main
 
-SUBCOMMAND = {"linear": "simulate", "semilinear": "simulate",
-              "bands": "green-bands"}
-
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default=None, help="output root directory")
     parser.add_argument("--snapshots", action="store_true",
-                        help="write .dwf snapshots for simulate runs")
+                        help="write .dwf snapshots of the linear and semilinear runs")
     args = parser.parse_args()
 
     results = {}
     for name, preset in builtin_presets().items():
-        argv = [SUBCOMMAND[preset.kind], "--config", name]
+        argv = ["simulate", "--config", name]
         if args.out:
             argv += ["--out", args.out]
-        if args.snapshots and SUBCOMMAND[preset.kind] == "simulate":
+        if args.snapshots:
             argv.append("--snapshots")
         print(f"\n=== {name} ({preset.kind}) ===", flush=True)
         results[name] = cli_main(argv)

@@ -241,7 +241,7 @@ def _run_experiment_cmd(preset: ExperimentPreset, open_run,
                         with_snapshots: bool):
     """Run a preset of any kind: the one writer of series.csv and report.csv."""
     bands = preset.kind == "bands"
-    if preset.reports and not bands:  # count the samples the fits will get
+    if preset.reports:  # count the samples the fits will get
         try:
             analysis.fit_window_mask(preset.snapshot_times, preset.fit_window)
         except ValueError as exc:

@@ -4,10 +4,10 @@ A preset bundles a grid, Gaussian initial data, stepping parameters, the
 snapshot schedule, and the decay quantities to record.  Each runner turns
 a preset into one ExperimentRun whose series map every label to its own
 (times, values) pair; the CLI and the acceptance suite both consume it.
-Presets round-trip losslessly through the flat key=value config format,
-whose keys are the preset's fields (n_dims as dimension, fit_window as
-fit_window_lo and fit_window_hi), each checked whatever the kind, so a
-run's manifest can be fed back in as a config file.
+Each kind reads the fields KIND_FIELDS lists; every other field keeps its
+default.  Presets round-trip losslessly through the flat key=value config
+format, whose keys are the kind's fields (n_dims as dimension, fit_window
+as fit_window_lo and fit_window_hi), so a manifest relaunches as a config.
 """
 
 from __future__ import annotations
@@ -23,7 +23,16 @@ from .analysis import MIN_FIT_POINTS, EnergyLedger, quantity_label
 from .grid import (Field, Grid, check_multi_index, derivative_field,
                    forward_transform, make_grid, read_snapshot)
 
-KINDS = ("linear", "semilinear", "bands")
+# the fields each kind's run reads; a preset's config holds these alone
+_GRID = ("name", "kind", "n_dims", "grid_points", "half_width")
+_FLOW = _GRID + ("amplitude", "width", "u1_amplitude", "u0_file", "u1_file",
+                 "t_final", "snapshot_times", "fit_window", "reports",
+                 "sobolev_index")
+KIND_FIELDS = {"linear": _FLOW,
+               "semilinear": _FLOW + ("theta", "dt", "integrator", "dealias",
+                                      "delta_bar", "profile_r"),
+               "bands": _GRID + ("eps", "outer_radius", "band1_times",
+                                 "band2_times")}
 
 # Domain sizing heuristic: the box half width should cover the influence
 # cone with margin, half_width >= 1.6 * t_final + data support radius.
@@ -85,31 +94,39 @@ class ExperimentPreset:
     band2_times: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        for f in fields(self):  # every float field and float-list entry
+        if self.kind not in KIND_FIELDS:
+            raise ValueError(f"kind must be one of {tuple(KIND_FIELDS)}, "
+                             f"got {self.kind!r}")
+        for f in fields(self):  # unread fields at their defaults, floats finite
             value = getattr(self, f.name)
+            if f.name not in KIND_FIELDS[self.kind] and value != f.default:
+                raise ValueError(f"{self.kind} presets do not read {f.name}; "
+                                 f"leave it at its default")
             items = value if isinstance(value, tuple) else (value,)
             if (f.type.startswith(("float", "tuple[float"))
                     and not all(map(math.isfinite, items))):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         self.grid  # validates dimension, point count, half width
+        if self.kind == "bands":
+            for band in (1, 2):  # the run samples both transitions
+                symbols._check_band_resolution(band, self.grid,
+                                               self.cutoff_spec)
+            # each band series is fit over its own times
+            if min(len(self.band1_times), len(self.band2_times)) < MIN_FIT_POINTS:
+                raise ValueError(f"bands presets need at least {MIN_FIT_POINTS} "
+                                 f"band1_times and band2_times")
+            _check_times("band1_times", self.band1_times, positive=True)
+            _check_times("band2_times", self.band2_times, positive=True)
+            return  # the checks below are the flow's, linear or semilinear
         _check_times("snapshot_times", self.snapshot_times)
-        if self.kind == "semilinear":
-            min_theta = 2 + math.floor(1.0 / self.n_dims)
-            if self.theta < min_theta:
-                raise ValueError(
-                    f"semilinear decay presets need theta >= {min_theta} "
-                    f"in {self.n_dims}d, got {self.theta}")
-        if self.kind in ("linear", "semilinear"):
-            if self.t_final * DOMAIN_MARGIN > self.half_width + 1e-9:
-                raise ValueError(
-                    f"domain too small: need half_width >= {DOMAIN_MARGIN} * "
-                    f"t_final = {DOMAIN_MARGIN * self.t_final}, "
-                    f"got {self.half_width}")
-            if any(t < 0 or t > self.t_final + 1e-9 for t in self.snapshot_times):
-                raise ValueError("snapshot times must lie in [0, t_final]")
-        # every kind checks every key, so no manifest holds a rejected value
+        if self.t_final * DOMAIN_MARGIN > self.half_width + 1e-9:
+            raise ValueError(
+                f"domain too small: need half_width >= {DOMAIN_MARGIN} * "
+                f"t_final = {DOMAIN_MARGIN * self.t_final}, "
+                f"got {self.half_width}")
+        if any(t < 0 or t > self.t_final + 1e-9 for t in self.snapshot_times):
+            raise ValueError("snapshot times must lie in [0, t_final]")
+        _check_times("fit_window", self.fit_window)  # lo below hi
         _check_width(self.width)
         analysis.check_sobolev_index(self.sobolev_s)
         for p, a, h in self.reports:  # the rules of the norm's users
@@ -121,20 +138,14 @@ class ExperimentPreset:
             except ValueError as exc:
                 entry = _format_reports([(p, a, h)])
                 raise ValueError(f"reports entry {entry}: {exc}") from None
-        config = self.solver_config()  # the stepping keys
-        spec = self.cutoff_spec  # eps and outer_radius
         if self.kind == "semilinear":
-            solver.step_schedule(config)  # validates the dt grid
+            min_theta = 2 + math.floor(1.0 / self.n_dims)
+            if self.theta < min_theta:
+                raise ValueError(
+                    f"semilinear decay presets need theta >= {min_theta} "
+                    f"in {self.n_dims}d, got {self.theta}")
+            solver.step_schedule(self.solver_config())  # validates the dt grid
             analysis.check_profile_r(self.profile_r, self.n_dims)
-        if self.kind == "bands":
-            for band in (1, 2):  # the run samples both transitions
-                symbols._check_band_resolution(band, self.grid, spec)
-            # each band series is fit over its own times
-            if min(len(self.band1_times), len(self.band2_times)) < MIN_FIT_POINTS:
-                raise ValueError(f"bands presets need at least {MIN_FIT_POINTS} "
-                                 f"band1_times and band2_times")
-            _check_times("band1_times", self.band1_times, positive=True)
-            _check_times("band2_times", self.band2_times, positive=True)
 
     @property
     def grid(self) -> Grid:
@@ -360,7 +371,7 @@ def builtin_presets() -> dict[str, ExperimentPreset]:
         profile_r=2.0)
     bands1d = ExperimentPreset(
         name="bands1d", kind="bands", n_dims=1, grid_points=4096,
-        half_width=200.0, t_final=80.0, eps=0.45, outer_radius=2.0,
+        half_width=200.0, eps=0.45, outer_radius=2.0,
         band1_times=tuple(round(float(t), 6) for t in np.geomspace(10.0, 80.0, 8)),
         band2_times=tuple(np.linspace(5.0, 40.0, 8)))
     return {p.name: p for p in (lin1d, lin2d, semi1d, semi2d, bands1d)}
@@ -443,10 +454,11 @@ _KEYS = _config_keys()
 
 
 def preset_to_config(preset: ExperimentPreset) -> dict[str, str]:
-    """Flatten a preset to the key=value form (complete, relaunchable)."""
+    """Flatten a preset's kind's fields to the key=value form (relaunchable)."""
     return {key: fmt(getattr(preset, f.name) if end is None
                      else getattr(preset, f.name)[end])
-            for key, (f, end, (_parse, fmt)) in _KEYS.items()}
+            for key, (f, end, (_parse, fmt)) in _KEYS.items()
+            if f.name in KIND_FIELDS[preset.kind]}
 
 
 def preset_from_config(cfg: dict[str, str]) -> ExperimentPreset:

@@ -17,12 +17,20 @@ from dissipwave.cli import (ConfigError, main, make_run_dir,
                             parse_config_text, resolve_preset)
 
 
+_TINY = dict(name="cli-tiny", kind="semilinear", n_dims=1, grid_points=64,
+             half_width=16.0, amplitude=0.1, theta=3, dt=0.05, t_final=1.0,
+             snapshot_times=(0.5, 1.0), fit_window=(0.4, 1.05), reports=())
+
+
 def _tiny_preset(**over):
-    base = dict(name="cli-tiny", kind="semilinear", n_dims=1, grid_points=64,
-                half_width=16.0, amplitude=0.1, theta=3, dt=0.05, t_final=1.0,
-                snapshot_times=(0.5, 1.0), fit_window=(0.4, 1.05), reports=())
-    base.update(over)
-    return ExperimentPreset(**base)
+    return ExperimentPreset(**{**_TINY, **over})
+
+
+def _tiny_linear(**over):
+    """The tiny preset as a linear one, without the theta and dt it does
+    not read."""
+    base = {k: v for k, v in _TINY.items() if k not in ("theta", "dt")}
+    return ExperimentPreset(**{**base, "kind": "linear", **over})
 
 
 def _write_config(tmp_path, preset, name="run.cfg"):
@@ -161,10 +169,10 @@ SIX_SNAPSHOTS = ["--set", "snapshot_times=0.5,0.6,0.7,0.8,0.9,1.0"]
     ["simulate", "--set", "u0_file=/nonexistent.dwf"],
     ["simulate", "--set", "u1_file=CONFIG"],  # a text file, not DWF1
     ["simulate", "--set", "amplitude=nan"],
-    ["simulate", "--set", "kind=linear", "--set", "half_width=inf"],
-    ["simulate", "--set", "kind=linear", "--set", "amplitude=nan"],
-    ["simulate", "--set", "kind=linear", "--set", "snapshot_times=0.5,nan"],
-    ["simulate", "--set", "kind=linear", "--set", "t_final=nan"],
+    ["simulate", "--config", "lin2d", "--set", "half_width=inf"],
+    ["simulate", "--config", "lin2d", "--set", "amplitude=nan"],
+    ["simulate", "--config", "lin2d", "--set", "snapshot_times=0.5,nan"],
+    ["simulate", "--config", "lin2d", "--set", "t_final=nan"],
     ["energy-audit", "--mono-tol", "nan"],
     ["energy-audit", "--mono-tol", "-1"],
     ["energy-audit", "--mono-tol", "inf"],
@@ -180,13 +188,17 @@ SIX_SNAPSHOTS = ["--set", "snapshot_times=0.5,0.6,0.7,0.8,0.9,1.0"]
     ["simulate", *SIX_SNAPSHOTS, "--set", "reports=nan:0:0"],
     ["simulate", *SIX_SNAPSHOTS, "--set", "reports=inf:-1:0"],
     ["simulate", *SIX_SNAPSHOTS, "--set", "reports=inf:0:3"],
-    ["simulate", *SIX_SNAPSHOTS, "--set", "kind=linear",
-     "--set", "reports=2:0:0"],
+    ["simulate", "--config", "lin2d", "--set", "reports=2:0:0"],
     ["simulate", "--config", "lin2d", "--set", "integrator=euler"],
     ["simulate", "--config", "lin2d", "--set", "theta=0"],
     ["simulate", "--config", "lin2d", "--set", "delta_bar=7"],
     ["simulate", "--config", "lin1d", "--set", "eps=-1"],
     ["green-bands", "--set", "reports=0.5:-1:7"],
+    ["energy-audit", "--set", "fit_window_lo=1.0", "--set", "fit_window_hi=0.5"],
+    ["green-bands", "--set", "fit_window_lo=1e9"],
+    ["green-bands", "--set", "snapshot_times=0,5"],
+    ["simulate", "--config", "lin2d", "--set", "dt=0.05"],
+    ["simulate", "--set", "band1_times=1,2,3,4,5"],
 ], ids=["window-samples", "integrator", "off-grid-snapshot", "off-grid-dt",
         "delta-bar", "tol", "tol-nan", "width", "width-nan", "profile-r",
         "sobolev-index", "u0-file-missing", "u1-file-not-dwf1",
@@ -198,7 +210,9 @@ SIX_SNAPSHOTS = ["--set", "snapshot_times=0.5,0.6,0.7,0.8,0.9,1.0"]
         "band2-times-zero", "band-grid-unresolved", "report-p-below-1",
         "report-p-nan", "report-alpha-negative", "report-h-3",
         "report-linear-l2", "linear-integrator", "linear-theta-0",
-        "linear-delta-bar", "linear-eps", "bands-reports"])
+        "linear-delta-bar", "linear-eps", "bands-reports",
+        "inverted-fit-window", "bands-fit-window", "bands-snapshot-times",
+        "linear-dt", "semilinear-band1-times"])
 def test_bad_input_exits_2_before_any_run_directory(tmp_path, capsys, argv):
     out = tmp_path / "o"
     out.mkdir()
@@ -348,8 +362,8 @@ def _write_series(path, times, series):
 
 
 def test_decay_report_refit_passes_on_exact_law(tmp_path, capsys):
-    p = _tiny_preset(kind="linear", theta=1, name="lin-tiny",
-                     reports=((math.inf, 0, 0),), fit_window=(1.0, 12.0))
+    p = _tiny_linear(name="lin-tiny", reports=((math.inf, 0, 0),),
+                     fit_window=(1.0, 12.0))
     path = _write_config(tmp_path, p)
     t = np.arange(1.0, 13.0)
     run_dir = tmp_path / "prior"
@@ -363,8 +377,8 @@ def test_decay_report_refit_passes_on_exact_law(tmp_path, capsys):
 
 
 def test_decay_report_refit_fails_on_wrong_law(tmp_path, capsys):
-    p = _tiny_preset(kind="linear", theta=1, name="lin-tiny",
-                     reports=((math.inf, 0, 0),), fit_window=(1.0, 12.0))
+    p = _tiny_linear(name="lin-tiny", reports=((math.inf, 0, 0),),
+                     fit_window=(1.0, 12.0))
     path = _write_config(tmp_path, p)
     t = np.arange(1.0, 13.0)
     run_dir = tmp_path / "prior"
@@ -377,8 +391,8 @@ def test_decay_report_refit_fails_on_wrong_law(tmp_path, capsys):
 
 
 def test_decay_report_missing_series_exits_2(tmp_path, capsys):
-    p = _tiny_preset(kind="linear", theta=1, name="lin-tiny",
-                     reports=((math.inf, 0, 0),), fit_window=(1.0, 12.0))
+    p = _tiny_linear(name="lin-tiny", reports=((math.inf, 0, 0),),
+                     fit_window=(1.0, 12.0))
     path = _write_config(tmp_path, p)
     run_dir = tmp_path / "prior"
     run_dir.mkdir()
@@ -429,8 +443,8 @@ def test_decay_report_reuses_simulate_output(tmp_path, capsys):
 ], ids=["missing", "header", "columns", "unparsable", "nonfinite",
         "window-samples"])
 def test_decay_report_bad_run_input_exits_2(tmp_path, capsys, series_text):
-    p = _tiny_preset(kind="linear", theta=1, name="lin-tiny",
-                     reports=((math.inf, 0, 0),), fit_window=(1.0, 12.0))
+    p = _tiny_linear(name="lin-tiny", reports=((math.inf, 0, 0),),
+                     fit_window=(1.0, 12.0))
     path = _write_config(tmp_path, p)
     run_dir = tmp_path / "prior"
     run_dir.mkdir()
@@ -616,7 +630,7 @@ def test_each_kind_calls_its_runner_once_through_the_module(tmp_path, capsys,
                              outer_radius=2.0,
                              band1_times=(2.0, 4.0, 8.0, 12.0, 16.0),
                              band2_times=(1.0, 2.0, 3.0, 4.0, 5.0))
-    runs = [("simulate", _tiny_preset(name="cli-lin", kind="linear")),
+    runs = [("simulate", _tiny_linear(name="cli-lin")),
             ("simulate", _tiny_preset()), ("green-bands", bands)]
     try:
         for command, preset in runs:

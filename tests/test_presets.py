@@ -20,13 +20,21 @@ from dissipwave.presets import (HEAT_GAP_LABEL, _norm_of, _rounded_times,
 from dissipwave.solver import step_schedule
 
 
+_TINY = dict(name="tiny", kind="semilinear", n_dims=1, grid_points=64,
+             half_width=16.0, amplitude=0.1, theta=3, dt=0.05, t_final=1.0,
+             snapshot_times=(0.5, 1.0), fit_window=(0.5, 1.0),
+             reports=((math.inf, 0, 0), (2.0, 0, 0)))
+
+
 def _tiny(**over):
-    base = dict(name="tiny", kind="semilinear", n_dims=1, grid_points=64,
-                half_width=16.0, amplitude=0.1, theta=3, dt=0.05, t_final=1.0,
-                snapshot_times=(0.5, 1.0), fit_window=(0.5, 1.0),
-                reports=((math.inf, 0, 0), (2.0, 0, 0)))
-    base.update(over)
-    return ExperimentPreset(**base)
+    return ExperimentPreset(**{**_TINY, **over})
+
+
+def _tiny_linear(**over):
+    """The tiny preset as a linear one, without the theta and dt it does
+    not read."""
+    base = {k: v for k, v in _TINY.items() if k not in ("theta", "dt")}
+    return ExperimentPreset(**{**base, "kind": "linear", **over})
 
 
 def test_builtin_presets_validate_and_names_match():
@@ -47,13 +55,21 @@ def test_config_round_trip_all_builtins():
 
 
 def test_config_keys_and_their_order():
-    assert list(preset_to_config(builtin_presets()["semi1d-theta3"])) == [
+    presets = builtin_presets()
+    assert list(preset_to_config(presets["lin1d"])) == [
+        "name", "kind", "dimension", "grid_points", "half_width",
+        "amplitude", "width", "u1_amplitude", "u0_file", "u1_file",
+        "t_final", "snapshot_times", "fit_window_lo", "fit_window_hi",
+        "reports", "sobolev_index"]
+    assert list(preset_to_config(presets["semi1d-theta3"])) == [
         "name", "kind", "dimension", "grid_points", "half_width",
         "amplitude", "width", "u1_amplitude", "u0_file", "u1_file", "theta",
         "dt", "t_final", "integrator", "dealias", "delta_bar",
         "snapshot_times", "fit_window_lo", "fit_window_hi", "reports",
-        "profile_r", "sobolev_index", "eps", "outer_radius", "band1_times",
-        "band2_times"]
+        "profile_r", "sobolev_index"]
+    assert list(preset_to_config(presets["bands1d"])) == [
+        "name", "kind", "dimension", "grid_points", "half_width", "eps",
+        "outer_radius", "band1_times", "band2_times"]
 
 
 @pytest.mark.parametrize("over, key, text", [
@@ -189,7 +205,7 @@ def test_kind_dispatch_guards():
         run_linear(p)
     with pytest.raises(ValueError, match="not a bands"):
         run_bands(p)
-    lin = _tiny(kind="linear", theta=1, reports=((math.inf, 0, 0),))
+    lin = _tiny_linear(reports=((math.inf, 0, 0),))
     with pytest.raises(ValueError, match="not semilinear"):
         run_semilinear(lin)
 
@@ -212,7 +228,7 @@ def test_semilinear_tiny_run_series_shapes():
 
 
 def test_linear_run_includes_heat_gap():
-    p = _tiny(kind="linear", theta=1, reports=((math.inf, 0, 0),))
+    p = _tiny_linear(reports=((math.inf, 0, 0),))
     run = run_linear(p)
     assert HEAT_GAP_LABEL in run.series
     times, gap = run.series[HEAT_GAP_LABEL]
@@ -223,8 +239,8 @@ def test_linear_run_includes_heat_gap():
 def test_linear_flow_second_time_derivative_has_no_source():
     # u_tt of the linear flow is Lap u - u_t: at amplitude 1 a theta 3
     # source would move the sup norm by order one
-    p = _tiny(kind="linear", amplitude=1.0, u1_amplitude=0.3,
-              reports=((math.inf, 0, 2),))
+    p = _tiny_linear(amplitude=1.0, u1_amplitude=0.3,
+                     reports=((math.inf, 0, 2),))
     run = run_linear(p)
     grid = p.grid
     u0, u1 = p.initial_data()
@@ -276,7 +292,7 @@ def test_run_experiment_dispatch_matches_kind():
     p = _tiny()
     run = run_experiment(p)
     assert run.preset is p
-    lin = _tiny(kind="linear", theta=1, reports=((math.inf, 0, 0),))
+    lin = _tiny_linear(reports=((math.inf, 0, 0),))
     assert HEAT_GAP_LABEL in run_experiment(lin).series
 
 

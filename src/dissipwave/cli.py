@@ -146,7 +146,7 @@ def _symbol_check_points(preset: ExperimentPreset | None):
     if preset is None:
         xi_sq = np.linspace(0.0, 4.0, 33)
     else:
-        vals = np.unique(preset.grid.freq_sq)
+        vals = preset.grid.freq_levels[0]
         vals = vals[vals <= 16.0]
         take = max(1, len(vals) // 48)
         xi_sq = np.unique(np.concatenate([vals[::take], [0.0, 0.25, vals[-1]]]))
@@ -333,7 +333,8 @@ def cmd_energy_audit(args, open_run):
           f"{args.mono_tol * e0:.3e} -> {'PASS' if mono_ok else 'FAIL'}")
     print(f"  balance residual {residual:.3e} vs "
           f"{args.balance_tol * e0:.3e} -> {'PASS' if bal_ok else 'FAIL'}")
-    return mono_ok and bal_ok, [
+    source = [] if args.run is None else [f"series source: {args.run}"]
+    return mono_ok and bal_ok, source + [
         f"E(0) = {e0!r}",
         f"worst per-step energy rise = {worst_rise!r} "
         f"(allowed {args.mono_tol:g} * E0)",

@@ -112,6 +112,16 @@ class Grid:
         return out
 
     @cached_property
+    def freq_levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """Level table (levels, index) of freq_sq: its distinct values in
+        increasing order and, per stored mode, the position of its value,
+        so levels[index] is freq_sq bit for bit.  A radial multiplier is
+        evaluated once per level and spread onto the lattice by the one
+        gather values[index]."""
+        levels, index = np.unique(self.freq_sq, return_inverse=True)
+        return levels, index.reshape(self.spectral_shape)
+
+    @cached_property
     def freq_radius(self) -> np.ndarray:
         return np.sqrt(self.freq_sq)
 

@@ -170,5 +170,6 @@ def heat_reference(data: Field | SpectralField, t: float) -> Field:
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     spec = data if isinstance(data, SpectralField) else forward_transform(data)
-    damped = spec.coeffs * np.exp(-data.grid.freq_sq * t)
+    xi_sq, index = data.grid.freq_levels
+    damped = spec.coeffs * np.exp(-xi_sq * t)[index]
     return inverse_transform(SpectralField(data.grid, damped))

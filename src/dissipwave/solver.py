@@ -204,11 +204,12 @@ def _make_step_cache(grid: Grid, config: SolverConfig) -> _StepCache:
     # quadratic through F_n, F_{n-1}, F_{n-2} at tau = s/dt = 0, -1, -2,
     # extrapolated over the step: the integral collapses to
     # sum_k w_k F_{n-k} with per-mode weights w_k = int G(dt - s) L_k ds,
-    # L_k the Lagrange basis of those nodes.
+    # L_k the Lagrange basis of those nodes.  The weights are radial, so
+    # they are summed once per |xi|^2 level and gathered onto the lattice.
     nodes, weights = leggauss(_QUAD_POINTS)
-    xi_sq = grid.freq_sq
-    u_weights = tuple(np.zeros(grid.spectral_shape) for _ in range(3))
-    v_weights = tuple(np.zeros(grid.spectral_shape) for _ in range(3))
+    xi_sq, index = grid.freq_levels
+    u_weights = tuple(np.zeros(xi_sq.shape) for _ in range(3))
+    v_weights = tuple(np.zeros(xi_sq.shape) for _ in range(3))
     for tau, w in zip(0.5 * (nodes + 1.0), 0.5 * dt * weights):
         ker, ker_t = green_pair(xi_sq, dt * (1.0 - tau))
         lagrange = ((tau + 1) * (tau + 2) / 2, -tau * (tau + 2),
@@ -216,8 +217,9 @@ def _make_step_cache(grid: Grid, config: SolverConfig) -> _StepCache:
         for wu, wv, basis in zip(u_weights, v_weights, lagrange):
             wu += (w * basis) * ker
             wv += (w * basis) * ker_t
-    return _StepCache(table=table, mask=mask, u_weights=u_weights,
-                      v_weights=v_weights)
+    return _StepCache(table=table, mask=mask,
+                      u_weights=tuple(wu[index] for wu in u_weights),
+                      v_weights=tuple(wv[index] for wv in v_weights))
 
 
 def _masked_hat(values: np.ndarray, cache: _StepCache,

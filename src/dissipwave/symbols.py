@@ -117,13 +117,14 @@ class SymbolTable:
 
 def build_symbol_table(grid: Grid, delta: float) -> SymbolTable:
     """Tabulate the propagator at time increment delta over the stored half
-    spectrum of the frequency lattice."""
+    spectrum of the frequency lattice, each entry once per |xi|^2 level."""
     if delta < 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
-    xi_sq = grid.freq_sq
+    xi_sq, index = grid.freq_levels
     g, g_t = green_pair(xi_sq, delta)
     g_tt = -g_t - xi_sq * g
-    return SymbolTable(grid=grid, uu=g_t + g, uv=g, vu=g_tt + g_t, vv=g_t)
+    return SymbolTable(grid=grid, uu=(g_t + g)[index], uv=g[index],
+                       vu=(g_tt + g_t)[index], vv=g_t[index])
 
 
 @dataclass(frozen=True)
@@ -233,5 +234,7 @@ def green_band(band: int, grid: Grid, t: float, spec: CutoffSpec = CutoffSpec())
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
     _check_band_resolution(band, grid, spec)
-    mult = cutoff(band, grid.freq_radius, spec) * green_hat(grid.freq_sq, t)
-    return inverse_transform(SpectralField(grid, _delta_spectrum(grid) * mult))
+    xi_sq, index = grid.freq_levels
+    mult = cutoff(band, np.sqrt(xi_sq), spec) * green_hat(xi_sq, t)
+    return inverse_transform(SpectralField(grid, _delta_spectrum(grid)
+                                           * mult[index]))

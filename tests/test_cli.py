@@ -486,6 +486,28 @@ def test_energy_audit_fresh_then_reuse(tmp_path, capsys):
     assert (_only_run_dir(tmp_path / "r", "cli-tiny") / "manifest.txt").exists()
 
 
+def test_replay_manifests_name_their_series_source(tmp_path, capsys):
+    # each --run replay records the run directory whose csv it read; a
+    # live run reads none and records no source
+    path = _write_config(tmp_path, _tiny_preset(
+        reports=((1, 0, 0), (2, 0, 0)),
+        snapshot_times=(0.2, 0.4, 0.6, 0.8, 1.0), fit_window=(0.1, 1.05)))
+    assert main(["simulate", "--config", path,
+                 "--out", str(tmp_path / "o")]) == 0
+    prior = _only_run_dir(tmp_path / "o", "cli-tiny")
+    tols = ["--mono-tol", "1e-6", "--balance-tol", "1e-3"]
+    for command, flags in (("decay-report", []), ("energy-audit", tols)):
+        for run_args, out in ((["--run", str(prior)], "replay"), ([], "live")):
+            root = tmp_path / command / out
+            assert main([command, "--config", path, "--out", str(root),
+                         *run_args, *flags]) == 0
+            lines = (_only_run_dir(root, "cli-tiny") / "manifest.txt"
+                     ).read_text().splitlines()
+            sources = [ln for ln in lines if ln.startswith("# series source")]
+            assert sources == ([f"# series source: {prior}"] if run_args
+                               else []), (command, out)
+
+
 @pytest.mark.parametrize("energy_text", [
     None,
     "t,quantity,value\n0.0,energy,1.0\n0.0,diss_integral,x\n",
@@ -530,15 +552,16 @@ def test_energy_audit_requires_semilinear(tmp_path, capsys):
 
 
 def test_verify_symbols_check_points_match_full_lattice():
-    # the check points come from np.unique(freq_sq); the stored half
-    # spectrum must hold exactly the |xi|^2 values of the full lattice
+    # the check points come from the grid's level table, the distinct
+    # freq_sq values of the stored half spectrum; those must be exactly
+    # the |xi|^2 values of the full lattice
     for preset in builtin_presets().values():
         g = preset.grid
         f = 2.0 * np.pi * np.fft.fftfreq(g.points_per_dim, d=g.dx)
         full = np.zeros(g.shape)
         for axis in np.meshgrid(*(f,) * g.n_dims, indexing="ij", sparse=True):
             full = full + axis * axis
-        assert np.array_equal(np.unique(g.freq_sq), np.unique(full))
+        assert np.array_equal(g.freq_levels[0], np.unique(full))
 
 
 def test_verify_symbols_passes(tmp_path, capsys):

@@ -10,10 +10,10 @@ Subcommands:
 Configs are flat key=value text files ('#' starts a comment); --config also
 accepts a built-in preset name.  A subcommand checks all its input before it
 makes <out>/<name>/<timestamp>/; main closes that directory with a
-manifest.txt whose comments end in the verdict and that relaunches as a
-config file.  Exit codes: 0 all checks passed, 1 a verdict failed, 2 bad
-config or --run input, 3 the run left the stability trust region, 4 an
-internal error (an uncaught exception).
+manifest.txt whose comments open with the command line and end in the
+verdict and that relaunches as a config file.  Exit codes: 0 all checks
+passed, 1 a verdict failed, 2 bad config or --run input, 3 the run left the
+stability trust region, 4 an internal error (an uncaught exception).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import shlex
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -121,9 +122,11 @@ def make_run_dir(out_root: str | None, name: str) -> Path:
 def write_manifest(run_dir: Path, argv_echo: str,
                    preset: ExperimentPreset | None,
                    comments: list[str]) -> None:
-    lines = [f"# dissipwave run: {argv_echo}",
-             f"# created: {datetime.now(timezone.utc).isoformat()}"]
-    lines += [f"# {c}" for c in comments]
+    comments = [f"dissipwave run: {argv_echo}",
+                f"created: {datetime.now(timezone.utc).isoformat()}",
+                *comments]
+    # a newline in an argument or a message stays inside its comment
+    lines = ["# " + c.replace("\n", "\n# ") for c in comments]
     if preset is not None:
         lines += [f"{k} = {v}" for k, v in preset_to_config(preset).items()]
     (run_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
@@ -390,6 +393,7 @@ def main(argv=None) -> int:
     """Run one subcommand: each returns (passed, manifest comments) or
     raises, and this is the one place that maps the outcome to an exit
     code, a stderr line and the manifest's closing verdict."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     opened = []  # the (run directory, preset) a subcommand opened
 
@@ -410,7 +414,7 @@ def main(argv=None) -> int:
     if code > EXIT_FAIL:  # no verdict: the one-line message goes to stderr
         print(comments[0], file=sys.stderr)
     for run_dir, preset in opened:
-        write_manifest(run_dir, args.command, preset,
+        write_manifest(run_dir, shlex.join(argv), preset,
                        comments + [f"verdict: {VERDICT[code]}"])
         print(f"wrote {run_dir}")
     return code

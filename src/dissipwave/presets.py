@@ -29,8 +29,9 @@ _FLOW = _GRID + ("amplitude", "width", "u1_amplitude", "u0_file", "u1_file",
                  "t_final", "snapshot_times", "fit_window", "reports",
                  "sobolev_index")
 KIND_FIELDS = {"linear": _FLOW,
-               "semilinear": _FLOW + ("theta", "dt", "integrator", "dealias",
-                                      "delta_bar", "profile_r"),
+               "semilinear": _FLOW + ("theta", "dt", "dt_doubling_times",
+                                      "integrator", "dealias", "delta_bar",
+                                      "profile_r"),
                "bands": _GRID + ("eps", "outer_radius", "band1_times",
                                  "band2_times")}
 
@@ -79,6 +80,7 @@ class ExperimentPreset:
     u1_file: str = ""
     theta: int = 3
     dt: float = 0.02
+    dt_doubling_times: tuple[float, ...] = ()
     t_final: float = 100.0
     integrator: str = "exponential_duhamel"
     dealias: bool | None = None
@@ -144,6 +146,8 @@ class ExperimentPreset:
                 raise ValueError(
                     f"semilinear decay presets need theta >= {min_theta} "
                     f"in {self.n_dims}d, got {self.theta}")
+            _check_times("dt_doubling_times", self.dt_doubling_times,
+                         positive=True)
             solver.step_schedule(self.solver_config())  # validates the dt grid
             analysis.check_profile_r(self.profile_r, self.n_dims)
 
@@ -184,7 +188,8 @@ class ExperimentPreset:
         return solver.SolverConfig(
             theta=self.theta, dt=self.dt, t_final=self.t_final,
             integrator=self.integrator, dealias=self.dealias,
-            snapshot_times=self.snapshot_times, delta_bar=self.delta_bar)
+            snapshot_times=self.snapshot_times,
+            dt_doubling_times=self.dt_doubling_times, delta_bar=self.delta_bar)
 
     def report(self, series: dict) -> analysis.DecayReport:
         """Verdicts on a run's series, which map each label to its own
@@ -324,13 +329,20 @@ def run_experiment(preset: ExperimentPreset, snapshot_sink=None):
 
 
 def _rounded_times(lo: float, hi: float, count: int, dt: float | None,
+                   doubling_times: tuple[float, ...] = (),
                    include: tuple[float, ...] = ()) -> tuple[float, ...]:
-    raw = list(np.geomspace(lo, hi, count)) + list(include)
-    if dt is None:
-        ts = sorted({round(float(t), 9) for t in raw})
-    else:
-        ts = sorted({round(round(float(t) / dt) * dt, 9) for t in raw})
-    return tuple(t for t in ts if 0 < t <= hi + 1e-9)
+    """count geometric times in [lo, hi] and the included ones; with a dt,
+    each is rounded onto the step grid of its epoch of a run to t = hi
+    (solver.epochs)."""
+    epochs = [] if dt is None else solver.epochs(dt, doubling_times, hi)
+    ts = set()
+    for t in map(float, list(np.geomspace(lo, hi, count)) + list(include)):
+        if epochs:
+            start, _end, step = next((e for e in epochs if t <= e[1]),
+                                     epochs[-1])
+            t = start + round((t - start) / step) * step
+        ts.add(round(t, 9))
+    return tuple(t for t in sorted(ts) if 0 < t <= hi + 1e-9)
 
 
 def builtin_presets() -> dict[str, ExperimentPreset]:
@@ -349,23 +361,30 @@ def builtin_presets() -> dict[str, ExperimentPreset]:
         fit_window=(10.0, 50.0),
         reports=((sup, 0, 0),))
     # semilinear amplitudes put the Sobolev data size near 0.1; the widths
-    # and steps keep the energy-balance residual under 1e-6 E(0).  The
-    # quadrature of the ledger's sixth-order dissipation integral, not the
-    # solver, sets that residual: 2.7e-8 E(0) for semi1d at dt 0.1.  The
-    # semi2d step divides 1.0, 1.5 and 2.0, the snapshot times of short cuts
+    # and steps keep the energy-balance residual under 1e-6 E(0).  The step
+    # doubles at the whole time nearest to where sup|u|^theta has fallen by
+    # 2^3 since the epoch began (measured on the constant-step run): a
+    # doubled step multiplies the AB3 step's dt^3 error per unit time by
+    # 2^3, and the source's relative size |u|^theta falls by as much.  The
+    # semi2d step divides 1.0, 1.5 and 2.0, the snapshot times of short
+    # cuts, and keeps its first size through t = 2
+    semi1d_doubling = (6.0, 30.0)
     semi1d = ExperimentPreset(
         name="semi1d-theta3", kind="semilinear", n_dims=1, grid_points=4096,
         half_width=200.0, amplitude=0.0485, width=2.0, theta=3, dt=0.1,
-        t_final=100.0,
-        snapshot_times=_rounded_times(1.0, 100.0, 30, 0.1, include=(10.0,)),
+        dt_doubling_times=semi1d_doubling, t_final=100.0,
+        snapshot_times=_rounded_times(1.0, 100.0, 30, 0.1, semi1d_doubling,
+                                      include=(10.0,)),
         fit_window=(20.0, 100.0),
         reports=((sup, 0, 0), (2, 0, 0), (1, 0, 0), (sup, 0, 1)),
         profile_r=2.0)
+    semi2d_doubling = (3.0, 12.0, 39.0)
     semi2d = ExperimentPreset(
         name="semi2d-theta2", kind="semilinear", n_dims=2, grid_points=256,
         half_width=80.0, amplitude=0.0226, width=2.0, theta=2, dt=0.025,
-        t_final=50.0,
-        snapshot_times=_rounded_times(1.0, 50.0, 25, 0.025, include=(10.0,)),
+        dt_doubling_times=semi2d_doubling, t_final=50.0,
+        snapshot_times=_rounded_times(1.0, 50.0, 25, 0.025, semi2d_doubling,
+                                      include=(10.0,)),
         fit_window=(10.0, 50.0),
         reports=((sup, 0, 0), (sup, 0, 1)),
         profile_r=2.0)

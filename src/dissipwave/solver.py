@@ -12,6 +12,11 @@ line F_0 + t F_t through the data, with the exact source rate F_t.  A
 classical RK4 stepper on the spectral system is kept as an independent
 reference route.
 
+The step may grow with time (key dt_doubling_times): the run is a sequence
+of epochs, each with twice the step of the one before.  step_schedule lays
+the run out as a table of step times and sizes; solve holds one step cache
+per epoch and reseeds the source history at each epoch's first step.
+
 A SolverState holds the flow only: the SolverConfig owns the equation, and
 solve owns the clock, stamping each snapshot with its configured time.
 """
@@ -78,7 +83,9 @@ class SolverConfig:
 
     dealias None resolves to the 2/3 rule for theta >= 2.  nonlin_sign is
     -1 for the absorbing equation; +1 flips the source for the qualitative
-    growth experiment and is not covered by any decay guarantee.
+    growth experiment and is not covered by any decay guarantee.  The step
+    is dt until the first of dt_doubling_times and doubles at each (see
+    epochs).
     """
 
     theta: int
@@ -87,6 +94,7 @@ class SolverConfig:
     integrator: str = "exponential_duhamel"
     dealias: bool | None = None
     snapshot_times: tuple[float, ...] = ()
+    dt_doubling_times: tuple[float, ...] = ()
     delta_bar: float = 0.5
     nonlin_sign: int = -1
 
@@ -185,18 +193,19 @@ def dealias_mask(grid: Grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _StepCache:
-    """Per-run precomputation shared by every step of size dt: the
+    """Per-epoch precomputation shared by every step of size dt: the
     propagator, the dealias mask and the exponential Adams-Bashforth
     weights, u_weights[k] and v_weights[k] multiplying F_{n-k}."""
 
+    dt: float
     table: SymbolTable
     mask: np.ndarray | None
     u_weights: tuple[np.ndarray, np.ndarray, np.ndarray]
     v_weights: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _make_step_cache(grid: Grid, config: SolverConfig) -> _StepCache:
-    dt = config.dt
+def _make_step_cache(grid: Grid, config: SolverConfig,
+                     dt: float) -> _StepCache:
     table = build_symbol_table(grid, dt)
     mask = dealias_mask(grid) if config.dealias_enabled else None
 
@@ -217,7 +226,7 @@ def _make_step_cache(grid: Grid, config: SolverConfig) -> _StepCache:
         for wu, wv, basis in zip(u_weights, v_weights, lagrange):
             wu += (w * basis) * ker
             wv += (w * basis) * ker_t
-    return _StepCache(table=table, mask=mask,
+    return _StepCache(dt=dt, table=table, mask=mask,
                       u_weights=tuple(wu[index] for wu in u_weights),
                       v_weights=tuple(wv[index] for wv in v_weights))
 
@@ -252,7 +261,7 @@ def _seed_history(state: SolverState, f0: np.ndarray, config: SolverConfig,
     rate *= inverse_transform(SpectralField(state.grid, state.v_hat)).values
     rate *= config.nonlin_sign * (config.theta + 1)
     rate_hat = _masked_hat(rate, cache)
-    rate_hat *= config.dt
+    rate_hat *= cache.dt
     f_1 = f0 - rate_hat
     return f_1, f_1 - rate_hat
 
@@ -280,7 +289,7 @@ def _step_duhamel(state: SolverState, config: SolverConfig, cache: _StepCache,
 def _step_rk4(state: SolverState, config: SolverConfig,
               cache: _StepCache) -> SolverState:
     xi_sq = state.grid.freq_sq
-    dt = config.dt
+    dt = cache.dt
 
     def rhs(s: SolverState):
         f_hat = _source_hat(s.u, config, cache)
@@ -302,8 +311,8 @@ def _step_rk4(state: SolverState, config: SolverConfig,
 def step_semilinear(state: SolverState, config: SolverConfig,
                     cache: _StepCache, history: _History | None
                     ) -> tuple[SolverState, _History | None]:
-    """One step of the configured integrator with the run's step cache;
-    solve guards the result.
+    """One step of the configured integrator with the epoch's step cache,
+    whose dt is the step's size; solve guards the result.
 
     history is the Duhamel step's source spectra (F_{n-1}, F_{n-2},
     F_{n-3}) of the previous steps, None before the first step, which
@@ -315,51 +324,85 @@ def step_semilinear(state: SolverState, config: SolverConfig,
     return _step_duhamel(state, config, cache, history)
 
 
-def step_schedule(config: SolverConfig) -> tuple[int, dict[int, float]]:
-    """Step count and {step: snapshot time}; a ValueError if t_final or a
-    snapshot time is not a multiple of dt, a snapshot lies past t_final or
-    two snapshots fall on one step."""
-    n_steps = int(round(config.t_final / config.dt))
-    if abs(n_steps * config.dt - config.t_final) > 1e-9 * max(1.0, config.t_final):
-        raise ValueError(
-            f"t_final = {config.t_final} is not a multiple of dt = {config.dt}")
-    snaps: dict[int, float] = {}
+def epochs(dt: float, doubling_times: tuple[float, ...], t_final: float
+           ) -> list[tuple[float, float, float]]:
+    """(start, end, step) of each epoch of a run: the step is dt up to the
+    first doubling time and doubles at each one.  Doubling times at or past
+    t_final are ignored, so the last epoch ends at t_final."""
+    ends = [t for t in doubling_times if t < t_final] + [t_final]
+    return [(start, end, dt * 2 ** j)
+            for j, (start, end) in enumerate(zip([0.0] + ends, ends))]
+
+
+def _grid_steps(t: float, start: float, step: float, what: str) -> int:
+    """Steps of the given size from start to t; a ValueError if t is off
+    that grid."""
+    k = int(round((t - start) / step))
+    if abs(start + k * step - t) > 1e-9 * max(1.0, abs(t)):
+        raise ValueError(f"{what} {t} is not on the grid of dt = {step} "
+                         f"from t = {start}")
+    return k
+
+
+def step_schedule(config: SolverConfig) -> list[tuple[float, float, bool]]:
+    """The run as a table of rows (t, dt, snapshot), one per state from
+    t = 0: the state's time (a snapshot's configured time exactly), the
+    step that reaches it (the first epoch's for state 0) and whether it is
+    a snapshot.  A ValueError if an epoch's end (t_final for the last) is
+    off its grid or leaves it no step, a snapshot time is off its epoch's
+    grid or lies past t_final, or two snapshots fall on one step."""
+    table = [(0.0, config.dt, False)]
+    starts = []  # (start, end, step, row of the start) of each epoch
+    for start, end, step in epochs(config.dt, config.dt_doubling_times,
+                                   config.t_final):
+        what = "t_final" if end == config.t_final else "doubling time"
+        n = _grid_steps(end, start, step, what)
+        if n < 1:
+            raise ValueError(f"{what} {end} leaves no step of dt = {step} "
+                             f"after t = {start}")
+        starts.append((start, end, step, len(table) - 1))
+        table += [(start + i * step, step, False) for i in range(1, n + 1)]
     for t in config.snapshot_times:
-        k = int(round(t / config.dt))
-        if abs(k * config.dt - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(
-                f"snapshot time {t} is not a multiple of dt = {config.dt}")
-        if k > n_steps:
+        epoch = next((e for e in starts if t <= e[1] + 1e-9 * max(1.0, t)),
+                     None)
+        if epoch is None:
             raise ValueError(f"snapshot time {t} lies beyond t_final")
-        if k in snaps:
-            raise ValueError(f"snapshot times {snaps[k]} and {t} fall on "
-                             f"one step of dt = {config.dt}")
-        snaps[k] = t
-    return n_steps, snaps
+        start, _end, step, row = epoch
+        k = row + _grid_steps(t, start, step, "snapshot time")
+        t_k, dt_k, taken = table[k]
+        if taken:
+            raise ValueError(f"snapshot times {t_k} and {t} fall on one "
+                             f"step of dt = {step}")
+        table[k] = (t, dt_k, True)
+    return table
 
 
 def solve(u0: Field, u1: Field, config: SolverConfig, observers=(),
           ledger=None) -> SolverState:
     """March the semilinear equation to t_final; returns the final state.
 
-    Step k is at time k dt, a snapshot step at its configured time.  Each
+    The states and their times are the rows of step_schedule.  Each epoch
+    steps with its own cache, built when the epoch starts after the last
+    one's is dropped, and its first step reseeds the source history.  Each
     state, the first included, is guarded, then given to the ledger
     (analysis.EnergyLedger) and, at snapshot steps, to each observer as
     (t, state); all share the state's one physical u.
     """
-    n_steps, snaps = step_schedule(config)
+    table = step_schedule(config)
 
     state = state_from_fields(u0, u1)
-    cache = _make_step_cache(state.grid, config)
+    cache = _make_step_cache(state.grid, config, config.dt)
     history = None
-    for k in range(n_steps + 1):
+    for k, (t, dt, snapshot) in enumerate(table):
         if k:
+            if dt != cache.dt:  # a new epoch; never hold two caches
+                cache = history = None
+                cache = _make_step_cache(state.grid, config, dt)
             state, history = step_semilinear(state, config, cache, history)
-        t = snaps.get(k, k * config.dt)
         _guard(state, config, t)
         if ledger is not None:
             ledger.record(t, state, config.theta)
-        if k in snaps:
+        if snapshot:
             for obs in observers:
                 obs(t, state)
     return state

@@ -199,6 +199,12 @@ SIX_SNAPSHOTS = ["--set", "snapshot_times=0.5,0.6,0.7,0.8,0.9,1.0"]
     ["green-bands", "--set", "snapshot_times=0,5"],
     ["simulate", "--config", "lin2d", "--set", "dt=0.05"],
     ["simulate", "--set", "band1_times=1,2,3,4,5"],
+    ["simulate", "--set", "dt_doubling_times=0.6,0.2"],
+    ["simulate", "--set", "dt_doubling_times=0.2,0.55"],
+    # the last epoch steps 0.2 from 0.6, so 0.7 is off its grid
+    ["simulate", "--set", "dt_doubling_times=0.2,0.6",
+     "--set", "snapshot_times=0.5,0.7,1.0"],
+    ["simulate", "--config", "lin2d", "--set", "dt_doubling_times=1.0"],
 ], ids=["window-samples", "integrator", "off-grid-snapshot", "off-grid-dt",
         "delta-bar", "tol", "tol-nan", "width", "width-nan", "profile-r",
         "sobolev-index", "u0-file-missing", "u1-file-not-dwf1",
@@ -212,7 +218,9 @@ SIX_SNAPSHOTS = ["--set", "snapshot_times=0.5,0.6,0.7,0.8,0.9,1.0"]
         "report-linear-l2", "linear-integrator", "linear-theta-0",
         "linear-delta-bar", "linear-eps", "bands-reports",
         "inverted-fit-window", "bands-fit-window", "bands-snapshot-times",
-        "linear-dt", "semilinear-band1-times"])
+        "linear-dt", "semilinear-band1-times", "doubling-unsorted",
+        "doubling-off-grid-end", "doubling-off-grid-snapshot",
+        "linear-doubling"])
 def test_bad_input_exits_2_before_any_run_directory(tmp_path, capsys, argv):
     out = tmp_path / "o"
     out.mkdir()
@@ -337,6 +345,41 @@ def test_simulate_series_bytes_deterministic(tmp_path, capsys):
     sa = _only_run_dir(tmp_path / "a", "cli-tiny") / "series.csv"
     sb = _only_run_dir(tmp_path / "b", "cli-tiny") / "series.csv"
     assert sa.read_bytes() == sb.read_bytes()
+
+
+def test_manifest_with_doubling_times_relaunches_the_same_preset(tmp_path,
+                                                                capsys):
+    p = _tiny_preset(dt_doubling_times=(0.2, 0.6),
+                     snapshot_times=(0.2, 0.5, 0.8, 1.0))
+    path = _write_config(tmp_path, p)
+    assert main(["simulate", "--config", path,
+                 "--out", str(tmp_path / "o")]) == 0
+    manifest = _only_run_dir(tmp_path / "o", "cli-tiny") / "manifest.txt"
+    assert "dt_doubling_times = 0.2,0.6" in manifest.read_text()
+    assert resolve_preset(str(manifest), []) == p
+
+
+def test_manifest_records_the_command_line(tmp_path, capsys, monkeypatch):
+    # the flags that are not config keys leave their trace in the header
+    import dissipwave.cli as cli
+    path = _write_config(tmp_path, _tiny_preset())
+    out = tmp_path / "o"
+    argv = ["simulate", "--config", path, "--snapshots", "--set",
+            "name=has space", "--out", str(out)]
+    assert main(argv) == 0
+    manifest = _only_run_dir(out, "has space") / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    assert lines[0] == (f"# dissipwave run: simulate --config {path} "
+                        f"--snapshots --set 'name=has space' --out {out}")
+    assert resolve_preset(str(manifest), []).name == "has space"
+    # main writes the header whatever the subcommand; a stub stands in for
+    # the symbol check, which takes seconds
+    monkeypatch.setattr(cli, "cmd_verify_symbols", lambda args, open_run: (
+        open_run("verify-symbols", None), (True, []))[1])
+    assert main(["verify-symbols", "--tol", "1e-6", "--out", str(out)]) == 0
+    manifest = _only_run_dir(out, "verify-symbols") / "manifest.txt"
+    assert manifest.read_text().splitlines()[0] == (
+        f"# dissipwave run: verify-symbols --tol 1e-6 --out {out}")
 
 
 def test_manifest_is_relaunchable(tmp_path, capsys):

@@ -70,7 +70,8 @@ def test_step_weights_match_per_mode_quadrature(grid, dt):
         for wu, wv, basis in zip(u_ref, v_ref, lagrange):
             wu += (w * basis) * ker
             wv += (w * basis) * ker_t
-    cache = _make_step_cache(grid, SolverConfig(theta=2, dt=dt, t_final=dt))
+    cache = _make_step_cache(grid, SolverConfig(theta=2, dt=dt, t_final=dt),
+                             dt)
     for got, want in zip(cache.u_weights + cache.v_weights, u_ref + v_ref):
         assert got.shape == grid.spectral_shape
         assert np.array_equal(got, want)

@@ -64,7 +64,8 @@ def test_config_keys_and_their_order():
     assert list(preset_to_config(presets["semi1d-theta3"])) == [
         "name", "kind", "dimension", "grid_points", "half_width",
         "amplitude", "width", "u1_amplitude", "u0_file", "u1_file", "theta",
-        "dt", "t_final", "integrator", "dealias", "delta_bar",
+        "dt", "dt_doubling_times", "t_final", "integrator", "dealias",
+        "delta_bar",
         "snapshot_times", "fit_window_lo", "fit_window_hi", "reports",
         "profile_r", "sobolev_index"]
     assert list(preset_to_config(presets["bands1d"])) == [
@@ -171,9 +172,42 @@ def test_semi2d_step_divides_the_short_cut_times():
     # a preset step that does not divide them fails the schedule
     cut = replace(builtin_presets()["semi2d-theta2"], t_final=2.0,
                   snapshot_times=(1.0, 1.5, 2.0))
-    n_steps, snaps = step_schedule(cut.solver_config())
-    assert n_steps * cut.dt == pytest.approx(2.0)
-    assert sorted(snaps.values()) == [1.0, 1.5, 2.0]
+    table = step_schedule(cut.solver_config())
+    assert (len(table) - 1) * cut.dt == pytest.approx(2.0)
+    assert [t for t, _dt, snapshot in table if snapshot] == [1.0, 1.5, 2.0]
+    # the cut stops before the first doubling time: 80 steps of the
+    # preset's first size, the run of a constant step
+    assert cut.dt_doubling_times[0] > 2.0
+    assert len(table) - 1 == 80
+    assert {dt for _t, dt, _snapshot in table} == {0.025}
+
+
+def test_rounded_times_land_on_their_epoch_grid():
+    # the steps are 0.05 to t = 2, 0.1 to 4 and 0.2 to 10; rounding onto
+    # the 0.05 grid alone would give 2.85, 4.35, 5.35 and 8.1, each off
+    # its epoch's grid
+    doubling = (2.0, 4.0)
+    ts = _rounded_times(1.0, 10.0, 12, 0.05, doubling, include=(3.0,))
+    assert 3.0 in ts and len(ts) == 12 + 1
+    _tiny(dt=0.05, dt_doubling_times=doubling, t_final=10.0,
+          snapshot_times=ts, fit_window=(1.0, 10.0))
+
+
+@pytest.mark.parametrize("doubling, message", [
+    ((0.6, 0.2), "strictly increasing"),
+    ((0.0, 0.6), "positive"),
+], ids=["unsorted", "zero"])
+def test_doubling_times_are_increasing_and_positive(doubling, message):
+    # the epoch grids are step_schedule's to check
+    with pytest.raises(ValueError, match=f"dt_doubling_times must be {message}"):
+        _tiny(dt_doubling_times=doubling)
+
+
+def test_doubling_times_at_or_past_t_final_are_ignored():
+    # a short cut of a preset keeps its doubling times and steps as before
+    cut = _tiny(dt_doubling_times=(1.0, 7.5))
+    assert step_schedule(cut.solver_config()) == step_schedule(
+        _tiny().solver_config())
 
 
 def test_theta_floor_depends_on_dimension():

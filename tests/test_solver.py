@@ -15,8 +15,8 @@ from dissipwave import (Field, InstabilityError, SolverConfig, SolverState,
                         linear_solution, linear_step, make_grid, solve,
                         state_from_fields)
 from dissipwave.grid import SpectralField
-from dissipwave.solver import (_make_step_cache, step_semilinear,
-                              time_derivative, u_field)
+from dissipwave.solver import (_make_step_cache, step_schedule,
+                              step_semilinear, time_derivative, u_field)
 
 
 def _zero(grid):
@@ -319,7 +319,8 @@ def test_solver_state_holds_the_flow_only(grid1d, bump1d):
     for integrator in ("exponential_duhamel", "reference_rk4"):
         config = replace(cfg, integrator=integrator)
         stepped, _ = step_semilinear(state, config,
-                                     _make_step_cache(grid1d, config), None)
+                                     _make_step_cache(grid1d, config, 0.125),
+                                     None)
         final = solve(bump1d, _zero(grid1d), config)
         assert np.array_equal(stepped.u_hat, final.u_hat)
         assert np.array_equal(stepped.v_hat, final.v_hat)
@@ -347,6 +348,83 @@ def test_solve_makes_two_transforms_per_duhamel_step(grid1d, bump1d,
           observers=(lambda t, s: s.u_sup,),
           ledger=EnergyLedger(sobolev_index=1))
     assert counts == {"rfftn": 3 + steps, "irfftn": 2 + steps}
+
+
+def test_schedule_doubles_the_step_at_each_epoch_end():
+    cfg = SolverConfig(theta=3, dt=0.1, t_final=1.0,
+                       dt_doubling_times=(0.2, 0.6, 1.0, 3.0),
+                       snapshot_times=(0.0, 0.2, 0.4, 1.0))
+    table = step_schedule(cfg)
+    # the ends at or past t_final are ignored: epochs 0.1, 0.2 and 0.4
+    assert [dt for _t, dt, _snap in table] == [0.1] * 3 + [0.2] * 2 + [0.4]
+    assert [t for t, _dt, _snap in table] == pytest.approx(
+        [0.0, 0.1, 0.2, 0.4, 0.6, 1.0])
+    assert [t for t, _dt, snap in table if snap] == [0.0, 0.2, 0.4, 1.0]
+
+
+def test_default_schedule_keeps_the_constant_step(grid1d, bump1d):
+    # no doubling times, or none before t_final, is the constant step: one
+    # cache and one history for the whole run, bit for bit
+    cfg = SolverConfig(theta=3, dt=0.1, t_final=1.0)
+    u1 = gaussian_bump(grid1d, 0.2, 1.5)
+    state = state_from_fields(bump1d, u1)
+    cache, history = _make_step_cache(grid1d, cfg, cfg.dt), None
+    for _ in range(10):
+        state, history = step_semilinear(state, cfg, cache, history)
+    for doubling in ((), (1.0, 2.0)):
+        final = solve(bump1d, u1, replace(cfg, dt_doubling_times=doubling))
+        assert np.array_equal(final.u_hat, state.u_hat)
+        assert np.array_equal(final.v_hat, state.v_hat)
+
+
+def test_schedule_rejects_times_off_their_epoch_grid(grid1d, bump1d):
+    base = SolverConfig(theta=3, dt=0.1, t_final=1.0,
+                        dt_doubling_times=(0.2, 0.6))
+    # 0.5 is a multiple of 0.1 but not on the 0.2 grid from 0.2
+    for bad, match in ((dict(snapshot_times=(0.5,)), "snapshot time 0.5"),
+                       (dict(dt_doubling_times=(0.2, 0.5)), "doubling time"),
+                       (dict(t_final=1.2), "t_final"),
+                       (dict(dt_doubling_times=(0.4, 0.2)), "no step")):
+        with pytest.raises(ValueError, match=match):
+            solve(bump1d, _zero(grid1d), replace(base, **bad))
+
+
+def test_epoch_steps_keep_third_order_convergence():
+    # halving the base step halves every epoch's step: each reseed at an
+    # epoch start adds a third-order local error, so the run stays third
+    # order; nonzero u_t makes the Taylor reseed carry the source rate
+    g = make_grid(1, 64, 8.0)
+    u0, u1 = gaussian_bump(g, 1.0, 1.0), gaussian_bump(g, 0.8, 1.2)
+
+    def run(dt, doubling):
+        cfg = SolverConfig(theta=3, dt=dt, t_final=1.0,
+                           dt_doubling_times=doubling)
+        return u_field(solve(u0, u1, cfg)).values
+
+    ref = run(1.0 / 1024, ())
+    e1 = np.max(np.abs(run(0.025, (0.2, 0.6)) - ref))
+    e2 = np.max(np.abs(run(0.0125, (0.2, 0.6)) - ref))
+    assert np.log2(e1 / e2) > 2.8
+
+
+def test_each_epoch_reseed_adds_two_transforms(grid1d, bump1d, monkeypatch):
+    # per step the source at u_n (forward) and the new u (inverse); each
+    # epoch's first step reseeds the history from the Taylor line, which
+    # adds the inverse of u_t and the forward transform of the source rate
+    counts = {"rfftn": 0, "irfftn": 0}
+    for name in counts:
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    cfg = SolverConfig(theta=3, dt=0.125, t_final=1.0,
+                       dt_doubling_times=(0.25, 0.5))
+    steps, reseeds = len(step_schedule(cfg)) - 1, 3
+    assert steps == 4
+    solve(bump1d, gaussian_bump(grid1d, 0.2, 1.5), cfg)
+    # the data transforms: u0 and u1 forward, the initial u inverse
+    assert counts == {"rfftn": 2 + steps + reseeds,
+                      "irfftn": 1 + steps + reseeds}
 
 
 def test_declared_numpy_floor_has_the_fft_out_argument():

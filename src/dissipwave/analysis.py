@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Field, Grid
+from .grid import Field, Grid, forward_transform
 
 MIN_FIT_POINTS = 5
 
@@ -95,8 +95,6 @@ def sobolev_norm(f: Field, s: int) -> float:
     The order-k derivative block carries the |xi|^(2k) weight, i.e. all
     mixed partials of order k counted with multinomial multiplicity.
     """
-    from .grid import forward_transform
-
     coeffs = forward_transform(f).coeffs
     return math.sqrt(spectral_l2_sq(f.grid, coeffs, sobolev_weight(f.grid, s)))
 

@@ -13,7 +13,7 @@ as fit_window_lo and fit_window_hi), so a manifest relaunches as a config.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -287,18 +287,18 @@ def run_semilinear(preset: ExperimentPreset, snapshot_sink=None) -> ExperimentRu
     u0, u1 = preset.initial_data()
     config = preset.solver_config()
     ledger = EnergyLedger(sobolev_index=preset.sobolev_s)
-    times: list = []
     values = _empty_series(preset)
 
     def observer(t: float, state: solver.SolverState) -> None:
-        times.append(t)
         _record_state(preset, config, t, state, values)
         if snapshot_sink is not None:
             snapshot_sink(t, solver.u_field(state))
 
+    # solve stamps each snapshot with its configured time, in order
     solver.solve(u0, u1, config, observers=(observer,), ledger=ledger)
     e0 = ledger.u_sobolev[0] + ledger.ut_sobolev[0]  # = e0_norm(u0, u1, s)
-    return ExperimentRun(preset, _pairs(times, values), ledger=ledger, e0=e0)
+    return ExperimentRun(preset, _pairs(preset.snapshot_times, values),
+                         ledger=ledger, e0=e0)
 
 
 def run_bands(preset: ExperimentPreset) -> ExperimentRun:
@@ -328,19 +328,18 @@ def run_experiment(preset: ExperimentPreset, snapshot_sink=None):
     return run_bands(preset)
 
 
-def _rounded_times(lo: float, hi: float, count: int, dt: float | None,
-                   doubling_times: tuple[float, ...] = (),
+def _rounded_times(lo: float, hi: float, count: int,
+                   preset: ExperimentPreset | None = None,
                    include: tuple[float, ...] = ()) -> tuple[float, ...]:
-    """count geometric times in [lo, hi] and the included ones; with a dt,
-    each is rounded onto the step grid of its epoch of a run to t = hi
-    (solver.epochs)."""
-    epochs = [] if dt is None else solver.epochs(dt, doubling_times, hi)
+    """count geometric times in [lo, hi] and the included ones; given a
+    semilinear preset, each is moved to the nearest state time of its run
+    (solver.step_schedule)."""
+    states = None if preset is None else np.array(
+        [row[0] for row in solver.step_schedule(preset.solver_config())])
     ts = set()
     for t in map(float, list(np.geomspace(lo, hi, count)) + list(include)):
-        if epochs:
-            start, _end, step = next((e for e in epochs if t <= e[1]),
-                                     epochs[-1])
-            t = start + round((t - start) / step) * step
+        if states is not None:
+            t = float(states[np.argmin(np.abs(states - t))])
         ts.add(round(t, 9))
     return tuple(t for t in sorted(ts) if 0 < t <= hi + 1e-9)
 
@@ -367,27 +366,26 @@ def builtin_presets() -> dict[str, ExperimentPreset]:
     # doubled step multiplies the AB3 step's dt^3 error per unit time by
     # 2^3, and the source's relative size |u|^theta falls by as much.  The
     # semi2d step divides 1.0, 1.5 and 2.0, the snapshot times of short
-    # cuts, and keeps its first size through t = 2
-    semi1d_doubling = (6.0, 30.0)
+    # cuts, and keeps its first size through t = 2.  Each takes its
+    # snapshot times from the state times of its own run
     semi1d = ExperimentPreset(
         name="semi1d-theta3", kind="semilinear", n_dims=1, grid_points=4096,
         half_width=200.0, amplitude=0.0485, width=2.0, theta=3, dt=0.1,
-        dt_doubling_times=semi1d_doubling, t_final=100.0,
-        snapshot_times=_rounded_times(1.0, 100.0, 30, 0.1, semi1d_doubling,
-                                      include=(10.0,)),
+        dt_doubling_times=(6.0, 30.0), t_final=100.0,
         fit_window=(20.0, 100.0),
         reports=((sup, 0, 0), (2, 0, 0), (1, 0, 0), (sup, 0, 1)),
         profile_r=2.0)
-    semi2d_doubling = (3.0, 12.0, 39.0)
+    semi1d = replace(semi1d, snapshot_times=_rounded_times(
+        1.0, 100.0, 30, semi1d, include=(10.0,)))
     semi2d = ExperimentPreset(
         name="semi2d-theta2", kind="semilinear", n_dims=2, grid_points=256,
         half_width=80.0, amplitude=0.0226, width=2.0, theta=2, dt=0.025,
-        dt_doubling_times=semi2d_doubling, t_final=50.0,
-        snapshot_times=_rounded_times(1.0, 50.0, 25, 0.025, semi2d_doubling,
-                                      include=(10.0,)),
+        dt_doubling_times=(3.0, 12.0, 39.0), t_final=50.0,
         fit_window=(10.0, 50.0),
         reports=((sup, 0, 0), (sup, 0, 1)),
         profile_r=2.0)
+    semi2d = replace(semi2d, snapshot_times=_rounded_times(
+        1.0, 50.0, 25, semi2d, include=(10.0,)))
     bands1d = ExperimentPreset(
         name="bands1d", kind="bands", n_dims=1, grid_points=4096,
         half_width=200.0, eps=0.45, outer_radius=2.0,

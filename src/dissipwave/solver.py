@@ -13,9 +13,11 @@ classical RK4 stepper on the spectral system is kept as an independent
 reference route.
 
 The step may grow with time (key dt_doubling_times): the run is a sequence
-of epochs, each with twice the step of the one before.  step_schedule lays
-the run out as a table of step times and sizes; solve holds one step cache
-per epoch and reseeds the source history at each epoch's first step.
+of epochs, each with twice the step of the one before.  step_schedule is
+the one owner of the run's time grid: it lays the run out in one pass as
+rows of state time, step size and snapshot flag, and a snapshot time must
+be a row's time.  solve walks the rows with one step cache per epoch and
+reseeds the source history at each epoch's first step.
 
 A SolverState holds the flow only: the SolverConfig owns the equation, and
 solve owns the clock, stamping each snapshot with its configured time.
@@ -23,6 +25,8 @@ solve owns the clock, stamping each snapshot with its configured time.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -85,7 +89,7 @@ class SolverConfig:
     -1 for the absorbing equation; +1 flips the source for the qualitative
     growth experiment and is not covered by any decay guarantee.  The step
     is dt until the first of dt_doubling_times and doubles at each (see
-    epochs).
+    step_schedule).
     """
 
     theta: int
@@ -324,55 +328,44 @@ def step_semilinear(state: SolverState, config: SolverConfig,
     return _step_duhamel(state, config, cache, history)
 
 
-def epochs(dt: float, doubling_times: tuple[float, ...], t_final: float
-           ) -> list[tuple[float, float, float]]:
-    """(start, end, step) of each epoch of a run: the step is dt up to the
-    first doubling time and doubles at each one.  Doubling times at or past
-    t_final are ignored, so the last epoch ends at t_final."""
-    ends = [t for t in doubling_times if t < t_final] + [t_final]
-    return [(start, end, dt * 2 ** j)
-            for j, (start, end) in enumerate(zip([0.0] + ends, ends))]
-
-
-def _grid_steps(t: float, start: float, step: float, what: str) -> int:
-    """Steps of the given size from start to t; a ValueError if t is off
-    that grid."""
-    k = int(round((t - start) / step))
-    if abs(start + k * step - t) > 1e-9 * max(1.0, abs(t)):
-        raise ValueError(f"{what} {t} is not on the grid of dt = {step} "
-                         f"from t = {start}")
-    return k
-
-
 def step_schedule(config: SolverConfig) -> list[tuple[float, float, bool]]:
     """The run as a table of rows (t, dt, snapshot), one per state from
     t = 0: the state's time (a snapshot's configured time exactly), the
     step that reaches it (the first epoch's for state 0) and whether it is
-    a snapshot.  A ValueError if an epoch's end (t_final for the last) is
-    off its grid or leaves it no step, a snapshot time is off its epoch's
-    grid or lies past t_final, or two snapshots fall on one step."""
+    a snapshot.  The rows are laid out in one walk over the epoch ends, the
+    doubling times before t_final and then t_final, the step doubling
+    after each end; doubling times at or past t_final are ignored.  A
+    ValueError if an epoch's end is off its grid or leaves it no step, or
+    a snapshot time is no row's time, lies past t_final or shares its row
+    with another."""
     table = [(0.0, config.dt, False)]
-    starts = []  # (start, end, step, row of the start) of each epoch
-    for start, end, step in epochs(config.dt, config.dt_doubling_times,
-                                   config.t_final):
+    start, step = 0.0, config.dt
+    # a nan doubling time is kept as an end: it is on no grid, so it fails
+    ends = [t for t in config.dt_doubling_times if not t >= config.t_final]
+    for end in ends + [config.t_final]:
         what = "t_final" if end == config.t_final else "doubling time"
-        n = _grid_steps(end, start, step, what)
+        n = round((end - start) / step) if math.isfinite(end) else 0
+        if not abs(start + n * step - end) <= 1e-9 * max(1.0, abs(end)):
+            raise ValueError(f"{what} {end} is not on the grid of dt = {step} "
+                             f"from t = {start}")
         if n < 1:
             raise ValueError(f"{what} {end} leaves no step of dt = {step} "
                              f"after t = {start}")
-        starts.append((start, end, step, len(table) - 1))
         table += [(start + i * step, step, False) for i in range(1, n + 1)]
+        start, step = end, 2 * step
+    times = [t for t, _dt, _snapshot in table]
     for t in config.snapshot_times:
-        epoch = next((e for e in starts if t <= e[1] + 1e-9 * max(1.0, t)),
-                     None)
-        if epoch is None:
+        if not t <= config.t_final + 1e-9 * max(1.0, config.t_final):
             raise ValueError(f"snapshot time {t} lies beyond t_final")
-        start, _end, step, row = epoch
-        k = row + _grid_steps(t, start, step, "snapshot time")
+        tol = 1e-9 * max(1.0, t)
+        k = min(bisect_left(times, t - tol), len(times) - 1)
         t_k, dt_k, taken = table[k]
+        if abs(t_k - t) > tol:
+            raise ValueError(f"snapshot time {t} is not on the grid of "
+                             f"dt = {dt_k} from t = {times[k - 1]:.10g}")
         if taken:
             raise ValueError(f"snapshot times {t_k} and {t} fall on one "
-                             f"step of dt = {step}")
+                             f"step of dt = {dt_k}")
         table[k] = (t, dt_k, True)
     return table
 

@@ -1,6 +1,7 @@
 """Experiment presets: validation, config round trips, tiny end-to-end runs."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -160,7 +161,8 @@ def test_gaussian_bump_peak_and_width_guard(grid1d):
 
 
 def test_rounded_times_are_dt_multiples():
-    ts = _rounded_times(1.0, 10.0, 7, 0.05, include=(2.0,))
+    ts = _rounded_times(1.0, 10.0, 7, _tiny(dt=0.05, t_final=10.0),
+                        include=(2.0,))
     assert 2.0 in ts
     assert ts == tuple(sorted(set(ts)))
     for t in ts:
@@ -187,10 +189,33 @@ def test_rounded_times_land_on_their_epoch_grid():
     # the 0.05 grid alone would give 2.85, 4.35, 5.35 and 8.1, each off
     # its epoch's grid
     doubling = (2.0, 4.0)
-    ts = _rounded_times(1.0, 10.0, 12, 0.05, doubling, include=(3.0,))
+    tiny = _tiny(dt=0.05, dt_doubling_times=doubling, t_final=10.0)
+    ts = _rounded_times(1.0, 10.0, 12, tiny, include=(3.0,))
     assert 3.0 in ts and len(ts) == 12 + 1
     _tiny(dt=0.05, dt_doubling_times=doubling, t_final=10.0,
           snapshot_times=ts, fit_window=(1.0, 10.0))
+
+
+@pytest.mark.parametrize("name, epoch_steps, snapshot_times", [
+    ("semi1d-theta3", {0.1: 60, 0.2: 120, 0.4: 175},
+     (1.0, 1.2, 1.4, 1.6, 1.9, 2.2, 2.6, 3.0, 3.6, 4.2, 4.9, 5.7, 6.8, 7.8,
+      9.2, 10.0, 10.8, 12.6, 14.8, 17.4, 20.4, 24.0, 28.0, 32.8, 38.4, 45.2,
+      52.8, 62.0, 72.8, 85.2, 100.0)),
+    ("semi2d-theta2", {0.025: 120, 0.05: 180, 0.1: 270, 0.2: 55},
+     (1.0, 1.175, 1.375, 1.625, 1.925, 2.25, 2.65, 3.15, 3.7, 4.35, 5.1, 6.0,
+      7.05, 8.3, 9.8, 10.0, 11.55, 13.6, 16.0, 18.8, 22.1, 26.1, 30.7, 36.1,
+      42.4, 50.0)),
+])
+def test_builtin_semilinear_schedules(name, epoch_steps, snapshot_times):
+    # the epoch table of README: steps of each size, in order, and every
+    # snapshot a state of the run, stamped with its configured time
+    preset = builtin_presets()[name]
+    table = step_schedule(preset.solver_config())
+    steps = Counter(dt for _t, dt, _snapshot in table[1:])
+    assert list(steps.items()) == list(epoch_steps.items())
+    assert len(table) - 1 == sum(epoch_steps.values())
+    assert preset.snapshot_times == snapshot_times
+    assert tuple(t for t, _dt, snap in table if snap) == snapshot_times
 
 
 @pytest.mark.parametrize("doubling, message", [

@@ -1,6 +1,10 @@
 """Linear stepping, the two semilinear integrators, guards, derivatives."""
 
+import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -384,7 +388,13 @@ def test_schedule_rejects_times_off_their_epoch_grid(grid1d, bump1d):
     for bad, match in ((dict(snapshot_times=(0.5,)), "snapshot time 0.5"),
                        (dict(dt_doubling_times=(0.2, 0.5)), "doubling time"),
                        (dict(t_final=1.2), "t_final"),
-                       (dict(dt_doubling_times=(0.4, 0.2)), "no step")):
+                       (dict(dt_doubling_times=(0.4, 0.2)), "no step"),
+                       # nan compares false with t_final, yet is no
+                       # ignored end: it lies on no grid
+                       (dict(dt_doubling_times=(math.nan,)),
+                        "doubling time nan"),
+                       (dict(dt_doubling_times=(0.2, math.nan, 0.6)),
+                        "doubling time nan")):
         with pytest.raises(ValueError, match=match):
             solve(bump1d, _zero(grid1d), replace(base, **bad))
 
@@ -434,3 +444,23 @@ def test_declared_numpy_floor_has_the_fft_out_argument():
     text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
     floor = re.search(r'"numpy>=(\d+)', text)
     assert floor is not None and int(floor.group(1)) >= 2
+
+
+def test_convergence_study_script_runs():
+    # a smoke run of the refinement study on a small grid; the order
+    # itself is gate 7's to judge
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "convergence_study.py"),
+         "--points", "32", "--half-width", "8", "--t-final", "0.5"],
+        capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    sections = proc.stdout.strip().split("\n\n")
+    assert [s.split()[0] for s in sections] == ["exponential_duhamel",
+                                                "reference_rk4"]
+    for section in sections:  # a title, a column header, the error rows
+        errors = [float(row.split()[1]) for row in section.splitlines()[2:]]
+        assert len(errors) == 4 and all(map(math.isfinite, errors))

@@ -70,17 +70,13 @@ def lp_norm(f: Field, p) -> float:
     return total ** (1.0 / p)
 
 
-def check_sobolev_index(s) -> None:
-    """A ValueError unless s is a nonnegative integer."""
-    if s < 0 or s != int(s):
-        raise ValueError(f"s must be a nonnegative integer, got {s}")
-
-
 @lru_cache(maxsize=64)
 def sobolev_weight(grid: Grid, s: int) -> np.ndarray:
     """Parseval weight of the squared H^s norm on the half spectrum:
-    sum_{k=0}^{s} |xi|^(2k) times parseval_weight."""
-    check_sobolev_index(s)
+    sum_{k=0}^{s} |xi|^(2k) times parseval_weight; s a nonnegative
+    integer."""
+    if s < 0 or s != int(s):
+        raise ValueError(f"s must be a nonnegative integer, got {s}")
     out = np.ones(grid.spectral_shape)
     power = np.ones(grid.spectral_shape)
     for _ in range(int(s)):
@@ -106,22 +102,16 @@ def e0_norm(u0: Field, u1: Field, s: int) -> float:
     return sobolev_norm(u0, s + 1) + sobolev_norm(u1, s)
 
 
-def check_profile_r(r: float, n_dims: int) -> None:
-    """A ValueError unless the envelope exponent r of weighted_profile
-    exceeds max(n/2, 1)."""
-    if not r > max(n_dims / 2.0, 1.0):
-        raise ValueError(
-            f"r must exceed max(n/2, 1) = {max(n_dims / 2.0, 1.0)}, got {r}")
-
-
 def weighted_profile(f: Field, t: float, r: float) -> float:
     """Spatially weighted amplitude sup_x |f| (1+t)^(n/2) (1+|x|^2/(1+t))^r.
 
     A bounded profile across time witnesses the pointwise decay rate
-    together with its spatial envelope.
+    together with its spatial envelope; r must exceed max(n/2, 1).
     """
     n = f.grid.n_dims
-    check_profile_r(r, n)
+    if not r > max(n / 2.0, 1.0):
+        raise ValueError(f"r must exceed max(n/2, 1) = {max(n / 2.0, 1.0)}, "
+                         f"got {r}")
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     envelope = (1.0 + f.grid.radius_sq / (1.0 + t)) ** r

@@ -5,9 +5,12 @@ snapshot schedule, and the decay quantities to record.  Each runner turns
 a preset into one ExperimentRun whose series map every label to its own
 (times, values) pair; the CLI and the acceptance suite both consume it.
 Each kind reads the fields KIND_FIELDS lists; every other field keeps its
-default.  Presets round-trip losslessly through the flat key=value config
-format, whose keys are the kind's fields (n_dims as dimension, fit_window
-as fit_window_lo and fit_window_hi), so a manifest relaunches as a config.
+default.  What every run takes alike is not a field: the Sobolev index is
+n + 1, the profile exponent PROFILE_R, and the integrator, dealias rule
+and guard bound are SolverConfig's defaults.  Presets round-trip
+losslessly through the flat key=value config format, whose keys are the
+kind's fields (n_dims as dimension, fit_window as fit_window_lo and
+fit_window_hi), so a manifest relaunches as a config.
 """
 
 from __future__ import annotations
@@ -26,12 +29,9 @@ from .grid import (Field, Grid, check_multi_index, derivative_field,
 # the fields each kind's run reads; a preset's config holds these alone
 _GRID = ("name", "kind", "n_dims", "grid_points", "half_width")
 _FLOW = _GRID + ("amplitude", "width", "u1_amplitude", "u0_file", "u1_file",
-                 "t_final", "snapshot_times", "fit_window", "reports",
-                 "sobolev_index")
+                 "t_final", "snapshot_times", "fit_window", "reports")
 KIND_FIELDS = {"linear": _FLOW,
-               "semilinear": _FLOW + ("theta", "dt", "dt_doubling_times",
-                                      "integrator", "dealias", "delta_bar",
-                                      "profile_r"),
+               "semilinear": _FLOW + ("theta", "dt", "dt_doubling_times"),
                "bands": _GRID + ("eps", "outer_radius", "band1_times",
                                  "band2_times")}
 
@@ -40,6 +40,11 @@ KIND_FIELDS = {"linear": _FLOW,
 DOMAIN_MARGIN = 1.6
 
 HEAT_GAP_LABEL = "linf:heat_gap"
+
+# envelope exponent of a semilinear run's weighted profile; it exceeds
+# max(n/2, 1) in every dimension a Grid allows
+PROFILE_R = 2.0
+PROFILE_LABEL = f"profile_r{PROFILE_R:g}:u"
 
 
 def _check_width(width: float) -> None:
@@ -62,10 +67,6 @@ def gaussian_bump(grid: Grid, amplitude: float, width: float) -> Field:
     return Field(grid, amplitude * np.exp(-0.5 * grid.radius_sq / (width * width)))
 
 
-def profile_label(r: float) -> str:
-    return f"profile_r{r:g}:u"
-
-
 @dataclass(frozen=True)
 class ExperimentPreset:
     name: str
@@ -82,14 +83,9 @@ class ExperimentPreset:
     dt: float = 0.02
     dt_doubling_times: tuple[float, ...] = ()
     t_final: float = 100.0
-    integrator: str = "exponential_duhamel"
-    dealias: bool | None = None
-    delta_bar: float = 0.5
     snapshot_times: tuple[float, ...] = ()
     fit_window: tuple[float, float] = (20.0, 100.0)
     reports: tuple[tuple[float, int, int], ...] = ()
-    profile_r: float = 2.0
-    sobolev_index: int | None = None
     eps: float = 0.125
     outer_radius: float = 2.0
     band1_times: tuple[float, ...] = ()
@@ -130,7 +126,6 @@ class ExperimentPreset:
             raise ValueError("snapshot times must lie in [0, t_final]")
         _check_times("fit_window", self.fit_window)  # lo below hi
         _check_width(self.width)
-        analysis.check_sobolev_index(self.sobolev_s)
         for p, a, h in self.reports:  # the rules of the norm's users
             try:
                 analysis.check_lp_exponent(p)
@@ -149,7 +144,6 @@ class ExperimentPreset:
             _check_times("dt_doubling_times", self.dt_doubling_times,
                          positive=True)
             solver.step_schedule(self.solver_config())  # validates the dt grid
-            analysis.check_profile_r(self.profile_r, self.n_dims)
 
     @property
     def grid(self) -> Grid:
@@ -157,7 +151,7 @@ class ExperimentPreset:
 
     @property
     def sobolev_s(self) -> int:
-        return self.n_dims + 1 if self.sobolev_index is None else self.sobolev_index
+        return self.n_dims + 1
 
     @property
     def cutoff_spec(self) -> symbols.CutoffSpec:
@@ -187,9 +181,8 @@ class ExperimentPreset:
     def solver_config(self) -> solver.SolverConfig:
         return solver.SolverConfig(
             theta=self.theta, dt=self.dt, t_final=self.t_final,
-            integrator=self.integrator, dealias=self.dealias,
             snapshot_times=self.snapshot_times,
-            dt_doubling_times=self.dt_doubling_times, delta_bar=self.delta_bar)
+            dt_doubling_times=self.dt_doubling_times)
 
     def report(self, series: dict) -> analysis.DecayReport:
         """Verdicts on a run's series, which map each label to its own
@@ -235,15 +228,14 @@ def _record_state(preset: ExperimentPreset,
     for p, a, h in preset.reports:
         values[quantity_label(p, a, h)].append(_norm_of(state, config, p, a, h))
     if preset.kind == "semilinear":
-        values[profile_label(preset.profile_r)].append(
-            analysis.weighted_profile(solver.u_field(state), t,
-                                      preset.profile_r))
+        values[PROFILE_LABEL].append(
+            analysis.weighted_profile(solver.u_field(state), t, PROFILE_R))
 
 
 def _empty_series(preset: ExperimentPreset) -> dict:
     series: dict = {quantity_label(p, a, h): [] for p, a, h in preset.reports}
     if preset.kind == "semilinear":
-        series[profile_label(preset.profile_r)] = []
+        series[PROFILE_LABEL] = []
     if preset.kind == "linear":
         series[HEAT_GAP_LABEL] = []
     return series
@@ -295,7 +287,7 @@ def run_semilinear(preset: ExperimentPreset, snapshot_sink=None) -> ExperimentRu
             snapshot_sink(t, solver.u_field(state))
 
     # solve stamps each snapshot with its configured time, in order
-    solver.solve(u0, u1, config, observers=(observer,), ledger=ledger)
+    solver.solve(u0, u1, config, observer=observer, ledger=ledger)
     e0 = ledger.u_sobolev[0] + ledger.ut_sobolev[0]  # = e0_norm(u0, u1, s)
     return ExperimentRun(preset, _pairs(preset.snapshot_times, values),
                          ledger=ledger, e0=e0)
@@ -373,8 +365,7 @@ def builtin_presets() -> dict[str, ExperimentPreset]:
         half_width=200.0, amplitude=0.0485, width=2.0, theta=3, dt=0.1,
         dt_doubling_times=(6.0, 30.0), t_final=100.0,
         fit_window=(20.0, 100.0),
-        reports=((sup, 0, 0), (2, 0, 0), (1, 0, 0), (sup, 0, 1)),
-        profile_r=2.0)
+        reports=((sup, 0, 0), (2, 0, 0), (1, 0, 0), (sup, 0, 1)))
     semi1d = replace(semi1d, snapshot_times=_rounded_times(
         1.0, 100.0, 30, semi1d, include=(10.0,)))
     semi2d = ExperimentPreset(
@@ -382,8 +373,7 @@ def builtin_presets() -> dict[str, ExperimentPreset]:
         half_width=80.0, amplitude=0.0226, width=2.0, theta=2, dt=0.025,
         dt_doubling_times=(3.0, 12.0, 39.0), t_final=50.0,
         fit_window=(10.0, 50.0),
-        reports=((sup, 0, 0), (sup, 0, 1)),
-        profile_r=2.0)
+        reports=((sup, 0, 0), (sup, 0, 1)))
     semi2d = replace(semi2d, snapshot_times=_rounded_times(
         1.0, 50.0, 25, semi2d, include=(10.0,)))
     bands1d = ExperimentPreset(
@@ -396,15 +386,6 @@ def builtin_presets() -> dict[str, ExperimentPreset]:
 
 # ---------------------------------------------------------------------------
 # flat key=value config: the preset's fields are the schema
-
-
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("true", "1", "yes", "on"):
-        return True
-    if t in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -432,21 +413,11 @@ def _format_float_list(values) -> str:
     return ",".join(repr(float(v)) for v in values)
 
 
-def _or_auto(parse, fmt):
-    """The (parse, format) pair of an `X | None` field: None is written
-    auto and read from auto, none or blank text."""
-    return ((lambda text: None if text.strip().lower() in ("auto", "none", "")
-             else parse(text)),
-            lambda value: "auto" if value is None else fmt(value))
-
-
 # field type -> (parse, format); a scalar float keeps repr, so 16 stays 16
 _CODECS = {
     "str": (str, str),
     "int": (int, str),
     "float": (float, repr),
-    "bool | None": _or_auto(_parse_bool, lambda v: str(v).lower()),
-    "int | None": _or_auto(lambda text: int(text.strip().lower()), str),
     "tuple[float, ...]": (_parse_float_list, _format_float_list),
     "tuple[tuple[float, int, int], ...]": (_parse_reports, _format_reports),
 }

@@ -3,14 +3,14 @@
 The linear flow is applied exactly: a symbols.SymbolTable holds the
 per-mode propagator over one increment, and linear_step and
 linear_solution only multiply and add with it.  The exponential integrator
-(key exponential_duhamel) is a third-order exponential Adams-Bashforth
-step: the Duhamel integral takes the source as the quadratic through its
-spectra at the last three steps, with per-mode weights from the same
-symbols.green_pair evaluation.  A step makes two half-size transforms, the
-source at u_n and the new u; the first seeds the history from the Taylor
-line F_0 + t F_t through the data, with the exact source rate F_t.  A
-classical RK4 stepper on the spectral system is kept as an independent
-reference route.
+(exponential_duhamel, the default) is a third-order exponential
+Adams-Bashforth step: the Duhamel integral takes the source as the
+quadratic through its spectra at the last three steps, with per-mode
+weights from the same symbols.green_pair evaluation.  A step makes two
+half-size transforms, the source at u_n and the new u; the first seeds
+the history from the Taylor line F_0 + t F_t through the data, with the
+exact source rate F_t.  A classical RK4 stepper on the spectral system is
+kept as an independent reference route.
 
 The step may grow with time (key dt_doubling_times): the run is a sequence
 of epochs, each with twice the step of the one before.  step_schedule is
@@ -72,7 +72,7 @@ class SolverState:
     @cached_property
     def u(self) -> np.ndarray:
         """Physical-space u, transformed once and shared by the step, the
-        guard, the energy ledger and the observers."""
+        guard, the energy ledger and the observer."""
         return inverse_transform(SpectralField(self.grid, self.u_hat)).values
 
     @cached_property
@@ -85,18 +85,17 @@ class SolverState:
 class SolverConfig:
     """Stepping parameters.
 
-    dealias None resolves to the 2/3 rule for theta >= 2.  nonlin_sign is
-    -1 for the absorbing equation; +1 flips the source for the qualitative
-    growth experiment and is not covered by any decay guarantee.  The step
-    is dt until the first of dt_doubling_times and doubles at each (see
-    step_schedule).
+    The source is dealiased by the 2/3 rule exactly when theta >= 2.
+    nonlin_sign is -1 for the absorbing equation; +1 flips the source for
+    the qualitative growth experiment and is not covered by any decay
+    guarantee.  The step is dt until the first of dt_doubling_times and
+    doubles at each (see step_schedule).
     """
 
     theta: int
     dt: float
     t_final: float
     integrator: str = "exponential_duhamel"
-    dealias: bool | None = None
     snapshot_times: tuple[float, ...] = ()
     dt_doubling_times: tuple[float, ...] = ()
     delta_bar: float = 0.5
@@ -120,12 +119,6 @@ class SolverConfig:
             raise ValueError(f"nonlin_sign must be -1 or +1, got {self.nonlin_sign}")
         if any(t < 0 for t in self.snapshot_times):
             raise ValueError("snapshot_times must be nonnegative")
-
-    @property
-    def dealias_enabled(self) -> bool:
-        if self.dealias is None:
-            return self.theta >= 2
-        return self.dealias
 
 
 def state_from_fields(u0: Field, u1: Field) -> SolverState:
@@ -211,7 +204,7 @@ class _StepCache:
 def _make_step_cache(grid: Grid, config: SolverConfig,
                      dt: float) -> _StepCache:
     table = build_symbol_table(grid, dt)
-    mask = dealias_mask(grid) if config.dealias_enabled else None
+    mask = dealias_mask(grid) if config.theta >= 2 else None
 
     # Gauss-Legendre quadrature of int_0^dt G(dt - s) F(s) ds with F the
     # quadratic through F_n, F_{n-1}, F_{n-2} at tau = s/dt = 0, -1, -2,
@@ -346,8 +339,11 @@ def step_schedule(config: SolverConfig) -> list[tuple[float, float, bool]]:
         what = "t_final" if end == config.t_final else "doubling time"
         n = round((end - start) / step) if math.isfinite(end) else 0
         if not abs(start + n * step - end) <= 1e-9 * max(1.0, abs(end)):
+            remedy = ("" if end == config.t_final else
+                      "; dt_doubling_times must move with dt, and --set "
+                      "dt_doubling_times= gives the constant step")
             raise ValueError(f"{what} {end} is not on the grid of dt = {step} "
-                             f"from t = {start}")
+                             f"from t = {start}{remedy}")
         if n < 1:
             raise ValueError(f"{what} {end} leaves no step of dt = {step} "
                              f"after t = {start}")
@@ -370,7 +366,7 @@ def step_schedule(config: SolverConfig) -> list[tuple[float, float, bool]]:
     return table
 
 
-def solve(u0: Field, u1: Field, config: SolverConfig, observers=(),
+def solve(u0: Field, u1: Field, config: SolverConfig, observer=None,
           ledger=None) -> SolverState:
     """March the semilinear equation to t_final; returns the final state.
 
@@ -378,7 +374,7 @@ def solve(u0: Field, u1: Field, config: SolverConfig, observers=(),
     steps with its own cache, built when the epoch starts after the last
     one's is dropped, and its first step reseeds the source history.  Each
     state, the first included, is guarded, then given to the ledger
-    (analysis.EnergyLedger) and, at snapshot steps, to each observer as
+    (analysis.EnergyLedger) and, at snapshot steps, to the observer as
     (t, state); all share the state's one physical u.
     """
     table = step_schedule(config)
@@ -395,9 +391,8 @@ def solve(u0: Field, u1: Field, config: SolverConfig, observers=(),
         _guard(state, config, t)
         if ledger is not None:
             ledger.record(t, state, config.theta)
-        if snapshot:
-            for obs in observers:
-                obs(t, state)
+        if snapshot and observer is not None:
+            observer(t, state)
     return state
 
 

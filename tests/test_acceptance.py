@@ -18,7 +18,7 @@ from dissipwave import (EnergyLedger, InstabilityError, SolverConfig,
 from dissipwave.analysis import energy_audit, fit_window_mask
 from dissipwave.grid import Field, SpectralField
 from dissipwave.oracle import dalembert, free_wave_multiplier, mode_ode_series
-from dissipwave.presets import HEAT_GAP_LABEL, profile_label
+from dissipwave.presets import HEAT_GAP_LABEL, PROFILE_LABEL
 from dissipwave.solver import u_field
 from dissipwave.symbols import build_symbol_table, green_hat, green_hat_dt
 
@@ -176,7 +176,7 @@ def test_acceptance_5_semilinear_decay(semi1d_run, semi2d_run):
     s_2d = _row(rep2, "linf:u")
     s_2d_dt = _row(rep2, "linf:dt_u")
 
-    times, profile = semi1d_run.series[profile_label(2.0)]
+    times, profile = semi1d_run.series[PROFILE_LABEL]
     i10 = int(np.argmin(np.abs(times - 10.0)))
     ratio = float(np.max(profile[i10:]) / profile[i10])
     profile_ok = ratio <= 3.0

@@ -156,6 +156,8 @@ SIX_SNAPSHOTS = ["--set", "snapshot_times=0.5,0.6,0.7,0.8,0.9,1.0"]
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "--set", "reports=inf:0:0"],
+    # integrator, delta_bar, profile_r and sobolev_index are no longer
+    # config keys, so setting one is an unknown-key error
     ["simulate", "--set", "integrator=euler"],
     ["simulate", "--set", "snapshot_times=0.5,0.73,1.0"],
     ["simulate", "--set", "dt=0.3"],
@@ -286,10 +288,11 @@ def test_simulate_unknown_preset_name_exits_2(tmp_path, capsys):
 
 def test_simulate_instability_exits_3(tmp_path, capsys):
     path = _write_config(tmp_path, _tiny_preset())
-    code = main(["simulate", "--config", path, "--set", "delta_bar=0.001",
+    # the data alone exceed the guard bound 10 * delta_bar = 5
+    code = main(["simulate", "--config", path, "--set", "amplitude=6",
                  "--out", str(tmp_path / "o")])
     assert code == 3
-    assert "run aborted" in capsys.readouterr().err
+    assert "run aborted: instability at t = 0:" in capsys.readouterr().err
     run_dir = _only_run_dir(tmp_path / "o", "cli-tiny")
     assert "verdict: unstable" in (run_dir / "manifest.txt").read_text()
 
@@ -390,6 +393,76 @@ def test_manifest_is_relaunchable(tmp_path, capsys):
     manifest = _only_run_dir(tmp_path / "o", "cli-tiny") / "manifest.txt"
     relaunched = resolve_preset(str(manifest), [])
     assert relaunched == p
+
+
+def test_doubling_time_off_a_changed_dt_names_the_remedy(tmp_path, capsys):
+    code = main(["simulate", "--config", "semi1d-theta3", "--set", "dt=0.07",
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: semi1d-theta3: doubling time 6.0 is not on the grid "
+        "of dt = 0.07 from t = 0.0; dt_doubling_times must move with dt, "
+        "and --set dt_doubling_times= gives the constant step"]
+    assert not (tmp_path / "o").exists()
+
+
+# a semilinear manifest as written while integrator, dealias, delta_bar,
+# profile_r and sobolev_index were config keys, each at the one value
+# every run now takes
+_MANIFEST_WITH_REMOVED_KEYS = """\
+# dissipwave run: simulate --config run.cfg
+# verdict: pass
+name = cli-tiny
+kind = semilinear
+dimension = 1
+grid_points = 64
+half_width = 16.0
+amplitude = 0.1
+width = 1.0
+u1_amplitude = 0.0
+u0_file =
+u1_file =
+theta = 3
+dt = 0.05
+dt_doubling_times =
+t_final = 1.0
+integrator = exponential_duhamel
+dealias = auto
+delta_bar = 0.5
+snapshot_times = 0.5,1.0
+fit_window_lo = 0.4
+fit_window_hi = 1.05
+reports =
+profile_r = 2.0
+sobolev_index = auto
+"""
+_REMOVED_KEYS = ("integrator", "dealias", "delta_bar", "profile_r",
+                 "sobolev_index")
+
+
+def test_manifest_with_removed_keys_relaunches_once_they_are_deleted(
+        tmp_path, capsys):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(_MANIFEST_WITH_REMOVED_KEYS)
+    out = tmp_path / "o"
+    out.mkdir()
+    assert main(["simulate", "--config", str(manifest),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {manifest}: unknown config keys: "
+        f"{', '.join(sorted(_REMOVED_KEYS))}"]
+    assert list(out.iterdir()) == []
+
+    manifest.write_text("".join(
+        line for line in _MANIFEST_WITH_REMOVED_KEYS.splitlines(True)
+        if line.split(" =")[0] not in _REMOVED_KEYS))
+    assert main(["simulate", "--config", str(manifest),
+                 "--out", str(out / "old")]) == 0
+    assert main(["simulate", "--config", _write_config(tmp_path, _tiny_preset()),
+                 "--out", str(out / "new")]) == 0
+    series = [(_only_run_dir(out / side, "cli-tiny") / "series.csv").read_bytes()
+              for side in ("old", "new")]
+    assert series[0] == series[1]
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ class FullReference:
         self.g = green_hat(xi_sq, dt)
         self.g_t = green_hat_dt(xi_sq, dt)
         self.g_tt = -self.g_t - xi_sq * self.g
-        self.mask = _full_dealias_mask(grid) if config.dealias_enabled else 1.0
+        self.mask = _full_dealias_mask(grid) if config.theta >= 2 else 1.0
         # exponential Adams-Bashforth 3: the weights of F_n, F_{n-1},
         # F_{n-2}, quadratic Lagrange basis through s/dt = 0, -1, -2
         nodes, weights = np.polynomial.legendre.leggauss(8)
@@ -204,7 +204,7 @@ def test_solver_and_linear_runner_raise_no_fft_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         solve(u0, Field(grid, np.zeros(grid.shape)), config,
-              observers=(lambda t, s: u_field(s),),
+              observer=lambda t, s: u_field(s),
               ledger=EnergyLedger(sobolev_index=1))
         run = run_linear(preset)
     assert all(len(times) == 3 for times, _ in run.series.values())

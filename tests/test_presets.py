@@ -16,8 +16,8 @@ from dissipwave import (ExperimentPreset, SolverConfig, SpectralField,
                         spectral_derivative, state_from_fields,
                         write_snapshot)
 from dissipwave.analysis import energy_audit
-from dissipwave.presets import (HEAT_GAP_LABEL, _norm_of, _rounded_times,
-                                profile_label)
+from dissipwave.presets import (HEAT_GAP_LABEL, PROFILE_LABEL, _norm_of,
+                                _rounded_times)
 from dissipwave.solver import step_schedule
 
 
@@ -61,29 +61,21 @@ def test_config_keys_and_their_order():
         "name", "kind", "dimension", "grid_points", "half_width",
         "amplitude", "width", "u1_amplitude", "u0_file", "u1_file",
         "t_final", "snapshot_times", "fit_window_lo", "fit_window_hi",
-        "reports", "sobolev_index"]
+        "reports"]
     assert list(preset_to_config(presets["semi1d-theta3"])) == [
         "name", "kind", "dimension", "grid_points", "half_width",
         "amplitude", "width", "u1_amplitude", "u0_file", "u1_file", "theta",
-        "dt", "dt_doubling_times", "t_final", "integrator", "dealias",
-        "delta_bar",
-        "snapshot_times", "fit_window_lo", "fit_window_hi", "reports",
-        "profile_r", "sobolev_index"]
+        "dt", "dt_doubling_times", "t_final", "snapshot_times",
+        "fit_window_lo", "fit_window_hi", "reports"]
     assert list(preset_to_config(presets["bands1d"])) == [
         "name", "kind", "dimension", "grid_points", "half_width", "eps",
         "outer_radius", "band1_times", "band2_times"]
 
 
 @pytest.mark.parametrize("over, key, text", [
-    (dict(dealias=True), "dealias", "true"),
-    (dict(dealias=False), "dealias", "false"),
-    (dict(dealias=None), "dealias", "auto"),
-    (dict(sobolev_index=3), "sobolev_index", "3"),
-    (dict(sobolev_index=None), "sobolev_index", "auto"),
     (dict(reports=()), "reports", ""),
     (dict(half_width=16), "half_width", "16"),
-], ids=["dealias-true", "dealias-false", "dealias-auto", "sobolev-3",
-        "sobolev-auto", "reports-empty", "int-valued-float"])
+], ids=["reports-empty", "int-valued-float"])
 def test_config_round_trip_of_non_default_encodings(over, key, text):
     p = _tiny(**over)
     cfg = preset_to_config(p)
@@ -105,24 +97,11 @@ def test_config_one_fit_window_end_keeps_the_other_default(key, text, window):
     assert preset_from_config(preset_to_config(p)) == p
 
 
-@pytest.mark.parametrize("text, value", [
-    ("AUTO", None), ("", None), ("True", True), ("off", False), (" yes ", True),
-])
-def test_config_dealias_spellings(text, value):
-    cfg = preset_to_config(_tiny())
-    cfg["dealias"] = text
-    assert preset_from_config(cfg).dealias is value
-
-
 @pytest.mark.parametrize("edit, message", [
-    (dict(dealias="maybe"),
-     "config key dealias: expected a boolean, got 'maybe'"),
-    (dict(sobolev_index=" X "),
-     "config key sobolev_index: invalid literal for int() with base 10: 'x'"),
     (dict(kind=None, dimension=None),
      "missing required config keys: dimension, kind"),
     (dict(b="1", a="2"), "unknown config keys: a, b"),
-], ids=["bool", "optional-int", "missing", "unknown"])
+], ids=["missing", "unknown"])
 def test_config_error_messages(edit, message):
     cfg = {**preset_to_config(_tiny()), **edit}
     cfg = {k: v for k, v in cfg.items() if v is not None}
@@ -272,7 +251,7 @@ def test_kind_dispatch_guards():
 def test_semilinear_tiny_run_series_shapes():
     p = _tiny()
     run = run_semilinear(p)
-    labels = {"linf:u", "l2:u", profile_label(p.profile_r)}
+    labels = {"linf:u", "l2:u", PROFILE_LABEL}
     assert set(run.series) == labels
     for times, vals in run.series.values():
         assert times.tolist() == [0.5, 1.0]

@@ -42,11 +42,15 @@ def test_solver_config_validation():
         SolverConfig(theta=3, dt=0.1, t_final=1.0, nonlin_sign=2)
 
 
-def test_dealias_default_follows_theta():
-    assert SolverConfig(theta=1, dt=0.1, t_final=1.0).dealias_enabled is False
-    assert SolverConfig(theta=2, dt=0.1, t_final=1.0).dealias_enabled is True
-    cfg = SolverConfig(theta=3, dt=0.1, t_final=1.0, dealias=False)
-    assert cfg.dealias_enabled is False
+def test_dealias_mask_applies_from_theta_2():
+    g = make_grid(1, 64, 8.0)
+    for theta, masked in ((1, False), (2, True)):
+        cfg = SolverConfig(theta=theta, dt=0.1, t_final=1.0)
+        mask = _make_step_cache(g, cfg, cfg.dt).mask
+        if masked:
+            assert np.array_equal(mask, dealias_mask(g))
+        else:
+            assert mask is None
 
 
 def test_dealias_mask_two_thirds_rule():
@@ -219,7 +223,7 @@ def test_solve_observers_and_ledger(grid1d, bump1d):
     seen = []
     led = EnergyLedger(sobolev_index=1)
     final = solve(bump1d, _zero(grid1d), cfg,
-                  observers=(lambda t, s: seen.append((t, s)),), ledger=led)
+                  observer=lambda t, s: seen.append((t, s)), ledger=led)
     # the configured times exactly, not a sum of dt increments
     assert [t for t, _ in seen] == [0.0, 0.5, 1.0]
     assert seen[-1][1] is final
@@ -335,7 +339,7 @@ def test_solve_makes_two_transforms_per_duhamel_step(grid1d, bump1d,
     # start-up: the two data transforms, the initial u, and the seed of the
     # source history (the inverse of u_t, the forward transform of the
     # source rate); per step: the source at u_n (forward) and the new u
-    # (inverse).  The guard, the ledger and the observers share each
+    # (inverse).  The guard, the ledger and the observer share each
     # state's u, so a state rebuilt after its guard (for instance by
     # dataclasses.replace) would add an inverse transform per step
     from dissipwave import EnergyLedger
@@ -349,7 +353,7 @@ def test_solve_makes_two_transforms_per_duhamel_step(grid1d, bump1d,
     cfg = SolverConfig(theta=3, dt=0.125, t_final=steps * 0.125,
                        snapshot_times=(0.0, 0.5, 1.0))
     solve(bump1d, gaussian_bump(grid1d, 0.2, 1.5), cfg,
-          observers=(lambda t, s: s.u_sup,),
+          observer=lambda t, s: s.u_sup,
           ledger=EnergyLedger(sobolev_index=1))
     assert counts == {"rfftn": 3 + steps, "irfftn": 2 + steps}
 

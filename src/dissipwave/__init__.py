@@ -2,7 +2,8 @@
 power nonlinearity, u_tt - Lap u + u_t = -|u|^theta u, on periodic boxes.
 
 Layers:
-  grid      periodic grids, transforms, spectral derivatives, snapshots
+  grid      periodic grids, transforms of plain half-spectrum arrays,
+            spectral derivatives, snapshots
   symbols   per-mode propagator of the damped linear equation, band kernels
   oracle    independent references (mode ODE, free wave, heat flow)
   solver    exact linear stepping and two semilinear integrators
@@ -15,10 +16,9 @@ from .analysis import (DecayReport, DecayRow, EnergyLedger, FitResult,
                        decay_report, e0_norm, fit_decay_rate,
                        fit_exponential_rate, lp_norm, quantity_label,
                        sobolev_norm, spectral_l2_sq, weighted_profile)
-from .grid import (Field, Grid, SpectralField, derivative_field,
-                   derivative_multiplier, forward_transform,
-                   inverse_transform, make_grid, read_snapshot,
-                   spectral_derivative, write_snapshot)
+from .grid import (Field, Grid, derivative_field, derivative_multiplier,
+                   forward_transform, inverse_transform, make_grid,
+                   read_snapshot, write_snapshot)
 from .oracle import (dalembert, free_wave_multiplier, heat_reference,
                      mode_ode, mode_ode_series)
 from .presets import (ExperimentPreset, ExperimentRun, builtin_presets,

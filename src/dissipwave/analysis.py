@@ -91,8 +91,8 @@ def sobolev_norm(f: Field, s: int) -> float:
     The order-k derivative block carries the |xi|^(2k) weight, i.e. all
     mixed partials of order k counted with multinomial multiplicity.
     """
-    coeffs = forward_transform(f).coeffs
-    return math.sqrt(spectral_l2_sq(f.grid, coeffs, sobolev_weight(f.grid, s)))
+    return math.sqrt(spectral_l2_sq(f.grid, forward_transform(f),
+                                    sobolev_weight(f.grid, s)))
 
 
 def e0_norm(u0: Field, u1: Field, s: int) -> float:

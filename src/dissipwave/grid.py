@@ -10,8 +10,11 @@ shape shape[:-1] + (N//2 + 1,).  Every axis but the last holds all modes
 j in [-N/2, N/2) in FFT order; the last axis holds j = 0 .. N/2 only.  Each
 interior last-axis column (0 < j < N/2) stands for itself and its
 conjugate partner, which mode_multiplicity records for sums over modes.
-The forward transform is the plain (unnormalized) DFT sum; the inverse
-carries the 1/N factor per axis and returns a real field by construction.
+A spectrum is this plain array, with no wrapper: forward_transform
+returns it, and inverse_transform(grid, coeffs) takes it with the grid it
+lives on.  The forward transform is the plain (unnormalized) DFT sum; the
+inverse carries the 1/N factor per axis and returns a real field by
+construction.
 """
 
 from __future__ import annotations
@@ -156,31 +159,18 @@ class Field:
         object.__setattr__(self, "values", v)
 
 
-@dataclass(frozen=True)
-class SpectralField:
-    """Half-spectrum DFT coefficients of a real field (rfftn layout)."""
-
-    grid: Grid
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != self.grid.spectral_shape:
-            raise ValueError(
-                f"coefficient shape {c.shape} does not match the half "
-                f"spectrum shape {self.grid.spectral_shape}")
-        object.__setattr__(self, "coeffs", c)
+def forward_transform(field: Field) -> np.ndarray:
+    """Plain-sum DFT of a real field: its half spectrum."""
+    return np.fft.rfftn(field.values)
 
 
-def forward_transform(field: Field) -> SpectralField:
-    """Plain-sum DFT of a real field, half spectrum."""
-    return SpectralField(field.grid, np.fft.rfftn(field.values))
-
-
-def inverse_transform(spectral: SpectralField) -> Field:
-    """Inverse DFT (1/N per axis) of a half spectrum: a real field."""
-    grid = spectral.grid
-    return Field(grid, np.fft.irfftn(spectral.coeffs, s=grid.shape,
+def inverse_transform(grid: Grid, coeffs: np.ndarray) -> Field:
+    """Inverse DFT (1/N per axis) of a half spectrum on grid: a real field."""
+    if np.shape(coeffs) != grid.spectral_shape:
+        raise ValueError(
+            f"coefficient shape {np.shape(coeffs)} does not match the half "
+            f"spectrum shape {grid.spectral_shape}")
+    return Field(grid, np.fft.irfftn(coeffs, s=grid.shape,
                                      axes=tuple(range(grid.n_dims))))
 
 
@@ -213,15 +203,10 @@ def derivative_multiplier(grid: Grid, alpha: tuple[int, ...]) -> np.ndarray:
     return mult
 
 
-def spectral_derivative(spectral: SpectralField, alpha: tuple[int, ...]) -> SpectralField:
-    """Coefficients of the mixed partial derivative D^alpha."""
-    mult = derivative_multiplier(spectral.grid, alpha)
-    return SpectralField(spectral.grid, spectral.coeffs * mult)
-
-
 def derivative_field(field: Field, alpha: tuple[int, ...]) -> Field:
     """Real-space D^alpha f via the spectral route."""
-    return inverse_transform(spectral_derivative(forward_transform(field), alpha))
+    return inverse_transform(field.grid, forward_transform(field)
+                             * derivative_multiplier(field.grid, alpha))
 
 
 def write_snapshot(path, field: Field, time: float) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, forward_transform, inverse_transform, SpectralField
+from .grid import Field, Grid, inverse_transform
 
 # scipy's RK45 refuses relative tolerances below ~100 machine eps
 _MIN_RTOL = 2.5e-14
@@ -161,15 +161,10 @@ def free_wave_multiplier(grid, t: float) -> np.ndarray:
     return out
 
 
-def heat_reference(data: Field | SpectralField, t: float) -> Field:
-    """Exact periodic heat evolution exp(t Laplacian) applied to data.
-
-    data may be given by its spectrum, so a series of times transforms it
-    only once.
-    """
+def heat_reference(grid: Grid, coeffs: np.ndarray, t: float) -> Field:
+    """Exact periodic heat evolution exp(t Laplacian) of the data whose
+    half spectrum on grid is coeffs."""
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    spec = data if isinstance(data, SpectralField) else forward_transform(data)
-    xi_sq, index = data.grid.freq_levels
-    damped = spec.coeffs * np.exp(-xi_sq * t)[index]
-    return inverse_transform(SpectralField(data.grid, damped))
+    xi_sq, index = grid.freq_levels
+    return inverse_transform(grid, coeffs * np.exp(-xi_sq * t)[index])

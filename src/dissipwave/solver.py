@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .grid import Field, Grid, SpectralField, forward_transform, inverse_transform
+from .grid import Field, Grid, forward_transform, inverse_transform
 from .symbols import SymbolTable, build_symbol_table, green_pair
 
 INTEGRATORS = ("reference_rk4", "exponential_duhamel")
@@ -73,7 +73,7 @@ class SolverState:
     def u(self) -> np.ndarray:
         """Physical-space u, transformed once and shared by the step, the
         guard, the energy ledger and the observer."""
-        return inverse_transform(SpectralField(self.grid, self.u_hat)).values
+        return inverse_transform(self.grid, self.u_hat).values
 
     @cached_property
     def u_sup(self) -> float:
@@ -125,8 +125,8 @@ def state_from_fields(u0: Field, u1: Field) -> SolverState:
     if u0.grid != u1.grid:
         raise ValueError("u0 and u1 must share a grid")
     return SolverState(grid=u0.grid,
-                       u_hat=forward_transform(u0).coeffs,
-                       v_hat=forward_transform(u1).coeffs)
+                       u_hat=forward_transform(u0),
+                       v_hat=forward_transform(u1))
 
 
 def u_field(state: SolverState) -> Field:
@@ -165,9 +165,8 @@ def linear_solution(u0: Field, u1: Field, t: float) -> tuple[Field, Field]:
         raise ValueError(f"t must be nonnegative, got {t}")
     grid = u0.grid
     u_hat, v_hat = build_symbol_table(grid, t).apply(
-        forward_transform(u0).coeffs, forward_transform(u1).coeffs)
-    return (inverse_transform(SpectralField(grid, u_hat)),
-            inverse_transform(SpectralField(grid, v_hat)))
+        forward_transform(u0), forward_transform(u1))
+    return inverse_transform(grid, u_hat), inverse_transform(grid, v_hat)
 
 
 def linear_step(state: SolverState, table: SymbolTable) -> SolverState:
@@ -255,7 +254,7 @@ def _seed_history(state: SolverState, f0: np.ndarray, config: SolverConfig,
     """(F_{-1}, F_{-2}) from the Taylor line F_0 + t F_t through the data,
     with the exact source rate F_t = sign (theta+1) |u|^theta u_t."""
     rate = _abs_power(state.u, config.theta)
-    rate *= inverse_transform(SpectralField(state.grid, state.v_hat)).values
+    rate *= inverse_transform(state.grid, state.v_hat).values
     rate *= config.nonlin_sign * (config.theta + 1)
     rate_hat = _masked_hat(rate, cache)
     rate_hat *= cache.dt
@@ -339,11 +338,11 @@ def step_schedule(config: SolverConfig) -> list[tuple[float, float, bool]]:
         what = "t_final" if end == config.t_final else "doubling time"
         n = round((end - start) / step) if math.isfinite(end) else 0
         if not abs(start + n * step - end) <= 1e-9 * max(1.0, abs(end)):
-            remedy = ("" if end == config.t_final else
-                      "; dt_doubling_times must move with dt, and --set "
-                      "dt_doubling_times= gives the constant step")
             raise ValueError(f"{what} {end} is not on the grid of dt = {step} "
-                             f"from t = {start}{remedy}")
+                             f"from t = {start}; the doubling times, the "
+                             f"snapshot times and t_final must all lie on the "
+                             f"step's grid, as they do for a dt that divides "
+                             f"the one they were laid out for (such as dt/2)")
         if n < 1:
             raise ValueError(f"{what} {end} leaves no step of dt = {step} "
                              f"after t = {start}")
@@ -415,10 +414,10 @@ def time_derivative(state: SolverState, h: int,
     if h == 0:
         return u_field(state)
     if h == 1:
-        return inverse_transform(SpectralField(state.grid, state.v_hat))
+        return inverse_transform(state.grid, state.v_hat)
     grid = state.grid
-    linear_part = inverse_transform(SpectralField(
-        grid, -grid.freq_sq * state.u_hat - state.v_hat))
+    linear_part = inverse_transform(
+        grid, -grid.freq_sq * state.u_hat - state.v_hat)
     if config is None:
         return linear_part
     return Field(grid, linear_part.values

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Field, Grid, SpectralField, forward_transform, inverse_transform
+from .grid import Field, Grid, forward_transform, inverse_transform
 
 # The series argument is w = (1 - 4 xi_sq) t^2 / 4; |w| <= W_SERIES keeps the
 # degree-3 Taylor truncation of sinh(sqrt(w))/sqrt(w) and cosh(sqrt(w))
@@ -201,7 +201,7 @@ def _delta_spectrum(grid: Grid) -> np.ndarray:
     """Transform of the discrete delta at the origin, scaled to unit mass."""
     values = np.zeros(grid.shape)
     values[grid.origin_index] = 1.0 / grid.cell_volume
-    return forward_transform(Field(grid, values)).coeffs
+    return forward_transform(Field(grid, values))
 
 
 def _shell_mode_count(grid: Grid, lo: float, hi: float) -> int:
@@ -236,5 +236,4 @@ def green_band(band: int, grid: Grid, t: float, spec: CutoffSpec = CutoffSpec())
     _check_band_resolution(band, grid, spec)
     xi_sq, index = grid.freq_levels
     mult = cutoff(band, np.sqrt(xi_sq), spec) * green_hat(xi_sq, t)
-    return inverse_transform(SpectralField(grid, _delta_spectrum(grid)
-                                           * mult[index]))
+    return inverse_transform(grid, _delta_spectrum(grid) * mult[index])

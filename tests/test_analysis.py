@@ -45,7 +45,7 @@ def test_lp_norm_validation(grid1d):
 def test_l2_matches_parseval(grid1d, rng):
     f = Field(grid1d, rng.standard_normal(grid1d.shape))
     direct = lp_norm(f, 2) ** 2
-    spectral = spectral_l2_sq(grid1d, forward_transform(f).coeffs)
+    spectral = spectral_l2_sq(grid1d, forward_transform(f))
     assert direct == pytest.approx(spectral, rel=1e-12)
 
 

@@ -401,8 +401,33 @@ def test_doubling_time_off_a_changed_dt_names_the_remedy(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
         "config error: semi1d-theta3: doubling time 6.0 is not on the grid "
-        "of dt = 0.07 from t = 0.0; dt_doubling_times must move with dt, "
-        "and --set dt_doubling_times= gives the constant step"]
+        "of dt = 0.07 from t = 0.0" + _OFF_GRID_REMEDY]
+    assert not (tmp_path / "o").exists()
+
+
+_OFF_GRID_REMEDY = ("; the doubling times, the snapshot times and t_final "
+                    "must all lie on the step's grid, as they do for a dt "
+                    "that divides the one they were laid out for (such as "
+                    "dt/2)")
+
+
+@pytest.mark.parametrize("sets, message", [
+    (["dt=0.07", "dt_doubling_times="],
+     "t_final 100.0 is not on the grid of dt = 0.07 from t = 0.0"
+     + _OFF_GRID_REMEDY),
+    (["dt=0.07", "dt_doubling_times=", "t_final=99.96"],
+     "snapshot times must lie in [0, t_final]: 100.0 lies outside "
+     "[0, 99.96]"),
+], ids=["constant-step", "cut-t-final"])
+def test_off_grid_step_messages_name_what_must_move(tmp_path, capsys, sets,
+                                                    message):
+    argv = ["simulate", "--config", "semi1d-theta3", "--out",
+            str(tmp_path / "o")]
+    for kv in sets:
+        argv += ["--set", kv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: semi1d-theta3: " + message]
     assert not (tmp_path / "o").exists()
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from dissipwave import (CutoffSpec, Field, SolverConfig, SpectralField,
+from dissipwave import (CutoffSpec, Field, SolverConfig,
                         build_symbol_table, builtin_presets, cutoff,
                         forward_transform, gaussian_bump, green_band,
                         green_hat, heat_reference, inverse_transform,
@@ -81,9 +81,8 @@ def test_step_weights_match_per_mode_quadrature(grid, dt):
 @pytest.mark.parametrize("t", TIMES)
 def test_heat_reference_matches_per_mode_factor(grid, t):
     spec = forward_transform(gaussian_bump(grid, 1.0, 1.5))
-    want = inverse_transform(SpectralField(
-        grid, spec.coeffs * np.exp(-grid.freq_sq * t))).values
-    assert np.array_equal(heat_reference(spec, t).values, want)
+    want = inverse_transform(grid, spec * np.exp(-grid.freq_sq * t)).values
+    assert np.array_equal(heat_reference(grid, spec, t).values, want)
 
 
 @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS)
@@ -91,8 +90,7 @@ def test_heat_reference_matches_per_mode_factor(grid, t):
 @pytest.mark.parametrize("t", TIMES[1:])
 def test_green_band_matches_per_mode_multiplier(grid, band, t):
     mult = cutoff(band, grid.freq_radius, SPEC) * green_hat(grid.freq_sq, t)
-    want = inverse_transform(SpectralField(
-        grid, _delta_spectrum(grid) * mult)).values
+    want = inverse_transform(grid, _delta_spectrum(grid) * mult).values
     got = green_band(band, grid, t, SPEC)
     assert isinstance(got, Field)
     assert np.array_equal(got.values, want)

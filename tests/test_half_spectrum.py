@@ -181,7 +181,7 @@ def test_parseval_weight_counts_conjugate_partners(n_dims, points, rng):
     grid = make_grid(n_dims, points, 4.0)
     f = Field(grid, rng.standard_normal(grid.shape))
     direct = float(np.sum(f.values ** 2)) * grid.cell_volume
-    coeffs = forward_transform(f).coeffs
+    coeffs = forward_transform(f)
     assert spectral_l2_sq(grid, coeffs) == pytest.approx(direct, rel=1e-12)
     full = np.fft.fftn(f.values)
     full_h1 = float(np.sum(np.abs(full) ** 2 * (1.0 + _full_freq_sq(grid)))) \

@@ -11,7 +11,6 @@ from dissipwave import (Field, dalembert, forward_transform,
                         free_wave_multiplier, gaussian_bump, heat_reference,
                         inverse_transform, make_grid, mode_ode,
                         mode_ode_series)
-from dissipwave.grid import SpectralField
 
 
 def test_mode_ode_zero_frequency_closed_form():
@@ -111,8 +110,7 @@ def test_dalembert_matches_spectral_multiplier():
     t = 3.0
     integral, _ = dalembert(h, t)
     mult = free_wave_multiplier(g, t)
-    via_fft = inverse_transform(
-        SpectralField(g, forward_transform(h).coeffs * mult))
+    via_fft = inverse_transform(g, forward_transform(h) * mult)
     assert np.max(np.abs(integral.values - via_fft.values)) < 1e-8
 
 
@@ -136,16 +134,13 @@ def test_heat_reference_single_mode():
     k = np.pi / 8.0
     f = Field(g, np.cos(k * g.axis_coords))
     t = 4.0
-    out = heat_reference(f, t)
+    out = heat_reference(g, forward_transform(f), t)
     expected = np.exp(-k * k * t) * np.cos(k * g.axis_coords)
     assert np.max(np.abs(out.values - expected)) < 1e-12
-    # given by its spectrum, the data is not transformed again
-    assert np.array_equal(heat_reference(forward_transform(f), t).values,
-                          out.values)
 
 
 def test_heat_reference_preserves_mean(rng):
     g = make_grid(1, 64, 8.0)
     f = Field(g, rng.standard_normal(g.shape))
-    out = heat_reference(f, 10.0)
+    out = heat_reference(g, forward_transform(f), 10.0)
     assert np.mean(out.values) == pytest.approx(np.mean(f.values), abs=1e-12)

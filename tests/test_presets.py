@@ -7,14 +7,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dissipwave import (ExperimentPreset, SolverConfig, SpectralField,
-                        apply_nonlinearity, build_symbol_table,
-                        builtin_presets, e0_norm, gaussian_bump,
+from dissipwave import (ExperimentPreset, SolverConfig, apply_nonlinearity,
+                        build_symbol_table, builtin_presets,
+                        derivative_multiplier, e0_norm, gaussian_bump,
                         inverse_transform, lp_norm, make_grid,
                         preset_from_config, preset_to_config, run_bands,
                         run_experiment, run_linear, run_semilinear,
-                        spectral_derivative, state_from_fields,
-                        write_snapshot)
+                        state_from_fields, write_snapshot)
 from dissipwave.analysis import energy_audit
 from dissipwave.presets import (HEAT_GAP_LABEL, PROFILE_LABEL, _norm_of,
                                 _rounded_times)
@@ -197,6 +196,17 @@ def test_builtin_semilinear_schedules(name, epoch_steps, snapshot_times):
     assert tuple(t for t, _dt, snap in table if snap) == snapshot_times
 
 
+@pytest.mark.parametrize("name", ["semi1d-theta3", "semi2d-theta2"])
+def test_halved_step_keeps_every_builtin_time_on_its_grid(name):
+    # the remedy the off-grid messages name: a dt that divides the preset's
+    # keeps its doubling times, snapshot times and t_final on the grid
+    preset = builtin_presets()[name]
+    halved = replace(preset, dt=preset.dt / 2)  # validates, no run
+    table = step_schedule(halved.solver_config())
+    assert tuple(t for t, _dt, snap in table if snap) == preset.snapshot_times
+    assert table[-1][0] == preset.t_final
+
+
 @pytest.mark.parametrize("doubling, message", [
     ((0.6, 0.2), "strictly increasing"),
     ((0.0, 0.6), "positive"),
@@ -293,7 +303,7 @@ def test_linear_flow_second_time_derivative_has_no_source():
 @pytest.mark.parametrize("config", [
     None, SolverConfig(theta=3, dt=0.05, t_final=1.0),
 ], ids=["linear", "semilinear"])
-def test_norm_of_matches_the_spectral_derivative(config):
+def test_norm_of_matches_the_derivative_multiplier(config):
     # _norm_of differentiates the physical time derivative in space; the
     # spectral route differentiates u_hat, v_hat or the spectrum of u_tt
     grid = make_grid(2, 32, 8.0)
@@ -306,10 +316,9 @@ def test_norm_of_matches_the_spectral_derivative(config):
     spectra = {0: state.u_hat, 1: state.v_hat, 2: utt_hat}
     for alpha in (0, 1, 2):
         for h in (0, 1, 2):
-            d_hat = spectral_derivative(SpectralField(grid, spectra[h]),
-                                        (alpha, 0))
+            d_hat = spectra[h] * derivative_multiplier(grid, (alpha, 0))
             for p in (1, 2, math.inf):
-                want = lp_norm(inverse_transform(d_hat), p)
+                want = lp_norm(inverse_transform(grid, d_hat), p)
                 got = _norm_of(state, config, p, alpha, h)
                 assert got == pytest.approx(want, rel=1e-12, abs=0), \
                     (alpha, h, p)

@@ -214,9 +214,9 @@ def test_green_band_sum_reconstructs_kernel():
     t = 5.0
     total = sum(green_band(b, g, t, spec).values for b in (1, 2, 3))
     table = build_symbol_table(g, t)
-    from dissipwave.grid import SpectralField, inverse_transform
+    from dissipwave.grid import inverse_transform
     from dissipwave.symbols import _delta_spectrum
-    full = inverse_transform(SpectralField(g, _delta_spectrum(g) * table.uv))
+    full = inverse_transform(g, _delta_spectrum(g) * table.uv)
     assert np.max(np.abs(total - full.values)) < 1e-10
 
 

@@ -33,6 +33,10 @@ class NothingToFit(ValueError):
     there is no decay to measure."""
 
 
+class NonpositiveSample(ValueError):
+    """Some sample inside the fit window is zero, negative or not finite."""
+
+
 @lru_cache(maxsize=64)
 def parseval_weight(grid: Grid) -> np.ndarray:
     """Per-mode weight of the half-spectrum Parseval sum: (dx/N)^n times
@@ -169,7 +173,8 @@ def _fit_log(times, values, window, abscissa) -> FitResult:
     if finite and np.all(vals <= 0):
         raise NothingToFit("no positive value inside the fit window")
     if not finite or np.any(vals <= 0):
-        raise ValueError("fit requires positive finite values inside the window")
+        raise NonpositiveSample(
+            "fit requires positive finite values inside the window")
     slope, stderr, r = _linregress(abscissa(ts), np.log(vals))
     return FitResult(slope=float(slope), stderr=float(stderr),
                      r_squared=float(r) ** 2, n_points=len(ts),
@@ -267,12 +272,17 @@ def decay_report(series: dict, requests, kind: str, n_dims: int,
 
     series maps each quantity label to its own (times, values) pair.
     Semilinear time-derivative norms are judged one-sided: the measured
-    slope only has to stay at or below target + tolerance.
+    slope only has to stay at or below target + tolerance.  A nonpositive
+    sample among positive ones is a failing row with slope nan: a verdict
+    on the recorded run, not bad input.
     """
     rows = []
     for p, alpha_order, h in requests:
         label = quantity_label(p, alpha_order, h)
-        fit = fit_decay_rate(*series[label], window)
+        try:
+            fit = fit_decay_rate(*series[label], window)
+        except NonpositiveSample:
+            fit = FitResult(math.nan, math.nan, math.nan, 0, window)
         target = target_slope(kind, n_dims, p, alpha_order, h)
         rows.append(judge(label, fit, target, decay_tolerance(kind, h),
                           one_sided=kind == "semilinear" and h >= 1))

@@ -6,11 +6,12 @@ a preset into one ExperimentRun whose series map every label to its own
 (times, values) pair; the CLI and the acceptance suite both consume it.
 Each kind reads the fields KIND_FIELDS lists; every other field keeps its
 default.  What every run takes alike is not a field: the Sobolev index is
-n + 1, the profile exponent PROFILE_R, and the integrator, dealias rule
-and guard bound are SolverConfig's defaults.  Presets round-trip
-losslessly through the flat key=value config format, whose keys are the
-kind's fields (n_dims as dimension, fit_window as fit_window_lo and
-fit_window_hi), so a manifest relaunches as a config.
+n + 1, the profile exponent PROFILE_R, the integrator and dealias rule
+SolverConfig's defaults and the guard bound solver.GUARD_BOUND.  Both flow
+runners record a snapshot through one callback (_observer).  Presets
+round-trip losslessly through the flat key=value config format, whose
+keys are the kind's fields (n_dims as dimension, fit_window as
+fit_window_lo and fit_window_hi), so a manifest relaunches as a config.
 """
 
 from __future__ import annotations
@@ -137,6 +138,10 @@ class ExperimentPreset:
             except ValueError as exc:
                 entry = _format_reports([(p, a, h)])
                 raise ValueError(f"reports entry {entry}: {exc}") from None
+        labels = [quantity_label(*entry) for entry in self.reports]
+        for label in labels:  # a run keys its series by label
+            if labels.count(label) > 1:
+                raise ValueError(f"reports entries share the series {label}")
         if self.kind == "semilinear":
             min_theta = 2 + math.floor(1.0 / self.n_dims)
             if self.theta < min_theta:
@@ -224,23 +229,30 @@ def _norm_of(state: solver.SolverState, config: solver.SolverConfig | None,
     return analysis.lp_norm(f, p)
 
 
-def _record_state(preset: ExperimentPreset,
-                  config: solver.SolverConfig | None, t: float,
-                  state: solver.SolverState, values: dict) -> None:
-    for p, a, h in preset.reports:
-        values[quantity_label(p, a, h)].append(_norm_of(state, config, p, a, h))
-    if preset.kind == "semilinear":
-        values[PROFILE_LABEL].append(
-            analysis.weighted_profile(solver.u_field(state), t, PROFILE_R))
+def _observer(preset: ExperimentPreset, config: solver.SolverConfig | None,
+              snapshot_sink=None, heat_data: np.ndarray | None = None):
+    """The series of a linear or semilinear run, {label: []}, and the
+    callback observe(t, state) that records one snapshot: it appends the
+    requested norms, then the weighted profile (semilinear) or the sup
+    distance to the heat evolution of the spectrum heat_data (linear), and
+    hands u to the snapshot sink."""
+    norms = {quantity_label(p, a, h): (p, a, h) for p, a, h in preset.reports}
+    extra = PROFILE_LABEL if preset.kind == "semilinear" else HEAT_GAP_LABEL
+    series: dict = {label: [] for label in (*norms, extra)}
 
+    def observe(t: float, state: solver.SolverState) -> None:
+        for label, (p, a, h) in norms.items():
+            series[label].append(_norm_of(state, config, p, a, h))
+        u = solver.u_field(state)
+        if preset.kind == "semilinear":
+            series[extra].append(analysis.weighted_profile(u, t, PROFILE_R))
+        else:
+            gap = u.values - oracle.heat_reference(u.grid, heat_data, t).values
+            series[extra].append(float(np.max(np.abs(gap))))
+        if snapshot_sink is not None:
+            snapshot_sink(float(t), u)
 
-def _empty_series(preset: ExperimentPreset) -> dict:
-    series: dict = {quantity_label(p, a, h): [] for p, a, h in preset.reports}
-    if preset.kind == "semilinear":
-        series[PROFILE_LABEL] = []
-    if preset.kind == "linear":
-        series[HEAT_GAP_LABEL] = []
-    return series
+    return series, observe
 
 
 def _pairs(times, values: dict) -> dict:
@@ -258,20 +270,17 @@ def run_linear(preset: ExperimentPreset, snapshot_sink=None) -> ExperimentRun:
     """
     if preset.kind != "linear":
         raise ValueError(f"preset {preset.name!r} is not linear")
-    grid = preset.grid
     u0, u1 = preset.initial_data()
     start = solver.state_from_fields(u0, u1)
-    heat_data = start.u_hat + start.v_hat
-    values = _empty_series(preset)
+    series, observe = _observer(preset, None, snapshot_sink,
+                                heat_data=start.u_hat + start.v_hat)
     for t in preset.snapshot_times:
-        state = solver.linear_step(start, symbols.build_symbol_table(grid, t))
-        _record_state(preset, None, t, state, values)
-        u = solver.u_field(state)
-        gap = u.values - oracle.heat_reference(grid, heat_data, t).values
-        values[HEAT_GAP_LABEL].append(float(np.max(np.abs(gap))))
-        if snapshot_sink is not None:
-            snapshot_sink(float(t), u)
-    return ExperimentRun(preset, _pairs(preset.snapshot_times, values),
+        # each state lives until the next is made, which keeps glibc from
+        # trimming the heap top (lin2d: 28 000 minor page faults, 76 000
+        # when the state was freed before the next)
+        state = solver.linear_solution(start, t)
+        observe(t, state)
+    return ExperimentRun(preset, _pairs(preset.snapshot_times, series),
                          e0=analysis.e0_norm(u0, u1, preset.sobolev_s))
 
 
@@ -282,17 +291,11 @@ def run_semilinear(preset: ExperimentPreset, snapshot_sink=None) -> ExperimentRu
     u0, u1 = preset.initial_data()
     config = preset.solver_config()
     ledger = EnergyLedger(sobolev_index=preset.sobolev_s)
-    values = _empty_series(preset)
-
-    def observer(t: float, state: solver.SolverState) -> None:
-        _record_state(preset, config, t, state, values)
-        if snapshot_sink is not None:
-            snapshot_sink(t, solver.u_field(state))
-
+    series, observe = _observer(preset, config, snapshot_sink)
     # solve stamps each snapshot with its configured time, in order
-    solver.solve(u0, u1, config, observer=observer, ledger=ledger)
+    solver.solve(u0, u1, config, observer=observe, ledger=ledger)
     e0 = ledger.u_sobolev[0] + ledger.ut_sobolev[0]  # = e0_norm(u0, u1, s)
-    return ExperimentRun(preset, _pairs(preset.snapshot_times, values),
+    return ExperimentRun(preset, _pairs(preset.snapshot_times, series),
                          ledger=ledger, e0=e0)
 
 

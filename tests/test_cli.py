@@ -207,6 +207,11 @@ SIX_SNAPSHOTS = ["--set", "snapshot_times=0.5,0.6,0.7,0.8,0.9,1.0"]
     ["simulate", "--set", "dt_doubling_times=0.2,0.6",
      "--set", "snapshot_times=0.5,0.7,1.0"],
     ["simulate", "--config", "lin2d", "--set", "dt_doubling_times=1.0"],
+    # a run keys its series by label, so two entries may not share one
+    ["simulate", "--config", "lin1d", "--set", "reports=inf:0:0,inf:0:0"],
+    ["simulate", "--config", "lin1d", "--set", "reports=Inf:0:0,inf:0:0"],
+    ["simulate", "--config", "semi1d-theta3",
+     "--set", "reports=2:0:0,2.0000001:0:0"],
 ], ids=["window-samples", "integrator", "off-grid-snapshot", "off-grid-dt",
         "delta-bar", "tol", "tol-nan", "width", "width-nan", "profile-r",
         "sobolev-index", "u0-file-missing", "u1-file-not-dwf1",
@@ -222,7 +227,8 @@ SIX_SNAPSHOTS = ["--set", "snapshot_times=0.5,0.6,0.7,0.8,0.9,1.0"]
         "inverted-fit-window", "bands-fit-window", "bands-snapshot-times",
         "linear-dt", "semilinear-band1-times", "doubling-unsorted",
         "doubling-off-grid-end", "doubling-off-grid-snapshot",
-        "linear-doubling"])
+        "linear-doubling", "reports-repeated", "reports-repeated-inf-case",
+        "reports-one-label"])
 def test_bad_input_exits_2_before_any_run_directory(tmp_path, capsys, argv):
     out = tmp_path / "o"
     out.mkdir()
@@ -288,7 +294,7 @@ def test_simulate_unknown_preset_name_exits_2(tmp_path, capsys):
 
 def test_simulate_instability_exits_3(tmp_path, capsys):
     path = _write_config(tmp_path, _tiny_preset())
-    # the data alone exceed the guard bound 10 * delta_bar = 5
+    # the data alone exceed the guard bound 5
     code = main(["simulate", "--config", path, "--set", "amplitude=6",
                  "--out", str(tmp_path / "o")])
     assert code == 3
@@ -572,6 +578,28 @@ def test_decay_report_reuses_simulate_output(tmp_path, capsys):
         for q, (slope, verdict) in live.items():
             assert replay[q][0] == pytest.approx(slope, rel=1e-12)
             assert replay[q][1] == verdict
+
+
+def test_fit_over_a_nonpositive_sample_is_a_failed_verdict(tmp_path,
+                                                           capsys):
+    # u1 = 0, so sup|u_t| is 0 at t = 0, inside the window: the run is
+    # valid input and its series has no power law there, a failed row
+    # with slope nan, live and replayed alike
+    p = _tiny_linear(name="lin-tiny", fit_window=(0.0, 1.0),
+                     snapshot_times=(0.0, 0.2, 0.4, 0.6, 0.8, 1.0),
+                     reports=((math.inf, 0, 0), (math.inf, 0, 1)))
+    path = _write_config(tmp_path, p)
+    assert main(["simulate", "--config", path,
+                 "--out", str(tmp_path / "o")]) == 1
+    prior = _only_run_dir(tmp_path / "o", "lin-tiny")
+    assert main(["decay-report", "--config", path, "--run", str(prior),
+                 "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == ""
+    replayed = _only_run_dir(tmp_path / "r", "lin-tiny")
+    for run_dir in (prior, replayed):
+        row = (run_dir / "report.csv").read_text().splitlines()[2]
+        assert row == "linf:dt_u,nan,nan,-1.5,0.15,fail"
+        assert "verdict: fail" in (run_dir / "manifest.txt").read_text()
 
 
 @pytest.mark.parametrize("series_text", [

@@ -284,6 +284,25 @@ def test_linear_run_includes_heat_gap():
     assert set(run.series) == {"linf:u", HEAT_GAP_LABEL}
 
 
+def test_run_linear_takes_each_snapshot_from_linear_solution(monkeypatch):
+    # one linear flow at a time: each snapshot is solver.linear_solution
+    # from the start state, reached through the module attribute, which
+    # the benchmark's tracer rebinds
+    import dissipwave.solver as solver
+    original, calls = solver.linear_solution, []
+
+    def counted(state, t):
+        calls.append((state, t))
+        return original(state, t)
+
+    monkeypatch.setattr(solver, "linear_solution", counted)
+    p = _tiny_linear(reports=((math.inf, 0, 0),),
+                     snapshot_times=(0.25, 0.5, 0.75, 1.0))
+    run_linear(p)
+    assert [t for _state, t in calls] == list(p.snapshot_times)
+    assert len({id(state) for state, _t in calls}) == 1
+
+
 def test_linear_flow_second_time_derivative_has_no_source():
     # u_tt of the linear flow is Lap u - u_t: at amplitude 1 a theta 3
     # source would move the sup norm by order one

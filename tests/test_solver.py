@@ -18,7 +18,7 @@ from dissipwave import (Field, InstabilityError, SolverConfig, SolverState,
                         forward_transform, gaussian_bump, inverse_transform,
                         linear_solution, linear_step, make_grid, solve,
                         state_from_fields)
-from dissipwave.solver import (_make_step_cache, step_schedule,
+from dissipwave.solver import (GUARD_BOUND, _make_step_cache, step_schedule,
                               step_semilinear, time_derivative, u_field)
 
 
@@ -35,8 +35,6 @@ def test_solver_config_validation():
         SolverConfig(theta=3, dt=0.1, t_final=0.0)
     with pytest.raises(ValueError, match="integrator"):
         SolverConfig(theta=3, dt=0.1, t_final=1.0, integrator="euler")
-    with pytest.raises(ValueError, match="delta_bar"):
-        SolverConfig(theta=3, dt=0.1, t_final=1.0, delta_bar=0.0)
     with pytest.raises(ValueError, match="nonlin_sign"):
         SolverConfig(theta=3, dt=0.1, t_final=1.0, nonlin_sign=2)
 
@@ -105,11 +103,18 @@ def test_repeated_linear_step_matches_linear_solution():
     g = make_grid(1, 128, 16.0)
     u0, u1 = gaussian_bump(g, 1.0, 1.0), _zero(g)
     table = build_symbol_table(g, 0.25)
-    state = state_from_fields(u0, u1)
+    state = start = state_from_fields(u0, u1)
     for _ in range(16):
         state = linear_step(state, table)
-    u_exact, v_exact = linear_solution(u0, u1, 4.0)
-    assert np.max(np.abs(u_field(state).values - u_exact.values)) < 1e-10
+    exact = linear_solution(start, 4.0)
+    assert np.max(np.abs(state.u - exact.u)) < 1e-10
+
+
+def test_linear_solution_rejects_a_negative_time():
+    g = make_grid(1, 64, 8.0)
+    state = state_from_fields(gaussian_bump(g, 1.0, 1.0), _zero(g))
+    with pytest.raises(ValueError, match="nonnegative"):
+        linear_solution(state, -0.5)
 
 
 def test_linear_step_grid_mismatch():
@@ -125,8 +130,8 @@ def test_semilinear_tiny_amplitude_matches_linear():
     u0 = gaussian_bump(g, 1e-5, 1.0)
     cfg = SolverConfig(theta=3, dt=0.05, t_final=1.0)
     final = solve(u0, _zero(g), cfg)
-    u_exact, _ = linear_solution(u0, _zero(g), 1.0)
-    assert np.max(np.abs(u_field(final).values - u_exact.values)) < 1e-14
+    exact = linear_solution(state_from_fields(u0, _zero(g)), 1.0)
+    assert np.max(np.abs(final.u - exact.u)) < 1e-14
 
 
 def test_integrators_agree_at_small_dt():
@@ -189,16 +194,21 @@ def test_instability_guard_trips():
     assert 0.0 < info.value.time <= 20.0
 
 
-def test_guard_respects_delta_bar():
+def test_guard_fires_on_the_initial_state():
+    # the guard bound is one constant, 10 times the small-data amplitude
+    # bound 0.5; data above it abort at t = 0, before any step
     g = make_grid(1, 64, 8.0)
-    u0 = gaussian_bump(g, 0.5, 1.0)
-    cfg = SolverConfig(theta=3, dt=0.05, t_final=1.0, delta_bar=0.01)
-    with pytest.raises(InstabilityError):
+    u0 = gaussian_bump(g, 5.5, 1.0)
+    cfg = SolverConfig(theta=3, dt=0.05, t_final=1.0)
+    with pytest.raises(InstabilityError) as info:
         solve(u0, _zero(g), cfg)
+    assert info.value.time == 0.0
+    assert info.value.sup == pytest.approx(5.5)
+    assert info.value.bound == GUARD_BOUND == 5.0
 
 
 def test_guard_checks_the_final_state():
-    # growth flow: the first state beyond 10 * delta_bar is the last one
+    # growth flow: the first state beyond the guard bound is the last one
     # when t_final stops right on it, and solve must still refuse it
     g = make_grid(1, 128, 16.0)
     u0 = gaussian_bump(g, 1.0, 1.0)
@@ -283,11 +293,12 @@ def test_time_derivative_matches_finite_difference():
     u0 = gaussian_bump(g, 0.01, 1.0)
     h = 1e-4
 
-    def v_at(t):
-        _, v = linear_solution(u0, _zero(g), t)
-        return v.values
+    start = state_from_fields(u0, _zero(g))
 
-    state = state_from_fields(*linear_solution(u0, _zero(g), 1.0))
+    def v_at(t):
+        return time_derivative(linear_solution(start, t), 1, None).values
+
+    state = linear_solution(start, 1.0)
     fd = (v_at(1.0 + h) - v_at(1.0 - h)) / (2 * h)
     cfg = SolverConfig(theta=5, dt=0.1, t_final=1.0)
     utt = time_derivative(state, 2, cfg).values
@@ -308,11 +319,12 @@ def test_linear_solution_semigroup_property(t, s):
     g = make_grid(1, 64, 8.0)
     u0 = gaussian_bump(g, 1.0, 1.0)
     u1 = gaussian_bump(g, 0.3, 2.0)
-    ua, va = linear_solution(u0, u1, t)
-    ub, vb = linear_solution(ua, va, s)
-    uc, vc = linear_solution(u0, u1, t + s)
-    assert np.max(np.abs(ub.values - uc.values)) < 1e-10
-    assert np.max(np.abs(vb.values - vc.values)) < 1e-10
+    start = state_from_fields(u0, u1)
+    b = linear_solution(linear_solution(start, t), s)
+    c = linear_solution(start, t + s)
+    assert np.max(np.abs(b.u - c.u)) < 1e-10
+    assert np.max(np.abs(time_derivative(b, 1, None).values
+                         - time_derivative(c, 1, None).values)) < 1e-10
 
 
 def test_solver_state_holds_the_flow_only(grid1d, bump1d):

@@ -5,8 +5,8 @@ Layers:
   grid      periodic grids, transforms of plain half-spectrum arrays,
             spectral derivatives, snapshots
   symbols   per-mode propagator of the damped linear equation, band kernels
-  oracle    independent references (mode ODE, free wave, heat flow)
-  solver    exact linear stepping and two semilinear integrators
+  oracle    independent references (mode ODE, free wave, heat flow, RK4)
+  solver    exact linear stepping and the semilinear Duhamel step
   analysis  norms, energy ledger, decay-rate fits, csv reports
   presets   canned experiments and the flat config schema
   cli       command line front end

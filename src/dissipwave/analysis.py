@@ -266,6 +266,14 @@ def judge(quantity: str, fit: FitResult, target: float, tolerance: float,
                     passed=ok, r_squared=fit.r_squared)
 
 
+def _fit_or_nan(fitter, times, values, window) -> FitResult:
+    """The fit, or slope nan, a failing row, on a NonpositiveSample."""
+    try:
+        return fitter(times, values, window)
+    except NonpositiveSample:
+        return FitResult(math.nan, math.nan, math.nan, 0, window)
+
+
 def decay_report(series: dict, requests, kind: str, n_dims: int,
                  window) -> DecayReport:
     """Fit each requested (p, alpha_order, h) series and compare to targets.
@@ -273,16 +281,12 @@ def decay_report(series: dict, requests, kind: str, n_dims: int,
     series maps each quantity label to its own (times, values) pair.
     Semilinear time-derivative norms are judged one-sided: the measured
     slope only has to stay at or below target + tolerance.  A nonpositive
-    sample among positive ones is a failing row with slope nan: a verdict
-    on the recorded run, not bad input.
+    sample among positive ones is a failing row with slope nan.
     """
     rows = []
     for p, alpha_order, h in requests:
         label = quantity_label(p, alpha_order, h)
-        try:
-            fit = fit_decay_rate(*series[label], window)
-        except NonpositiveSample:
-            fit = FitResult(math.nan, math.nan, math.nan, 0, window)
+        fit = _fit_or_nan(fit_decay_rate, *series[label], window)
         target = target_slope(kind, n_dims, p, alpha_order, h)
         rows.append(judge(label, fit, target, decay_tolerance(kind, h),
                           one_sided=kind == "semilinear" and h >= 1))
@@ -293,10 +297,12 @@ def band_report(series: dict, n_dims: int) -> DecayReport:
     """Verdicts on the band kernel sup norms, each fit over the span of its
     own times: band 1 decays like the linear flow (sup slope -n/2, its
     x-derivative -(n+1)/2, each within 0.10); the middle band decays
-    exponentially (log-slope against t at most -0.05, with r^2 >= 0.99)."""
+    exponentially (log-slope against t at most -0.05, with r^2 >= 0.99).
+    As in decay_report, a nonpositive sample among positive ones is a
+    failing row with slope nan."""
     def fit(label, fitter):
         times, values = series[label]
-        return fitter(times, values, (times[0], times[-1]))
+        return _fit_or_nan(fitter, times, values, (times[0], times[-1]))
 
     band2 = judge("linf:band2", fit("linf:band2", fit_exponential_rate),
                   -0.05, 0.0, one_sided=True)

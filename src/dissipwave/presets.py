@@ -6,12 +6,12 @@ a preset into one ExperimentRun whose series map every label to its own
 (times, values) pair; the CLI and the acceptance suite both consume it.
 Each kind reads the fields KIND_FIELDS lists; every other field keeps its
 default.  What every run takes alike is not a field: the Sobolev index is
-n + 1, the profile exponent PROFILE_R, the integrator and dealias rule
-SolverConfig's defaults and the guard bound solver.GUARD_BOUND.  Both flow
-runners record a snapshot through one callback (_observer).  Presets
-round-trip losslessly through the flat key=value config format, whose
-keys are the kind's fields (n_dims as dimension, fit_window as
-fit_window_lo and fit_window_hi), so a manifest relaunches as a config.
+n + 1, the profile exponent PROFILE_R and the guard bound
+solver.GUARD_BOUND, and the solver has one step.  Both flow runners
+record a snapshot through one callback (_observer).  Presets round-trip
+losslessly through the flat key=value config format, whose keys are the
+kind's fields (n_dims as dimension, fit_window as fit_window_lo and
+fit_window_hi), so a manifest relaunches as a config.
 """
 
 from __future__ import annotations

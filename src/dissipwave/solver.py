@@ -3,15 +3,14 @@
 The linear flow is applied exactly: a symbols.SymbolTable holds the
 per-mode propagator over one increment, and linear_step only multiplies
 and adds with it; linear_solution(state, t) is the flow after time t,
-the one route the linear runs take to a snapshot.  The exponential
-integrator (exponential_duhamel, the default) is a third-order exponential
-Adams-Bashforth step: the Duhamel integral takes the source as the
-quadratic through its spectra at the last three steps, with per-mode
-weights from the same symbols.green_pair evaluation.  A step makes two
-half-size transforms, the source at u_n and the new u; the first seeds
-the history from the Taylor line F_0 + t F_t through the data, with the
-exact source rate F_t.  A classical RK4 stepper on the spectral system is
-kept as an independent reference route.
+the one route the linear runs take to a snapshot.  The one semilinear
+step, step_semilinear, is a third-order exponential Adams-Bashforth
+integrator: the Duhamel integral takes the source as the quadratic
+through its spectra at the last three steps, with per-mode weights from
+the same symbols.green_pair evaluation.  A step makes two half-size
+transforms, the source at u_n and the new u; the first seeds the history
+from the Taylor line F_0 + t F_t through the data, with the exact source
+rate F_t.  Its independent RK4 check is oracle.rk4_reference.
 
 The step may grow with time (key dt_doubling_times): the run is a sequence
 of epochs, each with twice the step of the one before.  step_schedule is
@@ -36,8 +35,6 @@ from numpy.polynomial.legendre import leggauss
 
 from .grid import Field, Grid, forward_transform, inverse_transform
 from .symbols import SymbolTable, build_symbol_table, green_pair
-
-INTEGRATORS = ("reference_rk4", "exponential_duhamel")
 
 # Abort threshold on sup|u|: 10 times the small-data amplitude bound 0.5.
 GUARD_BOUND = 5.0
@@ -97,7 +94,6 @@ class SolverConfig:
     theta: int
     dt: float
     t_final: float
-    integrator: str = "exponential_duhamel"
     snapshot_times: tuple[float, ...] = ()
     dt_doubling_times: tuple[float, ...] = ()
     nonlin_sign: int = -1
@@ -110,9 +106,6 @@ class SolverConfig:
         if not self.t_final >= self.dt:
             raise ValueError(
                 f"t_final must be at least dt, got {self.t_final} < {self.dt}")
-        if self.integrator not in INTEGRATORS:
-            raise ValueError(
-                f"integrator must be one of {INTEGRATORS}, got {self.integrator!r}")
         if self.nonlin_sign not in (-1, 1):
             raise ValueError(f"nonlin_sign must be -1 or +1, got {self.nonlin_sign}")
         if any(t < 0 for t in self.snapshot_times):
@@ -246,8 +239,12 @@ def _seed_history(state: SolverState, f0: np.ndarray, config: SolverConfig,
     return f_1, f_1 - rate_hat
 
 
-def _step_duhamel(state: SolverState, config: SolverConfig, cache: _StepCache,
-                  history: _History | None) -> tuple[SolverState, _History]:
+def step_semilinear(state: SolverState, config: SolverConfig,
+                    cache: _StepCache, history: _History | None
+                    ) -> tuple[SolverState, _History]:
+    """One Duhamel step of the cache's dt from the source history (None
+    before the first step, which seeds it); returns the new state, which
+    solve guards, and the history for the next step."""
     # recycling the spent spectrum's buffer keeps every long-lived array
     # of the run allocated once, so the heap does not fragment
     if history is None:
@@ -264,44 +261,6 @@ def _step_duhamel(state: SolverState, config: SolverConfig, cache: _StepCache,
         u_new += np.multiply(wu, f, out=term)
         v_new += np.multiply(wv, f, out=term)
     return SolverState(state.grid, u_new, v_new), (f0, f1, f2)
-
-
-def _step_rk4(state: SolverState, config: SolverConfig,
-              cache: _StepCache) -> SolverState:
-    xi_sq = state.grid.freq_sq
-    dt = cache.dt
-
-    def rhs(s: SolverState):
-        f_hat = _source_hat(s.u, config, cache)
-        return s.v_hat, -xi_sq * s.u_hat - s.v_hat + f_hat
-
-    def stage(h, ku, kv):
-        return SolverState(state.grid, state.u_hat + h * ku,
-                           state.v_hat + h * kv)
-
-    ku1, kv1 = rhs(state)
-    ku2, kv2 = rhs(stage(0.5 * dt, ku1, kv1))
-    ku3, kv3 = rhs(stage(0.5 * dt, ku2, kv2))
-    ku4, kv4 = rhs(stage(dt, ku3, kv3))
-    u_new = state.u_hat + (dt / 6.0) * (ku1 + 2 * ku2 + 2 * ku3 + ku4)
-    v_new = state.v_hat + (dt / 6.0) * (kv1 + 2 * kv2 + 2 * kv3 + kv4)
-    return SolverState(state.grid, u_new, v_new)
-
-
-def step_semilinear(state: SolverState, config: SolverConfig,
-                    cache: _StepCache, history: _History | None
-                    ) -> tuple[SolverState, _History | None]:
-    """One step of the configured integrator with the epoch's step cache,
-    whose dt is the step's size; solve guards the result.
-
-    history is the Duhamel step's source spectra (F_{n-1}, F_{n-2},
-    F_{n-3}) of the previous steps, None before the first step, which
-    seeds it; the step overwrites F_{n-3}.  Returns the new state and the
-    history for the next step (None for RK4, which keeps none).
-    """
-    if config.integrator == "reference_rk4":
-        return _step_rk4(state, config, cache), None
-    return _step_duhamel(state, config, cache, history)
 
 
 def step_schedule(config: SolverConfig) -> list[tuple[float, float, bool]]:

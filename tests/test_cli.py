@@ -769,6 +769,21 @@ def test_green_bands_too_few_band_times_exits_2(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_band_fit_over_a_nonpositive_sample_is_a_failed_verdict(tmp_path,
+                                                                capsys):
+    # by t = 1000 band 2's sup has reached the roundoff floor, some samples
+    # 0 and others roundoff: valid input whose middle band fails with
+    # slope nan, as a decay report's row does
+    code = main(["green-bands", "--set", "band2_times=1000,1500,2000,2500,3000",
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "config error" not in capsys.readouterr().err
+    run_dir = _only_run_dir(tmp_path / "o", "bands1d")
+    rows = (run_dir / "report.csv").read_text().splitlines()
+    assert rows[3] == "linf:band2,nan,nan,-0.05,0.0,fail"
+    assert "verdict: fail" in (run_dir / "manifest.txt").read_text()
+
+
 def test_green_bands_rejects_non_bands_config(tmp_path, capsys):
     path = _write_config(tmp_path, _tiny_preset())
     code = main(["green-bands", "--config", path, "--out", str(tmp_path / "o")])

@@ -1,4 +1,5 @@
-"""Linear stepping, the two semilinear integrators, guards, derivatives."""
+"""Linear stepping, the semilinear step against the RK4 oracle, guards,
+derivatives."""
 
 import math
 import os
@@ -18,6 +19,8 @@ from dissipwave import (Field, InstabilityError, SolverConfig, SolverState,
                         forward_transform, gaussian_bump, inverse_transform,
                         linear_solution, linear_step, make_grid, solve,
                         state_from_fields)
+from dissipwave import solver
+from dissipwave.oracle import rk4_reference
 from dissipwave.solver import (GUARD_BOUND, _make_step_cache, step_schedule,
                               step_semilinear, time_derivative, u_field)
 
@@ -33,8 +36,6 @@ def test_solver_config_validation():
         SolverConfig(theta=3, dt=-0.1, t_final=1.0)
     with pytest.raises(ValueError, match="t_final"):
         SolverConfig(theta=3, dt=0.1, t_final=0.0)
-    with pytest.raises(ValueError, match="integrator"):
-        SolverConfig(theta=3, dt=0.1, t_final=1.0, integrator="euler")
     with pytest.raises(ValueError, match="nonlin_sign"):
         SolverConfig(theta=3, dt=0.1, t_final=1.0, nonlin_sign=2)
 
@@ -134,20 +135,33 @@ def test_semilinear_tiny_amplitude_matches_linear():
     assert np.max(np.abs(final.u - exact.u)) < 1e-14
 
 
-def test_integrators_agree_at_small_dt():
+def _duhamel_minus_rk4():
+    """sup|u| gap at t = 0.5 between solve and the oracle's RK4 march, both
+    at dt = 0.005."""
     g = make_grid(1, 64, 8.0)
     u0 = gaussian_bump(g, 0.8, 1.0)
-    outs = []
-    for integ in ("reference_rk4", "exponential_duhamel"):
-        cfg = SolverConfig(theta=3, dt=0.005, t_final=0.5, integrator=integ)
-        outs.append(u_field(solve(u0, _zero(g), cfg)).values)
-    assert np.max(np.abs(outs[0] - outs[1])) < 1e-6
+    cfg = SolverConfig(theta=3, dt=0.005, t_final=0.5)
+    ref = rk4_reference(u0, _zero(g), 3, 0.005, 100)
+    return np.max(np.abs(solve(u0, _zero(g), cfg).u - ref))
+
+
+def test_integrators_agree_at_small_dt():
+    assert _duhamel_minus_rk4() < 1e-6
+
+
+def test_rk4_reference_sees_a_wrong_source_coefficient(monkeypatch):
+    # control: the oracle builds its own source, so a 1% error in the
+    # solver's |u|^theta parts the two runs by more than the agreement
+    # bound above (a reference that shared _abs_power would not see it)
+    abs_power = solver._abs_power
+    monkeypatch.setattr(solver, "_abs_power",
+                        lambda u, theta: 1.01 * abs_power(u, theta))
+    assert _duhamel_minus_rk4() > 1e-6
 
 
 def _duhamel_order(u0, u1):
     def run(dt):
-        cfg = SolverConfig(theta=3, dt=dt, t_final=0.5,
-                           integrator="exponential_duhamel")
+        cfg = SolverConfig(theta=3, dt=dt, t_final=0.5)
         return u_field(solve(u0, u1, cfg)).values
 
     ref = run(0.5 / 512)
@@ -174,9 +188,7 @@ def test_rk4_fourth_order_convergence():
     u0 = gaussian_bump(g, 1.0, 1.0)
 
     def run(dt):
-        cfg = SolverConfig(theta=3, dt=dt, t_final=0.5,
-                           integrator="reference_rk4")
-        return u_field(solve(u0, _zero(g), cfg)).values
+        return rk4_reference(u0, _zero(g), 3, dt, round(0.5 / dt))
 
     ref = run(0.5 / 512)
     e1 = np.max(np.abs(run(0.05) - ref))
@@ -328,19 +340,17 @@ def test_linear_solution_semigroup_property(t, s):
 
 
 def test_solver_state_holds_the_flow_only(grid1d, bump1d):
-    # the equation is the config's and the clock is solve's: one step of
-    # either integrator is the flow solve reaches at t = dt
+    # the equation is the config's and the clock is solve's: one step is
+    # the flow solve reaches at t = dt, and it hands on a source history
     assert [f.name for f in fields(SolverState)] == ["grid", "u_hat", "v_hat"]
-    cfg = SolverConfig(theta=2, dt=0.125, t_final=0.125, nonlin_sign=+1)
+    config = SolverConfig(theta=2, dt=0.125, t_final=0.125, nonlin_sign=+1)
     state = state_from_fields(bump1d, _zero(grid1d))
-    for integrator in ("exponential_duhamel", "reference_rk4"):
-        config = replace(cfg, integrator=integrator)
-        stepped, _ = step_semilinear(state, config,
-                                     _make_step_cache(grid1d, config, 0.125),
-                                     None)
-        final = solve(bump1d, _zero(grid1d), config)
-        assert np.array_equal(stepped.u_hat, final.u_hat)
-        assert np.array_equal(stepped.v_hat, final.v_hat)
+    stepped, history = step_semilinear(
+        state, config, _make_step_cache(grid1d, config, 0.125), None)
+    assert len(history) == 3
+    final = solve(bump1d, _zero(grid1d), config)
+    assert np.array_equal(stepped.u_hat, final.u_hat)
+    assert np.array_equal(stepped.v_hat, final.v_hat)
 
 
 def test_solve_makes_two_transforms_per_duhamel_step(grid1d, bump1d,
@@ -472,8 +482,8 @@ def test_convergence_study_script_runs():
         capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr
     sections = proc.stdout.strip().split("\n\n")
-    assert [s.split()[0] for s in sections] == ["exponential_duhamel",
-                                                "reference_rk4"]
+    assert [s.split()[0] for s in sections] == ["solve",
+                                                "oracle.rk4_reference"]
     for section in sections:  # a title, a column header, the error rows
         errors = [float(row.split()[1]) for row in section.splitlines()[2:]]
         assert len(errors) == 4 and all(map(math.isfinite, errors))

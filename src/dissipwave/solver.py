@@ -2,8 +2,10 @@
 
 The linear flow is applied exactly: a symbols.SymbolTable holds the
 per-mode propagator over one increment, and linear_step only multiplies
-and adds with it; linear_solution(state, t) is the flow after time t,
-the one route the linear runs take to a snapshot.  The one semilinear
+and adds with it.  A LinearFlow evaluates the flow from one start state
+at one time after another into spectra it allocates once, the route of
+a linear run's snapshots; linear_solution(state, t) is one evaluation
+of a LinearFlow of its own.  The one semilinear
 step, step_semilinear, is a third-order exponential Adams-Bashforth
 integrator: the Duhamel integral takes the source as the quadratic
 through its spectra at the last three steps, with per-mode weights from
@@ -34,7 +36,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .grid import Field, Grid, forward_transform, inverse_transform
-from .symbols import SymbolTable, build_symbol_table, green_pair
+from .symbols import (SymbolTable, build_symbol_table, green_pair,
+                      propagator_levels)
 
 # Abort threshold on sup|u|: 10 times the small-data amplitude bound 0.5.
 GUARD_BOUND = 5.0
@@ -58,14 +61,33 @@ class InstabilityError(RuntimeError):
         self.bound = bound
 
 
+class _SpectrumOrUnevaluated:
+    """The field SolverState.v_hat: a state whose u_t was not evaluated
+    (a LinearFlow without with_v) holds None, and reading it raises
+    rather than giving an array."""
+
+    def __get__(self, state, owner=None):
+        if state is None:  # class access: the field has no default
+            raise AttributeError("v_hat")
+        v_hat = state.__dict__["v_hat"]
+        if v_hat is None:
+            raise ValueError("u_t was not evaluated for this state: its "
+                             "LinearFlow formed the u row only")
+        return v_hat
+
+    def __set__(self, state, v_hat) -> None:
+        state.__dict__["v_hat"] = v_hat
+
+
 @dataclass(frozen=True)
 class SolverState:
     """Spectral flow (u, u_t) at one instant, half-spectrum layout.
-    Immutable; it holds no time and no equation (see the module docstring)."""
+    Immutable; it holds no time and no equation (see the module docstring).
+    v_hat may be None, for u_t not evaluated; reading it then raises."""
 
     grid: Grid
     u_hat: np.ndarray
-    v_hat: np.ndarray
+    v_hat: np.ndarray | None = _SpectrumOrUnevaluated()
 
     @cached_property
     def u(self) -> np.ndarray:
@@ -147,10 +169,46 @@ def _abs_power(u: np.ndarray, theta: int) -> np.ndarray:
     return power
 
 
+class LinearFlow:
+    """The exact linear flow from one start state, evaluated at one time
+    after another into spectra allocated once per flow.
+
+    at(t) forms the u row (G_t + G) u_hat + G v_hat and, when with_v, the
+    u_t row (G_tt + G_t) u_hat + G_t v_hat: each entry is tabulated per
+    |xi|^2 level at t (symbols.propagator_levels, which rejects a negative
+    t), gathered onto the lattice into one work array and multiplied into
+    its row in place.  The state at(t) returns holds the flow's arrays, so
+    it is valid until the next call; without with_v it has no v_hat.
+    """
+
+    def __init__(self, start: SolverState, with_v: bool = True) -> None:
+        shape = start.grid.spectral_shape
+        self.start = start
+        self._entry = np.empty(shape)
+        self._term = np.empty(shape, dtype=complex)
+        self._u_hat = np.empty(shape, dtype=complex)
+        self._v_hat = np.empty(shape, dtype=complex) if with_v else None
+
+    def at(self, t: float) -> SolverState:
+        grid = self.start.grid
+        xi_sq, index = grid.freq_levels
+        uu, uv, vu, vv = propagator_levels(xi_sq, t)
+        for row, on_u, on_v in ((self._u_hat, uu, uv), (self._v_hat, vu, vv)):
+            if row is None:
+                continue
+            # take into out= buffers its result unless mode is "clip"; the
+            # index is in range, so clipping changes nothing
+            np.take(on_u, index, out=self._entry, mode="clip")
+            np.multiply(self._entry, self.start.u_hat, out=row)
+            np.take(on_v, index, out=self._entry, mode="clip")
+            row += np.multiply(self._entry, self.start.v_hat, out=self._term)
+        return SolverState(grid, self._u_hat, self._v_hat)
+
+
 def linear_solution(state: SolverState, t: float) -> SolverState:
-    """Exact linear flow from the state after time t: the propagator
-    tabulated at t (build_symbol_table rejects a negative t)."""
-    return linear_step(state, build_symbol_table(state.grid, t))
+    """Exact linear flow from the state after time t: one evaluation of a
+    LinearFlow of its own, whose arrays the returned state owns."""
+    return LinearFlow(state).at(t)
 
 
 def linear_step(state: SolverState, table: SymbolTable) -> SolverState:

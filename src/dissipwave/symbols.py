@@ -115,16 +115,23 @@ class SymbolTable:
                 self.vu * u_hat + self.vv * v_hat)
 
 
+def propagator_levels(xi_sq: np.ndarray,
+                      delta: float) -> tuple[np.ndarray, ...]:
+    """The SymbolTable entries (uu, uv, vu, vv) at time increment delta,
+    one value per |xi|^2 in xi_sq."""
+    if delta < 0:
+        raise ValueError(f"delta must be nonnegative, got {delta}")
+    g, g_t = green_pair(xi_sq, delta)
+    g_tt = -g_t - xi_sq * g
+    return g_t + g, g, g_tt + g_t, g_t
+
+
 def build_symbol_table(grid: Grid, delta: float) -> SymbolTable:
     """Tabulate the propagator at time increment delta over the stored half
     spectrum of the frequency lattice, each entry once per |xi|^2 level."""
-    if delta < 0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
     xi_sq, index = grid.freq_levels
-    g, g_t = green_pair(xi_sq, delta)
-    g_tt = -g_t - xi_sq * g
-    return SymbolTable(grid=grid, uu=(g_t + g)[index], uv=g[index],
-                       vu=(g_tt + g_t)[index], vv=g_t[index])
+    return SymbolTable(grid, *(entry[index]
+                               for entry in propagator_levels(xi_sq, delta)))
 
 
 @dataclass(frozen=True)

@@ -9,15 +9,16 @@ import pytest
 
 from dissipwave import (ExperimentPreset, SolverConfig, apply_nonlinearity,
                         build_symbol_table, builtin_presets,
-                        derivative_multiplier, e0_norm, gaussian_bump,
-                        inverse_transform, lp_norm, make_grid,
-                        preset_from_config, preset_to_config, run_bands,
-                        run_experiment, run_linear, run_semilinear,
+                        derivative_field, derivative_multiplier, e0_norm,
+                        gaussian_bump, heat_reference, inverse_transform,
+                        linear_solution, lp_norm, make_grid,
+                        preset_from_config, preset_to_config, quantity_label,
+                        run_bands, run_experiment, run_linear, run_semilinear,
                         state_from_fields, write_snapshot)
 from dissipwave.analysis import energy_audit
 from dissipwave.presets import (HEAT_GAP_LABEL, PROFILE_LABEL, _norm_of,
                                 _rounded_times)
-from dissipwave.solver import step_schedule
+from dissipwave.solver import step_schedule, time_derivative
 
 
 _TINY = dict(name="tiny", kind="semilinear", n_dims=1, grid_points=64,
@@ -284,23 +285,89 @@ def test_linear_run_includes_heat_gap():
     assert set(run.series) == {"linf:u", HEAT_GAP_LABEL}
 
 
-def test_run_linear_takes_each_snapshot_from_linear_solution(monkeypatch):
-    # one linear flow at a time: each snapshot is solver.linear_solution
-    # from the start state, reached through the module attribute, which
-    # the benchmark's tracer rebinds
+def test_run_linear_walks_one_flow_from_one_start_state(monkeypatch):
+    # one solver.LinearFlow per run, from the start state, evaluated once
+    # per snapshot time in order; it forms u_t only when a report has h >= 1
     import dissipwave.solver as solver
-    original, calls = solver.linear_solution, []
+    flows, times = [], []
 
-    def counted(state, t):
-        calls.append((state, t))
-        return original(state, t)
+    class Counted(solver.LinearFlow):
+        def __init__(self, start, with_v=True):
+            flows.append((start, with_v))
+            super().__init__(start, with_v)
 
-    monkeypatch.setattr(solver, "linear_solution", counted)
-    p = _tiny_linear(reports=((math.inf, 0, 0),),
-                     snapshot_times=(0.25, 0.5, 0.75, 1.0))
-    run_linear(p)
-    assert [t for _state, t in calls] == list(p.snapshot_times)
-    assert len({id(state) for state, _t in calls}) == 1
+        def at(self, t):
+            times.append(t)
+            return super().at(t)
+
+    monkeypatch.setattr(solver, "LinearFlow", Counted)
+    for reports, with_v in ((((math.inf, 0, 0),), False),
+                            (((math.inf, 0, 0), (math.inf, 0, 1)), True)):
+        flows.clear()
+        times.clear()
+        p = _tiny_linear(reports=reports,
+                         snapshot_times=(0.25, 0.5, 0.75, 1.0))
+        run_linear(p)
+        (start, got_with_v), = flows
+        assert got_with_v is with_v
+        u0, u1 = p.initial_data()
+        assert np.array_equal(start.u_hat, np.fft.rfftn(u0.values))
+        assert np.array_equal(start.v_hat, np.fft.rfftn(u1.values))
+        assert times == list(p.snapshot_times)
+
+
+_TINY_2D_LINEAR = dict(n_dims=2, grid_points=32, half_width=8.0,
+                       amplitude=0.8, u1_amplitude=-0.3, t_final=4.0,
+                       snapshot_times=(0.5, 1.0, 2.0, 3.0, 4.0),
+                       fit_window=(1.0, 4.0))
+
+
+@pytest.mark.parametrize("reports", [
+    ((math.inf, 0, 0),),
+    ((math.inf, 0, 0), (math.inf, 1, 0), (math.inf, 0, 1)),
+], ids=["u-row", "u-and-v-rows"])
+def test_run_linear_matches_the_per_snapshot_reference_route(reports):
+    # every series is what linear_solution, time_derivative and the heat
+    # oracle give snapshot by snapshot, bit for bit
+    p = _tiny_linear(**_TINY_2D_LINEAR, reports=reports)
+    run = run_linear(p)
+    grid = p.grid
+    start = state_from_fields(*p.initial_data())
+    heat_data = start.u_hat + start.v_hat
+    want = {label: [] for label in run.series}
+    for t in p.snapshot_times:
+        state = linear_solution(start, t)
+        for q, a, h in reports:
+            f = time_derivative(state, h, None)
+            if a:
+                f = derivative_field(f, (a, 0))
+            want[quantity_label(q, a, h)].append(lp_norm(f, q))
+        gap = state.u - heat_reference(grid, heat_data, t).values
+        want[HEAT_GAP_LABEL].append(float(np.max(np.abs(gap))))
+    for label, (times, values) in run.series.items():
+        assert times.tolist() == list(p.snapshot_times)
+        assert values.tolist() == want[label], label
+
+
+def test_run_linear_snapshots_alias_no_flow_array():
+    # the flow reuses its spectra from one snapshot to the next; each
+    # field handed to the sink must still be its own snapshot's u
+    p = _tiny_linear(**_TINY_2D_LINEAR, reports=((math.inf, 0, 0),))
+    kept = []
+    run = run_linear(p, snapshot_sink=lambda t, u: kept.append((t, u)))
+    start = state_from_fields(*p.initial_data())
+    assert [t for t, _u in kept] == list(p.snapshot_times)
+    for t, u in kept:
+        assert np.array_equal(u.values, linear_solution(start, t).u), t
+    assert len({id(u.values) for _t, u in kept}) == len(kept)
+    assert run.series["linf:u"][1].tolist() == [
+        float(np.max(np.abs(u.values))) for _t, u in kept]
+
+
+def test_linear_run_e0_is_read_off_the_start_spectra():
+    p = _tiny_linear(**_TINY_2D_LINEAR, reports=((math.inf, 0, 0),))
+    assert p.u1_amplitude != 0
+    assert run_linear(p).e0 == e0_norm(*p.initial_data(), p.sobolev_s)
 
 
 def test_linear_flow_second_time_derivative_has_no_source():

@@ -118,6 +118,36 @@ def test_linear_solution_rejects_a_negative_time():
         linear_solution(state, -0.5)
 
 
+def test_linear_flow_walk_matches_linear_solution_bitwise():
+    # one flow evaluated at one time after another gives what a fresh
+    # evaluation at each time gives; the u row alone is the same u row
+    g = make_grid(2, 32, 8.0)
+    start = state_from_fields(gaussian_bump(g, 1.0, 1.0),
+                              gaussian_bump(g, -0.4, 1.5))
+    both, u_only = solver.LinearFlow(start), solver.LinearFlow(start, False)
+    for t in (0.0, 0.3, 2.0, 0.7, 9.0):
+        want = linear_solution(start, t)
+        got = both.at(t)
+        assert np.array_equal(got.u_hat, want.u_hat)
+        assert np.array_equal(got.v_hat, want.v_hat)
+        assert np.array_equal(u_only.at(t).u_hat, want.u_hat)
+    with pytest.raises(ValueError, match="nonnegative"):
+        both.at(-0.5)
+
+
+def test_state_without_v_raises_when_v_is_read():
+    g = make_grid(1, 64, 8.0)
+    start = state_from_fields(gaussian_bump(g, 1.0, 1.0),
+                              gaussian_bump(g, 0.5, 1.0))
+    state = solver.LinearFlow(start, with_v=False).at(1.0)
+    assert np.array_equal(state.u, linear_solution(start, 1.0).u)
+    for read in (lambda: state.v_hat,
+                 lambda: time_derivative(state, 1, None),
+                 lambda: time_derivative(state, 2, None)):
+        with pytest.raises(ValueError, match="u_t was not evaluated"):
+            read()
+
+
 def test_linear_step_grid_mismatch():
     g1, g2 = make_grid(1, 64, 8.0), make_grid(1, 128, 8.0)
     state = state_from_fields(gaussian_bump(g1, 1.0, 1.0), _zero(g1))

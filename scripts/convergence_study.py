@@ -14,7 +14,8 @@ import argparse
 
 import numpy as np
 
-from dissipwave import SolverConfig, gaussian_bump, make_grid, solve
+from dissipwave import (SolverConfig, gaussian_bump, make_grid, solve,
+                        state_from_fields)
 from dissipwave.grid import Field
 from dissipwave.oracle import rk4_reference
 
@@ -30,12 +31,13 @@ def main() -> None:
     grid = make_grid(1, args.points, args.half_width)
     u0 = gaussian_bump(grid, 1.0, 1.0)
     u1 = Field(grid, np.zeros(grid.shape))
+    start = state_from_fields(u0, u1)
     dts = [args.t_final / k for k in (10, 20, 40, 80)]
     ref_dt = args.t_final / 1280
 
     def duhamel(dt: float) -> np.ndarray:
         cfg = SolverConfig(theta=args.theta, dt=dt, t_final=args.t_final)
-        return solve(u0, u1, cfg).u
+        return solve(start, cfg).u
 
     def rk4(dt: float) -> np.ndarray:
         return rk4_reference(u0, u1, args.theta, dt, round(args.t_final / dt))

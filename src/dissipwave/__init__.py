@@ -15,7 +15,7 @@ Layers:
 from .analysis import (DecayReport, DecayRow, EnergyLedger, FitResult,
                        decay_report, e0_norm, fit_decay_rate,
                        fit_exponential_rate, lp_norm, quantity_label,
-                       sobolev_norm, spectral_l2_sq, weighted_profile)
+                       spectral_l2_sq, weighted_profile)
 from .grid import (Field, Grid, derivative_field, derivative_multiplier,
                    forward_transform, inverse_transform, make_grid,
                    read_snapshot, write_snapshot)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Field, Grid, forward_transform
+from .grid import Field, Grid
 
 MIN_FIT_POINTS = 5
 
@@ -78,7 +78,8 @@ def lp_norm(f: Field, p) -> float:
 def sobolev_weight(grid: Grid, s: int) -> np.ndarray:
     """Parseval weight of the squared H^s norm on the half spectrum:
     sum_{k=0}^{s} |xi|^(2k) times parseval_weight; s a nonnegative
-    integer."""
+    integer.  The order-k block counts all mixed partials of order k with
+    their multinomial multiplicity."""
     if s < 0 or s != int(s):
         raise ValueError(f"s must be a nonnegative integer, got {s}")
     out = np.ones(grid.spectral_shape)
@@ -89,21 +90,13 @@ def sobolev_weight(grid: Grid, s: int) -> np.ndarray:
     return out * parseval_weight(grid)
 
 
-def sobolev_norm(f: Field, s: int) -> float:
-    """H^s norm via Parseval.
-
-    The order-k derivative block carries the |xi|^(2k) weight, i.e. all
-    mixed partials of order k counted with multinomial multiplicity.
-    """
-    return math.sqrt(spectral_l2_sq(f.grid, forward_transform(f),
-                                    sobolev_weight(f.grid, s)))
-
-
-def e0_norm(u0: Field, u1: Field, s: int) -> float:
-    """Size of the initial data pair: |u0|_{H^{s+1}} + |u1|_{H^s}."""
-    if u0.grid != u1.grid:
-        raise ValueError("u0 and u1 must share a grid")
-    return sobolev_norm(u0, s + 1) + sobolev_norm(u1, s)
+def e0_norm(state, s: int) -> float:
+    """Size of a solver state's pair (u, u_t), the data size of a run from
+    it: |u|_{H^{s+1}} + |u_t|_{H^s}, read off its half spectra."""
+    grid = state.grid
+    return sum(math.sqrt(spectral_l2_sq(grid, spectrum,
+                                        sobolev_weight(grid, k)))
+               for spectrum, k in ((state.u_hat, s + 1), (state.v_hat, s)))
 
 
 def weighted_profile(f: Field, t: float, r: float) -> float:

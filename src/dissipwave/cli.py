@@ -217,12 +217,27 @@ def cmd_green_bands(args, open_run):
 # ---------------------------------------------------------------------------
 # simulate / decay-report
 
+def _snapshot_name(t: float) -> str:
+    return f"u_t{t:.6f}.dwf"
+
+
+def _check_snapshot_names(preset: ExperimentPreset) -> None:
+    """A ConfigError if two snapshot times would write one file."""
+    seen = {}
+    for t in preset.snapshot_times:
+        name = _snapshot_name(t)
+        if name in seen:
+            raise ConfigError(f"{preset.name}: snapshot times {seen[name]!r} "
+                              f"and {t!r} share the snapshot file {name}")
+        seen[name] = t
+
+
 def _snapshot_sink(run_dir: Path):
     snap_dir = run_dir / "snapshots"
     snap_dir.mkdir(exist_ok=True)
 
     def sink(t: float, u) -> None:
-        write_snapshot(snap_dir / f"u_t{t:.6f}.dwf", u, t)
+        write_snapshot(snap_dir / _snapshot_name(t), u, t)
 
     return sink
 
@@ -249,6 +264,8 @@ def _run_experiment_cmd(preset: ExperimentPreset, open_run,
             analysis.fit_window_mask(preset.snapshot_times, preset.fit_window)
         except ValueError as exc:
             raise ConfigError(f"{preset.name}: decay fit: {exc}") from exc
+    if with_snapshots:  # a bands preset has no snapshot times
+        _check_snapshot_names(preset)
     run_dir = open_run(preset.name, preset)
 
     sink = _snapshot_sink(run_dir) if with_snapshots and not bands else None

@@ -87,8 +87,8 @@ class ExperimentPreset:
     snapshot_times: tuple[float, ...] = ()
     fit_window: tuple[float, float] = (20.0, 100.0)
     reports: tuple[tuple[float, int, int], ...] = ()
-    eps: float = 0.125
-    outer_radius: float = 2.0
+    eps: float = symbols.CutoffSpec.eps
+    outer_radius: float = symbols.CutoffSpec.outer_radius
     band1_times: tuple[float, ...] = ()
     band2_times: tuple[float, ...] = ()
 
@@ -284,25 +284,22 @@ def run_linear(preset: ExperimentPreset, snapshot_sink=None) -> ExperimentRun:
         # that leaves the run aliases them.  How long the state lives does
         # not matter: lin2d makes about 32 000 minor page faults either way
         observe(t, flow.at(t))
-    grid, s = start.grid, preset.sobolev_s
-    e0 = sum(math.sqrt(analysis.spectral_l2_sq(
-        grid, spectrum, analysis.sobolev_weight(grid, k)))
-        for spectrum, k in ((start.u_hat, s + 1), (start.v_hat, s)))
-    return ExperimentRun(preset, _pairs(preset.snapshot_times, series),
-                         e0=e0)  # = analysis.e0_norm of the data
+    e0 = analysis.e0_norm(start, preset.sobolev_s)
+    return ExperimentRun(preset, _pairs(preset.snapshot_times, series), e0=e0)
 
 
 def run_semilinear(preset: ExperimentPreset, snapshot_sink=None) -> ExperimentRun:
-    """March the semilinear preset, recording norms at the snapshot times."""
+    """March the semilinear preset from its start state, recording norms
+    at the snapshot times; the data size e0 is read off the start state."""
     if preset.kind != "semilinear":
         raise ValueError(f"preset {preset.name!r} is not semilinear")
-    u0, u1 = preset.initial_data()
+    start = solver.state_from_fields(*preset.initial_data())
     config = preset.solver_config()
     ledger = EnergyLedger(sobolev_index=preset.sobolev_s)
     series, observe = _observer(preset, config, snapshot_sink)
     # solve stamps each snapshot with its configured time, in order
-    solver.solve(u0, u1, config, observer=observe, ledger=ledger)
-    e0 = ledger.u_sobolev[0] + ledger.ut_sobolev[0]  # = e0_norm(u0, u1, s)
+    solver.solve(start, config, observer=observe, ledger=ledger)
+    e0 = analysis.e0_norm(start, preset.sobolev_s)
     return ExperimentRun(preset, _pairs(preset.snapshot_times, series),
                          ledger=ledger, e0=e0)
 

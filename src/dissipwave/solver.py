@@ -18,8 +18,9 @@ The step may grow with time (key dt_doubling_times): the run is a sequence
 of epochs, each with twice the step of the one before.  step_schedule is
 the one owner of the run's time grid: it lays the run out in one pass as
 rows of state time, step size and snapshot flag, and a snapshot time must
-be a row's time.  solve walks the rows with one step cache per epoch and
-reseeds the source history at each epoch's first step.
+be a row's time.  solve walks the rows from a start state (for data
+fields, state_from_fields) with one step cache per epoch and reseeds the
+source history at each epoch's first step.
 
 A SolverState holds the flow only: the SolverConfig owns the equation, and
 solve owns the clock, stamping each snapshot with its configured time.
@@ -43,6 +44,11 @@ from .symbols import (SymbolTable, build_symbol_table, green_pair,
 GUARD_BOUND = 5.0
 
 _QUAD_POINTS = 8
+
+# The most states (rows of step_schedule) a run may take: the schedule and
+# the ledger keep about 0.3 kB of Python objects per state, so 10**6 states
+# hold about 0.3 GB.
+MAX_STATES = 10**6
 
 # Source spectra (F_{n-1}, F_{n-2}, F_{n-3}) the Duhamel step carries to
 # the next; it reads the two newest and overwrites the spent F_{n-3} with F_n.
@@ -325,19 +331,26 @@ def step_schedule(config: SolverConfig) -> list[tuple[float, float, bool]]:
     """The run as a table of rows (t, dt, snapshot), one per state from
     t = 0: the state's time (a snapshot's configured time exactly), the
     step that reaches it (the first epoch's for state 0) and whether it is
-    a snapshot.  The rows are laid out in one walk over the epoch ends, the
+    a snapshot.  The epochs are counted in one walk over their ends, the
     doubling times before t_final and then t_final, the step doubling
-    after each end; doubling times at or past t_final are ignored.  A
-    ValueError if an epoch's end is off its grid or leaves it no step, or
-    a snapshot time is no row's time, lies past t_final or shares its row
-    with another."""
-    table = [(0.0, config.dt, False)]
+    after each end; doubling times at or past t_final are ignored.  Their
+    rows are laid out only once the run is known to take at most
+    MAX_STATES states.  A ValueError if it takes more, if an epoch's end
+    is off its grid or leaves it no step, or if a snapshot time is no
+    row's time, lies past t_final or shares its row with another."""
+    epochs, states = [], 1
     start, step = 0.0, config.dt
     # a nan doubling time is kept as an end: it is on no grid, so it fails
     ends = [t for t in config.dt_doubling_times if not t >= config.t_final]
     for end in ends + [config.t_final]:
         what = "t_final" if end == config.t_final else "doubling time"
-        n = round((end - start) / step) if math.isfinite(end) else 0
+        steps = (end - start) / step if math.isfinite(end) else 0.0
+        n = round(min(steps, MAX_STATES))  # an infinite count included
+        if n > MAX_STATES - states:
+            raise ValueError(f"{what} {end} lies more than "
+                             f"{MAX_STATES - states} steps of dt = {step} "
+                             f"after t = {start}; a run may take at most "
+                             f"{MAX_STATES} states")
         if not abs(start + n * step - end) <= 1e-9 * max(1.0, abs(end)):
             raise ValueError(f"{what} {end} is not on the grid of dt = {step} "
                              f"from t = {start}; the doubling times, the "
@@ -347,8 +360,12 @@ def step_schedule(config: SolverConfig) -> list[tuple[float, float, bool]]:
         if n < 1:
             raise ValueError(f"{what} {end} leaves no step of dt = {step} "
                              f"after t = {start}")
-        table += [(start + i * step, step, False) for i in range(1, n + 1)]
+        epochs.append((start, step, n))
+        states += n
         start, step = end, 2 * step
+    table = [(0.0, config.dt, False)]
+    for start, step, n in epochs:
+        table += [(start + i * step, step, False) for i in range(1, n + 1)]
     times = [t for t, _dt, _snapshot in table]
     for t in config.snapshot_times:
         if not t <= config.t_final + 1e-9 * max(1.0, config.t_final):
@@ -366,9 +383,10 @@ def step_schedule(config: SolverConfig) -> list[tuple[float, float, bool]]:
     return table
 
 
-def solve(u0: Field, u1: Field, config: SolverConfig, observer=None,
+def solve(start: SolverState, config: SolverConfig, observer=None,
           ledger=None) -> SolverState:
-    """March the semilinear equation to t_final; returns the final state.
+    """March the semilinear equation from the start state to t_final;
+    returns the final state.
 
     The states and their times are the rows of step_schedule.  Each epoch
     steps with its own cache, built when the epoch starts after the last
@@ -378,8 +396,7 @@ def solve(u0: Field, u1: Field, config: SolverConfig, observer=None,
     the observer as (t, state); all share the state's one physical u.
     """
     table = step_schedule(config)
-
-    state = state_from_fields(u0, u1)
+    state = start
     cache = _make_step_cache(state.grid, config, config.dt)
     history = None
     for k, (t, dt, snapshot) in enumerate(table):

@@ -133,8 +133,9 @@ def test_acceptance_3_energy_law(semi1d_run):
     flip_led = EnergyLedger(sobolev_index=2)
     aborted_at = None
     try:
-        solve(gaussian_bump(grid, 0.5, 1.0),
-              Field(grid, np.zeros(grid.shape)), cfg, ledger=flip_led)
+        solve(state_from_fields(gaussian_bump(grid, 0.5, 1.0),
+                                Field(grid, np.zeros(grid.shape))),
+              cfg, ledger=flip_led)
     except InstabilityError as exc:
         aborted_at = exc.time
     fe = np.asarray(flip_led.energy)
@@ -214,7 +215,8 @@ def test_acceptance_7_convergence_order():
     u1 = Field(grid, np.zeros(grid.shape))
 
     def duhamel(dt):
-        return solve(u0, u1, SolverConfig(theta=3, dt=dt, t_final=1.0)).u
+        return solve(state_from_fields(u0, u1),
+                     SolverConfig(theta=3, dt=dt, t_final=1.0)).u
 
     def rk4(dt):
         return rk4_reference(u0, u1, 3, dt, round(1.0 / dt))

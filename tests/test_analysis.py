@@ -14,12 +14,13 @@ from dissipwave import (EnergyLedger, Field, builtin_presets, decay_report,
                         derivative_field, e0_norm, fit_decay_rate,
                         fit_exponential_rate, forward_transform,
                         gaussian_bump, linear_solution, lp_norm, make_grid,
-                        quantity_label, sobolev_norm, solve, spectral_l2_sq,
+                        quantity_label, solve, spectral_l2_sq,
                         state_from_fields, weighted_profile)
 from dissipwave.analysis import (MIN_FIT_POINTS, NothingToFit,
                                  decay_tolerance, energy_audit, field_label,
-                                 read_series_csv, target_slope,
-                                 write_report_csv, write_series_csv)
+                                 read_series_csv, sobolev_weight,
+                                 target_slope, write_report_csv,
+                                 write_series_csv)
 
 
 def test_lp_norm_indicator(grid1d):
@@ -57,6 +58,12 @@ def test_norm_interpolation_bound(grid1d, rng):
         assert l2 <= math.sqrt(l1 * li) * (1 + 1e-12)
 
 
+def _sobolev_norm(f, s):
+    """|f|_{H^s} from its half spectrum through sobolev_weight."""
+    return math.sqrt(spectral_l2_sq(f.grid, forward_transform(f),
+                                    sobolev_weight(f.grid, s)))
+
+
 def test_sobolev_norm_matches_derivative_sums_1d():
     g = make_grid(1, 128, 10.0)
     # band-limited field so spectral derivatives are exact
@@ -64,7 +71,7 @@ def test_sobolev_norm_matches_derivative_sums_1d():
     f = Field(g, np.sin(np.pi / 10.0 * x) + 0.3 * np.cos(3 * np.pi / 10.0 * x))
     s = 3
     direct = sum(lp_norm(derivative_field(f, (k,)), 2) ** 2 for k in range(s + 1))
-    assert sobolev_norm(f, s) == pytest.approx(math.sqrt(direct), rel=1e-10)
+    assert _sobolev_norm(f, s) == pytest.approx(math.sqrt(direct), rel=1e-10)
 
 
 def test_sobolev_norm_matches_derivative_sums_2d():
@@ -78,7 +85,7 @@ def test_sobolev_norm_matches_derivative_sums_2d():
         for j in range(k + 1):
             coeff = math.comb(k, j)
             direct += coeff * lp_norm(derivative_field(f, (j, k - j)), 2) ** 2
-    assert sobolev_norm(f, s) == pytest.approx(math.sqrt(direct), rel=1e-10)
+    assert _sobolev_norm(f, s) == pytest.approx(math.sqrt(direct), rel=1e-10)
 
 
 def test_e0_norm_decomposition():
@@ -86,10 +93,11 @@ def test_e0_norm_decomposition():
     u0 = gaussian_bump(g, 0.5, 1.0)
     u1 = gaussian_bump(g, 0.25, 2.0)
     s = 2
-    assert e0_norm(u0, u1, s) == pytest.approx(
-        sobolev_norm(u0, s + 1) + sobolev_norm(u1, s), rel=1e-14)
+    # read off the state's spectra: the H^{s+1} size of u plus the H^s of u_t
+    assert e0_norm(state_from_fields(u0, u1), s) == (
+        _sobolev_norm(u0, s + 1) + _sobolev_norm(u1, s))
     zero = Field(g, np.zeros(g.shape))
-    assert e0_norm(zero, zero, 2) == 0.0
+    assert e0_norm(state_from_fields(zero, zero), 2) == 0.0
 
 
 def test_basic_energy_manufactured_state():
@@ -326,7 +334,7 @@ def test_energy_ledger_semi1d_data_at_dt_0_04():
                      t_final=2.0, snapshot_times=())
     u0, u1 = preset.initial_data()
     led = EnergyLedger(sobolev_index=preset.sobolev_s)
-    solve(u0, u1, preset.solver_config(), ledger=led)
+    solve(state_from_fields(u0, u1), preset.solver_config(), ledger=led)
     assert len(led.times) == 51
     assert energy_audit(led.series_pairs()).residual <= 1e-6 * led.energy[0]
 

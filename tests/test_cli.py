@@ -212,6 +212,10 @@ SIX_SNAPSHOTS = ["--set", "snapshot_times=0.5,0.6,0.7,0.8,0.9,1.0"]
     ["simulate", "--config", "lin1d", "--set", "reports=Inf:0:0,inf:0:0"],
     ["simulate", "--config", "semi1d-theta3",
      "--set", "reports=2:0:0,2.0000001:0:0"],
+    # schedules of about 6e300 and 2.5e9 states, refused before any row
+    ["simulate", "--config", "semi1d-theta3", "--set", "dt=1e-300"],
+    ["simulate", "--config", "semi1d-theta3", "--set", "t_final=1e9",
+     "--set", "half_width=2e9"],
 ], ids=["window-samples", "integrator", "off-grid-snapshot", "off-grid-dt",
         "delta-bar", "tol", "tol-nan", "width", "width-nan", "profile-r",
         "sobolev-index", "u0-file-missing", "u1-file-not-dwf1",
@@ -228,7 +232,7 @@ SIX_SNAPSHOTS = ["--set", "snapshot_times=0.5,0.6,0.7,0.8,0.9,1.0"]
         "linear-dt", "semilinear-band1-times", "doubling-unsorted",
         "doubling-off-grid-end", "doubling-off-grid-snapshot",
         "linear-doubling", "reports-repeated", "reports-repeated-inf-case",
-        "reports-one-label"])
+        "reports-one-label", "tiny-dt", "huge-t-final"])
 def test_bad_input_exits_2_before_any_run_directory(tmp_path, capsys, argv):
     out = tmp_path / "o"
     out.mkdir()
@@ -241,6 +245,22 @@ def test_bad_input_exits_2_before_any_run_directory(tmp_path, capsys, argv):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:")
     assert list(out.iterdir()) == []
+
+
+def test_snapshot_times_sharing_a_file_exit_2_before_any_run_directory(
+        tmp_path, capsys):
+    # both times print as u_t1.000000.dwf: the second file would overwrite
+    # the first
+    out = tmp_path / "o"
+    code = main(["simulate", "--config", "lin1d", "--set",
+                 "snapshot_times=1.0,1.0000001,2,3,4,5,6,7",
+                 "--set", "fit_window_lo=1", "--set", "fit_window_hi=7",
+                 "--snapshots", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: lin1d: snapshot times 1.0 and 1.0000001 share the "
+        "snapshot file u_t1.000000.dwf"]
+    assert not out.exists()
 
 
 def test_crash_after_run_dir_leaves_error_manifest(tmp_path, capsys,

@@ -153,7 +153,7 @@ def test_half_spectrum_matches_full_reference(n_dims, points, half_width,
     u1 = gaussian_bump(grid, 0.3, 1.5)
     config = SolverConfig(theta=theta, dt=0.05, t_final=STEPS * 0.05)
     ledger = EnergyLedger(sobolev_index=1)
-    final = solve(u0, u1, config, ledger=ledger)
+    final = solve(state_from_fields(u0, u1), config, ledger=ledger)
     ref_u, ref_energy, ref_integral = FullReference(grid, config).run(u0, u1)
     # the source moves u by far more than the tolerance over the run
     assert _rel(u_field(final).values, ref_u) <= REL_TOL
@@ -188,8 +188,8 @@ def test_solver_and_linear_runner_raise_no_fft_warnings():
                               reports=((math.inf, 1, 0), (math.inf, 0, 2)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        solve(u0, Field(grid, np.zeros(grid.shape)), config,
-              observer=lambda t, s: u_field(s),
+        solve(state_from_fields(u0, Field(grid, np.zeros(grid.shape))),
+              config, observer=lambda t, s: u_field(s),
               ledger=EnergyLedger(sobolev_index=1))
         run = run_linear(preset)
     assert all(len(times) == 3 for times, _ in run.series.values())

@@ -9,13 +9,14 @@ import pytest
 
 from dissipwave import (ExperimentPreset, SolverConfig, apply_nonlinearity,
                         build_symbol_table, builtin_presets,
-                        derivative_field, derivative_multiplier, e0_norm,
-                        gaussian_bump, heat_reference, inverse_transform,
-                        linear_solution, lp_norm, make_grid,
-                        preset_from_config, preset_to_config, quantity_label,
-                        run_bands, run_experiment, run_linear, run_semilinear,
-                        state_from_fields, write_snapshot)
-from dissipwave.analysis import energy_audit
+                        derivative_field, derivative_multiplier,
+                        forward_transform, gaussian_bump, heat_reference,
+                        inverse_transform, linear_solution, lp_norm,
+                        make_grid, preset_from_config, preset_to_config,
+                        quantity_label, run_bands, run_experiment, run_linear,
+                        run_semilinear, spectral_l2_sq, state_from_fields,
+                        write_snapshot)
+from dissipwave.analysis import energy_audit, sobolev_weight
 from dissipwave.presets import (HEAT_GAP_LABEL, PROFILE_LABEL, _norm_of,
                                 _rounded_times)
 from dissipwave.solver import step_schedule, time_derivative
@@ -269,7 +270,7 @@ def test_semilinear_tiny_run_series_shapes():
         assert vals.shape == (2,)
         assert np.all(vals > 0)
     assert run.e0 > 0
-    assert run.e0 == e0_norm(*p.initial_data(), p.sobolev_s)  # read off the ledger
+    assert run.e0 == run.ledger.u_sobolev[0] + run.ledger.ut_sobolev[0]
     # ledger saw every step: 20 steps plus the initial record
     assert len(run.ledger.times) == 21
     assert (energy_audit(run.ledger.series_pairs()).residual
@@ -364,10 +365,29 @@ def test_run_linear_snapshots_alias_no_flow_array():
         float(np.max(np.abs(u.values))) for _t, u in kept]
 
 
+def _e0_of_the_data(p):
+    """|u0|_{H^{s+1}} + |u1|_{H^s} of the preset's data, each field
+    transformed here."""
+    grid, s = p.grid, p.sobolev_s
+    return sum(math.sqrt(spectral_l2_sq(grid, forward_transform(f),
+                                        sobolev_weight(grid, k)))
+               for f, k in zip(p.initial_data(), (s + 1, s)))
+
+
 def test_linear_run_e0_is_read_off_the_start_spectra():
     p = _tiny_linear(**_TINY_2D_LINEAR, reports=((math.inf, 0, 0),))
     assert p.u1_amplitude != 0
-    assert run_linear(p).e0 == e0_norm(*p.initial_data(), p.sobolev_s)
+    assert run_linear(p).e0 == _e0_of_the_data(p)
+
+
+def test_semilinear_run_e0_is_read_off_the_start_spectra():
+    # the same route as a linear run's, and the ledger's first record, so
+    # gate 9 compares like with like
+    p = _tiny(**_TINY_2D_LINEAR)
+    assert p.u1_amplitude != 0
+    run = run_semilinear(p)
+    assert run.e0 == _e0_of_the_data(p)
+    assert run.e0 == run.ledger.u_sobolev[0] + run.ledger.ut_sobolev[0]
 
 
 def test_linear_flow_second_time_derivative_has_no_source():

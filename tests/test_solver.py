@@ -160,7 +160,7 @@ def test_semilinear_tiny_amplitude_matches_linear():
     g = make_grid(1, 128, 16.0)
     u0 = gaussian_bump(g, 1e-5, 1.0)
     cfg = SolverConfig(theta=3, dt=0.05, t_final=1.0)
-    final = solve(u0, _zero(g), cfg)
+    final = solve(state_from_fields(u0, _zero(g)), cfg)
     exact = linear_solution(state_from_fields(u0, _zero(g)), 1.0)
     assert np.max(np.abs(final.u - exact.u)) < 1e-14
 
@@ -172,7 +172,7 @@ def _duhamel_minus_rk4():
     u0 = gaussian_bump(g, 0.8, 1.0)
     cfg = SolverConfig(theta=3, dt=0.005, t_final=0.5)
     ref = rk4_reference(u0, _zero(g), 3, 0.005, 100)
-    return np.max(np.abs(solve(u0, _zero(g), cfg).u - ref))
+    return np.max(np.abs(solve(state_from_fields(u0, _zero(g)), cfg).u - ref))
 
 
 def test_integrators_agree_at_small_dt():
@@ -192,7 +192,7 @@ def test_rk4_reference_sees_a_wrong_source_coefficient(monkeypatch):
 def _duhamel_order(u0, u1):
     def run(dt):
         cfg = SolverConfig(theta=3, dt=dt, t_final=0.5)
-        return u_field(solve(u0, u1, cfg)).values
+        return u_field(solve(state_from_fields(u0, u1), cfg)).values
 
     ref = run(0.5 / 512)
     e1 = np.max(np.abs(run(0.05) - ref))
@@ -231,7 +231,7 @@ def test_instability_guard_trips():
     u0 = gaussian_bump(g, 1.0, 1.0)
     cfg = SolverConfig(theta=1, dt=0.02, t_final=20.0, nonlin_sign=+1)
     with pytest.raises(InstabilityError) as info:
-        solve(u0, _zero(g), cfg)
+        solve(state_from_fields(u0, _zero(g)), cfg)
     assert info.value.sup > info.value.bound
     assert 0.0 < info.value.time <= 20.0
 
@@ -243,7 +243,7 @@ def test_guard_fires_on_the_initial_state():
     u0 = gaussian_bump(g, 5.5, 1.0)
     cfg = SolverConfig(theta=3, dt=0.05, t_final=1.0)
     with pytest.raises(InstabilityError) as info:
-        solve(u0, _zero(g), cfg)
+        solve(state_from_fields(u0, _zero(g)), cfg)
     assert info.value.time == 0.0
     assert info.value.sup == pytest.approx(5.5)
     assert info.value.bound == GUARD_BOUND == 5.0
@@ -257,12 +257,13 @@ def test_guard_checks_the_final_state():
     dt = 0.02
     cfg = SolverConfig(theta=1, dt=dt, t_final=20.0, nonlin_sign=+1)
     with pytest.raises(InstabilityError) as first:
-        solve(u0, _zero(g), cfg)
+        solve(state_from_fields(u0, _zero(g)), cfg)
     n = int(round(first.value.time / dt))
-    before = solve(u0, _zero(g), replace(cfg, t_final=(n - 1) * dt))
+    before = solve(state_from_fields(u0, _zero(g)),
+                   replace(cfg, t_final=(n - 1) * dt))
     assert np.max(np.abs(u_field(before).values)) <= first.value.bound
     with pytest.raises(InstabilityError) as last:
-        solve(u0, _zero(g), replace(cfg, t_final=n * dt))
+        solve(state_from_fields(u0, _zero(g)), replace(cfg, t_final=n * dt))
     assert last.value.time == pytest.approx(n * dt)
     assert last.value.sup > last.value.bound
 
@@ -273,7 +274,7 @@ def test_solve_observers_and_ledger(grid1d, bump1d):
                        snapshot_times=(0.0, 0.5, 1.0))
     seen = []
     led = EnergyLedger(sobolev_index=1)
-    final = solve(bump1d, _zero(grid1d), cfg,
+    final = solve(state_from_fields(bump1d, _zero(grid1d)), cfg,
                   observer=lambda t, s: seen.append((t, s)), ledger=led)
     # the configured times exactly, not a sum of dt increments
     assert [t for t, _ in seen] == [0.0, 0.5, 1.0]
@@ -284,16 +285,16 @@ def test_solve_observers_and_ledger(grid1d, bump1d):
 def test_solve_rejects_misaligned_snapshots(grid1d, bump1d):
     cfg = SolverConfig(theta=3, dt=0.1, t_final=1.0, snapshot_times=(0.55,))
     with pytest.raises(ValueError, match="snapshot"):
-        solve(bump1d, _zero(grid1d), cfg)
+        solve(state_from_fields(bump1d, _zero(grid1d)), cfg)
     cfg = SolverConfig(theta=3, dt=0.3, t_final=1.0)
     with pytest.raises(ValueError, match="t_final"):
-        solve(bump1d, _zero(grid1d), cfg)
+        solve(state_from_fields(bump1d, _zero(grid1d)), cfg)
     # both round to step 25 within the alignment slack; keeping one would
     # record fewer samples than were configured
     cfg = SolverConfig(theta=3, dt=0.04, t_final=2.0,
                        snapshot_times=(1.0, 1.0000000001))
     with pytest.raises(ValueError, match="fall on one step"):
-        solve(bump1d, _zero(grid1d), cfg)
+        solve(state_from_fields(bump1d, _zero(grid1d)), cfg)
 
 
 def test_time_derivative_orders(grid1d, bump1d):
@@ -319,7 +320,8 @@ def test_time_derivative_orders(grid1d, bump1d):
 def test_time_derivative_uses_the_config_sign(grid1d, bump1d):
     # growth flow: u_tt = lap u - u_t + |u|^theta u
     cfg = SolverConfig(theta=3, dt=0.1, t_final=0.2, nonlin_sign=+1)
-    state = solve(bump1d, gaussian_bump(grid1d, 0.2, 1.5), cfg)
+    state = solve(
+        state_from_fields(bump1d, gaussian_bump(grid1d, 0.2, 1.5)), cfg)
     u = u_field(state).values
     v = time_derivative(state, 1, cfg).values
     lap = inverse_transform(grid1d, -grid1d.freq_sq * state.u_hat).values
@@ -378,20 +380,22 @@ def test_solver_state_holds_the_flow_only(grid1d, bump1d):
     stepped, history = step_semilinear(
         state, config, _make_step_cache(grid1d, config, 0.125), None)
     assert len(history) == 3
-    final = solve(bump1d, _zero(grid1d), config)
+    final = solve(state_from_fields(bump1d, _zero(grid1d)), config)
     assert np.array_equal(stepped.u_hat, final.u_hat)
     assert np.array_equal(stepped.v_hat, final.v_hat)
 
 
 def test_solve_makes_two_transforms_per_duhamel_step(grid1d, bump1d,
                                                      monkeypatch):
-    # start-up: the two data transforms, the initial u, and the seed of the
-    # source history (the inverse of u_t, the forward transform of the
-    # source rate); per step: the source at u_n (forward) and the new u
-    # (inverse).  The guard, the ledger and the observer share each
-    # state's u, so a state rebuilt after its guard (for instance by
-    # dataclasses.replace) would add an inverse transform per step
+    # start-up: the initial u and the seed of the source history (the
+    # inverse of u_t, the forward transform of the source rate); per step:
+    # the source at u_n (forward) and the new u (inverse).  The start
+    # state, whose two data transforms are not solve's, is built first.
+    # The guard, the ledger and the observer share each state's u, so a
+    # state rebuilt after its guard (for instance by dataclasses.replace)
+    # would add an inverse transform per step
     from dissipwave import EnergyLedger
+    start = state_from_fields(bump1d, gaussian_bump(grid1d, 0.2, 1.5))
     counts = {"rfftn": 0, "irfftn": 0}
     for name in counts:
         def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
@@ -401,10 +405,9 @@ def test_solve_makes_two_transforms_per_duhamel_step(grid1d, bump1d,
     steps = 8
     cfg = SolverConfig(theta=3, dt=0.125, t_final=steps * 0.125,
                        snapshot_times=(0.0, 0.5, 1.0))
-    solve(bump1d, gaussian_bump(grid1d, 0.2, 1.5), cfg,
-          observer=lambda t, s: s.u_sup,
+    solve(start, cfg, observer=lambda t, s: s.u_sup,
           ledger=EnergyLedger(sobolev_index=1))
-    assert counts == {"rfftn": 3 + steps, "irfftn": 2 + steps}
+    assert counts == {"rfftn": 1 + steps, "irfftn": 2 + steps}
 
 
 def test_schedule_doubles_the_step_at_each_epoch_end():
@@ -429,7 +432,8 @@ def test_default_schedule_keeps_the_constant_step(grid1d, bump1d):
     for _ in range(10):
         state, history = step_semilinear(state, cfg, cache, history)
     for doubling in ((), (1.0, 2.0)):
-        final = solve(bump1d, u1, replace(cfg, dt_doubling_times=doubling))
+        final = solve(state_from_fields(bump1d, u1),
+                      replace(cfg, dt_doubling_times=doubling))
         assert np.array_equal(final.u_hat, state.u_hat)
         assert np.array_equal(final.v_hat, state.v_hat)
 
@@ -449,7 +453,25 @@ def test_schedule_rejects_times_off_their_epoch_grid(grid1d, bump1d):
                        (dict(dt_doubling_times=(0.2, math.nan, 0.6)),
                         "doubling time nan")):
         with pytest.raises(ValueError, match=match):
-            solve(bump1d, _zero(grid1d), replace(base, **bad))
+            solve(state_from_fields(bump1d, _zero(grid1d)),
+                  replace(base, **bad))
+
+
+def test_schedule_refuses_more_states_than_it_may_hold(monkeypatch):
+    # the count is arithmetic, so a schedule of about 1e300 rows, or of an
+    # infinite count, is refused at once, before any row is built
+    for dt in (1e-300, 5e-324):
+        with pytest.raises(ValueError, match="at most 1000000 states"):
+            step_schedule(SolverConfig(theta=3, dt=dt, t_final=1.0))
+    # the bound counts every state, the first and each epoch's included:
+    # t = 0 and 2 + 2 + 3 steps of 0.1, 0.2 and 0.4
+    monkeypatch.setattr(solver, "MAX_STATES", 8)
+    cfg = SolverConfig(theta=3, dt=0.1, t_final=1.8,
+                       dt_doubling_times=(0.2, 0.6))
+    assert len(step_schedule(cfg)) == 8
+    with pytest.raises(ValueError, match="t_final 2.2 lies more than 3 "
+                                         "steps of dt = 0.4 after t = 0.6"):
+        step_schedule(replace(cfg, t_final=2.2))
 
 
 def test_epoch_steps_keep_third_order_convergence():
@@ -462,7 +484,7 @@ def test_epoch_steps_keep_third_order_convergence():
     def run(dt, doubling):
         cfg = SolverConfig(theta=3, dt=dt, t_final=1.0,
                            dt_doubling_times=doubling)
-        return u_field(solve(u0, u1, cfg)).values
+        return u_field(solve(state_from_fields(u0, u1), cfg)).values
 
     ref = run(1.0 / 1024, ())
     e1 = np.max(np.abs(run(0.025, (0.2, 0.6)) - ref))
@@ -474,6 +496,7 @@ def test_each_epoch_reseed_adds_two_transforms(grid1d, bump1d, monkeypatch):
     # per step the source at u_n (forward) and the new u (inverse); each
     # epoch's first step reseeds the history from the Taylor line, which
     # adds the inverse of u_t and the forward transform of the source rate
+    start = state_from_fields(bump1d, gaussian_bump(grid1d, 0.2, 1.5))
     counts = {"rfftn": 0, "irfftn": 0}
     for name in counts:
         def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
@@ -484,9 +507,9 @@ def test_each_epoch_reseed_adds_two_transforms(grid1d, bump1d, monkeypatch):
                        dt_doubling_times=(0.25, 0.5))
     steps, reseeds = len(step_schedule(cfg)) - 1, 3
     assert steps == 4
-    solve(bump1d, gaussian_bump(grid1d, 0.2, 1.5), cfg)
-    # the data transforms: u0 and u1 forward, the initial u inverse
-    assert counts == {"rfftn": 2 + steps + reseeds,
+    solve(start, cfg)
+    # the start state is built before counting: the initial u inverse
+    assert counts == {"rfftn": steps + reseeds,
                       "irfftn": 1 + steps + reseeds}
 
 

@@ -164,14 +164,16 @@ def forward_transform(field: Field) -> np.ndarray:
     return np.fft.rfftn(field.values)
 
 
-def inverse_transform(grid: Grid, coeffs: np.ndarray) -> Field:
-    """Inverse DFT (1/N per axis) of a half spectrum on grid: a real field."""
+def inverse_transform(grid: Grid, coeffs: np.ndarray,
+                      out: np.ndarray | None = None) -> Field:
+    """Inverse DFT (1/N per axis) of a half spectrum on grid: a real field,
+    whose values are out when given."""
     if np.shape(coeffs) != grid.spectral_shape:
         raise ValueError(
             f"coefficient shape {np.shape(coeffs)} does not match the half "
             f"spectrum shape {grid.spectral_shape}")
     return Field(grid, np.fft.irfftn(coeffs, s=grid.shape,
-                                     axes=tuple(range(grid.n_dims))))
+                                     axes=tuple(range(grid.n_dims)), out=out))
 
 
 def check_multi_index(alpha: tuple[int, ...]) -> None:

@@ -56,8 +56,10 @@ def mode_ode_series(xi_sq: float, times, tol: float = 1e-10):
     """
     if xi_sq < 0:
         raise ValueError(f"xi_sq must be nonnegative, got {xi_sq}")
-    if not tol >= 1e-12:  # NaN too
-        raise ValueError(f"tol must be at least 1e-12, got {tol}")
+    # NaN fails the comparison; an infinite tol would leave the
+    # integrator's step control unbounded, so it never returns
+    if not (math.isfinite(tol) and tol >= 1e-12):
+        raise ValueError(f"tol must be finite and at least 1e-12, got {tol}")
     times = np.atleast_1d(np.asarray(times, dtype=np.float64))
     if np.any(times < 0) or np.any(np.diff(times) <= 0):
         raise ValueError("times must be nonnegative and strictly increasing")

@@ -296,7 +296,14 @@ def run_semilinear(preset: ExperimentPreset, snapshot_sink=None) -> ExperimentRu
     start = solver.state_from_fields(*preset.initial_data())
     config = preset.solver_config()
     ledger = EnergyLedger(sobolev_index=preset.sobolev_s)
-    series, observe = _observer(preset, config, snapshot_sink)
+
+    # the observed u is the run's own array, which the next step rewrites,
+    # so the sink is handed a copy
+    def sink_copy(t: float, u: Field) -> None:
+        snapshot_sink(t, Field(u.grid, u.values.copy()))
+
+    series, observe = _observer(preset, config,
+                                None if snapshot_sink is None else sink_copy)
     # solve stamps each snapshot with its configured time, in order
     solver.solve(start, config, observer=observe, ledger=ledger)
     e0 = analysis.e0_norm(start, preset.sobolev_s)

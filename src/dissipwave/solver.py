@@ -14,6 +14,19 @@ transforms, the source at u_n and the new u; the first seeds the history
 from the Taylor line F_0 + t F_t through the data, with the exact source
 rate F_t.  Its independent RK4 check is oracle.rk4_reference.
 
+The source history lives only on the box of modes the 2/3 rule keeps
+(every mode for theta = 1), |j| <= N/3 on every axis: 2^(n-1) slabs of
+the stored half spectrum, held as one contiguous box.  The
+Adams-Bashforth products run on that box alone, contiguously: a new
+spectrum's box of several slabs is gathered, summed and written back, a
+box of one slab (1-d, or theta = 1) summed in place.  A run's
+steps write into arrays solve allocates once (_RunArrays): two pairs of
+state spectra, the new state taking the pair the spent state before it
+held, one complex work array, the physical u and the source field; the
+history recycles its spent source spectrum.  Of
+arrays, a steady step allocates only irfftn's inner stage (one spectrum,
+for n >= 2) and, for theta > 2, the u^2 of _abs_power.
+
 The step may grow with time (key dt_doubling_times): the run is a sequence
 of epochs, each with twice the step of the one before.  step_schedule is
 the one owner of the run's time grid: it lays the run out in one pass as
@@ -24,10 +37,15 @@ source history at each epoch's first step.
 
 A SolverState holds the flow only: the SolverConfig owns the equation, and
 solve owns the clock, stamping each snapshot with its configured time.
+A state solve gives the ledger or the observer holds the run's arrays, so
+it is valid until the next step, as a LinearFlow.at state is until the
+next call; the start state is never written, and the returned final
+state is one no later step writes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -50,8 +68,9 @@ _QUAD_POINTS = 8
 # hold about 0.3 GB.
 MAX_STATES = 10**6
 
-# Source spectra (F_{n-1}, F_{n-2}, F_{n-3}) the Duhamel step carries to
-# the next; it reads the two newest and overwrites the spent F_{n-3} with F_n.
+# Source spectra (F_{n-1}, F_{n-2}, F_{n-3}) on the kept box (_kept_slabs)
+# the Duhamel step carries to the next; it reads the two newest and
+# overwrites the spent F_{n-3} with F_n.
 _History = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -103,8 +122,11 @@ class SolverState:
 
     @cached_property
     def u_sup(self) -> float:
-        """sup|u|, computed once and shared by the guard and the ledger."""
-        return float(np.max(np.abs(self.u)))
+        """sup|u|, computed once and shared by the guard and the ledger: the
+        larger of max u and -min u, so no |u| array is formed; nan when u
+        holds a nan, which both reductions propagate."""
+        u = self.u
+        return abs(max(float(u.max()), -float(u.min())))
 
 
 @dataclass(frozen=True)
@@ -152,22 +174,28 @@ def u_field(state: SolverState) -> Field:
     return Field(state.grid, state.u)
 
 
-def apply_nonlinearity(u: np.ndarray, theta: int, sign: int = -1) -> np.ndarray:
-    """Pointwise source sign * |u|^theta u.
+def apply_nonlinearity(u: np.ndarray, theta: int, sign: int = -1,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """Pointwise source sign * |u|^theta u, into out when given.
 
     Even theta uses (u^2)^(theta/2) * u; odd theta |u| (u^2)^((theta-1)/2) u.
     Both stay smooth through u = 0 and avoid fractional powers.
     """
     if theta < 1 or theta != int(theta):
         raise ValueError(f"theta must be a positive integer, got {theta}")
-    return sign * _abs_power(u, int(theta)) * u
+    source = _abs_power(u, int(theta), out=out)
+    source *= sign
+    source *= u
+    return source
 
 
-def _abs_power(u: np.ndarray, theta: int) -> np.ndarray:
-    """|u|^theta for a positive integer theta (see apply_nonlinearity), a
-    fresh array from products only and at most one temporary: numpy takes
-    array ** k through libm pow for every k above 2."""
-    power = np.abs(u) if theta % 2 else u * u
+def _abs_power(u: np.ndarray, theta: int,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """|u|^theta for a positive integer theta (see apply_nonlinearity), into
+    out when given, else a fresh array, from products only and at most one
+    temporary: numpy takes array ** k through libm pow for every k above 2."""
+    power = (np.abs(u, out=out) if theta % 2
+             else np.multiply(u, u, out=out))
     if theta > 2:
         u_sq = u * u
         for _ in range((theta - 1) // 2):
@@ -217,11 +245,14 @@ def linear_solution(state: SolverState, t: float) -> SolverState:
     return LinearFlow(state).at(t)
 
 
-def linear_step(state: SolverState, table: SymbolTable) -> SolverState:
-    """Advance the linear flow by the table increment (exact per mode)."""
+def linear_step(state: SolverState, table: SymbolTable,
+                out: tuple[np.ndarray, ...] | None = None) -> SolverState:
+    """Advance the linear flow by the table increment (exact per mode),
+    into out = (u_hat, v_hat, work) when given (see SymbolTable.apply)."""
     if table.grid != state.grid:
         raise ValueError("symbol table grid does not match the state grid")
-    return SolverState(state.grid, *table.apply(state.u_hat, state.v_hat))
+    return SolverState(state.grid,
+                       *table.apply(state.u_hat, state.v_hat, out=out))
 
 
 def dealias_mask(grid: Grid) -> np.ndarray:
@@ -235,30 +266,56 @@ def dealias_mask(grid: Grid) -> np.ndarray:
     return mask.astype(np.float64)
 
 
+def _kept_slabs(grid: Grid, theta: int) -> tuple[tuple[tuple[slice, ...],
+                                                      tuple[slice, ...]], ...]:
+    """The modes the source keeps, as slabs (spectrum slices, box slices):
+    each a block of the stored half spectrum and the block of the kept box
+    it fills.  The kept indices of each axis are read off dealias_mask (all
+    of them for theta = 1): the run from 0 and, on every axis but the
+    last, the run of negative j, so the box has 2^(n-1) slabs."""
+    mask = dealias_mask(grid) if theta >= 2 else np.ones(grid.spectral_shape)
+    runs = []
+    for axis in range(grid.n_dims):
+        kept = np.flatnonzero(mask[tuple(slice(None) if a == axis else 0
+                                         for a in range(grid.n_dims))])
+        pieces = np.split(kept, np.flatnonzero(np.diff(kept) > 1) + 1)
+        offsets = np.cumsum([0] + [len(piece) for piece in pieces])
+        runs.append([(slice(piece[0], piece[-1] + 1),
+                      slice(offset, offset + len(piece)))
+                     for piece, offset in zip(pieces, offsets)])
+    # each slab pairs its spectrum slices with its box slices
+    return tuple(tuple(zip(*slab)) for slab in itertools.product(*runs))
+
+
 @dataclass(frozen=True)
 class _StepCache:
     """Per-epoch precomputation shared by every step of size dt: the
-    propagator, the dealias mask and the exponential Adams-Bashforth
-    weights, u_weights[k] and v_weights[k] multiplying F_{n-k}."""
+    propagator, the slabs of the modes the source keeps (_kept_slabs) and
+    the exponential Adams-Bashforth weights on that box, u_weights[k] and
+    v_weights[k] multiplying F_{n-k}."""
 
     dt: float
     table: SymbolTable
-    mask: np.ndarray | None
+    slabs: tuple[tuple[tuple[slice, ...], tuple[slice, ...]], ...]
     u_weights: tuple[np.ndarray, np.ndarray, np.ndarray]
     v_weights: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    @property
+    def box_shape(self) -> tuple[int, ...]:
+        return self.u_weights[0].shape
 
 
 def _make_step_cache(grid: Grid, config: SolverConfig,
                      dt: float) -> _StepCache:
     table = build_symbol_table(grid, dt)
-    mask = dealias_mask(grid) if config.theta >= 2 else None
+    slabs = _kept_slabs(grid, config.theta)
 
     # Gauss-Legendre quadrature of int_0^dt G(dt - s) F(s) ds with F the
     # quadratic through F_n, F_{n-1}, F_{n-2} at tau = s/dt = 0, -1, -2,
     # extrapolated over the step: the integral collapses to
     # sum_k w_k F_{n-k} with per-mode weights w_k = int G(dt - s) L_k ds,
     # L_k the Lagrange basis of those nodes.  The weights are radial, so
-    # they are summed once per |xi|^2 level and gathered onto the lattice.
+    # they are summed once per |xi|^2 level and gathered onto the box.
     nodes, weights = leggauss(_QUAD_POINTS)
     xi_sq, index = grid.freq_levels
     u_weights = tuple(np.zeros(xi_sq.shape) for _ in range(3))
@@ -270,61 +327,120 @@ def _make_step_cache(grid: Grid, config: SolverConfig,
         for wu, wv, basis in zip(u_weights, v_weights, lagrange):
             wu += (w * basis) * ker
             wv += (w * basis) * ker_t
-    return _StepCache(dt=dt, table=table, mask=mask,
-                      u_weights=tuple(wu[index] for wu in u_weights),
-                      v_weights=tuple(wv[index] for wv in v_weights))
+    # the last slab holds the last run of every axis: its box ends are
+    # the box's shape
+    box_shape = tuple(box.stop for box in slabs[-1][1])
+    box_index = _kept(index, slabs, np.empty(box_shape, dtype=index.dtype))
+    return _StepCache(dt=dt, table=table, slabs=slabs,
+                      u_weights=tuple(wu[box_index] for wu in u_weights),
+                      v_weights=tuple(wv[box_index] for wv in v_weights))
 
 
-def _masked_hat(values: np.ndarray, cache: _StepCache,
-                out: np.ndarray | None = None) -> np.ndarray:
-    # numpy.fft takes out= from numpy 2.0, the floor pyproject.toml declares
-    f_hat = np.fft.rfftn(values, out=out)
-    if cache.mask is not None:
-        f_hat *= cache.mask
-    return f_hat
+def _kept(spectrum: np.ndarray, slabs, out: np.ndarray) -> np.ndarray:
+    """The kept box of a stored spectrum, slab by slab into out."""
+    for spectral, box in slabs:
+        out[box] = spectrum[spectral]
+    return out
 
 
-def _source_hat(u: np.ndarray, config: SolverConfig, cache: _StepCache,
-                out: np.ndarray | None = None) -> np.ndarray:
-    return _masked_hat(apply_nonlinearity(u, config.theta, config.nonlin_sign),
-                       cache, out)
+def _put_kept(box_values: np.ndarray, slabs, spectrum: np.ndarray) -> None:
+    """Write a kept box back into its slabs of a stored spectrum."""
+    for spectral, box in slabs:
+        spectrum[spectral] = box_values[box]
+
+
+class _RunArrays:
+    """The arrays a run's steps write, allocated once: two pairs of state
+    spectra, one complex work array, the physical u and the source field.
+    A step from a state writes the pair that state does not hold: the
+    pair of the spent state before it, or the first pair after a start
+    state the run does not own.  The work array also holds two kept boxes
+    (box_shape): term, a source term, and gathered, a new spectrum's box
+    when it has several slabs; such a box fills at most 0.46 of the
+    stored spectrum (N = 16, n = 2), so both fit."""
+
+    def __init__(self, grid: Grid, box_shape: tuple[int, ...]) -> None:
+        def spectrum() -> np.ndarray:
+            return np.empty(grid.spectral_shape, dtype=complex)
+
+        self._pairs = ((spectrum(), spectrum()), (spectrum(), spectrum()))
+        self.work = spectrum()
+        boxes = self.work.reshape(-1)
+        size = math.prod(box_shape)
+        self.term = boxes[:size].reshape(box_shape)
+        self.gathered = (boxes[size:2 * size].reshape(box_shape)
+                         if 2 * size <= boxes.size else None)
+        self.u = np.empty(grid.shape)
+        self.source = np.empty(grid.shape)
+
+    def spectra_after(self, state: SolverState) -> tuple[np.ndarray, ...]:
+        first, second = self._pairs
+        return second if state.u_hat is first[0] else first
+
+
+def _kept_hat(values: np.ndarray, cache: _StepCache, work: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
+    """The spectrum of values on the kept box, into out: the 2/3 rule
+    applied by keeping only the box.  The transform goes into work first;
+    numpy.fft takes out= from numpy 2.0, the floor pyproject.toml
+    declares."""
+    return _kept(np.fft.rfftn(values, out=work), cache.slabs, out)
 
 
 def _seed_history(state: SolverState, f0: np.ndarray, config: SolverConfig,
-                  cache: _StepCache) -> tuple[np.ndarray, np.ndarray]:
+                  cache: _StepCache,
+                  work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(F_{-1}, F_{-2}) from the Taylor line F_0 + t F_t through the data,
     with the exact source rate F_t = sign (theta+1) |u|^theta u_t."""
     rate = _abs_power(state.u, config.theta)
     rate *= inverse_transform(state.grid, state.v_hat).values
     rate *= config.nonlin_sign * (config.theta + 1)
-    rate_hat = _masked_hat(rate, cache)
+    rate_hat = _kept_hat(rate, cache, work, np.empty_like(f0))
     rate_hat *= cache.dt
     f_1 = f0 - rate_hat
     return f_1, f_1 - rate_hat
 
 
 def step_semilinear(state: SolverState, config: SolverConfig,
-                    cache: _StepCache, history: _History | None
+                    cache: _StepCache, history: _History | None,
+                    arrays: _RunArrays | None = None
                     ) -> tuple[SolverState, _History]:
     """One Duhamel step of the cache's dt from the source history (None
     before the first step, which seeds it); returns the new state, which
-    solve guards, and the history for the next step."""
-    # recycling the spent spectrum's buffer keeps every long-lived array
-    # of the run allocated once, so the heap does not fragment
+    solve guards, and the history for the next step.  The new state's
+    spectra and u are written into arrays, a run's _RunArrays (fresh ones
+    when None); so is the source, whose spectrum takes the spent one's
+    place in the history."""
+    if arrays is None:
+        arrays = _RunArrays(state.grid, cache.box_shape)
+    source = apply_nonlinearity(state.u, config.theta, config.nonlin_sign,
+                                out=arrays.source)
     if history is None:
-        f0 = _source_hat(state.u, config, cache)
-        f1, f2 = _seed_history(state, f0, config, cache)
+        f0 = _kept_hat(source, cache, arrays.work,
+                       np.empty(cache.box_shape, dtype=complex))
+        f1, f2 = _seed_history(state, f0, config, cache, arrays.work)
     else:
         f1, f2, spent = history
-        f0 = _source_hat(state.u, config, cache, out=spent)
-    # the advanced flow is local to the step: it takes the source in place
-    advanced = linear_step(state, cache.table)
-    u_new, v_new = advanced.u_hat, advanced.v_hat
-    term = np.empty_like(f0)
-    for f, wu, wv in zip((f0, f1, f2), cache.u_weights, cache.v_weights):
-        u_new += np.multiply(wu, f, out=term)
-        v_new += np.multiply(wv, f, out=term)
-    return SolverState(state.grid, u_new, v_new), (f0, f1, f2)
+        f0 = _kept_hat(source, cache, arrays.work, out=spent)
+    new = linear_step(state, cache.table,
+                      out=(*arrays.spectra_after(state), arrays.work))
+    # the source adds on the kept box only, outside which F is zero: each
+    # new spectrum's box, one contiguous array (a box of one slab is a
+    # block of the spectrum, one of several is gathered and goes back),
+    # takes the F_n, F_{n-1}, F_{n-2} terms in that order
+    one_slab = len(cache.slabs) == 1
+    for spectrum, weights in ((new.u_hat, cache.u_weights),
+                              (new.v_hat, cache.v_weights)):
+        box = (spectrum[cache.slabs[0][0]] if one_slab
+               else _kept(spectrum, cache.slabs, arrays.gathered))
+        for f, w in zip((f0, f1, f2), weights):
+            box += np.multiply(w, f, out=arrays.term)
+        if not one_slab:
+            _put_kept(box, cache.slabs, spectrum)
+    # the cached_property u, filled with the run's physical u
+    new.__dict__["u"] = inverse_transform(new.grid, new.u_hat,
+                                          out=arrays.u).values
+    return new, (f0, f1, f2)
 
 
 def step_schedule(config: SolverConfig) -> list[tuple[float, float, bool]]:
@@ -399,12 +515,14 @@ def solve(start: SolverState, config: SolverConfig, observer=None,
     state = start
     cache = _make_step_cache(state.grid, config, config.dt)
     history = None
+    arrays = _RunArrays(state.grid, cache.box_shape)
     for k, (t, dt, snapshot) in enumerate(table):
         if k:
             if dt != cache.dt:  # a new epoch; never hold two caches
                 cache = history = None
                 cache = _make_step_cache(state.grid, config, dt)
-            state, history = step_semilinear(state, config, cache, history)
+            state, history = step_semilinear(state, config, cache, history,
+                                             arrays)
         if not np.isfinite(state.u_sup) or state.u_sup > GUARD_BOUND:
             raise InstabilityError(time=t, sup=state.u_sup, bound=GUARD_BOUND)
         if ledger is not None:

@@ -108,11 +108,21 @@ class SymbolTable:
     vu: np.ndarray
     vv: np.ndarray
 
-    def apply(self, u_hat: np.ndarray,
-              v_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(u_hat, v_hat) advanced by the increment."""
-        return (self.uu * u_hat + self.uv * v_hat,
-                self.vu * u_hat + self.vv * v_hat)
+    def apply(self, u_hat: np.ndarray, v_hat: np.ndarray,
+              out: tuple[np.ndarray, ...] | None = None
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """(u_hat, v_hat) advanced by the increment, into out = (u_out,
+        v_out, work) when given, else into fresh arrays: each row is its u
+        term plus its v term, the v term formed in work."""
+        if out is None:
+            dtype = np.result_type(self.uu, u_hat, v_hat)
+            out = tuple(np.empty(self.uu.shape, dtype) for _ in range(3))
+        u_out, v_out, work = out
+        for row, on_u, on_v in ((u_out, self.uu, self.uv),
+                                (v_out, self.vu, self.vv)):
+            np.multiply(on_u, u_hat, out=row)
+            row += np.multiply(on_v, v_hat, out=work)
+        return u_out, v_out
 
 
 def propagator_levels(xi_sq: np.ndarray,

@@ -164,6 +164,7 @@ SIX_SNAPSHOTS = ["--set", "snapshot_times=0.5,0.6,0.7,0.8,0.9,1.0"]
     ["simulate", "--set", "delta_bar=2"],
     ["verify-symbols", "--tol", "1e-11"],
     ["verify-symbols", "--tol", "nan"],
+    ["verify-symbols", "--tol", "inf"],
     ["simulate", "--set", "width=-1"],
     ["simulate", "--set", "width=nan"],
     ["simulate", "--set", "profile_r=0.1"],
@@ -217,8 +218,8 @@ SIX_SNAPSHOTS = ["--set", "snapshot_times=0.5,0.6,0.7,0.8,0.9,1.0"]
     ["simulate", "--config", "semi1d-theta3", "--set", "t_final=1e9",
      "--set", "half_width=2e9"],
 ], ids=["window-samples", "integrator", "off-grid-snapshot", "off-grid-dt",
-        "delta-bar", "tol", "tol-nan", "width", "width-nan", "profile-r",
-        "sobolev-index", "u0-file-missing", "u1-file-not-dwf1",
+        "delta-bar", "tol", "tol-nan", "tol-inf", "width", "width-nan",
+        "profile-r", "sobolev-index", "u0-file-missing", "u1-file-not-dwf1",
         "amplitude-nan", "linear-half-width-inf", "linear-amplitude-nan",
         "linear-snapshot-nan", "linear-t-final-nan", "mono-tol-nan",
         "mono-tol-negative", "mono-tol-inf", "balance-tol-nan",

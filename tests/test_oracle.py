@@ -66,6 +66,14 @@ def test_mode_ode_validation():
         mode_ode_series(1.0, np.array([1.0, 0.5]))
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan])
+def test_mode_ode_rejects_a_non_finite_tol(tol):
+    # refused before any integration: with tol = inf DOP853's step control
+    # is unbounded and the integration never returns
+    with pytest.raises(ValueError, match="finite"):
+        mode_ode_series(0.3, [1.0, 2.0], tol=tol)
+
+
 @settings(max_examples=20, deadline=None)
 @given(xi_sq=st.floats(min_value=0.0, max_value=16.0),
        t=st.floats(min_value=0.1, max_value=8.0))

@@ -365,6 +365,21 @@ def test_run_linear_snapshots_alias_no_flow_array():
         float(np.max(np.abs(u.values))) for _t, u in kept]
 
 
+def test_run_semilinear_snapshots_alias_no_run_array():
+    # the steps rewrite the run's physical u in place; each field handed to
+    # the sink must still be its own snapshot's u after the run
+    p = _tiny(**_TINY_2D_LINEAR)
+    kept = []
+    run = run_semilinear(p, snapshot_sink=lambda t, u: kept.append(
+        (t, u, u.values.copy())))
+    assert [t for t, _u, _copy in kept] == list(p.snapshot_times)
+    for t, u, copy in kept:
+        assert np.array_equal(u.values, copy), t
+    assert len({id(u.values) for _t, u, _copy in kept}) == len(kept)
+    assert run.series["linf:u"][1].tolist() == [
+        float(np.max(np.abs(u.values))) for _t, u, _copy in kept]
+
+
 def _e0_of_the_data(p):
     """|u0|_{H^{s+1}} + |u1|_{H^s} of the preset's data, each field
     transformed here."""

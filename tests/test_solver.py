@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -41,14 +42,20 @@ def test_solver_config_validation():
 
 
 def test_dealias_mask_applies_from_theta_2():
-    g = make_grid(1, 64, 8.0)
-    for theta, masked in ((1, False), (2, True)):
-        cfg = SolverConfig(theta=theta, dt=0.1, t_final=1.0)
-        mask = _make_step_cache(g, cfg, cfg.dt).mask
-        if masked:
-            assert np.array_equal(mask, dealias_mask(g))
-        else:
-            assert mask is None
+    # the source keeps the slabs of its step cache: for theta >= 2 exactly
+    # the modes of the 2/3 rule, 2^(n-1) slabs; for theta = 1 every mode
+    for g in (make_grid(1, 64, 8.0), make_grid(2, 64, 8.0)):
+        for theta, masked in ((1, False), (2, True)):
+            cfg = SolverConfig(theta=theta, dt=0.1, t_final=1.0)
+            cache = _make_step_cache(g, cfg, cfg.dt)
+            mask = np.zeros(g.spectral_shape)
+            for spectral, _box in cache.slabs:
+                mask[spectral] += 1.0
+            if masked:
+                assert np.array_equal(mask, dealias_mask(g))
+                assert len(cache.slabs) == 2 ** (g.n_dims - 1)
+            else:
+                assert np.all(mask == 1.0)
 
 
 def test_dealias_mask_two_thirds_rule():
@@ -185,7 +192,8 @@ def test_rk4_reference_sees_a_wrong_source_coefficient(monkeypatch):
     # bound above (a reference that shared _abs_power would not see it)
     abs_power = solver._abs_power
     monkeypatch.setattr(solver, "_abs_power",
-                        lambda u, theta: 1.01 * abs_power(u, theta))
+                        lambda u, theta, out=None:
+                        1.01 * abs_power(u, theta, out=out))
     assert _duhamel_minus_rk4() > 1e-6
 
 
@@ -266,6 +274,74 @@ def test_guard_checks_the_final_state():
         solve(state_from_fields(u0, _zero(g)), replace(cfg, t_final=n * dt))
     assert last.value.time == pytest.approx(n * dt)
     assert last.value.sup > last.value.bound
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_guard_refuses_one_non_finite_sample(grid1d, bump1d, monkeypatch,
+                                             bad):
+    # the guard reads sup|u| off max u and min u without forming |u|: one
+    # nan or infinite sample in the u of the third step's state must stop
+    # the run at that state's time
+    step = solver.step_semilinear
+    taken = []
+
+    def planted(state, *args):
+        new, history = step(state, *args)
+        taken.append(new)
+        if len(taken) == 3:
+            new.u[17] = bad
+        return new, history
+
+    monkeypatch.setattr(solver, "step_semilinear", planted)
+    cfg = SolverConfig(theta=3, dt=0.1, t_final=1.0)
+    with pytest.raises(InstabilityError) as info:
+        solve(state_from_fields(bump1d, _zero(grid1d)), cfg)
+    assert len(taken) == 3
+    assert info.value.time == step_schedule(cfg)[3][0]
+    if math.isnan(bad):
+        assert math.isnan(info.value.sup)
+    else:
+        assert info.value.sup == math.inf
+
+
+def test_solve_never_writes_the_start_state():
+    # the run's steps write arrays the run owns; the caller's start
+    # spectra stay as they were, bit for bit
+    g = make_grid(2, 32, 8.0)
+    start = state_from_fields(gaussian_bump(g, 0.6, 1.0),
+                              gaussian_bump(g, -0.3, 1.3))
+    u_hat, v_hat = start.u_hat.copy(), start.v_hat.copy()
+    cfg = SolverConfig(theta=2, dt=0.05, t_final=1.0,
+                       dt_doubling_times=(0.5,))
+    final = solve(start, cfg)
+    assert np.array_equal(start.u_hat, u_hat)
+    assert np.array_equal(start.v_hat, v_hat)
+    assert not np.shares_memory(final.u_hat, start.u_hat)
+    assert not np.shares_memory(final.v_hat, start.v_hat)
+
+
+def test_steady_steps_allocate_under_one_and_a_half_spectra():
+    # between two snapshots a step allocates only irfftn's inner stage (one
+    # spectrum): the state spectra, the source history, the work array and
+    # the physical fields are the run's, written in place
+    g = make_grid(2, 64, 8.0)
+    start = state_from_fields(gaussian_bump(g, 0.4, 1.5), _zero(g))
+    cfg = SolverConfig(theta=2, dt=0.05, t_final=1.0,
+                       snapshot_times=(0.5, 1.0))
+    spectrum = np.empty(g.spectral_shape, dtype=complex).nbytes
+    marks = []
+
+    def observe(t, state):
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+
+    tracemalloc.start()
+    try:
+        solve(start, cfg, observer=observe)
+    finally:
+        tracemalloc.stop()
+    (base, _peak), (_current, peak) = marks
+    assert (peak - base) / spectrum < 1.5
 
 
 def test_solve_observers_and_ledger(grid1d, bump1d):

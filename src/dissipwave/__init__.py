@@ -25,9 +25,8 @@ from .presets import (ExperimentPreset, ExperimentRun, builtin_presets,
                       gaussian_bump, preset_from_config, preset_to_config,
                       run_bands, run_experiment, run_linear, run_semilinear)
 from .solver import (InstabilityError, SolverConfig, SolverState,
-                     apply_nonlinearity, dealias_mask, linear_solution,
-                     linear_step, solve, state_from_fields, step_semilinear,
-                     time_derivative)
+                     apply_nonlinearity, linear_solution, linear_step, solve,
+                     state_from_fields, step_semilinear, time_derivative)
 from .symbols import (CutoffSpec, SymbolTable, build_symbol_table, cutoff,
                       green_band, green_hat, green_hat_dt, smooth_step)
 

@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import Field, Grid
+from .solver import _abs_power
 
 MIN_FIT_POINTS = 5
 
@@ -401,10 +402,7 @@ class EnergyLedger:
         power = _power(state.v_hat, *self._powers)
         kinetic = 0.5 * _weighted_sum(power, sobolev_weight(grid, 0))
         ut_sobolev = math.sqrt(_weighted_sum(power, sobolev_weight(grid, s)))
-        # |u|^q from integer powers, multiplied in place; imported here
-        # because importing the solver at the top of this module raised the
-        # CLI's import peak (tracemalloc) by 0.35 MB
-        from .solver import _abs_power
+        # |u|^q from integer powers, multiplied in place
         density = _abs_power(state.u, theta)
         density *= state.u
         density *= state.u

@@ -49,8 +49,11 @@ PROFILE_LABEL = f"profile_r{PROFILE_R:g}:u"
 
 
 def _check_width(width: float) -> None:
-    if not width > 0:
-        raise ValueError(f"width must be positive, got {width}")
+    # the bump divides by width^2, so a square that underflows to 0 would
+    # make it nan at the origin
+    if not width > 0 or not width * width > 0:
+        raise ValueError(f"width must be positive, with a positive square, "
+                         f"got {width}")
 
 
 def _check_times(name: str, times, positive: bool = False) -> None:
@@ -182,6 +185,9 @@ class ExperimentPreset:
             if field.grid != self.grid:
                 raise ValueError(
                     f"initial data file {path} was written on a different grid")
+            if not np.isfinite(field.values).all():
+                raise ValueError(
+                    f"initial data file {path} holds a non-finite sample")
             files[path] = field
         return files
 

@@ -15,8 +15,8 @@ from the Taylor line F_0 + t F_t through the data, with the exact source
 rate F_t.  Its independent RK4 check is oracle.rk4_reference.
 
 The source history lives only on the box of modes the 2/3 rule keeps
-(every mode for theta = 1), |j| <= N/3 on every axis: 2^(n-1) slabs of
-the stored half spectrum, held as one contiguous box.  The
+(every mode for theta = 1), |j| <= m = N // 3 on every axis: 2^(n-1)
+slabs of the stored half spectrum, held as one contiguous box.  The
 Adams-Bashforth products run on that box alone, contiguously: a new
 spectrum's box of several slabs is gathered, summed and written back, a
 box of one slab (1-d, or theta = 1) summed in place.  A run's
@@ -255,34 +255,21 @@ def linear_step(state: SolverState, table: SymbolTable,
                        *table.apply(state.u_hat, state.v_hat, out=out))
 
 
-def dealias_mask(grid: Grid) -> np.ndarray:
-    """2/3-rule mask: keep integer modes |j| <= N/3 along each axis."""
-    # xi_j = (pi / half_width) j, and N/3 is never within rounding of an
-    # integer for power-of-two N
-    cut = grid.points_per_dim / 3.0 * np.pi / grid.half_width
-    mask = np.ones(grid.spectral_shape, dtype=bool)
-    for freqs in grid.freq_grids:
-        mask = mask & (np.abs(freqs) <= cut)
-    return mask.astype(np.float64)
-
-
 def _kept_slabs(grid: Grid, theta: int) -> tuple[tuple[tuple[slice, ...],
                                                       tuple[slice, ...]], ...]:
     """The modes the source keeps, as slabs (spectrum slices, box slices):
     each a block of the stored half spectrum and the block of the kept box
-    it fills.  The kept indices of each axis are read off dealias_mask (all
-    of them for theta = 1): the run from 0 and, on every axis but the
-    last, the run of negative j, so the box has 2^(n-1) slabs."""
-    mask = dealias_mask(grid) if theta >= 2 else np.ones(grid.spectral_shape)
-    runs = []
-    for axis in range(grid.n_dims):
-        kept = np.flatnonzero(mask[tuple(slice(None) if a == axis else 0
-                                         for a in range(grid.n_dims))])
-        pieces = np.split(kept, np.flatnonzero(np.diff(kept) > 1) + 1)
-        offsets = np.cumsum([0] + [len(piece) for piece in pieces])
-        runs.append([(slice(piece[0], piece[-1] + 1),
-                      slice(offset, offset + len(piece)))
-                     for piece, offset in zip(pieces, offsets)])
+    it fills.  For theta >= 2 the 2/3 rule keeps |j| <= N/3, for integer
+    j the cut m = N // 3, on every axis: the run j = 0 .. m and, on every
+    axis but the last, the run j = -m .. -1, so the box has 2^(n-1) slabs.
+    For theta = 1 one slab holds the whole stored spectrum."""
+    if theta == 1:
+        whole = tuple(slice(0, size) for size in grid.spectral_shape)
+        return ((whole, whole),)
+    n, m = grid.points_per_dim, grid.points_per_dim // 3
+    ahead = (slice(0, m + 1), slice(0, m + 1))
+    behind = (slice(n - m, n), slice(m + 1, 2 * m + 1))
+    runs = [(ahead, behind)] * (grid.n_dims - 1) + [(ahead,)]
     # each slab pairs its spectrum slices with its box slices
     return tuple(tuple(zip(*slab)) for slab in itertools.product(*runs))
 
@@ -303,6 +290,12 @@ class _StepCache:
     @property
     def box_shape(self) -> tuple[int, ...]:
         return self.u_weights[0].shape
+
+    @property
+    def one_slab(self) -> bool:
+        """The box path: a box of one slab (1-d, or theta = 1) is summed in
+        place, one of several in _RunArrays.gathered."""
+        return len(self.slabs) == 1
 
 
 def _make_step_cache(grid: Grid, config: SolverConfig,
@@ -354,22 +347,23 @@ class _RunArrays:
     spectra, one complex work array, the physical u and the source field.
     A step from a state writes the pair that state does not hold: the
     pair of the spent state before it, or the first pair after a start
-    state the run does not own.  The work array also holds two kept boxes
-    (box_shape): term, a source term, and gathered, a new spectrum's box
-    when it has several slabs; such a box fills at most 0.46 of the
-    stored spectrum (N = 16, n = 2), so both fit."""
+    state the run does not own.  The work array also holds the kept box
+    as term, a source term, and, unless _StepCache.one_slab, as gathered,
+    a new spectrum's box.  With m = N // 3 a box of several slabs holds
+    (2m + 1)^(n-1) (m + 1) of the N^(n-1) (N/2 + 1) stored modes, at most
+    66/144 < 0.46 of them (N = 16, n = 2), so both fit."""
 
-    def __init__(self, grid: Grid, box_shape: tuple[int, ...]) -> None:
+    def __init__(self, grid: Grid, cache: _StepCache) -> None:
         def spectrum() -> np.ndarray:
             return np.empty(grid.spectral_shape, dtype=complex)
 
         self._pairs = ((spectrum(), spectrum()), (spectrum(), spectrum()))
         self.work = spectrum()
         boxes = self.work.reshape(-1)
-        size = math.prod(box_shape)
-        self.term = boxes[:size].reshape(box_shape)
-        self.gathered = (boxes[size:2 * size].reshape(box_shape)
-                         if 2 * size <= boxes.size else None)
+        shape, size = cache.box_shape, math.prod(cache.box_shape)
+        self.term = boxes[:size].reshape(shape)
+        self.gathered = (None if cache.one_slab
+                         else boxes[size:2 * size].reshape(shape))
         self.u = np.empty(grid.shape)
         self.source = np.empty(grid.shape)
 
@@ -412,7 +406,7 @@ def step_semilinear(state: SolverState, config: SolverConfig,
     when None); so is the source, whose spectrum takes the spent one's
     place in the history."""
     if arrays is None:
-        arrays = _RunArrays(state.grid, cache.box_shape)
+        arrays = _RunArrays(state.grid, cache)
     source = apply_nonlinearity(state.u, config.theta, config.nonlin_sign,
                                 out=arrays.source)
     if history is None:
@@ -428,14 +422,13 @@ def step_semilinear(state: SolverState, config: SolverConfig,
     # new spectrum's box, one contiguous array (a box of one slab is a
     # block of the spectrum, one of several is gathered and goes back),
     # takes the F_n, F_{n-1}, F_{n-2} terms in that order
-    one_slab = len(cache.slabs) == 1
     for spectrum, weights in ((new.u_hat, cache.u_weights),
                               (new.v_hat, cache.v_weights)):
-        box = (spectrum[cache.slabs[0][0]] if one_slab
+        box = (spectrum[cache.slabs[0][0]] if cache.one_slab
                else _kept(spectrum, cache.slabs, arrays.gathered))
         for f, w in zip((f0, f1, f2), weights):
             box += np.multiply(w, f, out=arrays.term)
-        if not one_slab:
+        if not cache.one_slab:
             _put_kept(box, cache.slabs, spectrum)
     # the cached_property u, filled with the run's physical u
     new.__dict__["u"] = inverse_transform(new.grid, new.u_hat,
@@ -515,7 +508,7 @@ def solve(start: SolverState, config: SolverConfig, observer=None,
     state = start
     cache = _make_step_cache(state.grid, config, config.dt)
     history = None
-    arrays = _RunArrays(state.grid, cache.box_shape)
+    arrays = _RunArrays(state.grid, cache)
     for k, (t, dt, snapshot) in enumerate(table):
         if k:
             if dt != cache.dt:  # a new epoch; never hold two caches

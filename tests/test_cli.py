@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dissipwave import (ExperimentPreset, builtin_presets, preset_to_config,
-                        read_snapshot)
+from dissipwave import (ExperimentPreset, Field, builtin_presets,
+                        preset_to_config, read_snapshot, write_snapshot)
 from dissipwave.analysis import read_series_csv
 from dissipwave.cli import (ConfigError, main, make_run_dir,
                             parse_config_text, resolve_preset)
@@ -167,10 +167,14 @@ SIX_SNAPSHOTS = ["--set", "snapshot_times=0.5,0.6,0.7,0.8,0.9,1.0"]
     ["verify-symbols", "--tol", "inf"],
     ["simulate", "--set", "width=-1"],
     ["simulate", "--set", "width=nan"],
+    # width^2 underflows to 0, which would make the bump nan at the origin
+    ["simulate", "--set", "width=1e-300"],
+    ["simulate", "--config", "lin1d", "--set", "width=1e-300"],
     ["simulate", "--set", "profile_r=0.1"],
     ["simulate", "--set", "sobolev_index=-3"],
     ["simulate", "--set", "u0_file=/nonexistent.dwf"],
     ["simulate", "--set", "u1_file=CONFIG"],  # a text file, not DWF1
+    ["simulate", "--set", "u0_file=NAN_DATA"],  # one nan sample
     ["simulate", "--set", "amplitude=nan"],
     ["simulate", "--config", "lin2d", "--set", "half_width=inf"],
     ["simulate", "--config", "lin2d", "--set", "amplitude=nan"],
@@ -219,7 +223,9 @@ SIX_SNAPSHOTS = ["--set", "snapshot_times=0.5,0.6,0.7,0.8,0.9,1.0"]
      "--set", "half_width=2e9"],
 ], ids=["window-samples", "integrator", "off-grid-snapshot", "off-grid-dt",
         "delta-bar", "tol", "tol-nan", "tol-inf", "width", "width-nan",
+        "width-square-underflow", "linear-width-square-underflow",
         "profile-r", "sobolev-index", "u0-file-missing", "u1-file-not-dwf1",
+        "u0-file-nan",
         "amplitude-nan", "linear-half-width-inf", "linear-amplitude-nan",
         "linear-snapshot-nan", "linear-t-final-nan", "mono-tol-nan",
         "mono-tol-negative", "mono-tol-inf", "balance-tol-nan",
@@ -238,7 +244,13 @@ def test_bad_input_exits_2_before_any_run_directory(tmp_path, capsys, argv):
     out = tmp_path / "o"
     out.mkdir()
     path = _write_config(tmp_path, _tiny_preset())
-    argv = [a.replace("CONFIG", path) for a in argv]
+    grid = _tiny_preset().grid
+    values = np.zeros(grid.shape)
+    values[3] = np.nan
+    nan_data = str(tmp_path / "nan.dwf")
+    write_snapshot(nan_data, Field(grid, values), 0.0)
+    argv = [a.replace("CONFIG", path).replace("NAN_DATA", nan_data)
+            for a in argv]
     config = (["--config", path] if argv[0] in ("simulate", "energy-audit")
               and "--config" not in argv else [])
     code = main(argv[:1] + config + argv[1:] + ["--out", str(out)])

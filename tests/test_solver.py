@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dissipwave import (Field, InstabilityError, SolverConfig, SolverState,
-                        apply_nonlinearity, build_symbol_table, dealias_mask,
+                        apply_nonlinearity, build_symbol_table,
                         forward_transform, gaussian_bump, inverse_transform,
                         linear_solution, linear_step, make_grid, solve,
                         state_from_fields)
@@ -41,37 +41,57 @@ def test_solver_config_validation():
         SolverConfig(theta=3, dt=0.1, t_final=1.0, nonlin_sign=2)
 
 
+def _painted_slabs(grid, theta):
+    """The step cache's kept slabs painted onto a zero spectrum, each slab
+    adding 1 to its modes, and the cache."""
+    cfg = SolverConfig(theta=theta, dt=0.1, t_final=1.0)
+    cache = _make_step_cache(grid, cfg, cfg.dt)
+    painted = np.zeros(grid.spectral_shape)
+    for spectral, _box in cache.slabs:
+        painted[spectral] += 1.0
+    return painted, cache
+
+
 def test_dealias_mask_applies_from_theta_2():
     # the source keeps the slabs of its step cache: for theta >= 2 exactly
-    # the modes of the 2/3 rule, 2^(n-1) slabs; for theta = 1 every mode
-    for g in (make_grid(1, 64, 8.0), make_grid(2, 64, 8.0)):
-        for theta, masked in ((1, False), (2, True)):
-            cfg = SolverConfig(theta=theta, dt=0.1, t_final=1.0)
-            cache = _make_step_cache(g, cfg, cfg.dt)
-            mask = np.zeros(g.spectral_shape)
-            for spectral, _box in cache.slabs:
-                mask[spectral] += 1.0
-            if masked:
-                assert np.array_equal(mask, dealias_mask(g))
-                assert len(cache.slabs) == 2 ** (g.n_dims - 1)
-            else:
-                assert np.all(mask == 1.0)
+    # the modes |j| <= N/3 on every axis, in 2^(n-1) slabs; for theta = 1
+    # every stored mode, in one slab; no mode is kept twice, and the slabs
+    # fill the box they are gathered into
+    cases = [(d, n, theta) for d in (1, 2, 3) for n in (16, 32, 64, 256)
+             for theta in (1, 2, 3) if d <= 2 or n < 256]
+    for n_dims, n, theta in cases:
+        g = make_grid(n_dims, n, 8.0)
+        painted, cache = _painted_slabs(g, theta)
+        j = np.abs(np.fft.fftfreq(n, d=1.0 / n))
+        axes = [j] * (n_dims - 1) + [np.fft.rfftfreq(n, d=1.0 / n)]
+        keep = np.ix_(*[f <= (n / 3 if theta >= 2 else np.inf) for f in axes])
+        rule = np.zeros(g.spectral_shape)
+        rule[keep] = 1.0
+        assert np.array_equal(painted, rule), (n_dims, n, theta)
+        assert len(cache.slabs) == (2 ** (n_dims - 1) if theta >= 2 else 1)
+        assert cache.one_slab == (n_dims == 1 or theta == 1)
+        box = np.zeros(cache.box_shape)
+        for _spectral, slab in cache.slabs:
+            box[slab] += 1.0
+        assert box.shape == rule[keep].shape and np.all(box == 1.0)
 
 
 def test_dealias_mask_two_thirds_rule():
     # the last axis stores j = 0 .. N/2 only; negative j live on the others
     g = make_grid(1, 64, 8.0)
-    m = dealias_mask(g)
+    m, _cache = _painted_slabs(g, 2)
     assert m.shape == g.spectral_shape == (33,)
     assert m[0] == 1.0
     assert m[21] == 1.0  # |j| = 21 <= 64/3
     assert m[22] == 0.0
     assert m[32] == 0.0  # nyquist always dropped
-    m2 = dealias_mask(make_grid(2, 64, 8.0))
+    m2, _cache = _painted_slabs(make_grid(2, 64, 8.0), 2)
     assert m2.shape == (64, 33)
     assert m2[21, 0] == 1.0 and m2[-21, 0] == 1.0 and m2[0, 21] == 1.0
     assert m2[22, 0] == 0.0 and m2[-22, 0] == 0.0 and m2[0, 22] == 0.0
     assert m2[32, 0] == 0.0 and m2[0, 32] == 0.0
+    assert m2[21, 21] == 1.0 and m2[-21, 21] == 1.0
+    assert m2[22, 21] == 0.0 and m2[-21, 22] == 0.0
 
 
 def test_apply_nonlinearity_signs_and_powers(rng):

@@ -83,7 +83,10 @@ def lp_norm(f: Field, p) -> float:
     """L^p norm on the box; p may be 1, 2, any real >= 1, or inf."""
     check_lp_exponent(p)
     if p == math.inf:
-        return float(np.max(np.abs(f.values)))
+        # the larger of max f and -min f, so no |f| array is formed; nan
+        # when f holds a nan, which both reductions propagate
+        values = f.values
+        return abs(max(float(values.max()), -float(values.min())))
     p = float(p)
     total = float(np.sum(np.abs(f.values) ** p)) * f.grid.cell_volume
     return total ** (1.0 / p)
@@ -99,8 +102,9 @@ def sobolev_weight(grid: Grid, s: int) -> np.ndarray:
         raise ValueError(f"s must be a nonnegative integer, got {s}")
     out = np.ones(grid.spectral_shape)
     power = np.ones(grid.spectral_shape)
+    xi_sq = grid.freq_sq
     for _ in range(int(s)):
-        power = power * grid.freq_sq
+        power = power * xi_sq
         out = out + power
     return out * parseval_weight(grid)
 

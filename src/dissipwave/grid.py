@@ -79,13 +79,11 @@ class Grid:
         return tuple(np.meshgrid(*(self.axis_coords,) * self.n_dims,
                                  indexing="ij", sparse=True))
 
-    @cached_property
+    @property
     def radius_sq(self) -> np.ndarray:
-        """|x|^2 on the full lattice."""
-        out = np.zeros(self.shape)
-        for c in self.coords:
-            out = out + c * c
-        return out
+        """|x|^2 on the full lattice, a fresh array on each read: its
+        readers (the data, the weighted profile) use it once."""
+        return sum(c * c for c in self.coords)
 
     @cached_property
     def freq_grids(self) -> tuple[np.ndarray, ...]:
@@ -106,13 +104,11 @@ class Grid:
         out[0] = out[-1] = 1.0
         return out
 
-    @cached_property
+    @property
     def freq_sq(self) -> np.ndarray:
-        """|xi|^2 on the stored half spectrum."""
-        out = np.zeros(self.spectral_shape)
-        for f in self.freq_grids:
-            out = out + f * f
-        return out
+        """|xi|^2 on the stored half spectrum, a fresh array on each read:
+        the level table and the cached weights are built from it once."""
+        return sum(f * f for f in self.freq_grids)
 
     @cached_property
     def freq_levels(self) -> tuple[np.ndarray, np.ndarray]:

@@ -167,13 +167,31 @@ def free_wave_multiplier(grid, t: float) -> np.ndarray:
     return out
 
 
-def heat_reference(grid: Grid, coeffs: np.ndarray, t: float) -> Field:
+def heat_reference(grid: Grid, coeffs: np.ndarray, t: float,
+                   scratch: tuple[np.ndarray, np.ndarray] | None = None
+                   ) -> Field:
     """Exact periodic heat evolution exp(t Laplacian) of the data whose
-    half spectrum on grid is coeffs."""
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    half spectrum on grid is coeffs.  Given scratch = (real, complex), two
+    half spectra of float64 and complex128, the factor exp(-|xi|^2 t) is
+    gathered into real and the product formed in complex, which may be
+    coeffs itself; both are overwritten, and the bits are the same."""
+    if not 0 <= t < math.inf:  # nan fails both comparisons
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     xi_sq, index = grid.freq_levels
-    return inverse_transform(grid, coeffs * np.exp(-xi_sq * t)[index])
+    if scratch is None:
+        return inverse_transform(grid, coeffs * np.exp(-xi_sq * t)[index])
+    real, product = scratch
+    if ((real.dtype, product.dtype) != (np.float64, np.complex128)
+            or not real.shape == product.shape == grid.spectral_shape):
+        raise ValueError(
+            f"scratch must be float64 and complex128 half spectra of shape "
+            f"{grid.spectral_shape}, got {real.dtype} {real.shape} and "
+            f"{product.dtype} {product.shape}")
+    # take into out= buffers its result unless mode is "clip"; the index
+    # is in range, so clipping changes nothing.  The per-level factor is
+    # dropped before the transform allocates
+    np.take(np.exp(-xi_sq * t), index, out=real, mode="clip")
+    return inverse_transform(grid, np.multiply(coeffs, real, out=product))
 
 
 def rk4_reference(u0: Field, u1: Field, theta: int, dt: float, steps: int,

@@ -236,12 +236,12 @@ def _norm_of(state: solver.SolverState, config: solver.SolverConfig | None,
 
 
 def _observer(preset: ExperimentPreset, config: solver.SolverConfig | None,
-              snapshot_sink=None, heat_data: np.ndarray | None = None):
+              snapshot_sink=None, heat=None):
     """The series of a linear or semilinear run, {label: []}, and the
     callback observe(t, state) that records one snapshot: it appends the
     requested norms, then the weighted profile (semilinear) or the sup
-    distance to the heat evolution of the spectrum heat_data (linear), and
-    hands u to the snapshot sink."""
+    distance to heat(t), the data's heat evolution as an array the
+    observer may overwrite (linear), and hands u to the snapshot sink."""
     norms = {quantity_label(p, a, h): (p, a, h) for p, a, h in preset.reports}
     extra = PROFILE_LABEL if preset.kind == "semilinear" else HEAT_GAP_LABEL
     series: dict = {label: [] for label in (*norms, extra)}
@@ -253,8 +253,10 @@ def _observer(preset: ExperimentPreset, config: solver.SolverConfig | None,
         if preset.kind == "semilinear":
             series[extra].append(analysis.weighted_profile(u, t, PROFILE_R))
         else:
-            gap = u.values - oracle.heat_reference(u.grid, heat_data, t).values
-            series[extra].append(float(np.max(np.abs(gap))))
+            gap = heat(t)
+            gap -= u.values  # heat - u: the magnitudes of u - heat
+            series[extra].append(analysis.lp_norm(Field(u.grid, gap),
+                                                  math.inf))
         if snapshot_sink is not None:
             snapshot_sink(float(t), u)
 
@@ -273,22 +275,28 @@ def run_linear(preset: ExperimentPreset, snapshot_sink=None) -> ExperimentRun:
     One solver.LinearFlow from the start state gives every snapshot; it
     forms u_t only when a report reads a time derivative.  Also records
     the sup distance to the heat evolution of u0 + u1, the series behind
-    the diffusion-phenomenon check.  The spectra of u0 + u1 and of the
-    data size e0 are read off the start state, so each datum is
-    transformed once.
+    the diffusion-phenomenon check, formed in the flow's scratch.  The
+    spectra of u0 + u1 and of the data size e0 are read off the start
+    state, so each datum is transformed once.
     """
     if preset.kind != "linear":
         raise ValueError(f"preset {preset.name!r} is not linear")
     start = solver.state_from_fields(*preset.initial_data())
-    series, observe = _observer(preset, None, snapshot_sink,
-                                heat_data=start.u_hat + start.v_hat)
     flow = solver.LinearFlow(
         start, with_v=any(h >= 1 for _p, _a, h in preset.reports))
+
+    def heat(t: float) -> np.ndarray:
+        # the scratch is free once at() has returned; the observer reads
+        # the state's own spectra and u before it calls heat
+        coeffs = np.add(start.u_hat, start.v_hat, out=flow.scratch[1])
+        return oracle.heat_reference(start.grid, coeffs, t,
+                                     scratch=flow.scratch).values
+
+    series, observe = _observer(preset, None, snapshot_sink, heat)
     for t in preset.snapshot_times:
         # the state holds the flow's arrays until the next at(); the
         # observer keeps norms and hands on a fresh physical u, so nothing
-        # that leaves the run aliases them.  How long the state lives does
-        # not matter: lin2d makes about 32 000 minor page faults either way
+        # that leaves the run aliases them
         observe(t, flow.at(t))
     e0 = analysis.e0_norm(start, preset.sobolev_s)
     return ExperimentRun(preset, _pairs(preset.snapshot_times, series), e0=e0)

@@ -52,7 +52,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .grid import Field, Grid, forward_transform, inverse_transform
 from .symbols import (SymbolTable, build_symbol_table, green_pair,
@@ -61,7 +60,17 @@ from .symbols import (SymbolTable, build_symbol_table, green_pair,
 # Abort threshold on sup|u|: 10 times the small-data amplitude bound 0.5.
 GUARD_BOUND = 5.0
 
-_QUAD_POINTS = 8
+# The 8-point Gauss-Legendre rule on [-1, 1], numpy.polynomial.legendre's
+# leggauss(8) bit for bit; as constants, the CLI path never loads
+# numpy.polynomial (0.7 MB and about 3 ms per process).
+_QUAD_NODES = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+    -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+    0.7966664774136267, 0.9602898564975362])
+_QUAD_WEIGHTS = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+    0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+    0.22238103445337443, 0.10122853629037706])
 
 # The most states (rows of step_schedule) a run may take: the schedule and
 # the ledger keep about 0.3 kB of Python objects per state, so 10**6 states
@@ -210,9 +219,10 @@ class LinearFlow:
     at(t) forms the u row (G_t + G) u_hat + G v_hat and, when with_v, the
     u_t row (G_tt + G_t) u_hat + G_t v_hat: each entry is tabulated per
     |xi|^2 level at t (symbols.propagator_levels, which rejects a negative
-    t), gathered onto the lattice into one work array and multiplied into
-    its row in place.  The state at(t) returns holds the flow's arrays, so
-    it is valid until the next call; without with_v it has no v_hat.
+    or non-finite t), gathered onto the lattice into one work array and
+    multiplied into its row in place.  The state at(t) returns holds the
+    flow's arrays, so it is valid until the next call; without with_v it
+    has no v_hat.  The work arrays, scratch, are free between calls.
     """
 
     def __init__(self, start: SolverState, with_v: bool = True) -> None:
@@ -222,6 +232,12 @@ class LinearFlow:
         self._term = np.empty(shape, dtype=complex)
         self._u_hat = np.empty(shape, dtype=complex)
         self._v_hat = np.empty(shape, dtype=complex) if with_v else None
+
+    @property
+    def scratch(self) -> tuple[np.ndarray, np.ndarray]:
+        """(real, complex) half spectra at() works in: a caller may
+        overwrite them once at() has returned, and the next at() does."""
+        return self._entry, self._term
 
     def at(self, t: float) -> SolverState:
         grid = self.start.grid
@@ -309,11 +325,10 @@ def _make_step_cache(grid: Grid, config: SolverConfig,
     # sum_k w_k F_{n-k} with per-mode weights w_k = int G(dt - s) L_k ds,
     # L_k the Lagrange basis of those nodes.  The weights are radial, so
     # they are summed once per |xi|^2 level and gathered onto the box.
-    nodes, weights = leggauss(_QUAD_POINTS)
     xi_sq, index = grid.freq_levels
     u_weights = tuple(np.zeros(xi_sq.shape) for _ in range(3))
     v_weights = tuple(np.zeros(xi_sq.shape) for _ in range(3))
-    for tau, w in zip(0.5 * (nodes + 1.0), 0.5 * dt * weights):
+    for tau, w in zip(0.5 * (_QUAD_NODES + 1.0), 0.5 * dt * _QUAD_WEIGHTS):
         ker, ker_t = green_pair(xi_sq, dt * (1.0 - tau))
         lagrange = ((tau + 1) * (tau + 2) / 2, -tau * (tau + 2),
                     tau * (tau + 1) / 2)

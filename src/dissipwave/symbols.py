@@ -30,16 +30,17 @@ def green_pair(xi_sq, t):
     """Green function symbol G, the mode solution with g(0) = 0,
     g'(0) = 1, and its time derivative G_t, from one branch split.
 
-    Vectorized over broadcastable xi_sq >= 0 and t >= 0; each exponential,
-    sine and cosine is computed once and shared by G and G_t.
+    Vectorized over broadcastable xi_sq >= 0 and finite t >= 0; each
+    exponential, sine and cosine is computed once and shared by G and G_t.
     """
     scalar = np.ndim(xi_sq) == 0 and np.ndim(t) == 0
     xi_sq = np.asarray(xi_sq, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     if np.any(xi_sq < 0):
         raise ValueError("xi_sq must be nonnegative")
-    if np.any(t < 0):
-        raise ValueError("t must be nonnegative")
+    # nan fails both comparisons; an infinite t would give inf * 0
+    if not np.all((t >= 0) & (t < np.inf)):
+        raise ValueError("t must be finite and nonnegative")
     xi_sq, t = np.broadcast_arrays(xi_sq, t)
     m = 1.0 - 4.0 * xi_sq
     w = m * t * t / 4.0
@@ -129,8 +130,8 @@ def propagator_levels(xi_sq: np.ndarray,
                       delta: float) -> tuple[np.ndarray, ...]:
     """The SymbolTable entries (uu, uv, vu, vv) at time increment delta,
     one value per |xi|^2 in xi_sq."""
-    if delta < 0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
+    if not 0 <= delta < np.inf:  # nan fails both comparisons
+        raise ValueError(f"delta must be finite and nonnegative, got {delta}")
     g, g_t = green_pair(xi_sq, delta)
     g_tt = -g_t - xi_sq * g
     return g_t + g, g, g_tt + g_t, g_t

@@ -32,6 +32,26 @@ def test_lp_norm_indicator(grid1d):
     assert lp_norm(f, math.inf) == 1.0
 
 
+@pytest.mark.parametrize("values", [
+    [-3.0, -0.5, -7.25, -1e-300],  # negative only: the sup is -min
+    [0.0, -0.0, 0.0, -0.0],
+    [-0.0, -0.0, -0.0, -0.0],
+    [2.5, -2.5, 1.0, -0.0],
+], ids=["negative", "signed-zeros", "negative-zeros", "tie"])
+def test_lp_norm_sup_is_max_abs_bit_for_bit(values):
+    g = make_grid(1, 16, 1.0)
+    f = Field(g, np.resize(np.array(values), g.shape))
+    got, want = lp_norm(f, math.inf), float(np.max(np.abs(f.values)))
+    assert repr(got) == repr(want)
+
+
+def test_lp_norm_sup_propagates_nan(grid1d):
+    for where in (0, grid1d.points_per_dim // 2, -1):
+        vals = np.linspace(-1.0, 2.0, grid1d.points_per_dim)
+        vals[where] = math.nan
+        assert math.isnan(lp_norm(Field(grid1d, vals), math.inf))
+
+
 def test_lp_norm_gaussian_mass():
     g = make_grid(1, 512, 30.0)
     f = gaussian_bump(g, 1.0, 1.0)

@@ -932,8 +932,13 @@ _NO_SCIPY_RUN = textwrap.dedent("""
     def scipy_modules():
         return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
+    def polynomial_modules():
+        return sorted(m for m in sys.modules
+                      if m.split(".")[:2] == ["numpy", "polynomial"])
+
     cfg, out = sys.argv[1], Path(sys.argv[2])
     assert not scipy_modules(), scipy_modules()[:5]
+    assert not polynomial_modules(), polynomial_modules()[:5]
     assert cli.main(["simulate", "--config", cfg, "--out", str(out / "o")]) == 0
     (run_dir,) = (out / "o" / "cli-tiny").iterdir()
     assert len((run_dir / "report.csv").read_text().splitlines()) == 3
@@ -943,13 +948,15 @@ _NO_SCIPY_RUN = textwrap.dedent("""
         assert cli.main([command, "--config", cfg, "--run", str(run_dir),
                          "--out", str(out / command), *tols]) == 0, command
     assert not scipy_modules(), scipy_modules()[:5]
+    assert not polynomial_modules(), polynomial_modules()[:5]
 """)
 
 
 def test_cli_path_loads_no_scipy(tmp_path):
     # the fits and the energy ledger run on numpy alone: simulate fits two
     # decay rates (both pass on this data) and integrates the dissipation,
-    # and the replays refit and re-audit its outputs
+    # and the replays refit and re-audit its outputs; the step's quadrature
+    # rule is a constant, so numpy.polynomial is not loaded either
     cfg = _write_config(tmp_path, _tiny_preset(
         reports=((1, 0, 0), (2, 0, 0)),
         snapshot_times=(0.2, 0.4, 0.6, 0.8, 1.0), fit_window=(0.1, 1.05)))

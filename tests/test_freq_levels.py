@@ -15,7 +15,7 @@ from dissipwave import (CutoffSpec, Field, SolverConfig,
                         forward_transform, gaussian_bump, green_band,
                         green_hat, heat_reference, inverse_transform,
                         make_grid)
-from dissipwave.solver import _QUAD_POINTS, _make_step_cache
+from dissipwave.solver import _QUAD_NODES, _QUAD_WEIGHTS, _make_step_cache
 from dissipwave.symbols import _delta_spectrum, green_pair
 
 # small grids whose lattices reach both sides of the branch point
@@ -62,7 +62,7 @@ def test_symbol_table_matches_per_mode_evaluation(grid, delta):
 def test_step_weights_match_per_mode_quadrature(grid, dt):
     u_ref = [np.zeros(grid.spectral_shape) for _ in range(3)]
     v_ref = [np.zeros(grid.spectral_shape) for _ in range(3)]
-    nodes, weights = leggauss(_QUAD_POINTS)
+    nodes, weights = leggauss(8)
     for tau, w in zip(0.5 * (nodes + 1.0), 0.5 * dt * weights):
         ker, ker_t = green_pair(grid.freq_sq, dt * (1.0 - tau))
         lagrange = ((tau + 1) * (tau + 2) / 2, -tau * (tau + 2),
@@ -83,12 +83,56 @@ def test_step_weights_match_per_mode_quadrature(grid, dt):
         assert np.array_equal(got, want[box])
 
 
+def test_quadrature_constants_are_leggauss_8():
+    # the step's rule is kept as constants so the package never imports
+    # numpy.polynomial; they must be its 8-point rule bit for bit
+    nodes, weights = leggauss(8)
+    assert _QUAD_NODES.dtype == _QUAD_WEIGHTS.dtype == np.float64
+    assert np.array_equal(_QUAD_NODES, nodes)
+    assert np.array_equal(_QUAD_WEIGHTS, weights)
+
+
 @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS)
 @pytest.mark.parametrize("t", TIMES)
 def test_heat_reference_matches_per_mode_factor(grid, t):
     spec = forward_transform(gaussian_bump(grid, 1.0, 1.5))
     want = inverse_transform(grid, spec * np.exp(-grid.freq_sq * t)).values
     assert np.array_equal(heat_reference(grid, spec, t).values, want)
+
+
+def _scratch(grid):
+    return (np.full(grid.spectral_shape, np.nan),
+            np.full(grid.spectral_shape, np.nan, dtype=complex))
+
+
+@pytest.mark.parametrize("grid", [make_grid(1, 64, 8.0), *GRIDS.values()],
+                         ids=["1d", *GRIDS])
+# at t = 30 the product's high modes are subnormal or zero, as at lin2d's
+# late snapshot times
+@pytest.mark.parametrize("t", (0.0, 1.0, 7.3, 30.0))
+def test_heat_reference_in_scratch_is_the_allocating_call(grid, t):
+    spec = forward_transform(gaussian_bump(grid, 1.0, 1.5))
+    spec += forward_transform(gaussian_bump(grid, -0.3, 0.8))
+    want = heat_reference(grid, spec, t).values
+    real, product = _scratch(grid)
+    got = heat_reference(grid, spec, t, scratch=(real, product)).values
+    assert np.array_equal(got, want)
+    assert not np.shares_memory(got, product)
+    # the product may overwrite the coefficients themselves
+    product[...] = spec
+    in_place = heat_reference(grid, product, t, scratch=(real, product))
+    assert np.array_equal(in_place.values, want)
+
+
+def test_heat_reference_rejects_a_wrong_scratch():
+    grid = GRIDS["2d"]
+    spec = forward_transform(gaussian_bump(grid, 1.0, 1.5))
+    real, product = _scratch(grid)
+    for bad in ((real.astype(np.float32), product), (real, product.real),
+                (real[:-1], product), (real, product[..., :-1]),
+                (product, real)):
+        with pytest.raises(ValueError, match="scratch"):
+            heat_reference(grid, spec, 1.0, scratch=bad)
 
 
 @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS)

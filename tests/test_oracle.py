@@ -147,6 +147,16 @@ def test_heat_reference_single_mode():
     assert np.max(np.abs(out.values - expected)) < 1e-12
 
 
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_heat_reference_rejects_a_negative_or_non_finite_time(bad):
+    # nan used to give an all-nan field, inf an invalid value (0 * inf) at
+    # the zero mode
+    g = make_grid(2, 32, 8.0)
+    spec = forward_transform(gaussian_bump(g, 1.0, 1.0))
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        heat_reference(g, spec, bad)
+
+
 def test_heat_reference_preserves_mean(rng):
     g = make_grid(1, 64, 8.0)
     f = Field(g, rng.standard_normal(g.shape))

@@ -1,6 +1,7 @@
 """Experiment presets: validation, config round trips, tiny end-to-end runs."""
 
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -363,6 +364,43 @@ def test_run_linear_snapshots_alias_no_flow_array():
     assert len({id(u.values) for _t, u in kept}) == len(kept)
     assert run.series["linf:u"][1].tolist() == [
         float(np.max(np.abs(u.values))) for _t, u in kept]
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("reports, rows", [
+    (((math.inf, 0, 0),), 1),
+    (((math.inf, 0, 0), (math.inf, 0, 1)), 2),
+], ids=["u-row", "u-and-v-rows"])
+def test_run_linear_peak_memory_is_its_design(reports, rows):
+    # the budget in complex half spectra C, from what the run must hold:
+    # the start spectra (2); the flow's rows (1 each) and scratch (1
+    # complex, 0.5 real); the level table (an intp index of 0.5, at most
+    # 0.5 of levels); and, per snapshot, one physical u (< 1), one
+    # inverse-transform stage (1) and one heat field (< 1), the heat
+    # formed in the flow's scratch.  A spectrum-sized array more while the
+    # heat is transformed, such as a kept u0 + u1 spectrum, a fresh heat
+    # product or a cached |x|^2 or |xi|^2, breaks it, and no array may
+    # pile up across snapshots
+    few = _tiny_linear(n_dims=2, grid_points=128, half_width=16.0,
+                       amplitude=0.8, u1_amplitude=-0.3, t_final=8.0,
+                       snapshot_times=(1.0, 2.0), fit_window=(1.0, 8.0),
+                       reports=reports)
+    many = replace(few, snapshot_times=(0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0,
+                                        8.0))
+    spectrum = np.empty(few.grid.spectral_shape, dtype=complex).nbytes
+    run_linear(few)  # fills the lru-cached e0 weights of this grid
+    peak_few = _traced_peak(lambda: run_linear(few))
+    peak_many = _traced_peak(lambda: run_linear(many))
+    assert peak_few <= (2 + (rows + 1.5) + 1 + 3) * spectrum
+    assert peak_many <= peak_few + 0.05 * spectrum
 
 
 def test_run_semilinear_snapshots_alias_no_run_array():

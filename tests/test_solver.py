@@ -145,6 +145,18 @@ def test_linear_solution_rejects_a_negative_time():
         linear_solution(state, -0.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_linear_flow_rejects_a_non_finite_time(bad):
+    g = make_grid(2, 32, 8.0)
+    start = state_from_fields(gaussian_bump(g, 1.0, 1.0),
+                              gaussian_bump(g, -0.4, 1.5))
+    for flow in (solver.LinearFlow(start), solver.LinearFlow(start, False)):
+        with pytest.raises(ValueError, match="finite"):
+            flow.at(bad)
+    with pytest.raises(ValueError, match="finite"):
+        linear_solution(start, bad)
+
+
 def test_linear_flow_walk_matches_linear_solution_bitwise():
     # one flow evaluated at one time after another gives what a fresh
     # evaluation at each time gives; the u row alone is the same u row

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from dissipwave import (CutoffSpec, build_symbol_table, builtin_presets,
                         cutoff, green_band, green_hat, green_hat_dt,
                         make_grid, mode_ode, smooth_step)
-from dissipwave.symbols import W_SERIES, _shell_mode_count, green_pair
+from dissipwave.symbols import (W_SERIES, _shell_mode_count, green_pair,
+                                propagator_levels)
 
 
 def test_green_hat_zero_frequency():
@@ -102,6 +103,21 @@ def test_green_pair_pins_values():
         assert [repr(v) for v in pair] == [want_g[k], want_gt[k]]
         assert repr(green_hat(xi_sq[k], t[k])) == want_g[k]
         assert repr(green_hat_dt(xi_sq[k], t[k])) == want_gt[k]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_green_pair_and_propagator_reject_a_non_finite_time(bad):
+    # nan used to give an all-nan table, inf an invalid-value warning deep
+    # in the overdamped branch
+    xi_sq = np.array([0.0, 0.1, 0.25, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        green_pair(0.1, bad)
+    with pytest.raises(ValueError, match="finite"):
+        green_pair(xi_sq, np.array([0.5, bad, 1.0, 2.0]))
+    with pytest.raises(ValueError, match="finite"):
+        propagator_levels(xi_sq, bad)
+    with pytest.raises(ValueError, match="finite"):
+        build_symbol_table(make_grid(1, 64, 8.0), bad)
 
 
 def test_symbol_table_structure():

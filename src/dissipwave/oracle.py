@@ -171,15 +171,17 @@ def heat_reference(grid: Grid, coeffs: np.ndarray, t: float,
                    scratch: tuple[np.ndarray, np.ndarray] | None = None
                    ) -> Field:
     """Exact periodic heat evolution exp(t Laplacian) of the data whose
-    half spectrum on grid is coeffs.  Given scratch = (real, complex), two
-    half spectra of float64 and complex128, the factor exp(-|xi|^2 t) is
-    gathered into real and the product formed in complex, which may be
-    coeffs itself; both are overwritten, and the bits are the same."""
+    half spectrum on grid is coeffs.  The factor exp(-|xi|^2 t) is
+    gathered into a real half spectrum and the product formed in a
+    complex one: fresh arrays, or scratch = (real, complex) of float64
+    and complex128 when given, which are overwritten (complex may be
+    coeffs itself)."""
     if not 0 <= t < math.inf:  # nan fails both comparisons
         raise ValueError(f"t must be finite and nonnegative, got {t}")
     xi_sq, index = grid.freq_levels
     if scratch is None:
-        return inverse_transform(grid, coeffs * np.exp(-xi_sq * t)[index])
+        scratch = (np.empty(grid.spectral_shape),
+                   np.empty(grid.spectral_shape, dtype=complex))
     real, product = scratch
     if ((real.dtype, product.dtype) != (np.float64, np.complex128)
             or not real.shape == product.shape == grid.spectral_shape):

@@ -130,8 +130,8 @@ def propagator_levels(xi_sq: np.ndarray,
                       delta: float) -> tuple[np.ndarray, ...]:
     """The SymbolTable entries (uu, uv, vu, vv) at time increment delta,
     one value per |xi|^2 in xi_sq."""
-    if not 0 <= delta < np.inf:  # nan fails both comparisons
-        raise ValueError(f"delta must be finite and nonnegative, got {delta}")
+    if delta < 0:
+        raise ValueError(f"delta must be nonnegative, got {delta}")
     g, g_t = green_pair(xi_sq, delta)
     g_tt = -g_t - xi_sq * g
     return g_t + g, g, g_tt + g_t, g_t

@@ -19,8 +19,8 @@ from dissipwave import (ExperimentPreset, SolverConfig, apply_nonlinearity,
                         write_snapshot)
 from dissipwave.analysis import energy_audit, sobolev_weight
 from dissipwave.presets import (HEAT_GAP_LABEL, PROFILE_LABEL, _norm_of,
-                                _rounded_times)
-from dissipwave.solver import step_schedule, time_derivative
+                                _observer, _rounded_times)
+from dissipwave.solver import LinearFlow, step_schedule, time_derivative
 
 
 _TINY = dict(name="tiny", kind="semilinear", n_dims=1, grid_points=64,
@@ -401,6 +401,26 @@ def test_run_linear_peak_memory_is_its_design(reports, rows):
     peak_many = _traced_peak(lambda: run_linear(many))
     assert peak_few <= (2 + (rows + 1.5) + 1 + 3) * spectrum
     assert peak_many <= peak_few + 0.05 * spectrum
+
+
+def test_heat_gap_observation_forms_no_field_sized_array():
+    # the run's budget above cannot see a |u - heat| array formed after the
+    # heat field's transform has freed its inner stage, so one observe call
+    # is traced alone, with u and the heat field built beforehand: reading
+    # the u norm and the heat gap must form no field-sized array
+    p = _tiny_linear(n_dims=2, grid_points=128, half_width=16.0,
+                     amplitude=0.8, u1_amplitude=-0.3, t_final=8.0,
+                     snapshot_times=(1.0, 2.0), fit_window=(1.0, 8.0),
+                     reports=((math.inf, 0, 0),))
+    start = state_from_fields(*p.initial_data())
+    state = LinearFlow(start).at(2.0)
+    heat = heat_reference(p.grid, start.u_hat + start.v_hat, 2.0).values
+    want = float(np.max(np.abs(state.u - heat)))
+    series, observe = _observer(p, None, None, lambda t: heat)
+    peak = _traced_peak(lambda: observe(2.0, state))
+    assert peak < 0.05 * state.u.nbytes
+    assert series[HEAT_GAP_LABEL] == [want]
+    assert series["linf:u"] == [float(np.max(np.abs(state.u)))]
 
 
 def test_run_semilinear_snapshots_alias_no_run_array():

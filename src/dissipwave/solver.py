@@ -19,11 +19,10 @@ The source history lives only on the box of modes the 2/3 rule keeps
 slabs of the stored half spectrum, held as one contiguous box.  The
 Adams-Bashforth products run on that box alone, contiguously: a new
 spectrum's box of several slabs is gathered, summed and written back, a
-box of one slab (1-d, or theta = 1) summed in place.  A run's
-steps write into arrays solve allocates once (_RunArrays): two pairs of
-state spectra, the new state taking the pair the spent state before it
-held, one complex work array, the physical u and the source field; the
-history recycles its spent source spectrum.  Of
+box of one slab (1-d, or theta = 1) summed in place.  A run's steps
+write into arrays solve allocates once (_RunArrays): one pair of state
+spectra, stepped in place, two complex work spectra, the physical u and
+the source field; the history recycles its spent source spectrum.  Of
 arrays, a steady step allocates only irfftn's inner stage (one spectrum,
 for n >= 2) and, for theta > 2, the u^2 of _abs_power.
 
@@ -39,8 +38,8 @@ A SolverState holds the flow only: the SolverConfig owns the equation, and
 solve owns the clock, stamping each snapshot with its configured time.
 A state solve gives the ledger or the observer holds the run's arrays, so
 it is valid until the next step, as a LinearFlow.at state is until the
-next call; the start state is never written, and the returned final
-state is one no later step writes.
+next call; the start state is never written, for the run's first step
+writes its own pair from it.
 """
 
 from __future__ import annotations
@@ -358,33 +357,28 @@ def _put_kept(box_values: np.ndarray, slabs, spectrum: np.ndarray) -> None:
 
 
 class _RunArrays:
-    """The arrays a run's steps write, allocated once: two pairs of state
-    spectra, one complex work array, the physical u and the source field.
-    A step from a state writes the pair that state does not hold: the
-    pair of the spent state before it, or the first pair after a start
-    state the run does not own.  The work array also holds the kept box
-    as term, a source term, and, unless _StepCache.one_slab, as gathered,
-    a new spectrum's box.  With m = N // 3 a box of several slabs holds
-    (2m + 1)^(n-1) (m + 1) of the N^(n-1) (N/2 + 1) stored modes, at most
-    66/144 < 0.46 of them (N = 16, n = 2), so both fit."""
+    """The arrays a run's steps write, allocated once: one pair of state
+    spectra, two complex work spectra, the physical u and the source
+    field.  The first step writes from the caller's start state into the
+    pair, and every later step overwrites the pair in place, which
+    SymbolTable.apply allows.  The work spectra take a new spectrum's
+    transform and the linear step's two cross terms; on the kept box the
+    first then holds, unless _StepCache.one_slab, a new spectrum's box as
+    gathered, and the second a source term as term."""
 
     def __init__(self, grid: Grid, cache: _StepCache) -> None:
         def spectrum() -> np.ndarray:
             return np.empty(grid.spectral_shape, dtype=complex)
 
-        self._pairs = ((spectrum(), spectrum()), (spectrum(), spectrum()))
-        self.work = spectrum()
-        boxes = self.work.reshape(-1)
+        self.state = (spectrum(), spectrum())
+        self.work = (spectrum(), spectrum())
         shape, size = cache.box_shape, math.prod(cache.box_shape)
-        self.term = boxes[:size].reshape(shape)
-        self.gathered = (None if cache.one_slab
-                         else boxes[size:2 * size].reshape(shape))
+        first, second = (work.reshape(-1)[:size].reshape(shape)
+                         for work in self.work)
+        self.gathered = None if cache.one_slab else first
+        self.term = second
         self.u = np.empty(grid.shape)
         self.source = np.empty(grid.shape)
-
-    def spectra_after(self, state: SolverState) -> tuple[np.ndarray, ...]:
-        first, second = self._pairs
-        return second if state.u_hat is first[0] else first
 
 
 def _kept_hat(values: np.ndarray, cache: _StepCache, work: np.ndarray,
@@ -425,14 +419,13 @@ def step_semilinear(state: SolverState, config: SolverConfig,
     source = apply_nonlinearity(state.u, config.theta, config.nonlin_sign,
                                 out=arrays.source)
     if history is None:
-        f0 = _kept_hat(source, cache, arrays.work,
+        f0 = _kept_hat(source, cache, arrays.work[0],
                        np.empty(cache.box_shape, dtype=complex))
-        f1, f2 = _seed_history(state, f0, config, cache, arrays.work)
+        f1, f2 = _seed_history(state, f0, config, cache, arrays.work[0])
     else:
         f1, f2, spent = history
-        f0 = _kept_hat(source, cache, arrays.work, out=spent)
-    new = linear_step(state, cache.table,
-                      out=(*arrays.spectra_after(state), arrays.work))
+        f0 = _kept_hat(source, cache, arrays.work[0], out=spent)
+    new = linear_step(state, cache.table, out=(*arrays.state, *arrays.work))
     # the source adds on the kept box only, outside which F is zero: each
     # new spectrum's box, one contiguous array (a box of one slab is a
     # block of the spectrum, one of several is gathered and goes back),

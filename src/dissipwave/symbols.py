@@ -113,25 +113,28 @@ class SymbolTable:
               out: tuple[np.ndarray, ...] | None = None
               ) -> tuple[np.ndarray, np.ndarray]:
         """(u_hat, v_hat) advanced by the increment, into out = (u_out,
-        v_out, work) when given, else into fresh arrays: each row is its u
-        term plus its v term, the v term formed in work."""
+        v_out, uv_term, vu_term) when given, else into fresh arrays.  Both
+        cross terms uv v_hat and vu u_hat are formed before either row is
+        written, so u_out and v_out may be u_hat and v_hat themselves; each
+        row is then its own diagonal term plus its cross term."""
         if out is None:
             dtype = np.result_type(self.uu, u_hat, v_hat)
-            out = tuple(np.empty(self.uu.shape, dtype) for _ in range(3))
-        u_out, v_out, work = out
-        for row, on_u, on_v in ((u_out, self.uu, self.uv),
-                                (v_out, self.vu, self.vv)):
-            np.multiply(on_u, u_hat, out=row)
-            row += np.multiply(on_v, v_hat, out=work)
+            out = tuple(np.empty(self.uu.shape, dtype) for _ in range(4))
+        u_out, v_out, uv_term, vu_term = out
+        np.multiply(self.uv, v_hat, out=uv_term)
+        np.multiply(self.vu, u_hat, out=vu_term)
+        np.multiply(self.uu, u_hat, out=u_out)
+        u_out += uv_term
+        np.multiply(self.vv, v_hat, out=v_out)
+        v_out += vu_term
         return u_out, v_out
 
 
 def propagator_levels(xi_sq: np.ndarray,
                       delta: float) -> tuple[np.ndarray, ...]:
     """The SymbolTable entries (uu, uv, vu, vv) at time increment delta,
-    one value per |xi|^2 in xi_sq."""
-    if delta < 0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
+    one value per |xi|^2 in xi_sq; green_pair rejects a negative or
+    non-finite delta."""
     g, g_t = green_pair(xi_sq, delta)
     g_tt = -g_t - xi_sq * g
     return g_t + g, g, g_tt + g_t, g_t

@@ -376,6 +376,33 @@ def test_steady_steps_allocate_under_one_and_a_half_spectra():
     assert (peak - base) / spectrum < 1.5
 
 
+def test_solve_peak_memory_is_its_design():
+    # the run holds one state pair, two work spectra, u and the source
+    # field; the step cache four real spectra (the propagator) and six
+    # real boxes (the weights); the first step seeds the history beside
+    # F_0's box from a rate field and a u_t field, whose irfftn holds one
+    # inner stage.  A second state pair is one spectrum over the bound.
+    g = make_grid(2, 128, 8.0)
+    start = state_from_fields(gaussian_bump(g, 0.4, 1.5),
+                              gaussian_bump(g, -0.2, 1.2))
+    start.u_sup, g.freq_levels  # the caller's u and the grid's level table
+    cfg = SolverConfig(theta=2, dt=0.05, t_final=1.0,
+                       snapshot_times=(0.5, 1.0), dt_doubling_times=(0.5,))
+    spectrum = np.empty(g.spectral_shape, dtype=complex).nbytes
+    field = np.empty(g.shape).nbytes
+    m = g.points_per_dim // 3
+    box = np.empty((2 * m + 1, m + 1), dtype=complex).nbytes
+    design = 7 * spectrum + 4 * field + 4 * box
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        solve(start, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base - design) / spectrum < 0.25
+
+
 def test_solve_observers_and_ledger(grid1d, bump1d):
     from dissipwave import EnergyLedger
     cfg = SolverConfig(theta=3, dt=0.1, t_final=1.0,

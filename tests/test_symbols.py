@@ -133,6 +133,27 @@ def test_symbol_table_structure():
     assert float(table.uv[0]) == pytest.approx(1.0 - math.exp(-0.25), abs=1e-14)
 
 
+@pytest.mark.parametrize("grid", [make_grid(1, 64, 8.0), make_grid(2, 32, 8.0),
+                                  make_grid(3, 16, 8.0)],
+                         ids=["1d", "2d", "3d"])
+@pytest.mark.parametrize("delta", [0.0, 0.013, 0.7, 3.0])
+def test_symbol_table_apply_in_place_is_the_fresh_call(grid, delta, rng):
+    # apply forms both cross terms before it writes a row, so the rows may
+    # be the inputs themselves; each row is the same two products summed
+    table = build_symbol_table(grid, delta)
+    shape = grid.spectral_shape
+    u_hat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    v_hat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want_u = table.uu * u_hat + table.uv * v_hat
+    want_v = table.vu * u_hat + table.vv * v_hat
+    fresh = table.apply(u_hat, v_hat)
+    work = (np.empty_like(u_hat), np.empty_like(u_hat))
+    in_place = table.apply(u_hat, v_hat, out=(u_hat, v_hat, *work))
+    assert in_place[0] is u_hat and in_place[1] is v_hat
+    for got, want in zip((*fresh, *in_place), (want_u, want_v) * 2):
+        assert np.array_equal(got, want)
+
+
 def test_symbol_table_semigroup_per_mode():
     # the stored [[uu, uv], [vu, vv]] must satisfy P(t+s) = P(t) P(s) per mode
     g = make_grid(1, 64, 8.0)

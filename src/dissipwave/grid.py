@@ -28,6 +28,12 @@ import numpy.fft  # noqa: F401  numpy loads it lazily; load it with the package
 
 SNAPSHOT_MAGIC = b"DWF1"
 
+# The most grid points (points_per_dim ** n_dims) a grid may have: a
+# semilinear run's traced peak is about 20 complex half spectra, some
+# 170 bytes per point (semi2d-theta2 on 128^2), so 2^24 points, 256^3 or
+# 4096^2, hold about 2.8 GB.
+MAX_POINTS = 2**24
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -44,6 +50,10 @@ class Grid:
         if n < 16 or n & (n - 1):
             raise ValueError(
                 f"points_per_dim must be a power of two >= 16, got {n}")
+        if n ** self.n_dims > MAX_POINTS:
+            raise ValueError(
+                f"a grid of {n}^{self.n_dims} points exceeds the "
+                f"{MAX_POINTS} points a grid may have")
         if not self.half_width > 0:
             raise ValueError(f"half_width must be positive, got {self.half_width}")
 

@@ -334,10 +334,10 @@ def run_bands(preset: ExperimentPreset) -> ExperimentRun:
     band1: dict = {"linf:band1": [], "linf:dx_band1": []}
     for t in preset.band1_times:
         kernel = symbols.green_band(1, grid, t, spec)
-        band1["linf:band1"].append(float(np.max(np.abs(kernel.values))))
+        band1["linf:band1"].append(analysis.lp_norm(kernel, math.inf))
         grad = derivative_field(kernel, (1,) + (0,) * (grid.n_dims - 1))
-        band1["linf:dx_band1"].append(float(np.max(np.abs(grad.values))))
-    band2 = [float(np.max(np.abs(symbols.green_band(2, grid, t, spec).values)))
+        band1["linf:dx_band1"].append(analysis.lp_norm(grad, math.inf))
+    band2 = [analysis.lp_norm(symbols.green_band(2, grid, t, spec), math.inf)
              for t in preset.band2_times]
     return ExperimentRun(preset, {
         **_pairs(preset.band1_times, band1),

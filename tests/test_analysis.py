@@ -58,6 +58,24 @@ def test_lp_norm_gaussian_mass():
     assert lp_norm(f, 1) == pytest.approx(math.sqrt(2 * math.pi), abs=1e-6)
 
 
+@pytest.mark.parametrize("n_dims", [1, 2])
+@pytest.mark.parametrize("amplitude", [0.05, 50.0])
+def test_lp_norm_large_p_is_the_gaussian_closed_form(n_dims, amplitude):
+    # |A exp(-|x|^2 / 2 s^2)|_p = A (s sqrt(2 pi / p))^(n/p); the sum of
+    # |f|^p itself underflows to 0 at A = 0.05 and overflows at A = 50.
+    # The p-th power is a bump of width s/20, sampled at spacing s/32
+    p = 400
+    f = gaussian_bump(make_grid(n_dims, 256, 4.0), amplitude, 1.0)
+    want = amplitude * math.sqrt(2 * math.pi / p) ** (n_dims / p)
+    assert lp_norm(f, p) == pytest.approx(want, rel=1e-13)
+
+
+def test_lp_norm_of_a_zero_field_is_zero(grid1d):
+    f = Field(grid1d, np.zeros(grid1d.shape))
+    for p in (1, 2, 400, math.inf):
+        assert lp_norm(f, p) == 0.0
+
+
 def test_lp_norm_validation(grid1d):
     with pytest.raises(ValueError):
         lp_norm(Field(grid1d, np.zeros(grid1d.shape)), 0.5)

@@ -125,6 +125,19 @@ def test_simulate_vacuous_reports_pass(tmp_path, capsys):
     assert "verdict: pass" in (run_dir / "manifest.txt").read_text()
 
 
+def test_simulate_fits_a_large_p_norm(tmp_path, capsys):
+    # |u|^400 of the preset's 0.05 bump underflows: the l400 series used
+    # to read as zero data, and the skipped fit left an empty report
+    code = main(["simulate", "--config", "semi1d-theta3", "--set",
+                 "reports=400:0:0", "--out", str(tmp_path / "o")])
+    assert code == 0
+    assert "skipped" not in capsys.readouterr().out
+    run_dir = _only_run_dir(tmp_path / "o", "semi1d-theta3")
+    rows = (run_dir / "report.csv").read_text().splitlines()
+    assert len(rows) == 2
+    assert rows[1].startswith("l400:u,-0.48") and rows[1].endswith(",pass")
+
+
 def test_simulate_zero_amplitude_still_passes(tmp_path, capsys):
     # six samples in the fit window: the fit fails only for want of
     # positive data
@@ -221,6 +234,8 @@ SIX_SNAPSHOTS = ["--set", "snapshot_times=0.5,0.6,0.7,0.8,0.9,1.0"]
     ["simulate", "--config", "semi1d-theta3", "--set", "dt=1e-300"],
     ["simulate", "--config", "semi1d-theta3", "--set", "t_final=1e9",
      "--set", "half_width=2e9"],
+    # 16384^2 points: 2^28, past grid.MAX_POINTS
+    ["simulate", "--config", "lin2d", "--set", "grid_points=16384"],
 ], ids=["window-samples", "integrator", "off-grid-snapshot", "off-grid-dt",
         "delta-bar", "tol", "tol-nan", "tol-inf", "width", "width-nan",
         "width-square-underflow", "linear-width-square-underflow",
@@ -239,7 +254,7 @@ SIX_SNAPSHOTS = ["--set", "snapshot_times=0.5,0.6,0.7,0.8,0.9,1.0"]
         "linear-dt", "semilinear-band1-times", "doubling-unsorted",
         "doubling-off-grid-end", "doubling-off-grid-snapshot",
         "linear-doubling", "reports-repeated", "reports-repeated-inf-case",
-        "reports-one-label", "tiny-dt", "huge-t-final"])
+        "reports-one-label", "tiny-dt", "huge-t-final", "grid-points-cap"])
 def test_bad_input_exits_2_before_any_run_directory(tmp_path, capsys, argv):
     out = tmp_path / "o"
     out.mkdir()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dissipwave import (Field, derivative_field, derivative_multiplier,
                         forward_transform, inverse_transform, make_grid,
                         read_snapshot, write_snapshot)
-from dissipwave.grid import SNAPSHOT_MAGIC
+from dissipwave.grid import MAX_POINTS, SNAPSHOT_MAGIC
 
 
 def test_grid_properties():
@@ -20,6 +20,16 @@ def test_grid_properties():
     assert g.axis_coords[0] == pytest.approx(-8.0)
     assert g.axis_coords[-1] == pytest.approx(8.0 - 0.25)
     assert g.nyquist_freq == pytest.approx(np.pi * 32 / 8.0)
+
+
+def test_grid_refuses_more_points_than_it_may_hold():
+    # a grid holds no array until one is read, so the largest grids
+    # build here for free; the next power of two on any axis is refused
+    assert MAX_POINTS == 2**24
+    for n_dims, n in ((1, 2**24), (2, 4096), (3, 256)):
+        assert make_grid(n_dims, n, 8.0).mode_count == MAX_POINTS
+        with pytest.raises(ValueError, match="points a grid may have"):
+            make_grid(n_dims, 2 * n, 8.0)
 
 
 def test_grid_validation():

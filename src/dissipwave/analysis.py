@@ -80,20 +80,17 @@ def check_lp_exponent(p) -> None:
 
 
 def lp_norm(f: Field, p) -> float:
-    """L^p norm on the box; p may be 1, 2, any real >= 1, or inf.  A
-    finite p sums (|f| / sup|f|)^p, which can neither underflow to zero
-    nor overflow for any p, and scales the root by sup|f|."""
+    """L^p norm on the box, p any real >= 1 or inf.  The sup is the larger
+    of max f and -min f, so no |f| array is formed (nan when f holds one);
+    a finite p sums (|f| / sup)^p, so no p underflows or overflows."""
     check_lp_exponent(p)
-    # the larger of max f and -min f, so no |f| array is formed; nan
-    # when f holds a nan, which both reductions propagate
     values = f.values
     sup = abs(max(float(values.max()), -float(values.min())))
-    if p == math.inf or not 0 < sup < math.inf:  # every norm of a zero,
-        return sup                               # nan or infinite field
-    scaled = np.abs(values)
-    scaled /= sup
-    scaled **= float(p)
-    return sup * (float(np.sum(scaled)) * f.grid.cell_volume) ** (1.0 / p)
+    if p == math.inf or not 0 < sup < math.inf:  # zero, nan or inf data
+        return sup
+    scaled = np.abs(values) / sup
+    scaled **= p
+    return sup * (float(np.sum(scaled)) * f.grid.cell_volume) ** (1 / p)
 
 
 @lru_cache(maxsize=64)

@@ -28,10 +28,8 @@ import numpy.fft  # noqa: F401  numpy loads it lazily; load it with the package
 
 SNAPSHOT_MAGIC = b"DWF1"
 
-# The most grid points (points_per_dim ** n_dims) a grid may have: a
-# semilinear run's traced peak is about 20 complex half spectra, some
-# 170 bytes per point (semi2d-theta2 on 128^2), so 2^24 points, 256^3 or
-# 4096^2, hold about 2.8 GB.
+# The most points a grid may have: a semilinear run traces about 170 bytes
+# per point (semi2d-theta2 on 128^2), so 2^24 = 256^3 = 4096^2 take 2.8 GB.
 MAX_POINTS = 2**24
 
 
@@ -51,9 +49,8 @@ class Grid:
             raise ValueError(
                 f"points_per_dim must be a power of two >= 16, got {n}")
         if n ** self.n_dims > MAX_POINTS:
-            raise ValueError(
-                f"a grid of {n}^{self.n_dims} points exceeds the "
-                f"{MAX_POINTS} points a grid may have")
+            raise ValueError(f"a grid may have at most {MAX_POINTS} "
+                             f"points, got {n}^{self.n_dims}")
         if not self.half_width > 0:
             raise ValueError(f"half_width must be positive, got {self.half_width}")
 

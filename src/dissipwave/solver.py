@@ -263,7 +263,7 @@ def linear_solution(state: SolverState, t: float) -> SolverState:
 def linear_step(state: SolverState, table: SymbolTable,
                 out: tuple[np.ndarray, ...] | None = None) -> SolverState:
     """Advance the linear flow by the table increment (exact per mode),
-    into out = (u_hat, v_hat, work) when given (see SymbolTable.apply)."""
+    into out when given (see SymbolTable.apply)."""
     if table.grid != state.grid:
         raise ValueError("symbol table grid does not match the state grid")
     return SolverState(state.grid,
@@ -360,23 +360,18 @@ class _RunArrays:
     """The arrays a run's steps write, allocated once: one pair of state
     spectra, two complex work spectra, the physical u and the source
     field.  The first step writes from the caller's start state into the
-    pair, and every later step overwrites the pair in place, which
-    SymbolTable.apply allows.  The work spectra take a new spectrum's
-    transform and the linear step's two cross terms; on the kept box the
-    first then holds, unless _StepCache.one_slab, a new spectrum's box as
-    gathered, and the second a source term as term."""
+    pair, and every later step overwrites it in place (SymbolTable.apply).
+    The work spectra take a new spectrum's transform and the linear
+    step's cross terms, then on the kept box a new spectrum's gathered
+    box (unless _StepCache.one_slab) and a source term."""
 
     def __init__(self, grid: Grid, cache: _StepCache) -> None:
-        def spectrum() -> np.ndarray:
-            return np.empty(grid.spectral_shape, dtype=complex)
-
-        self.state = (spectrum(), spectrum())
-        self.work = (spectrum(), spectrum())
+        spectra = [np.empty(grid.spectral_shape, dtype=complex)
+                   for _ in range(4)]
+        self.state, self.work = tuple(spectra[:2]), tuple(spectra[2:])
         shape, size = cache.box_shape, math.prod(cache.box_shape)
-        first, second = (work.reshape(-1)[:size].reshape(shape)
-                         for work in self.work)
-        self.gathered = None if cache.one_slab else first
-        self.term = second
+        self.gathered, self.term = (work.reshape(-1)[:size].reshape(shape)
+                                    for work in self.work)
         self.u = np.empty(grid.shape)
         self.source = np.empty(grid.shape)
 

@@ -114,9 +114,8 @@ class SymbolTable:
               ) -> tuple[np.ndarray, np.ndarray]:
         """(u_hat, v_hat) advanced by the increment, into out = (u_out,
         v_out, uv_term, vu_term) when given, else into fresh arrays.  Both
-        cross terms uv v_hat and vu u_hat are formed before either row is
-        written, so u_out and v_out may be u_hat and v_hat themselves; each
-        row is then its own diagonal term plus its cross term."""
+        cross terms, uv v_hat and vu u_hat, are formed before either row
+        is written, so the rows may be u_hat and v_hat themselves."""
         if out is None:
             dtype = np.result_type(self.uu, u_hat, v_hat)
             out = tuple(np.empty(self.uu.shape, dtype) for _ in range(4))
@@ -133,8 +132,7 @@ class SymbolTable:
 def propagator_levels(xi_sq: np.ndarray,
                       delta: float) -> tuple[np.ndarray, ...]:
     """The SymbolTable entries (uu, uv, vu, vv) at time increment delta,
-    one value per |xi|^2 in xi_sq; green_pair rejects a negative or
-    non-finite delta."""
+    one value per |xi|^2 in xi_sq (green_pair rejects a bad delta)."""
     g, g_t = green_pair(xi_sq, delta)
     g_tt = -g_t - xi_sq * g
     return g_t + g, g, g_tt + g_t, g_t

@@ -27,8 +27,8 @@ from .presets import (ExperimentPreset, ExperimentRun, builtin_presets,
 from .solver import (InstabilityError, SolverConfig, SolverState,
                      apply_nonlinearity, linear_solution, linear_step, solve,
                      state_from_fields, step_semilinear, time_derivative)
-from .symbols import (CutoffSpec, SymbolTable, build_symbol_table, cutoff,
-                      green_band, green_hat, green_hat_dt, smooth_step)
+from .symbols import (SymbolTable, build_symbol_table, cutoff, green_band,
+                      green_hat, green_hat_dt, smooth_step)
 
 __version__ = "0.1.0"
 

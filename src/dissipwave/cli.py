@@ -91,7 +91,14 @@ def resolve_preset(config_arg: str | None, sets: list[str],
         raise ConfigError("a --config file or preset name is required")
     builtins = builtin_presets()
     if os.path.exists(name):
-        cfg = parse_config_text(Path(name).read_text(), source=name)
+        try:
+            text = Path(name).read_text()
+        except OSError as exc:
+            raise ConfigError(f"cannot read {name}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{name} is not a text file: {exc.reason} at "
+                              f"byte {exc.start}") from None
+        cfg = parse_config_text(text, source=name)
     elif name in builtins:
         cfg = preset_to_config(builtins[name])
     else:
@@ -115,7 +122,11 @@ def make_run_dir(out_root: str | None, name: str) -> Path:
     while path.exists():
         path = base.with_name(f"{stamp}-{k}")
         k += 1
-    path.mkdir(parents=True)
+    try:
+        path.mkdir(parents=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make a run directory under {root}: "
+                          f"{exc.strerror}") from None
     return path
 
 

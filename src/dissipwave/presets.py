@@ -33,8 +33,7 @@ _FLOW = _GRID + ("amplitude", "width", "u1_amplitude", "u0_file", "u1_file",
                  "t_final", "snapshot_times", "fit_window", "reports")
 KIND_FIELDS = {"linear": _FLOW,
                "semilinear": _FLOW + ("theta", "dt", "dt_doubling_times"),
-               "bands": _GRID + ("eps", "outer_radius", "band1_times",
-                                 "band2_times")}
+               "bands": _GRID + ("band1_times", "band2_times")}
 
 # Domain sizing heuristic: the box half width should cover the influence
 # cone with margin, half_width >= 1.6 * t_final + data support radius.
@@ -90,8 +89,6 @@ class ExperimentPreset:
     snapshot_times: tuple[float, ...] = ()
     fit_window: tuple[float, float] = (20.0, 100.0)
     reports: tuple[tuple[float, int, int], ...] = ()
-    eps: float = symbols.CutoffSpec.eps
-    outer_radius: float = symbols.CutoffSpec.outer_radius
     band1_times: tuple[float, ...] = ()
     band2_times: tuple[float, ...] = ()
 
@@ -111,8 +108,7 @@ class ExperimentPreset:
         self.grid  # validates dimension, point count, half width
         if self.kind == "bands":
             for band in (1, 2):  # the run samples both transitions
-                symbols._check_band_resolution(band, self.grid,
-                                               self.cutoff_spec)
+                symbols._check_band_resolution(band, self.grid)
             # each band series is fit over its own times
             if min(len(self.band1_times), len(self.band2_times)) < MIN_FIT_POINTS:
                 raise ValueError(f"bands presets need at least {MIN_FIT_POINTS} "
@@ -162,10 +158,6 @@ class ExperimentPreset:
     @property
     def sobolev_s(self) -> int:
         return self.n_dims + 1
-
-    @property
-    def cutoff_spec(self) -> symbols.CutoffSpec:
-        return symbols.CutoffSpec(self.eps, self.outer_radius)
 
     def initial_data(self) -> tuple[Field, Field]:
         grid = self.grid
@@ -304,10 +296,11 @@ def run_linear(preset: ExperimentPreset, snapshot_sink=None) -> ExperimentRun:
 
 def run_semilinear(preset: ExperimentPreset, snapshot_sink=None) -> ExperimentRun:
     """March the semilinear preset from its start state, recording norms
-    at the snapshot times; the data size e0 is read off the start state."""
+    at the snapshot times.  The run keeps no reference to the start state,
+    so solve frees it after the first step; the data size e0 is read off
+    the ledger's first record, by e0_norm's sums."""
     if preset.kind != "semilinear":
         raise ValueError(f"preset {preset.name!r} is not semilinear")
-    start = solver.state_from_fields(*preset.initial_data())
     config = preset.solver_config()
     ledger = EnergyLedger(sobolev_index=preset.sobolev_s)
 
@@ -319,8 +312,9 @@ def run_semilinear(preset: ExperimentPreset, snapshot_sink=None) -> ExperimentRu
     series, observe = _observer(preset, config,
                                 None if snapshot_sink is None else sink_copy)
     # solve stamps each snapshot with its configured time, in order
-    solver.solve(start, config, observer=observe, ledger=ledger)
-    e0 = analysis.e0_norm(start, preset.sobolev_s)
+    solver.solve(solver.state_from_fields(*preset.initial_data()), config,
+                 observer=observe, ledger=ledger)
+    e0 = ledger.u_sobolev[0] + ledger.ut_sobolev[0]
     return ExperimentRun(preset, _pairs(preset.snapshot_times, series),
                          ledger=ledger, e0=e0)
 
@@ -330,14 +324,13 @@ def run_bands(preset: ExperimentPreset) -> ExperimentRun:
     if preset.kind != "bands":
         raise ValueError(f"preset {preset.name!r} is not a bands preset")
     grid = preset.grid
-    spec = preset.cutoff_spec
     band1: dict = {"linf:band1": [], "linf:dx_band1": []}
     for t in preset.band1_times:
-        kernel = symbols.green_band(1, grid, t, spec)
+        kernel = symbols.green_band(1, grid, t)
         band1["linf:band1"].append(analysis.lp_norm(kernel, math.inf))
         grad = derivative_field(kernel, (1,) + (0,) * (grid.n_dims - 1))
         band1["linf:dx_band1"].append(analysis.lp_norm(grad, math.inf))
-    band2 = [analysis.lp_norm(symbols.green_band(2, grid, t, spec), math.inf)
+    band2 = [analysis.lp_norm(symbols.green_band(2, grid, t), math.inf)
              for t in preset.band2_times]
     return ExperimentRun(preset, {
         **_pairs(preset.band1_times, band1),
@@ -410,7 +403,7 @@ def builtin_presets() -> dict[str, ExperimentPreset]:
         1.0, 50.0, 25, semi2d, include=(10.0,)))
     bands1d = ExperimentPreset(
         name="bands1d", kind="bands", n_dims=1, grid_points=4096,
-        half_width=200.0, eps=0.45, outer_radius=2.0,
+        half_width=200.0,
         band1_times=tuple(round(float(t), 6) for t in np.geomspace(10.0, 80.0, 8)),
         band2_times=tuple(np.linspace(5.0, 40.0, 8)))
     return {p.name: p for p in (lin1d, lin2d, semi1d, semi2d, bands1d)}

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -58,6 +59,10 @@ from .symbols import (SymbolTable, build_symbol_table, green_pair,
 
 # Abort threshold on sup|u|: 10 times the small-data amplitude bound 0.5.
 GUARD_BOUND = 5.0
+
+# The largest theta (439) for which the energy ledger's density
+# |u|^(theta + 2) stays finite for every |u| <= GUARD_BOUND.
+MAX_THETA = int(math.log(sys.float_info.max) / math.log(GUARD_BOUND)) - 2
 
 # The 8-point Gauss-Legendre rule on [-1, 1], numpy.polynomial.legendre's
 # leggauss(8) bit for bit; as constants, the CLI path never loads
@@ -157,8 +162,9 @@ class SolverConfig:
     nonlin_sign: int = -1
 
     def __post_init__(self) -> None:
-        if self.theta < 1 or self.theta != int(self.theta):
-            raise ValueError(f"theta must be a positive integer, got {self.theta}")
+        if not 1 <= self.theta <= MAX_THETA or self.theta != int(self.theta):
+            raise ValueError(f"theta must be a positive integer at most "
+                             f"{MAX_THETA}, got {self.theta}")
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not self.t_final >= self.dt:
@@ -495,10 +501,11 @@ def step_schedule(config: SolverConfig) -> list[tuple[float, float, bool]]:
     return table
 
 
-def solve(start: SolverState, config: SolverConfig, observer=None,
+def solve(state: SolverState, config: SolverConfig, observer=None,
           ledger=None) -> SolverState:
     """March the semilinear equation from the start state to t_final;
-    returns the final state.
+    returns the final state.  The first step rebinds state, so solve
+    holds the start state no longer than that step.
 
     The states and their times are the rows of step_schedule.  Each epoch
     steps with its own cache, built when the epoch starts after the last
@@ -508,7 +515,6 @@ def solve(start: SolverState, config: SolverConfig, observer=None,
     the observer as (t, state); all share the state's one physical u.
     """
     table = step_schedule(config)
-    state = start
     cache = _make_step_cache(state.grid, config, config.dt)
     history = None
     arrays = _RunArrays(state.grid, cache)

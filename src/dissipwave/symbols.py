@@ -25,6 +25,16 @@ W_SERIES = 1e-4
 
 MIN_TRANSITION_MODES = 8
 
+# The three-band smooth partition of the frequency space: band 1 is
+# identically 1 on |xi| < EPS and 0 beyond 2 EPS, band 3 identically 1 on
+# |xi| > OUTER_RADIUS and 0 below OUTER_RADIUS - 1, and band 2 is the middle
+# remainder.  The two transitions do not overlap (2 EPS < OUTER_RADIUS - 1).
+EPS = 0.45
+OUTER_RADIUS = 2.0
+_LOW = (EPS, 2 * EPS)
+_HIGH = (OUTER_RADIUS - 1, OUTER_RADIUS)
+TRANSITIONS = {1: (_LOW,), 2: (_LOW, _HIGH), 3: (_HIGH,)}
+
 
 def green_pair(xi_sq, t):
     """Green function symbol G, the mode solution with g(0) = 0,
@@ -146,42 +156,6 @@ def build_symbol_table(grid: Grid, delta: float) -> SymbolTable:
                                for entry in propagator_levels(xi_sq, delta)))
 
 
-@dataclass(frozen=True)
-class CutoffSpec:
-    """Radial frequency thresholds of the three-band smooth partition.
-
-    Band 1 covers |xi| < eps (identically 1 there, 0 beyond 2 eps); band 3
-    covers |xi| > outer_radius (identically 1 there, 0 below
-    outer_radius - 1); band 2 is the middle remainder.  The transitions must
-    not overlap: 2 eps < outer_radius - 1.
-    """
-
-    eps: float = 0.125
-    outer_radius: float = 2.0
-
-    def __post_init__(self) -> None:
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if not self.outer_radius > 1:
-            raise ValueError(
-                f"outer_radius must exceed 1, got {self.outer_radius}")
-        if not 2 * self.eps < self.outer_radius - 1:
-            raise ValueError(
-                f"transition overlap: need 2*eps < outer_radius - 1, "
-                f"got eps={self.eps}, outer_radius={self.outer_radius}")
-
-    def transition_intervals(self, band: int) -> tuple[tuple[float, float], ...]:
-        low = (self.eps, 2 * self.eps)
-        high = (self.outer_radius - 1, self.outer_radius)
-        if band == 1:
-            return (low,)
-        if band == 2:
-            return (low, high)
-        if band == 3:
-            return (high,)
-        raise ValueError(f"band must be 1, 2 or 3, got {band}")
-
-
 def smooth_step(s):
     """C-infinity step: 0 for s <= 0, 1 for s >= 1, strictly increasing between."""
     s = np.asarray(s, dtype=np.float64)
@@ -196,7 +170,7 @@ def smooth_step(s):
     return out
 
 
-def cutoff(band: int, radius, spec: CutoffSpec = CutoffSpec()):
+def cutoff(band: int, radius):
     """Smooth radial cutoff chi_band evaluated at |xi| = radius.
 
     The three cutoffs form an exact partition of unity by construction.
@@ -204,8 +178,8 @@ def cutoff(band: int, radius, spec: CutoffSpec = CutoffSpec()):
     radius = np.asarray(radius, dtype=np.float64)
     if np.any(radius < 0):
         raise ValueError("radius must be nonnegative")
-    low = 1.0 - smooth_step((radius - spec.eps) / spec.eps)
-    high = smooth_step(radius - (spec.outer_radius - 1.0))
+    low = 1.0 - smooth_step((radius - EPS) / EPS)
+    high = smooth_step(radius - (OUTER_RADIUS - 1.0))
     if band == 1:
         return low
     if band == 3:
@@ -231,8 +205,10 @@ def _shell_mode_count(grid: Grid, lo: float, hi: float) -> int:
     return int(np.sum(inside * grid.mode_multiplicity))
 
 
-def _check_band_resolution(band: int, grid: Grid, spec: CutoffSpec) -> None:
-    for lo, hi in spec.transition_intervals(band):
+def _check_band_resolution(band: int, grid: Grid) -> None:
+    if band not in TRANSITIONS:
+        raise ValueError(f"band must be 1, 2 or 3, got {band}")
+    for lo, hi in TRANSITIONS[band]:
         if hi > grid.nyquist_freq:
             raise ValueError(
                 f"band {band} transition ({lo}, {hi}) extends beyond the "
@@ -244,7 +220,7 @@ def _check_band_resolution(band: int, grid: Grid, spec: CutoffSpec) -> None:
                 f"{count} lattice modes; need at least {MIN_TRANSITION_MODES}")
 
 
-def green_band(band: int, grid: Grid, t: float, spec: CutoffSpec = CutoffSpec()) -> Field:
+def green_band(band: int, grid: Grid, t: float) -> Field:
     """Band kernel: inverse transform of chi_band(|xi|) * green_hat(xi, t).
 
     The kernel is centered at x = 0.  Raises if the grid does not resolve
@@ -252,7 +228,7 @@ def green_band(band: int, grid: Grid, t: float, spec: CutoffSpec = CutoffSpec())
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    _check_band_resolution(band, grid, spec)
+    _check_band_resolution(band, grid)
     xi_sq, index = grid.freq_levels
-    mult = cutoff(band, np.sqrt(xi_sq), spec) * green_hat(xi_sq, t)
+    mult = cutoff(band, np.sqrt(xi_sq)) * green_hat(xi_sq, t)
     return inverse_transform(grid, _delta_spectrum(grid) * mult[index])

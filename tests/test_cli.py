@@ -236,6 +236,8 @@ SIX_SNAPSHOTS = ["--set", "snapshot_times=0.5,0.6,0.7,0.8,0.9,1.0"]
      "--set", "half_width=2e9"],
     # 16384^2 points: 2^28, past grid.MAX_POINTS
     ["simulate", "--config", "lin2d", "--set", "grid_points=16384"],
+    # past solver.MAX_THETA; the source's powers would take minutes a step
+    ["simulate", "--config", "semi1d-theta3", "--set", "theta=1000000000"],
 ], ids=["window-samples", "integrator", "off-grid-snapshot", "off-grid-dt",
         "delta-bar", "tol", "tol-nan", "tol-inf", "width", "width-nan",
         "width-square-underflow", "linear-width-square-underflow",
@@ -254,7 +256,8 @@ SIX_SNAPSHOTS = ["--set", "snapshot_times=0.5,0.6,0.7,0.8,0.9,1.0"]
         "linear-dt", "semilinear-band1-times", "doubling-unsorted",
         "doubling-off-grid-end", "doubling-off-grid-snapshot",
         "linear-doubling", "reports-repeated", "reports-repeated-inf-case",
-        "reports-one-label", "tiny-dt", "huge-t-final", "grid-points-cap"])
+        "reports-one-label", "tiny-dt", "huge-t-final", "grid-points-cap",
+        "theta-cap"])
 def test_bad_input_exits_2_before_any_run_directory(tmp_path, capsys, argv):
     out = tmp_path / "o"
     out.mkdir()
@@ -273,6 +276,30 @@ def test_bad_input_exits_2_before_any_run_directory(tmp_path, capsys, argv):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:")
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag, path, reason", [
+    ("--config", "dir", "cannot read {}: Is a directory"),
+    ("--config", "binary.cfg", "{} is not a text file: invalid start byte "
+                               "at byte 0"),
+    ("--out", "file", "cannot make a run directory under {}: Not a "
+                      "directory"),
+    ("--out", "file/sub", "cannot make a run directory under {}: Not a "
+                          "directory"),
+], ids=["config-directory", "config-binary", "out-file", "out-under-file"])
+def test_unusable_config_or_out_path_exits_2_naming_it(tmp_path, capsys,
+                                                       flag, path, reason):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "binary.cfg").write_bytes(b"\xff\xfe\x00\x01name = x\n")
+    (tmp_path / "file").write_text("not a directory\n")
+    out = tmp_path / "o"
+    args = {"--config": "lin1d", "--out": str(out),
+            flag: str(tmp_path / path)}
+    assert main(["simulate", *(a for kv in args.items() for a in kv)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: " + reason.format(tmp_path / path)]
+    assert not out.exists()
+    assert (tmp_path / "file").read_text() == "not a directory\n"
 
 
 def test_snapshot_times_sharing_a_file_exit_2_before_any_run_directory(
@@ -518,30 +545,62 @@ sobolev_index = auto
 _REMOVED_KEYS = ("integrator", "dealias", "delta_bar", "profile_r",
                  "sobolev_index")
 
+# bands1d's manifest as written while the band partition's eps and
+# outer_radius were config keys, at the values the partition now fixes
+_BANDS_MANIFEST_WITH_REMOVED_KEYS = """\
+# dissipwave run: green-bands
+# verdict: pass
+name = bands1d
+kind = bands
+dimension = 1
+grid_points = 4096
+half_width = 200.0
+eps = 0.45
+outer_radius = 2.0
+band1_times = 10.0,13.459002,18.114473,24.380273,32.813414,44.163581,\
+59.439772,80.0
+band2_times = 5.0,10.0,15.0,20.0,25.0,30.0,35.0,40.0
+"""
+
+
+def _relaunch_once_removed_keys_are_deleted(tmp_path, capsys, command, text,
+                                            removed, preset, output):
+    """The old manifest text exits 2 naming its removed keys; without
+    those lines it relaunches, and its output file is the one a config
+    of the preset writes."""
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(text)
+    out = tmp_path / "o"
+    out.mkdir()
+    assert main([command, "--config", str(manifest), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {manifest}: unknown config keys: "
+        f"{', '.join(sorted(removed))}"]
+    assert list(out.iterdir()) == []
+
+    manifest.write_text("".join(line for line in text.splitlines(True)
+                                if line.split(" =")[0] not in removed))
+    assert main([command, "--config", str(manifest),
+                 "--out", str(out / "old")]) == 0
+    assert main([command, "--config", _write_config(tmp_path, preset),
+                 "--out", str(out / "new")]) == 0
+    outputs = [(_only_run_dir(out / side, preset.name) / output).read_bytes()
+               for side in ("old", "new")]
+    assert outputs[0] == outputs[1]
+
 
 def test_manifest_with_removed_keys_relaunches_once_they_are_deleted(
         tmp_path, capsys):
-    manifest = tmp_path / "manifest.txt"
-    manifest.write_text(_MANIFEST_WITH_REMOVED_KEYS)
-    out = tmp_path / "o"
-    out.mkdir()
-    assert main(["simulate", "--config", str(manifest),
-                 "--out", str(out)]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        f"config error: {manifest}: unknown config keys: "
-        f"{', '.join(sorted(_REMOVED_KEYS))}"]
-    assert list(out.iterdir()) == []
+    _relaunch_once_removed_keys_are_deleted(
+        tmp_path, capsys, "simulate", _MANIFEST_WITH_REMOVED_KEYS,
+        _REMOVED_KEYS, _tiny_preset(), "series.csv")
 
-    manifest.write_text("".join(
-        line for line in _MANIFEST_WITH_REMOVED_KEYS.splitlines(True)
-        if line.split(" =")[0] not in _REMOVED_KEYS))
-    assert main(["simulate", "--config", str(manifest),
-                 "--out", str(out / "old")]) == 0
-    assert main(["simulate", "--config", _write_config(tmp_path, _tiny_preset()),
-                 "--out", str(out / "new")]) == 0
-    series = [(_only_run_dir(out / side, "cli-tiny") / "series.csv").read_bytes()
-              for side in ("old", "new")]
-    assert series[0] == series[1]
+
+def test_bands_manifest_with_eps_and_outer_radius_relaunches_without_them(
+        tmp_path, capsys):
+    _relaunch_once_removed_keys_are_deleted(
+        tmp_path, capsys, "green-bands", _BANDS_MANIFEST_WITH_REMOVED_KEYS,
+        ("eps", "outer_radius"), builtin_presets()["bands1d"], "report.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -792,8 +851,7 @@ def test_verify_symbols_passes(tmp_path, capsys):
 
 def test_green_bands_small_grid(tmp_path, capsys):
     p = ExperimentPreset(name="bands-tiny", kind="bands", n_dims=1,
-                         grid_points=512, half_width=64.0, eps=0.45,
-                         outer_radius=2.0,
+                         grid_points=512, half_width=64.0,
                          band1_times=(2.0, 4.0, 8.0, 12.0, 16.0),
                          band2_times=(1.0, 2.0, 3.0, 4.0, 5.0))
     path = _write_config(tmp_path, p)
@@ -881,8 +939,7 @@ def test_each_kind_calls_its_runner_once_through_the_module(tmp_path, capsys,
     for name, fn in originals.items():
         launch._rebind(fn, wrappers[name])
     bands = ExperimentPreset(name="cli-bands", kind="bands", n_dims=1,
-                             grid_points=512, half_width=64.0, eps=0.45,
-                             outer_radius=2.0,
+                             grid_points=512, half_width=64.0,
                              band1_times=(2.0, 4.0, 8.0, 12.0, 16.0),
                              band2_times=(1.0, 2.0, 3.0, 4.0, 5.0))
     runs = [("simulate", _tiny_linear(name="cli-lin")),

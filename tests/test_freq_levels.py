@@ -10,18 +10,16 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from dissipwave import (CutoffSpec, Field, SolverConfig,
-                        build_symbol_table, builtin_presets, cutoff,
-                        forward_transform, gaussian_bump, green_band,
-                        green_hat, heat_reference, inverse_transform,
-                        make_grid)
+from dissipwave import (Field, SolverConfig, build_symbol_table,
+                        builtin_presets, cutoff, forward_transform,
+                        gaussian_bump, green_band, green_hat, heat_reference,
+                        inverse_transform, make_grid)
 from dissipwave.solver import _QUAD_NODES, _QUAD_WEIGHTS, _make_step_cache
 from dissipwave.symbols import _delta_spectrum, green_pair
 
 # small grids whose lattices reach both sides of the branch point
-# |xi|^2 = 1/4 and resolve the band transitions of SPEC
+# |xi|^2 = 1/4 and resolve the band transitions
 GRIDS = {"2d": make_grid(2, 32, 8.0), "3d": make_grid(3, 16, 8.0)}
-SPEC = CutoffSpec(0.45, 2.0)
 # 0.013 keeps the low levels in the series branch of green_pair
 TIMES = (0.0, 0.013, 0.7, 3.0)
 
@@ -139,8 +137,8 @@ def test_heat_reference_rejects_a_wrong_scratch():
 @pytest.mark.parametrize("band", (1, 2, 3))
 @pytest.mark.parametrize("t", TIMES[1:])
 def test_green_band_matches_per_mode_multiplier(grid, band, t):
-    mult = cutoff(band, grid.freq_radius, SPEC) * green_hat(grid.freq_sq, t)
+    mult = cutoff(band, grid.freq_radius) * green_hat(grid.freq_sq, t)
     want = inverse_transform(grid, _delta_spectrum(grid) * mult).values
-    got = green_band(band, grid, t, SPEC)
+    got = green_band(band, grid, t)
     assert isinstance(got, Field)
     assert np.array_equal(got.values, want)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -17,6 +18,7 @@ from dissipwave import (ExperimentPreset, SolverConfig, apply_nonlinearity,
                         quantity_label, run_bands, run_experiment, run_linear,
                         run_semilinear, spectral_l2_sq, state_from_fields,
                         write_snapshot)
+from dissipwave import solver
 from dissipwave.analysis import energy_audit, sobolev_weight
 from dissipwave.presets import (HEAT_GAP_LABEL, PROFILE_LABEL, _norm_of,
                                 _observer, _rounded_times)
@@ -70,8 +72,8 @@ def test_config_keys_and_their_order():
         "dt", "dt_doubling_times", "t_final", "snapshot_times",
         "fit_window_lo", "fit_window_hi", "reports"]
     assert list(preset_to_config(presets["bands1d"])) == [
-        "name", "kind", "dimension", "grid_points", "half_width", "eps",
-        "outer_radius", "band1_times", "band2_times"]
+        "name", "kind", "dimension", "grid_points", "half_width",
+        "band1_times", "band2_times"]
 
 
 @pytest.mark.parametrize("over, key, text", [
@@ -438,6 +440,27 @@ def test_run_semilinear_snapshots_alias_no_run_array():
         float(np.max(np.abs(u.values))) for _t, u, _copy in kept]
 
 
+def test_run_semilinear_frees_the_start_state_after_the_first_step(
+        monkeypatch):
+    # the first step writes the run's own state pair, so from then on the
+    # start state's spectra and u need not be held
+    starts = []
+
+    def start_state(u0, u1, make=solver.state_from_fields):
+        state = make(u0, u1)
+        starts.append(weakref.ref(state))
+        return state
+
+    monkeypatch.setattr(solver, "state_from_fields", start_state)
+    p = _tiny(snapshot_times=(0.05, 1.0))  # after the first step, the last
+    alive = []
+    run = run_semilinear(p, snapshot_sink=lambda t, u: alive.append(
+        (t, starts[0]() is not None)))
+    assert len(starts) == 1
+    assert alive == [(0.05, False), (1.0, False)]
+    assert run.e0 == _e0_of_the_data(p)
+
+
 def _e0_of_the_data(p):
     """|u0|_{H^{s+1}} + |u1|_{H^s} of the preset's data, each field
     transformed here."""
@@ -554,7 +577,7 @@ def test_initial_data_file_grid_mismatch(tmp_path):
 
 def test_tiny_bands_run_shapes():
     p = ExperimentPreset(name="b", kind="bands", n_dims=1, grid_points=512,
-                         half_width=64.0, eps=0.45, outer_radius=2.0,
+                         half_width=64.0,
                          band1_times=(2.0, 4.0, 8.0, 12.0, 16.0),
                          band2_times=(1.0, 2.0, 3.0, 4.0, 5.0))
     run = run_bands(p)

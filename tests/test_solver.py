@@ -41,6 +41,18 @@ def test_solver_config_validation():
         SolverConfig(theta=3, dt=0.1, t_final=1.0, nonlin_sign=2)
 
 
+def test_theta_is_capped_where_the_ledger_density_stays_finite():
+    # the ledger sums |u|^(theta + 2), and the guard lets |u| reach
+    # GUARD_BOUND: at theta 440 that power overflows
+    assert solver.MAX_THETA == 439
+    assert math.isfinite(GUARD_BOUND ** (439 + 2))
+    with pytest.raises(OverflowError):
+        GUARD_BOUND ** (440 + 2)
+    assert SolverConfig(theta=439, dt=0.1, t_final=1.0).theta == 439
+    with pytest.raises(ValueError, match="at most 439, got 440"):
+        SolverConfig(theta=440, dt=0.1, t_final=1.0)
+
+
 def _painted_slabs(grid, theta):
     """The step cache's kept slabs painted onto a zero spectrum, each slab
     adding 1 to its modes, and the cache."""

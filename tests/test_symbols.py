@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dissipwave import (CutoffSpec, build_symbol_table, builtin_presets,
-                        cutoff, green_band, green_hat, green_hat_dt,
-                        make_grid, mode_ode, smooth_step)
-from dissipwave.symbols import (W_SERIES, _shell_mode_count, green_pair,
+from dissipwave import (build_symbol_table, builtin_presets, cutoff,
+                        green_band, green_hat, green_hat_dt, make_grid,
+                        mode_ode, smooth_step)
+from dissipwave.symbols import (EPS, OUTER_RADIUS, TRANSITIONS, W_SERIES,
+                                _shell_mode_count, green_pair,
                                 propagator_levels)
 
 
@@ -188,39 +189,46 @@ def test_smooth_step_complement_symmetry():
 
 
 def test_cutoff_partition_of_unity():
-    spec = CutoffSpec(0.125, 2.0)
     r = np.linspace(0.0, 3.0, 400)
-    total = cutoff(1, r, spec) + cutoff(2, r, spec) + cutoff(3, r, spec)
+    total = cutoff(1, r) + cutoff(2, r) + cutoff(3, r)
     assert np.max(np.abs(total - 1.0)) < 1e-14
     for band in (1, 2, 3):
-        vals = cutoff(band, r, spec)
+        vals = cutoff(band, r)
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
 
 
 def test_cutoff_supports():
-    spec = CutoffSpec(0.125, 2.0)
-    assert cutoff(1, np.array([0.0, 0.125]), spec) == pytest.approx([1.0, 1.0])
-    assert cutoff(1, np.array([0.25, 1.0]), spec) == pytest.approx([0.0, 0.0])
-    assert cutoff(3, np.array([0.0, 1.0]), spec) == pytest.approx([0.0, 0.0])
-    assert cutoff(3, np.array([2.0, 5.0]), spec) == pytest.approx([1.0, 1.0])
-    with pytest.raises(ValueError):
-        cutoff(4, np.array([1.0]), spec)
+    assert cutoff(1, np.array([0.0, 0.45])) == pytest.approx([1.0, 1.0])
+    assert cutoff(1, np.array([0.9, 1.0])) == pytest.approx([0.0, 0.0])
+    assert cutoff(3, np.array([0.0, 1.0])) == pytest.approx([0.0, 0.0])
+    assert cutoff(3, np.array([2.0, 5.0])) == pytest.approx([1.0, 1.0])
 
 
-def test_cutoff_spec_validation():
-    with pytest.raises(ValueError, match="2"):
-        CutoffSpec(eps=0.6, outer_radius=2.0)  # 2 eps >= R - 1
-    with pytest.raises(ValueError):
-        CutoffSpec(eps=-0.1, outer_radius=2.0)
-    with pytest.raises(ValueError):
-        CutoffSpec(eps=0.1, outer_radius=0.9)
+def test_band_number_must_be_1_2_or_3():
+    g = make_grid(1, 1024, 100.0)
+    for band in (0, 4):
+        with pytest.raises(ValueError, match="band must be 1, 2 or 3"):
+            cutoff(band, np.array([1.0]))
+        with pytest.raises(ValueError, match="band must be 1, 2 or 3"):
+            green_band(band, g, 1.0)
+
+
+def test_partition_transitions_do_not_overlap():
+    # band 1 falls from 1 to 0 on (EPS, 2 EPS) and band 3 rises on
+    # (OUTER_RADIUS - 1, OUTER_RADIUS); the middle band has both
+    assert EPS > 0 and OUTER_RADIUS > 1
+    assert 2 * EPS < OUTER_RADIUS - 1
+    (low,), (high,) = TRANSITIONS[1], TRANSITIONS[3]
+    assert low == (EPS, 2 * EPS) and high == (OUTER_RADIUS - 1, OUTER_RADIUS)
+    assert TRANSITIONS[2] == (low, high)
+    assert cutoff(2, np.array([2 * EPS, OUTER_RADIUS - 1])).tolist() == [1, 1]
 
 
 def test_green_band_requires_resolution():
     # transition shells must contain at least 8 lattice modes
     tiny = make_grid(1, 32, 6.0)
     with pytest.raises(ValueError, match="modes"):
-        green_band(1, tiny, 1.0, CutoffSpec(0.125, 2.0))
+        green_band(1, tiny, 1.0)
 
 
 def test_band_transition_counts_full_lattice():
@@ -228,28 +236,27 @@ def test_band_transition_counts_full_lattice():
     # transition shells of bands1d hold as many modes as on the full lattice
     preset = builtin_presets()["bands1d"]
     counts = [_shell_mode_count(preset.grid, lo, hi)
-              for lo, hi in preset.cutoff_spec.transition_intervals(2)]
+              for lo, hi in TRANSITIONS[2]]
     assert counts == [58, 128]
 
 
 def test_green_band_requires_nyquist_headroom():
     g = make_grid(1, 64, 64.0)  # nyquist pi/2 < outer radius 2
     with pytest.raises(ValueError, match="[Nn]yquist"):
-        green_band(3, g, 1.0, CutoffSpec(0.45, 2.0))
+        green_band(3, g, 1.0)
 
 
 def test_green_band_positive_time():
     g = make_grid(1, 512, 50.0)
     with pytest.raises(ValueError, match="t"):
-        green_band(1, g, 0.0, CutoffSpec(0.45, 2.0))
+        green_band(1, g, 0.0)
 
 
 def test_green_band_sum_reconstructs_kernel():
     # band kernels sum to the full kernel (cutoffs partition unity)
     g = make_grid(1, 1024, 100.0)
-    spec = CutoffSpec(0.45, 2.0)
     t = 5.0
-    total = sum(green_band(b, g, t, spec).values for b in (1, 2, 3))
+    total = sum(green_band(b, g, t).values for b in (1, 2, 3))
     table = build_symbol_table(g, t)
     from dissipwave.grid import inverse_transform
     from dissipwave.symbols import _delta_spectrum
@@ -259,10 +266,9 @@ def test_green_band_sum_reconstructs_kernel():
 
 def test_green_band_refinement_stability():
     # sup norm of the low band kernel moves < 5% under grid refinement
-    spec = CutoffSpec(0.45, 2.0)
     t = 10.0
-    coarse = green_band(1, make_grid(1, 1024, 100.0), t, spec)
-    fine = green_band(1, make_grid(1, 2048, 100.0), t, spec)
+    coarse = green_band(1, make_grid(1, 1024, 100.0), t)
+    fine = green_band(1, make_grid(1, 2048, 100.0), t)
     a = float(np.max(np.abs(coarse.values)))
     b = float(np.max(np.abs(fine.values)))
     assert abs(a - b) / b < 0.05

@@ -286,11 +286,13 @@ def judge(quantity: str, fit: FitResult, target: float, tolerance: float,
                     passed=ok, r_squared=fit.r_squared)
 
 
-def _fit_or_nan(fitter, times, values, window) -> FitResult:
-    """The fit, or slope nan, a failing row, on a NonpositiveSample."""
+def _fit_or_nan(fitter, times, values, window,
+                failing=NonpositiveSample) -> FitResult:
+    """The fit, or slope nan, a failing row, on a failing error (by
+    default a NonpositiveSample)."""
     try:
         return fitter(times, values, window)
-    except NonpositiveSample:
+    except failing:
         return FitResult(math.nan, math.nan, math.nan, 0, window)
 
 
@@ -319,10 +321,13 @@ def band_report(series: dict, n_dims: int) -> DecayReport:
     x-derivative -(n+1)/2, each within 0.10); the middle band decays
     exponentially (log-slope against t at most -0.05, with r^2 >= 0.99).
     As in decay_report, a nonpositive sample among positive ones is a
-    failing row with slope nan."""
+    failing row with slope nan; so is a series with no positive sample
+    (a kernel whose sup reads 0 at every time), for a kernel is never
+    zero data."""
     def fit(label, fitter):
         times, values = series[label]
-        return _fit_or_nan(fitter, times, values, (times[0], times[-1]))
+        return _fit_or_nan(fitter, times, values, (times[0], times[-1]),
+                           failing=(NonpositiveSample, NothingToFit))
 
     band2 = judge("linf:band2", fit("linf:band2", fit_exponential_rate),
                   -0.05, 0.0, one_sided=True)

@@ -143,8 +143,10 @@ def write_manifest(run_dir: Path, argv_echo: str,
     (run_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
-def _print_report(report: DecayReport) -> None:
-    print(f"fit window: t in [{report.window[0]:g}, {report.window[1]:g}]")
+def _print_report(report: DecayReport, bands: bool = False) -> None:
+    if not bands:  # a band row is fit over the span of its own times
+        print(f"fit window: t in [{report.window[0]:g}, "
+              f"{report.window[1]:g}]")
     for row in report.rows:
         rel = "<=" if row.one_sided else "within"
         status = "PASS" if row.passed else "FAIL"
@@ -284,7 +286,7 @@ def _run_experiment_cmd(preset: ExperimentPreset, open_run,
     report = _decay_report(preset, run.series)
     analysis.write_series_csv(run_dir / "series.csv", run.series)
     analysis.write_report_csv(run_dir / "report.csv", report)
-    _print_report(report)
+    _print_report(report, bands)
     if bands:
         r_sq = next(r.r_squared for r in report.rows
                     if r.quantity == "linf:band2")

@@ -15,6 +15,14 @@ returns it, and inverse_transform(grid, coeffs) takes it with the grid it
 lives on.  The forward transform is the plain (unnormalized) DFT sum; the
 inverse carries the 1/N factor per axis and returns a real field by
 construction.
+
+This module is the one caller of numpy.fft's transforms in the package
+(oracle's RK4 reference keeps its own).  Each transform runs
+numpy.fft.rfftn's or irfftn's one-axis stages in their order, so its
+result is theirs bit for bit, but the leading-axis stages run in place in
+a spectrum the caller owns: the forward transform's out, the inverse
+transform's work, which may be the caller's spectrum itself.  irfftn
+would allocate a fresh complex spectrum for each leading-axis stage.
 """
 
 from __future__ import annotations
@@ -166,21 +174,44 @@ class Field:
         object.__setattr__(self, "values", v)
 
 
-def forward_transform(field: Field) -> np.ndarray:
-    """Plain-sum DFT of a real field: its half spectrum."""
-    return np.fft.rfftn(field.values)
+def forward_transform(field: Field, out: np.ndarray | None = None
+                      ) -> np.ndarray:
+    """Plain-sum DFT of a real field: its half spectrum, into out when
+    given.  numpy.fft.rfftn's stages in its order, so bit for bit its
+    result: the last axis real-to-complex into the spectrum, then each
+    leading axis in place, last to first; no stage allocates when out is
+    given."""
+    spectrum = np.fft.rfft(field.values, axis=-1, out=out)
+    for axis in reversed(range(field.grid.n_dims - 1)):
+        np.fft.fft(spectrum, axis=axis, out=spectrum)
+    return spectrum
 
 
 def inverse_transform(grid: Grid, coeffs: np.ndarray,
-                      out: np.ndarray | None = None) -> Field:
+                      out: np.ndarray | None = None,
+                      work: np.ndarray | None = None) -> Field:
     """Inverse DFT (1/N per axis) of a half spectrum on grid: a real field,
-    whose values are out when given."""
+    whose values are out when given.  numpy.fft.irfftn's stages in its
+    order, so bit for bit its result: each leading axis in place in work,
+    a complex half spectrum, first to last, then the last axis
+    complex-to-real into the field.  coeffs is copied into work unless
+    work is coeffs, by which the caller hands over a spectrum it is done
+    with; without work the copy is fresh.  A 1-d grid has no leading axis,
+    so it neither copies nor writes work."""
     if np.shape(coeffs) != grid.spectral_shape:
         raise ValueError(
             f"coefficient shape {np.shape(coeffs)} does not match the half "
             f"spectrum shape {grid.spectral_shape}")
-    return Field(grid, np.fft.irfftn(coeffs, s=grid.shape,
-                                     axes=tuple(range(grid.n_dims)), out=out))
+    if grid.n_dims > 1:
+        if work is None:
+            work = np.array(coeffs, dtype=complex)
+        elif work is not coeffs:
+            np.copyto(work, coeffs)
+        for axis in range(grid.n_dims - 1):
+            np.fft.ifft(work, axis=axis, out=work)
+        coeffs = work
+    return Field(grid, np.fft.irfft(coeffs, n=grid.points_per_dim, axis=-1,
+                                    out=out))
 
 
 def check_multi_index(alpha: tuple[int, ...]) -> None:
@@ -213,9 +244,11 @@ def derivative_multiplier(grid: Grid, alpha: tuple[int, ...]) -> np.ndarray:
 
 
 def derivative_field(field: Field, alpha: tuple[int, ...]) -> Field:
-    """Real-space D^alpha f via the spectral route."""
-    return inverse_transform(field.grid, forward_transform(field)
-                             * derivative_multiplier(field.grid, alpha))
+    """Real-space D^alpha f via the spectral route; the product spectrum
+    is transformed in place."""
+    spectrum = forward_transform(field)
+    spectrum *= derivative_multiplier(field.grid, alpha)
+    return inverse_transform(field.grid, spectrum, work=spectrum)
 
 
 def write_snapshot(path, field: Field, time: float) -> None:

@@ -173,9 +173,10 @@ def heat_reference(grid: Grid, coeffs: np.ndarray, t: float,
     """Exact periodic heat evolution exp(t Laplacian) of the data whose
     half spectrum on grid is coeffs.  The factor exp(-|xi|^2 t) is
     gathered into a real half spectrum and the product formed in a
-    complex one: fresh arrays, or scratch = (real, complex) of float64
-    and complex128 when given, which are overwritten (complex may be
-    coeffs itself)."""
+    complex one, which the inverse transform then works in: fresh arrays,
+    or scratch = (real, complex) of float64 and complex128 when given,
+    which are overwritten (complex may be coeffs itself).  Of arrays, only
+    the returned field is allocated then."""
     if not 0 <= t < math.inf:  # nan fails both comparisons
         raise ValueError(f"t must be finite and nonnegative, got {t}")
     xi_sq, index = grid.freq_levels
@@ -191,9 +192,10 @@ def heat_reference(grid: Grid, coeffs: np.ndarray, t: float,
             f"{product.dtype} {product.shape}")
     # take into out= buffers its result unless mode is "clip"; the index
     # is in range, so clipping changes nothing.  The per-level factor is
-    # dropped before the transform allocates
+    # dropped before the transform allocates the field
     np.take(np.exp(-xi_sq * t), index, out=real, mode="clip")
-    return inverse_transform(grid, np.multiply(coeffs, real, out=product))
+    np.multiply(coeffs, real, out=product)
+    return inverse_transform(grid, product, work=product)
 
 
 def rk4_reference(u0: Field, u1: Field, theta: int, dt: float, steps: int,

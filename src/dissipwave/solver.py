@@ -22,9 +22,10 @@ spectrum's box of several slabs is gathered, summed and written back, a
 box of one slab (1-d, or theta = 1) summed in place.  A run's steps
 write into arrays solve allocates once (_RunArrays): one pair of state
 spectra, stepped in place, two complex work spectra, the physical u and
-the source field; the history recycles its spent source spectrum.  Of
-arrays, a steady step allocates only irfftn's inner stage (one spectrum,
-for n >= 2) and, for theta > 2, the u^2 of _abs_power.
+the source field; the history recycles its spent source spectrum.  Both
+transforms run every stage in those arrays (grid.forward_transform into a
+work spectrum, grid.inverse_transform's leading stages in one), so of
+arrays a steady step allocates only, for theta > 2, the u^2 of _abs_power.
 
 The step may grow with time (key dt_doubling_times): the run is a sequence
 of epochs, each with twice the step of the one before.  step_schedule is
@@ -207,13 +208,20 @@ def _abs_power(u: np.ndarray, theta: int,
                out: np.ndarray | None = None) -> np.ndarray:
     """|u|^theta for a positive integer theta (see apply_nonlinearity), into
     out when given, else a fresh array, from products only and at most one
-    temporary: numpy takes array ** k through libm pow for every k above 2."""
+    temporary: numpy takes array ** k through libm pow for every k above 2.
+    |u| (odd theta) or u^2 (even) times (u^2)^k, k = (theta - 1) // 2, by
+    repeated squaring: at most 2 log2(theta) products, and theta 2 and 3
+    stay the plain products u u and |u| u^2."""
     power = (np.abs(u, out=out) if theta % 2
              else np.multiply(u, u, out=out))
-    if theta > 2:
-        u_sq = u * u
-        for _ in range((theta - 1) // 2):
-            power *= u_sq
+    k = (theta - 1) // 2
+    square = u * u if k else None  # u^(2^(j+1)) while bit j of k is read
+    while k:
+        if k & 1:
+            power *= square
+        k >>= 1
+        if k:
+            square *= square
     return power
 
 
@@ -226,8 +234,10 @@ class LinearFlow:
     |xi|^2 level at t (symbols.propagator_levels, which rejects a negative
     or non-finite t), gathered onto the lattice into one work array and
     multiplied into its row in place.  The state at(t) returns holds the
-    flow's arrays, so it is valid until the next call; without with_v it
-    has no v_hat.  The work arrays, scratch, are free between calls.
+    flow's spectra, so it is valid until the next call, and a fresh
+    physical u, transformed in the complex work array once the rows are
+    formed; without with_v it has no v_hat.  The work arrays, scratch, are
+    free between calls.
     """
 
     def __init__(self, start: SolverState, with_v: bool = True) -> None:
@@ -257,7 +267,12 @@ class LinearFlow:
             np.multiply(self._entry, self.start.u_hat, out=row)
             np.take(on_v, index, out=self._entry, mode="clip")
             row += np.multiply(self._entry, self.start.v_hat, out=self._term)
-        return SolverState(grid, self._u_hat, self._v_hat)
+        state = SolverState(grid, self._u_hat, self._v_hat)
+        # the cached_property u, a fresh array: nothing that leaves the
+        # flow aliases its arrays
+        state.__dict__["u"] = inverse_transform(grid, self._u_hat,
+                                                work=self._term).values
+        return state
 
 
 def linear_solution(state: SolverState, t: float) -> SolverState:
@@ -369,7 +384,8 @@ class _RunArrays:
     pair, and every later step overwrites it in place (SymbolTable.apply).
     The work spectra take a new spectrum's transform and the linear
     step's cross terms, then on the kept box a new spectrum's gathered
-    box (unless _StepCache.one_slab) and a source term."""
+    box (unless _StepCache.one_slab) and a source term; the first then
+    takes the new u's leading inverse stages."""
 
     def __init__(self, grid: Grid, cache: _StepCache) -> None:
         spectra = [np.empty(grid.spectral_shape, dtype=complex)
@@ -388,7 +404,8 @@ def _kept_hat(values: np.ndarray, cache: _StepCache, work: np.ndarray,
     applied by keeping only the box.  The transform goes into work first;
     numpy.fft takes out= from numpy 2.0, the floor pyproject.toml
     declares."""
-    return _kept(np.fft.rfftn(values, out=work), cache.slabs, out)
+    field = Field(cache.table.grid, values)
+    return _kept(forward_transform(field, out=work), cache.slabs, out)
 
 
 def _seed_history(state: SolverState, f0: np.ndarray, config: SolverConfig,
@@ -397,7 +414,7 @@ def _seed_history(state: SolverState, f0: np.ndarray, config: SolverConfig,
     """(F_{-1}, F_{-2}) from the Taylor line F_0 + t F_t through the data,
     with the exact source rate F_t = sign (theta+1) |u|^theta u_t."""
     rate = _abs_power(state.u, config.theta)
-    rate *= inverse_transform(state.grid, state.v_hat).values
+    rate *= inverse_transform(state.grid, state.v_hat, work=work).values
     rate *= config.nonlin_sign * (config.theta + 1)
     rate_hat = _kept_hat(rate, cache, work, np.empty_like(f0))
     rate_hat *= cache.dt
@@ -439,9 +456,11 @@ def step_semilinear(state: SolverState, config: SolverConfig,
             box += np.multiply(w, f, out=arrays.term)
         if not cache.one_slab:
             _put_kept(box, cache.slabs, spectrum)
-    # the cached_property u, filled with the run's physical u
-    new.__dict__["u"] = inverse_transform(new.grid, new.u_hat,
-                                          out=arrays.u).values
+    # the cached_property u, filled with the run's physical u; the
+    # transform's leading stages run in the first work spectrum, free
+    # after the box sums
+    new.__dict__["u"] = inverse_transform(new.grid, new.u_hat, out=arrays.u,
+                                          work=arrays.work[0]).values
     return new, (f0, f1, f2)
 
 

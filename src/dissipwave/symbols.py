@@ -53,7 +53,10 @@ def green_pair(xi_sq, t):
         raise ValueError("t must be finite and nonnegative")
     xi_sq, t = np.broadcast_arrays(xi_sq, t)
     m = 1.0 - 4.0 * xi_sq
-    w = m * t * t / 4.0
+    # past t ~ 1e154 w overflows to +-inf (m = 0 still gives 0), which
+    # lies beyond W_SERIES as the exact w does, so the branch is the same
+    with np.errstate(over="ignore"):
+        w = m * t * t / 4.0
     g = np.empty_like(w)
     g_t = np.empty_like(w)
 
@@ -231,4 +234,5 @@ def green_band(band: int, grid: Grid, t: float) -> Field:
     _check_band_resolution(band, grid)
     xi_sq, index = grid.freq_levels
     mult = cutoff(band, np.sqrt(xi_sq)) * green_hat(xi_sq, t)
-    return inverse_transform(grid, _delta_spectrum(grid) * mult[index])
+    product = _delta_spectrum(grid) * mult[index]
+    return inverse_transform(grid, product, work=product)

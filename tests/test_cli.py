@@ -890,6 +890,26 @@ def test_band_fit_over_a_nonpositive_sample_is_a_failed_verdict(tmp_path,
     assert "verdict: fail" in (run_dir / "manifest.txt").read_text()
 
 
+def test_band_kernel_that_reads_zero_is_a_failed_verdict(tmp_path, capsys):
+    # at t = 1e300 band 1 is its constant zero mode, so its x-derivative's
+    # sup reads 0 at every time: a kernel is never zero data, so that row
+    # fails with slope nan, as a roundoff floor does, instead of skipping
+    # the report; and green_pair's t^2 overflows there without a warning
+    code = main(["green-bands", "--set",
+                 "band1_times=1e300,2e300,3e300,4e300,5e300",
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "fit window" not in out and "skipped" not in out
+    run_dir = _only_run_dir(tmp_path / "o", "bands1d")
+    rows = (run_dir / "report.csv").read_text().splitlines()
+    assert rows[1:3] == ["linf:band1,0.0,nan,-0.5,0.1,fail",
+                         "linf:dx_band1,nan,nan,-1.0,0.1,fail"]
+    assert rows[3].startswith("linf:band2,") and rows[3].endswith(",pass")
+    assert "verdict: fail" in (run_dir / "manifest.txt").read_text()
+
+
 def test_green_bands_rejects_non_bands_config(tmp_path, capsys):
     path = _write_config(tmp_path, _tiny_preset())
     code = main(["green-bands", "--config", path, "--out", str(tmp_path / "o")])

@@ -70,6 +70,86 @@ def test_transform_round_trip_3d(rng):
     assert np.max(np.abs(back.values - f.values)) < 1e-12
 
 
+TRANSFORM_GRIDS = (make_grid(1, 32, 4.0), make_grid(2, 16, 4.0),
+                   make_grid(2, 32, 8.0), make_grid(3, 16, 4.0),
+                   make_grid(3, 32, 4.0))
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint8)
+
+
+@pytest.mark.parametrize("g", TRANSFORM_GRIDS,
+                         ids=lambda g: f"{g.n_dims}d-{g.points_per_dim}")
+def test_forward_transform_is_rfftn_bit_for_bit(g, rng):
+    # numpy's stages in numpy's order, last axis first: any other order of
+    # the leading stages differs from rfftn in the last bits in 3-d
+    f = Field(g, rng.standard_normal(g.shape))
+    want = np.fft.rfftn(f.values)
+    assert np.array_equal(_bits(forward_transform(f)), _bits(want))
+    out = np.full(g.spectral_shape, np.nan, dtype=complex)
+    assert forward_transform(f, out=out) is out
+    assert np.array_equal(_bits(out), _bits(want))
+
+
+@pytest.mark.parametrize("g", TRANSFORM_GRIDS,
+                         ids=lambda g: f"{g.n_dims}d-{g.points_per_dim}")
+def test_inverse_transform_is_irfftn_bit_for_bit(g, rng):
+    coeffs = forward_transform(Field(g, rng.standard_normal(g.shape)))
+    kept = coeffs.copy()
+    want = np.fft.irfftn(coeffs, s=g.shape, axes=tuple(range(g.n_dims)))
+    assert np.array_equal(_bits(inverse_transform(g, coeffs).values),
+                          _bits(want))
+    out = np.full(g.shape, np.nan)
+    assert inverse_transform(g, coeffs, out=out).values is out
+    assert np.array_equal(_bits(out), _bits(want))
+    # a work spectrum takes a copy and the leading stages; coeffs stays
+    work = np.full(g.spectral_shape, np.nan, dtype=complex)
+    got = inverse_transform(g, coeffs, work=work).values
+    assert np.array_equal(_bits(got), _bits(want))
+    assert np.array_equal(_bits(coeffs), _bits(kept))
+    assert np.isnan(work).all() == (g.n_dims == 1)  # 1-d: no stage, no copy
+    # work is coeffs: the caller's spectrum is overwritten, not copied
+    got = inverse_transform(g, coeffs, out=out, work=coeffs).values
+    assert got is out and np.array_equal(_bits(out), _bits(want))
+    assert np.array_equal(_bits(coeffs), _bits(kept)) == (g.n_dims == 1)
+
+
+def test_only_grid_calls_numpy_fft():
+    # grid owns the transform layout: every other module transforms through
+    # forward_transform and inverse_transform, except oracle's RK4
+    # reference, which keeps its own full-spectrum transforms to stay
+    # independent of the layout it checks
+    import ast
+    from pathlib import Path
+
+    import dissipwave
+    allowed = {"grid.py": None, "oracle.py": "rk4_reference"}
+    found = []
+    for path in sorted(Path(dissipwave.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = {}  # node -> name of the top-level function holding it
+        for top in tree.body:
+            for node in ast.walk(top):
+                scopes[node] = getattr(top, "name", None)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "fft":
+                name = "fft"
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name for a in node.names] + [
+                    getattr(node, "module", None) or ""]
+                if not any("fft" in n.split(".") for n in names):
+                    continue
+                name = "import"
+            else:
+                continue
+            if path.name in allowed and allowed[path.name] in (
+                    None, scopes.get(node)):
+                continue
+            found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
 def test_half_spectrum_matches_full_transform(rng):
     for g in (make_grid(1, 32, 4.0), make_grid(2, 16, 4.0),
               make_grid(3, 16, 4.0)):

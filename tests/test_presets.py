@@ -386,11 +386,12 @@ def test_run_linear_peak_memory_is_its_design(reports, rows):
     # the start spectra (2); the flow's rows (1 each) and scratch (1
     # complex, 0.5 real); the level table (an intp index of 0.5, at most
     # 0.5 of levels); and, per snapshot, one physical u (< 1), one
-    # inverse-transform stage (1) and one heat field (< 1), the heat
-    # formed in the flow's scratch.  A spectrum-sized array more while the
-    # heat is transformed, such as a kept u0 + u1 spectrum, a fresh heat
-    # product or a cached |x|^2 or |xi|^2, breaks it, and no array may
-    # pile up across snapshots
+    # transient spectrum (1: u_t's inverse transform copies its row; u's
+    # works in the flow's scratch, see the next test) and one heat field
+    # (< 1), the heat formed in the flow's scratch.  A spectrum-sized
+    # array more while the heat is transformed, such as a kept u0 + u1
+    # spectrum, a fresh heat product or a cached |x|^2 or |xi|^2, breaks
+    # it, and no array may pile up across snapshots
     few = _tiny_linear(n_dims=2, grid_points=128, half_width=16.0,
                        amplitude=0.8, u1_amplitude=-0.3, t_final=8.0,
                        snapshot_times=(1.0, 2.0), fit_window=(1.0, 8.0),
@@ -405,11 +406,40 @@ def test_run_linear_peak_memory_is_its_design(reports, rows):
     assert peak_many <= peak_few + 0.05 * spectrum
 
 
+def test_linear_snapshot_allocates_no_complex_spectrum():
+    # from one snapshot's sink call to the next the run evaluates the flow,
+    # its u and the heat gap: u's inverse transform works in the flow's
+    # scratch and the heat's in its own product, so beyond the fresh u and
+    # heat field, which replace the last snapshot's, no spectrum-sized
+    # array is allocated
+    p = _tiny_linear(n_dims=2, grid_points=128, half_width=16.0,
+                     amplitude=0.8, u1_amplitude=-0.3, t_final=8.0,
+                     snapshot_times=(1.0, 2.0, 4.0, 8.0),
+                     fit_window=(1.0, 8.0), reports=((math.inf, 0, 0),))
+    spectrum = np.empty(p.grid.spectral_shape, dtype=complex).nbytes
+    marks = []
+
+    def sink(t, u):
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+
+    run_linear(p)  # fills the lru-cached e0 weights of this grid
+    tracemalloc.start()
+    try:
+        run_linear(p, snapshot_sink=sink)
+    finally:
+        tracemalloc.stop()
+    growth = [peak - base for (base, _), (_, peak) in zip(marks, marks[1:])]
+    assert len(growth) == 3
+    assert max(growth) < 0.5 * spectrum
+
+
 def test_heat_gap_observation_forms_no_field_sized_array():
-    # the run's budget above cannot see a |u - heat| array formed after the
-    # heat field's transform has freed its inner stage, so one observe call
-    # is traced alone, with u and the heat field built beforehand: reading
-    # the u norm and the heat gap must form no field-sized array
+    # a |u - heat| array formed after the heat transform would fit in the
+    # run's budget above, which has room for a transient spectrum, so one
+    # observe call is traced alone, with u and the heat field built
+    # beforehand: reading the u norm and the heat gap must form no
+    # field-sized array
     p = _tiny_linear(n_dims=2, grid_points=128, half_width=16.0,
                      amplitude=0.8, u1_amplitude=-0.3, t_final=8.0,
                      snapshot_times=(1.0, 2.0), fit_window=(1.0, 8.0),

@@ -1,6 +1,7 @@
 """Mode symbols, propagator table, cutoffs, and band kernels."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -119,6 +120,18 @@ def test_green_pair_and_propagator_reject_a_non_finite_time(bad):
         propagator_levels(xi_sq, bad)
     with pytest.raises(ValueError, match="finite"):
         build_symbol_table(make_grid(1, 64, 8.0), bad)
+
+
+@pytest.mark.parametrize("t", [1e154, 1e300, sys.float_info.max])
+def test_green_pair_at_a_huge_finite_time_is_the_limit_quietly(t):
+    # w = (1 - 4 xi_sq) t^2 / 4 overflows past t ~ 1e154, which must not
+    # warn (pytest makes a RuntimeWarning an error): every mode but xi = 0
+    # has decayed to 0, and the zero mode's G is 1 - e^(-t) = 1
+    xi_sq = np.array([0.0, 1e-6, 0.1, 0.25 - 1e-16, 0.25, 0.25 + 1e-16,
+                      1.0])
+    g, g_t = green_pair(xi_sq, t)
+    assert g.tolist() == [1.0] + [0.0] * 6
+    assert g_t.tolist() == [0.0] * 7
 
 
 def test_symbol_table_structure():

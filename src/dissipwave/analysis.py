@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Field, Grid
+from .grid import Field, Grid, field_view
 from .solver import _abs_power
 
 MIN_FIT_POINTS = 5
@@ -136,8 +136,8 @@ def weighted_profile(f: Field, t: float, r: float) -> float:
     if not r > max(n / 2.0, 1.0):
         raise ValueError(f"r must exceed max(n/2, 1) = {max(n / 2.0, 1.0)}, "
                          f"got {r}")
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    if not 0 <= t < math.inf:  # nan fails both comparisons
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     envelope = (1.0 + f.grid.radius_sq / (1.0 + t)) ** r
     amp = float(np.max(np.abs(f.values) * envelope))
     return amp * (1.0 + t) ** (0.5 * n)
@@ -389,7 +389,10 @@ class EnergyLedger:
     sup_norm: list = field(default_factory=list)
     u_sobolev: list = field(default_factory=list)
     ut_sobolev: list = field(default_factory=list)
-    # the power spectrum and its work array, allocated at the first record
+    # the power spectrum, its work array and the |u|^(theta+2) density,
+    # views on two real half spectra allocated at the first record: the
+    # density lies over their first N^n floats, free once the power
+    # spectra are summed
     _powers: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def record(self, t: float, state, theta: int) -> None:
@@ -400,20 +403,21 @@ class EnergyLedger:
         s = self.sobolev_index
         q = theta + 2
         if not self._powers or self._powers[0].shape != grid.spectral_shape:
-            self._powers = (np.empty(grid.spectral_shape),
-                            np.empty(grid.spectral_shape))
+            buffer = np.empty((2, *grid.spectral_shape))
+            self._powers = (*buffer, field_view(grid, buffer))
+        power_u, power_work, density = self._powers
         # the four spectral sums: dot products of the power spectra of u
         # and then u_t, each formed in the ledger's arrays, against the
         # weights cached per grid
-        power = _power(state.u_hat, *self._powers)
+        power = _power(state.u_hat, power_u, power_work)
         gradient = 0.5 * _weighted_sum(power, _gradient_weight(grid))
         u_sobolev = math.sqrt(_weighted_sum(power,
                                             sobolev_weight(grid, s + 1)))
-        power = _power(state.v_hat, *self._powers)
+        power = _power(state.v_hat, power_u, power_work)
         kinetic = 0.5 * _weighted_sum(power, sobolev_weight(grid, 0))
         ut_sobolev = math.sqrt(_weighted_sum(power, sobolev_weight(grid, s)))
         # |u|^q from integer powers, multiplied in place
-        density = _abs_power(state.u, theta)
+        density = _abs_power(state.u, theta, out=density)
         density *= state.u
         density *= state.u
         potential = float(np.sum(density)) * grid.cell_volume / q

@@ -214,6 +214,14 @@ def inverse_transform(grid: Grid, coeffs: np.ndarray,
                                     out=out))
 
 
+def field_view(grid: Grid, spectrum: np.ndarray) -> np.ndarray:
+    """A field on grid laid over the first N^n floats of a half spectrum's
+    bytes, complex or two real ones stacked: they hold N^n + 2 N^(n-1)
+    floats, so a caller done with the spectrum may form a field in it."""
+    return (spectrum.view(np.float64).reshape(-1)[:grid.mode_count]
+            .reshape(grid.shape))
+
+
 def check_multi_index(alpha: tuple[int, ...]) -> None:
     """A ValueError unless every order in alpha is a nonnegative integer."""
     if any(a < 0 or a != int(a) for a in alpha):

@@ -65,9 +65,16 @@ def _check_times(name: str, times, positive: bool = False) -> None:
 
 
 def gaussian_bump(grid: Grid, amplitude: float, width: float) -> Field:
-    """Radial Gaussian amplitude * exp(-|x|^2 / (2 width^2)) centered at 0."""
+    """Radial Gaussian amplitude * exp(-|x|^2 / (2 width^2)) centered at 0,
+    formed in place in the fresh grid.radius_sq, so the field is the one
+    array it allocates."""
     _check_width(width)
-    return Field(grid, amplitude * np.exp(-0.5 * grid.radius_sq / (width * width)))
+    values = grid.radius_sq
+    values *= -0.5
+    values /= width * width
+    np.exp(values, out=values)
+    values *= amplitude
+    return Field(grid, values)
 
 
 @dataclass(frozen=True)

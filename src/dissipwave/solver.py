@@ -21,11 +21,13 @@ Adams-Bashforth products run on that box alone, contiguously: a new
 spectrum's box of several slabs is gathered, summed and written back, a
 box of one slab (1-d, or theta = 1) summed in place.  A run's steps
 write into arrays solve allocates once (_RunArrays): one pair of state
-spectra, stepped in place, two complex work spectra, the physical u and
-the source field; the history recycles its spent source spectrum.  Both
-transforms run every stage in those arrays (grid.forward_transform into a
-work spectrum, grid.inverse_transform's leading stages in one), so of
-arrays a steady step allocates only, for theta > 2, the u^2 of _abs_power.
+spectra, stepped in place, two complex work spectra, the second of which
+also holds the source field, and the physical u; the history recycles its
+spent source spectrum.  Both transforms run every stage in those arrays
+(grid.forward_transform into a work spectrum, grid.inverse_transform's
+leading stages in one), so of arrays a steady step allocates only, for
+theta > 2, the u^2 of _abs_power.  The seed, too, works in them and
+allocates only the history's boxes.
 
 The step may grow with time (key dt_doubling_times): the run is a sequence
 of epochs, each with twice the step of the one before.  step_schedule is
@@ -54,7 +56,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Field, Grid, forward_transform, inverse_transform
+from .grid import (Field, Grid, field_view, forward_transform,
+                   inverse_transform)
 from .symbols import (SymbolTable, build_symbol_table, green_pair,
                       propagator_levels)
 
@@ -379,13 +382,16 @@ def _put_kept(box_values: np.ndarray, slabs, spectrum: np.ndarray) -> None:
 
 class _RunArrays:
     """The arrays a run's steps write, allocated once: one pair of state
-    spectra, two complex work spectra, the physical u and the source
-    field.  The first step writes from the caller's start state into the
-    pair, and every later step overwrites it in place (SymbolTable.apply).
-    The work spectra take a new spectrum's transform and the linear
-    step's cross terms, then on the kept box a new spectrum's gathered
-    box (unless _StepCache.one_slab) and a source term; the first then
-    takes the new u's leading inverse stages."""
+    spectra, two complex work spectra and the physical u.  The first step
+    writes from the caller's start state into the pair, and every later
+    step overwrites it in place (SymbolTable.apply).  The work spectra
+    take the source's transform and the linear step's cross terms, then
+    on the kept box a new spectrum's gathered box (unless
+    _StepCache.one_slab) and a source term; the first then takes the new
+    u's leading inverse stages.  The source field is a grid.field_view
+    on the second work spectrum: the transform reads it into the first
+    before the linear step writes the second, and the source term is
+    formed only after that."""
 
     def __init__(self, grid: Grid, cache: _StepCache) -> None:
         spectra = [np.empty(grid.spectral_shape, dtype=complex)
@@ -395,7 +401,7 @@ class _RunArrays:
         self.gathered, self.term = (work.reshape(-1)[:size].reshape(shape)
                                     for work in self.work)
         self.u = np.empty(grid.shape)
-        self.source = np.empty(grid.shape)
+        self.source = field_view(grid, self.work[1])
 
 
 def _kept_hat(values: np.ndarray, cache: _StepCache, work: np.ndarray,
@@ -410,13 +416,21 @@ def _kept_hat(values: np.ndarray, cache: _StepCache, work: np.ndarray,
 
 def _seed_history(state: SolverState, f0: np.ndarray, config: SolverConfig,
                   cache: _StepCache,
-                  work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                  arrays: _RunArrays) -> tuple[np.ndarray, np.ndarray]:
     """(F_{-1}, F_{-2}) from the Taylor line F_0 + t F_t through the data,
-    with the exact source rate F_t = sign (theta+1) |u|^theta u_t."""
-    rate = _abs_power(state.u, config.theta)
-    rate *= inverse_transform(state.grid, state.v_hat, work=work).values
+    with the exact source rate F_t = sign (theta+1) |u|^theta u_t.
+
+    It allocates only the two boxes it returns: the rate is formed in
+    arrays.source, once F_0 is taken from it, u_t in arrays.u (the leading
+    stages in the first work spectrum) and the rate's box in arrays.term.
+    At an epoch's reseed state.u is arrays.u: it is read into the rate
+    before u_t overwrites it, and nothing reads it after, for a step's
+    state is valid only until the next step."""
+    rate = _abs_power(state.u, config.theta, out=arrays.source)
+    rate *= inverse_transform(state.grid, state.v_hat, out=arrays.u,
+                              work=arrays.work[0]).values
     rate *= config.nonlin_sign * (config.theta + 1)
-    rate_hat = _kept_hat(rate, cache, work, np.empty_like(f0))
+    rate_hat = _kept_hat(rate, cache, arrays.work[0], arrays.term)
     rate_hat *= cache.dt
     f_1 = f0 - rate_hat
     return f_1, f_1 - rate_hat
@@ -439,7 +453,7 @@ def step_semilinear(state: SolverState, config: SolverConfig,
     if history is None:
         f0 = _kept_hat(source, cache, arrays.work[0],
                        np.empty(cache.box_shape, dtype=complex))
-        f1, f2 = _seed_history(state, f0, config, cache, arrays.work[0])
+        f1, f2 = _seed_history(state, f0, config, cache, arrays)
     else:
         f1, f2, spent = history
         f0 = _kept_hat(source, cache, arrays.work[0], out=spent)

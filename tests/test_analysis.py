@@ -1,6 +1,7 @@
 """Norms, energy ledger, decay fitting, report plumbing."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -184,6 +185,14 @@ def test_weighted_profile_validation(grid1d):
     with pytest.raises(ValueError):
         weighted_profile(f, -1.0, 2.0)
     assert weighted_profile(f, 1.0, 2.0) == 0.0
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+def test_weighted_profile_rejects_a_time_that_is_not_finite(grid1d, t):
+    # as heat_reference and green_pair do: nan would read nan and inf inf
+    f = Field(grid1d, np.ones(grid1d.shape))
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        weighted_profile(f, t, 2.0)
 
 
 def test_fit_decay_rate_exact_power_law():
@@ -418,6 +427,23 @@ def test_energy_ledger_requires_increasing_times(grid1d):
     led.record(0.0, st0, 2)
     with pytest.raises(ValueError, match="increasing"):
         led.record(0.0, st0, 2)
+
+
+def test_energy_ledger_record_allocates_no_field():
+    # the power spectra and then the |u|^(theta+2) density are formed in
+    # the ledger's two real half spectra, allocated at the first record
+    g = make_grid(2, 128, 8.0)
+    state = state_from_fields(gaussian_bump(g, 0.4, 1.5),
+                              gaussian_bump(g, -0.2, 1.2))
+    led = EnergyLedger(sobolev_index=1)
+    led.record(0.0, state, 2)
+    tracemalloc.start()
+    try:
+        led.record(1.0, state, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * np.empty(g.shape).nbytes
 
 
 def _energy_series(energy, integral, integral_times=None):

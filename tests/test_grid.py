@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dissipwave import (Field, derivative_field, derivative_multiplier,
                         forward_transform, inverse_transform, make_grid,
                         read_snapshot, write_snapshot)
-from dissipwave.grid import MAX_POINTS, SNAPSHOT_MAGIC
+from dissipwave.grid import MAX_POINTS, SNAPSHOT_MAGIC, field_view
 
 
 def test_grid_properties():
@@ -276,3 +276,17 @@ def test_round_trip_property(n_exp, seed):
     vals = np.random.default_rng(seed).standard_normal(g.shape)
     back = inverse_transform(g, forward_transform(Field(g, vals)))
     assert np.max(np.abs(back.values - vals)) < 1e-11
+
+
+@pytest.mark.parametrize("n_dims", [1, 2, 3])
+def test_field_view_lays_a_field_over_a_spectrum(n_dims):
+    # a complex half spectrum, and two real ones stacked, hold a field in
+    # their first N^n floats
+    g = make_grid(n_dims, 16, 1.0)
+    for spectrum in (np.zeros(g.spectral_shape, dtype=complex),
+                     np.zeros((2, *g.spectral_shape))):
+        view = field_view(g, spectrum)
+        assert view.shape == g.shape and view.dtype == np.float64
+        view[...] = 1.0
+        floats = spectrum.view(np.float64).reshape(-1)
+        assert floats[:g.mode_count].all() and not floats[g.mode_count:].any()

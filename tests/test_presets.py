@@ -377,6 +377,14 @@ def _traced_peak(run) -> int:
         tracemalloc.stop()
 
 
+def test_gaussian_bump_allocates_only_its_field():
+    # the field is formed in place in the fresh |x|^2
+    g = make_grid(2, 256, 16.0)
+    g.coords
+    field = np.empty(g.shape).nbytes
+    assert _traced_peak(lambda: gaussian_bump(g, 0.4, 1.5)) <= 1.5 * field
+
+
 @pytest.mark.parametrize("reports, rows", [
     (((math.inf, 0, 0),), 1),
     (((math.inf, 0, 0), (math.inf, 0, 1)), 2),

@@ -455,12 +455,15 @@ def test_steady_steps_allocate_no_spectrum_sized_array():
 
 
 def test_solve_peak_memory_is_its_design():
-    # the run holds one state pair, two work spectra, u and the source
-    # field; the step cache four real spectra (the propagator) and six
-    # real boxes (the weights); the first step seeds the history beside
-    # F_0's box from a rate field and a u_t field; one spectrum more is
-    # transient: on 128^2 numpy's ufunc casting buffer (8192 elements) in
-    # the linear step.  A second state pair is one spectrum over the bound.
+    # the run holds one state pair, two work spectra (the second also the
+    # source field) and u; the step cache four real spectra (the
+    # propagator) and six real boxes (the weights); the history three
+    # boxes, which the seed forms in the run's arrays; one spectrum more
+    # is transient: on 128^2 numpy's ufunc casting buffer (8192 elements)
+    # in the linear step.  That is 7 spectra, a field and 6 boxes, which
+    # the design bounds by a second field for two of the boxes (0.89 of
+    # a field).  A field more, such as a source field of its own or a
+    # fresh rate or u_t field in the seed, is one spectrum over the bound.
     g = make_grid(2, 128, 8.0)
     start = state_from_fields(gaussian_bump(g, 0.4, 1.5),
                               gaussian_bump(g, -0.2, 1.2))
@@ -471,7 +474,7 @@ def test_solve_peak_memory_is_its_design():
     field = np.empty(g.shape).nbytes
     m = g.points_per_dim // 3
     box = np.empty((2 * m + 1, m + 1), dtype=complex).nbytes
-    design = 7 * spectrum + 4 * field + 4 * box
+    design = 7 * spectrum + 2 * field + 4 * box
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -480,6 +483,31 @@ def test_solve_peak_memory_is_its_design():
     finally:
         tracemalloc.stop()
     assert (peak - base - design) / spectrum < 0.25
+
+
+@pytest.mark.parametrize("theta", [1, 2])
+def test_reseed_reads_u_before_overwriting_it(theta):
+    # at an epoch's reseed the state's u is the run's u, which the seed
+    # overwrites with u_t once the rate has read it; a chain of steps that
+    # each own their arrays, history and cache reset at the doubling,
+    # reaches the same spectra bit for bit.  The source field shares the
+    # second work spectrum's bytes
+    g = make_grid(2, 64, 8.0)
+    start = state_from_fields(gaussian_bump(g, 0.4, 1.5),
+                              gaussian_bump(g, -0.2, 1.2))
+    cfg = SolverConfig(theta=theta, dt=0.05, t_final=0.6,
+                       dt_doubling_times=(0.2, 0.4))
+    state, cache, history = start, _make_step_cache(g, cfg, cfg.dt), None
+    for _t, dt, _snapshot in step_schedule(cfg)[1:]:
+        if dt != cache.dt:
+            cache, history = _make_step_cache(g, cfg, dt), None
+        state, history = step_semilinear(state, cfg, cache, history,
+                                         arrays=None)
+    final = solve(start, cfg)
+    assert np.array_equal(final.u_hat, state.u_hat)
+    assert np.array_equal(final.v_hat, state.v_hat)
+    arrays = solver._RunArrays(g, cache)
+    assert np.shares_memory(arrays.source, arrays.work[1])
 
 
 def test_solve_observers_and_ledger(grid1d, bump1d):

@@ -28,6 +28,9 @@ MIN_FIT_POINTS = 5
 MONO_TOL = 1e-8
 BALANCE_TOL = 1e-6
 
+# the least r^2 of the middle band's exponential fit (band_report)
+BAND2_MIN_R_SQUARED = 0.99
+
 
 class NothingToFit(ValueError):
     """No sample inside the fit window is positive (e.g. zero data), so
@@ -319,7 +322,8 @@ def band_report(series: dict, n_dims: int) -> DecayReport:
     """Verdicts on the band kernel sup norms, each fit over the span of its
     own times: band 1 decays like the linear flow (sup slope -n/2, its
     x-derivative -(n+1)/2, each within 0.10); the middle band decays
-    exponentially (log-slope against t at most -0.05, with r^2 >= 0.99).
+    exponentially (log-slope against t at most -0.05, with r^2 at least
+    BAND2_MIN_R_SQUARED).
     As in decay_report, a nonpositive sample among positive ones is a
     failing row with slope nan; so is a series with no positive sample
     (a kernel whose sup reads 0 at every time), for a kernel is never
@@ -335,7 +339,8 @@ def band_report(series: dict, n_dims: int) -> DecayReport:
                   -0.5 * n_dims, 0.10, one_sided=False),
             judge("linf:dx_band1", fit("linf:dx_band1", fit_decay_rate),
                   -0.5 * (n_dims + 1), 0.10, one_sided=False),
-            replace(band2, passed=band2.passed and band2.r_squared >= 0.99))
+            replace(band2, passed=band2.passed
+                    and band2.r_squared >= BAND2_MIN_R_SQUARED))
     times = series["linf:band1"][0]
     return DecayReport(rows=rows, window=(float(times[0]), float(times[-1])))
 

@@ -290,7 +290,8 @@ def _run_experiment_cmd(preset: ExperimentPreset, open_run,
     if bands:
         r_sq = next(r.r_squared for r in report.rows
                     if r.quantity == "linf:band2")
-        print(f"middle band exponential fit r^2 = {r_sq:.4f} (need >= 0.99)")
+        print(f"middle band exponential fit r^2 = {r_sq:.4f} "
+              f"(need >= {analysis.BAND2_MIN_R_SQUARED:g})")
         return report.passed, [f"middle band log-linear fit r^2 = {r_sq:.6f}"]
     comments = [f"initial data size e0 = {run.e0!r}"]
     if run.ledger is not None:

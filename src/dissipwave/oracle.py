@@ -167,35 +167,13 @@ def free_wave_multiplier(grid, t: float) -> np.ndarray:
     return out
 
 
-def heat_reference(grid: Grid, coeffs: np.ndarray, t: float,
-                   scratch: tuple[np.ndarray, np.ndarray] | None = None
-                   ) -> Field:
-    """Exact periodic heat evolution exp(t Laplacian) of the data whose
-    half spectrum on grid is coeffs.  The factor exp(-|xi|^2 t) is
-    gathered into a real half spectrum and the product formed in a
-    complex one, which the inverse transform then works in: fresh arrays,
-    or scratch = (real, complex) of float64 and complex128 when given,
-    which are overwritten (complex may be coeffs itself).  Of arrays, only
-    the returned field is allocated then."""
+def heat_reference(grid: Grid, coeffs: np.ndarray, t: float) -> Field:
+    """Exact periodic heat evolution exp(t Laplacian) of the half spectrum
+    coeffs on grid, each mode times exp(-|xi|^2 t), in fresh arrays."""
     if not 0 <= t < math.inf:  # nan fails both comparisons
         raise ValueError(f"t must be finite and nonnegative, got {t}")
     xi_sq, index = grid.freq_levels
-    if scratch is None:
-        scratch = (np.empty(grid.spectral_shape),
-                   np.empty(grid.spectral_shape, dtype=complex))
-    real, product = scratch
-    if ((real.dtype, product.dtype) != (np.float64, np.complex128)
-            or not real.shape == product.shape == grid.spectral_shape):
-        raise ValueError(
-            f"scratch must be float64 and complex128 half spectra of shape "
-            f"{grid.spectral_shape}, got {real.dtype} {real.shape} and "
-            f"{product.dtype} {product.shape}")
-    # take into out= buffers its result unless mode is "clip"; the index
-    # is in range, so clipping changes nothing.  The per-level factor is
-    # dropped before the transform allocates the field
-    np.take(np.exp(-xi_sq * t), index, out=real, mode="clip")
-    np.multiply(coeffs, real, out=product)
-    return inverse_transform(grid, product, work=product)
+    return inverse_transform(grid, coeffs * np.exp(-xi_sq * t)[index])
 
 
 def rk4_reference(u0: Field, u1: Field, theta: int, dt: float, steps: int,

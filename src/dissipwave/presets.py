@@ -8,7 +8,8 @@ Each kind reads the fields KIND_FIELDS lists; every other field keeps its
 default.  What every run takes alike is not a field: the Sobolev index is
 n + 1, the profile exponent PROFILE_R and the guard bound
 solver.GUARD_BOUND, and the solver has one step.  Both flow runners
-record a snapshot through one callback (_observer).  Presets round-trip
+record a snapshot through one callback (_observer), and a linear run's
+heat gap is its flow's (solver.LinearFlow.heat).  Presets round-trip
 losslessly through the flat key=value config format, whose keys are the
 kind's fields (n_dims as dimension, fit_window as fit_window_lo and
 fit_window_hi), so a manifest relaunches as a config.
@@ -17,12 +18,13 @@ fit_window_hi), so a manifest relaunches as a config.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
 
-from . import analysis, oracle, solver, symbols
+from . import analysis, solver, symbols
 from .analysis import MIN_FIT_POINTS, EnergyLedger, quantity_label
 from .grid import (Field, Grid, check_multi_index, derivative_field,
                    make_grid, read_snapshot)
@@ -77,6 +79,24 @@ def gaussian_bump(grid: Grid, amplitude: float, width: float) -> Field:
     return Field(grid, values)
 
 
+def _check_box(grid: Grid, sobolev_s: int) -> None:
+    """A ValueError unless every number a run forms from the half width L
+    is a positive finite float, for an inf or a 0 there would end in a nan
+    or an empty fit: the corner |x|^2 = n L^2, the corner |xi|^2 =
+    n (pi N / 2L)^2 and its power sobolev_s + 1 (the top term of
+    sobolev_weight, in e0 and the ledger) and the cell volume (2L/N)^n."""
+    n, xi = grid.n_dims, grid.nyquist_freq
+    xi_sq = n * xi * xi  # products, as a float ** raises on overflow
+    for what, value in (("corner |x|^2", n * grid.half_width * grid.half_width),
+                        ("corner |xi|^2", xi_sq),
+                        (f"|xi|^{2 * sobolev_s + 2}",
+                         math.prod((xi_sq,) * (sobolev_s + 1))),
+                        ("cell volume", math.prod((grid.dx,) * n))):
+        if not 0 < value < math.inf:
+            raise ValueError(f"half_width {grid.half_width!r} is outside what "
+                             f"the floats hold: its {what} is {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentPreset:
     name: str
@@ -112,7 +132,16 @@ class ExperimentPreset:
             if (f.type.startswith(("float", "tuple[float"))
                     and not all(map(math.isfinite, items))):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        self.grid  # validates dimension, point count, half width
+            # a config value is read stripped and cut at '#', one per line
+            if f.type == "str" and (value != value.strip()
+                                    or {*"#\n\r"} & {*value}):
+                raise ValueError(f"{f.name} must not start or end in space or "
+                                 f"hold '#' or a line break, got {value!r}")
+        # a run directory is <out>/<name>/<timestamp>
+        if self.name in ("", ".", "..") or {"/", os.sep, os.altsep} & {*self.name}:
+            raise ValueError(f"name must be one directory name, not . or "
+                             f"..; got {self.name!r}")
+        _check_box(self.grid, self.sobolev_s)  # the grid validates the rest
         if self.kind == "bands":
             for band in (1, 2):  # the run samples both transitions
                 symbols._check_band_resolution(band, self.grid)
@@ -274,7 +303,7 @@ def run_linear(preset: ExperimentPreset, snapshot_sink=None) -> ExperimentRun:
     One solver.LinearFlow from the start state gives every snapshot; it
     forms u_t only when a report reads a time derivative.  Also records
     the sup distance to the heat evolution of u0 + u1, the series behind
-    the diffusion-phenomenon check, formed in the flow's scratch.  The
+    the diffusion-phenomenon check, formed by the flow (LinearFlow.heat).  The
     spectra of u0 + u1 and of the data size e0 are read off the start
     state, so each datum is transformed once.
     """
@@ -284,14 +313,7 @@ def run_linear(preset: ExperimentPreset, snapshot_sink=None) -> ExperimentRun:
     flow = solver.LinearFlow(
         start, with_v=any(h >= 1 for _p, _a, h in preset.reports))
 
-    def heat(t: float) -> np.ndarray:
-        # the scratch is free once at() has returned; the observer reads
-        # the state's own spectra and u before it calls heat
-        coeffs = np.add(start.u_hat, start.v_hat, out=flow.scratch[1])
-        return oracle.heat_reference(start.grid, coeffs, t,
-                                     scratch=flow.scratch).values
-
-    series, observe = _observer(preset, None, snapshot_sink, heat)
+    series, observe = _observer(preset, None, snapshot_sink, flow.heat)
     for t in preset.snapshot_times:
         # the state holds the flow's arrays until the next at(); the
         # observer keeps norms and hands on a fresh physical u, so nothing

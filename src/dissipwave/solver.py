@@ -4,8 +4,8 @@ The linear flow is applied exactly: a symbols.SymbolTable holds the
 per-mode propagator over one increment, and linear_step only multiplies
 and adds with it.  A LinearFlow evaluates the flow from one start state
 at one time after another into spectra it allocates once, the route of
-a linear run's snapshots; linear_solution(state, t) is one evaluation
-of a LinearFlow of its own.  The one semilinear
+a linear run's snapshots and heat gap; linear_solution(state, t) is one
+evaluation of a LinearFlow of its own.  The one semilinear
 step, step_semilinear, is a third-order exponential Adams-Bashforth
 integrator: the Duhamel integral takes the source as the quadratic
 through its spectra at the last three steps, with per-mode weights from
@@ -103,33 +103,16 @@ class InstabilityError(RuntimeError):
         self.bound = bound
 
 
-class _SpectrumOrUnevaluated:
-    """The field SolverState.v_hat: a state whose u_t was not evaluated
-    (a LinearFlow without with_v) holds None, and reading it raises
-    rather than giving an array."""
-
-    def __get__(self, state, owner=None):
-        if state is None:  # class access: the field has no default
-            raise AttributeError("v_hat")
-        v_hat = state.__dict__["v_hat"]
-        if v_hat is None:
-            raise ValueError("u_t was not evaluated for this state: its "
-                             "LinearFlow formed the u row only")
-        return v_hat
-
-    def __set__(self, state, v_hat) -> None:
-        state.__dict__["v_hat"] = v_hat
-
-
 @dataclass(frozen=True)
 class SolverState:
     """Spectral flow (u, u_t) at one instant, half-spectrum layout.
     Immutable; it holds no time and no equation (see the module docstring).
-    v_hat may be None, for u_t not evaluated; reading it then raises."""
+    v_hat is None when u_t was not evaluated (a LinearFlow without
+    with_v); time_derivative then refuses h >= 1."""
 
     grid: Grid
     u_hat: np.ndarray
-    v_hat: np.ndarray | None = _SpectrumOrUnevaluated()
+    v_hat: np.ndarray | None
 
     @cached_property
     def u(self) -> np.ndarray:
@@ -239,8 +222,8 @@ class LinearFlow:
     multiplied into its row in place.  The state at(t) returns holds the
     flow's spectra, so it is valid until the next call, and a fresh
     physical u, transformed in the complex work array once the rows are
-    formed; without with_v it has no v_hat.  The work arrays, scratch, are
-    free between calls.
+    formed; without with_v it has no v_hat.  heat(t) works in the same
+    work arrays and leaves the rows as they are.
     """
 
     def __init__(self, start: SolverState, with_v: bool = True) -> None:
@@ -251,11 +234,17 @@ class LinearFlow:
         self._u_hat = np.empty(shape, dtype=complex)
         self._v_hat = np.empty(shape, dtype=complex) if with_v else None
 
-    @property
-    def scratch(self) -> tuple[np.ndarray, np.ndarray]:
-        """(real, complex) half spectra at() works in: a caller may
-        overwrite them once at() has returned, and the next at() does."""
-        return self._entry, self._term
+    def heat(self, t: float) -> np.ndarray:
+        """The heat evolution exp(t Laplacian) of u0 + u1, a fresh field:
+        oracle.heat_reference's operations in its order, so its field bit
+        for bit, in the flow's work arrays."""
+        if not 0 <= t < math.inf:  # nan fails both comparisons
+            raise ValueError(f"t must be finite and nonnegative, got {t}")
+        xi_sq, index = self.start.grid.freq_levels
+        np.take(np.exp(-xi_sq * t), index, out=self._entry, mode="clip")
+        product = np.add(self.start.u_hat, self.start.v_hat, out=self._term)
+        product *= self._entry
+        return inverse_transform(self.start.grid, product, work=product).values
 
     def at(self, t: float) -> SolverState:
         grid = self.start.grid
@@ -585,6 +574,9 @@ def time_derivative(state: SolverState, h: int,
     check_time_order(h)
     if h == 0:
         return u_field(state)
+    if state.v_hat is None:
+        raise ValueError("u_t was not evaluated for this state: its "
+                         "LinearFlow formed the u row only")
     if h == 1:
         return inverse_transform(state.grid, state.v_hat)
     grid = state.grid

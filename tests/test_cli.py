@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,8 @@ from dissipwave import (ExperimentPreset, Field, builtin_presets,
                         preset_to_config, read_snapshot, write_snapshot)
 from dissipwave.analysis import read_series_csv
 from dissipwave.cli import (ConfigError, main, make_run_dir,
-                            parse_config_text, resolve_preset)
+                            parse_config_text, resolve_preset, write_manifest)
+from dissipwave.presets import preset_from_config
 
 
 _TINY = dict(name="cli-tiny", kind="semilinear", n_dims=1, grid_points=64,
@@ -238,6 +240,13 @@ SIX_SNAPSHOTS = ["--set", "snapshot_times=0.5,0.6,0.7,0.8,0.9,1.0"]
     ["simulate", "--config", "lin2d", "--set", "grid_points=16384"],
     # past solver.MAX_THETA; the source's powers would take minutes a step
     ["simulate", "--config", "semi1d-theta3", "--set", "theta=1000000000"],
+    # boxes whose |x|^2 overflows or underflows
+    ["simulate", "--config", "lin1d", "--set", "half_width=1e300",
+     "--set", "grid_points=16"],
+    ["simulate", "--config", "lin2d", "--set", "half_width=1e-200",
+     "--set", "grid_points=16", "--set", "t_final=1e-201",
+     "--set", "snapshot_times=1e-206,2e-206,3e-206,4e-206,5e-206",
+     "--set", "fit_window_lo=1e-206", "--set", "fit_window_hi=5e-206"],
 ], ids=["window-samples", "integrator", "off-grid-snapshot", "off-grid-dt",
         "delta-bar", "tol", "tol-nan", "tol-inf", "width", "width-nan",
         "width-square-underflow", "linear-width-square-underflow",
@@ -257,7 +266,7 @@ SIX_SNAPSHOTS = ["--set", "snapshot_times=0.5,0.6,0.7,0.8,0.9,1.0"]
         "doubling-off-grid-end", "doubling-off-grid-snapshot",
         "linear-doubling", "reports-repeated", "reports-repeated-inf-case",
         "reports-one-label", "tiny-dt", "huge-t-final", "grid-points-cap",
-        "theta-cap"])
+        "theta-cap", "box-overflow", "box-underflow"])
 def test_bad_input_exits_2_before_any_run_directory(tmp_path, capsys, argv):
     out = tmp_path / "o"
     out.mkdir()
@@ -276,6 +285,35 @@ def test_bad_input_exits_2_before_any_run_directory(tmp_path, capsys, argv):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:")
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", [
+    "../../escaped", "ABSOLUTE", "", ".", "..", "a/b", "run#1", "two\nlines",
+    "cr\rname"], ids=["parent-parent", "absolute", "empty", "dot", "dotdot",
+                      "slash", "hash", "newline", "carriage-return"])
+def test_a_name_that_leaves_the_run_layout_exits_2_writing_nothing(
+        tmp_path, capsys, name):
+    # a run directory is <out>/<name>/<timestamp>; no name may put it
+    # elsewhere, under --out or beside it
+    out = tmp_path / "a" / "b" / "runs"
+    name = name.replace("ABSOLUTE", str(tmp_path / "abs"))
+    code = main(["simulate", "--config", "lin1d", "--set", f"name={name}",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: lin1d: name")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("preset", [
+    *builtin_presets().values(),
+    replace(builtin_presets()["lin1d"], name="has space")],
+    ids=[*builtin_presets(), "has-space"])
+def test_manifest_lines_give_back_the_preset(tmp_path, preset):
+    write_manifest(tmp_path, "simulate --config x", preset,
+                   ["a comment", "two\nlines # with a hash"])
+    text = (tmp_path / "manifest.txt").read_text()
+    assert preset_from_config(parse_config_text(text)) == preset
 
 
 @pytest.mark.parametrize("flag, path, reason", [
@@ -930,6 +968,35 @@ def _load_perfbench(monkeypatch, name):
     monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
+
+
+def _untraceable(launch) -> list[str]:
+    """The names perfbench/launch.py looks up with getattr in a traced
+    run (TRACED, RUN_CALLS and EnergyLedger.record) that are not callable."""
+    import dissipwave
+
+    names = [f"{module}.{name}" for module, names in launch.TRACED.items()
+             for name in names]
+    names += [f"presets.{name}" for name in launch.RUN_CALLS]
+    names.append("analysis.EnergyLedger.record")
+    missing = []
+    for dotted in names:
+        value = dissipwave
+        for part in dotted.split("."):
+            value = getattr(value, part, None)
+        if not callable(value):
+            missing.append(dotted)
+    return missing
+
+
+def test_every_name_the_benchmark_traces_resolves(monkeypatch):
+    assert _untraceable(_load_perfbench(monkeypatch, "launch")) == []
+
+
+def test_a_traced_name_that_is_gone_is_caught(monkeypatch):
+    launch = _load_perfbench(monkeypatch, "launch")
+    monkeypatch.delattr("dissipwave.solver.linear_solution")
+    assert _untraceable(launch) == ["solver.linear_solution"]
 
 
 def test_each_kind_calls_its_runner_once_through_the_module(tmp_path, capsys,

@@ -14,7 +14,8 @@ from dissipwave import (Field, SolverConfig, build_symbol_table,
                         builtin_presets, cutoff, forward_transform,
                         gaussian_bump, green_band, green_hat, heat_reference,
                         inverse_transform, make_grid)
-from dissipwave.solver import _QUAD_NODES, _QUAD_WEIGHTS, _make_step_cache
+from dissipwave.solver import (_QUAD_NODES, _QUAD_WEIGHTS, LinearFlow,
+                               _make_step_cache, state_from_fields)
 from dissipwave.symbols import _delta_spectrum, green_pair
 
 # small grids whose lattices reach both sides of the branch point
@@ -98,39 +99,38 @@ def test_heat_reference_matches_per_mode_factor(grid, t):
     assert np.array_equal(heat_reference(grid, spec, t).values, want)
 
 
-def _scratch(grid):
-    return (np.full(grid.spectral_shape, np.nan),
-            np.full(grid.spectral_shape, np.nan, dtype=complex))
-
-
 @pytest.mark.parametrize("grid", [make_grid(1, 64, 8.0), *GRIDS.values()],
                          ids=["1d", *GRIDS])
 # at t = 30 the product's high modes are subnormal or zero, as at lin2d's
 # late snapshot times
 @pytest.mark.parametrize("t", (0.0, 1.0, 7.3, 30.0))
 def test_heat_reference_in_scratch_is_the_allocating_call(grid, t):
-    spec = forward_transform(gaussian_bump(grid, 1.0, 1.5))
-    spec += forward_transform(gaussian_bump(grid, -0.3, 0.8))
-    want = heat_reference(grid, spec, t).values
-    real, product = _scratch(grid)
-    got = heat_reference(grid, spec, t, scratch=(real, product)).values
+    # the heat a linear flow forms in its own work arrays is the oracle's
+    # allocating heat_reference of u0 + u1 bit for bit, a fresh field that
+    # leaves the rows of the flow's last evaluation as they were
+    start = state_from_fields(gaussian_bump(grid, 1.0, 1.5),
+                              gaussian_bump(grid, -0.3, 0.8))
+    want = heat_reference(grid, start.u_hat + start.v_hat, t).values
+    flow = LinearFlow(start)
+    state = flow.at(2.0)
+    rows = (state.u_hat.copy(), state.v_hat.copy())
+    got = flow.heat(t)
     assert np.array_equal(got, want)
-    assert not np.shares_memory(got, product)
-    # the product may overwrite the coefficients themselves
-    product[...] = spec
-    in_place = heat_reference(grid, product, t, scratch=(real, product))
-    assert np.array_equal(in_place.values, want)
+    assert np.array_equal(state.u_hat, rows[0])
+    assert np.array_equal(state.v_hat, rows[1])
+    flow_arrays = (flow._entry, flow._term, flow._u_hat, flow._v_hat,
+                   start.u_hat, start.v_hat)
+    assert not any(np.shares_memory(got, a) for a in flow_arrays)
+    assert np.array_equal(flow.heat(t), want)  # and again from its arrays
 
 
-def test_heat_reference_rejects_a_wrong_scratch():
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -1.0))
+def test_linear_flow_heat_rejects_a_time_that_is_not_finite(bad):
     grid = GRIDS["2d"]
-    spec = forward_transform(gaussian_bump(grid, 1.0, 1.5))
-    real, product = _scratch(grid)
-    for bad in ((real.astype(np.float32), product), (real, product.real),
-                (real[:-1], product), (real, product[..., :-1]),
-                (product, real)):
-        with pytest.raises(ValueError, match="scratch"):
-            heat_reference(grid, spec, 1.0, scratch=bad)
+    start = state_from_fields(gaussian_bump(grid, 1.0, 1.5),
+                              gaussian_bump(grid, -0.3, 0.8))
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        LinearFlow(start).heat(bad)
 
 
 @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS)

@@ -246,6 +246,37 @@ def test_snapshot_times_must_fit_horizon():
         _tiny(snapshot_times=(0.5, 2.0))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("name", " padded"), ("name", "padded\t"), ("name", "run#1"),
+    ("name", "two\nlines"), ("name", "cr\rname"), ("name", ""),
+    ("name", "."), ("name", ".."), ("name", "a/b"), ("name", "/abs"),
+    ("u0_file", "data.dwf "), ("u1_file", "data#1.dwf"),
+], ids=["name-lead-space", "name-trail-tab", "name-hash", "name-newline",
+        "name-cr", "name-empty", "name-dot", "name-dotdot", "name-slash",
+        "name-absolute", "u0-file-space", "u1-file-hash"])
+def test_string_fields_that_do_not_survive_the_config_are_refused(field,
+                                                                  value):
+    with pytest.raises(ValueError, match=field):
+        _tiny(**{field: value})
+
+
+def test_a_name_with_an_inner_space_is_kept():
+    assert _tiny(name="has space").name == "has space"
+
+
+@pytest.mark.parametrize("over, what", [
+    (dict(half_width=1e300, grid_points=16), "corner |x|^2 is inf"),
+    (dict(half_width=1e-200, grid_points=16), "corner |x|^2 is 0.0"),
+    # only |xi|^2 to the power n + 2, the ledger's top Sobolev term,
+    # overflows: |xi|^2 is 1.9e63 and the cell volume 2e-93
+    (dict(n_dims=3, grid_points=16, half_width=1e-30), "|xi|^10 is inf"),
+], ids=["huge", "tiny", "sobolev-power"])
+def test_a_box_the_floats_cannot_hold_is_refused(over, what):
+    with pytest.raises(ValueError, match="half_width") as info:
+        _tiny_linear(**over)
+    assert str(info.value).endswith(what)
+
+
 def test_bands_preset_needs_time_lists():
     with pytest.raises(ValueError, match="band"):
         ExperimentPreset(name="b", kind="bands", n_dims=1, grid_points=64,

@@ -246,22 +246,17 @@ def test_snapshot_times_must_fit_horizon():
         _tiny(snapshot_times=(0.5, 2.0))
 
 
+# a config line is read stripped, so only a preset built in code can hold
+# the spaces; tests/test_cli.py runs the names a config can carry
 @pytest.mark.parametrize("field, value", [
-    ("name", " padded"), ("name", "padded\t"), ("name", "run#1"),
-    ("name", "two\nlines"), ("name", "cr\rname"), ("name", ""),
-    ("name", "."), ("name", ".."), ("name", "a/b"), ("name", "/abs"),
-    ("u0_file", "data.dwf "), ("u1_file", "data#1.dwf"),
-], ids=["name-lead-space", "name-trail-tab", "name-hash", "name-newline",
-        "name-cr", "name-empty", "name-dot", "name-dotdot", "name-slash",
-        "name-absolute", "u0-file-space", "u1-file-hash"])
+    ("name", " padded"), ("name", "padded\t"), ("u0_file", "data.dwf "),
+    ("u1_file", "data#1.dwf"), ("u1_file", "two\nlines.dwf"),
+], ids=["name-lead-space", "name-trail-tab", "u0-file-space", "u1-file-hash",
+        "u1-file-newline"])
 def test_string_fields_that_do_not_survive_the_config_are_refused(field,
                                                                   value):
     with pytest.raises(ValueError, match=field):
         _tiny(**{field: value})
-
-
-def test_a_name_with_an_inner_space_is_kept():
-    assert _tiny(name="has space").name == "has space"
 
 
 @pytest.mark.parametrize("over, what", [

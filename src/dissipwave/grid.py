@@ -135,9 +135,25 @@ class Grid:
         increasing order and, per stored mode, the position of its value,
         so levels[index] is freq_sq bit for bit.  A radial multiplier is
         evaluated once per level and spread onto the lattice by the one
-        gather values[index]."""
-        levels, index = np.unique(self.freq_sq, return_inverse=True)
-        return levels, index.reshape(self.spectral_shape)
+        gather values[index].
+
+        Built on the folded lattice, rows j = 0 .. N/2 of every leading
+        axis: mode N - j has the frequency -xi_j, whose square is xi_j^2
+        bit for bit, so those rows hold every level.  The folded index is
+        spread onto each leading axis by the row map j -> min(j, N - j),
+        which takes about half the transient of np.unique over the whole
+        stored spectrum and gives its table exactly."""
+        n = self.points_per_dim
+        folded = tuple(f[(slice(0, n // 2 + 1),) * self.n_dims]
+                       for f in self.freq_grids)
+        levels, index = np.unique(sum(f * f for f in folded),
+                                  return_inverse=True)
+        index = index.reshape((n // 2 + 1,) * self.n_dims)
+        rows = np.arange(n)
+        rows = np.minimum(rows, n - rows)
+        for axis in range(self.n_dims - 1):
+            index = np.take(index, rows, axis=axis)
+        return levels, index
 
     @cached_property
     def freq_radius(self) -> np.ndarray:
@@ -207,11 +223,35 @@ def inverse_transform(grid: Grid, coeffs: np.ndarray,
             work = np.array(coeffs, dtype=complex)
         elif work is not coeffs:
             np.copyto(work, coeffs)
-        for axis in range(grid.n_dims - 1):
-            np.fft.ifft(work, axis=axis, out=work)
+        _leading_inverse_stages(grid, work)
         coeffs = work
     return Field(grid, np.fft.irfft(coeffs, n=grid.points_per_dim, axis=-1,
                                     out=out))
+
+
+def _leading_inverse_stages(grid: Grid, work: np.ndarray) -> None:
+    """irfftn's leading-axis stages, first to last, in place in work."""
+    for axis in range(grid.n_dims - 1):
+        np.fft.ifft(work, axis=axis, out=work)
+
+
+def inverse_transform_rows(grid: Grid, work: np.ndarray, block: np.ndarray):
+    """inverse_transform(grid, work, work=work) a block of lines at a
+    time, so no field is formed: yields (rows, values), rows a slice of
+    field.reshape(-1, N) and values those lines of the field, bit for
+    bit.  The leading stages run in place in work, which the caller hands
+    over; the last stage writes block.shape[0] lines at a time into the
+    first floats of block, a complex array of N//2 + 1 columns, so values
+    is valid until the next block."""
+    _leading_inverse_stages(grid, work)
+    n = grid.points_per_dim
+    lines = work.reshape(-1, n // 2 + 1)
+    size = block.shape[0]
+    out = block.view(np.float64).reshape(-1)[:size * n].reshape(size, n)
+    for start in range(0, lines.shape[0], size):
+        rows = slice(start, start + size)
+        part = lines[rows]
+        yield rows, np.fft.irfft(part, n=n, axis=-1, out=out[:len(part)])
 
 
 def field_view(grid: Grid, spectrum: np.ndarray) -> np.ndarray:

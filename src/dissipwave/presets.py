@@ -9,7 +9,7 @@ default.  What every run takes alike is not a field: the Sobolev index is
 n + 1, the profile exponent PROFILE_R and the guard bound
 solver.GUARD_BOUND, and the solver has one step.  Both flow runners
 record a snapshot through one callback (_observer), and a linear run's
-heat gap is its flow's (solver.LinearFlow.heat).  Presets round-trip
+heat gap is its flow's (solver.LinearFlow.heat_gap).  Presets round-trip
 losslessly through the flat key=value config format, whose keys are the
 kind's fields (n_dims as dimension, fit_window as fit_window_lo and
 fit_window_hi), so a manifest relaunches as a config.
@@ -264,12 +264,12 @@ def _norm_of(state: solver.SolverState, config: solver.SolverConfig | None,
 
 
 def _observer(preset: ExperimentPreset, config: solver.SolverConfig | None,
-              snapshot_sink=None, heat=None):
+              snapshot_sink=None, heat_gap=None):
     """The series of a linear or semilinear run, {label: []}, and the
     callback observe(t, state) that records one snapshot: it appends the
-    requested norms, then the weighted profile (semilinear) or the sup
-    distance to heat(t), the data's heat evolution as an array the
-    observer may overwrite (linear), and hands u to the snapshot sink."""
+    requested norms, then the weighted profile (semilinear) or
+    heat_gap(t, u), the sup distance from u to the data's heat evolution
+    (linear), and hands u to the snapshot sink."""
     norms = {quantity_label(p, a, h): (p, a, h) for p, a, h in preset.reports}
     extra = PROFILE_LABEL if preset.kind == "semilinear" else HEAT_GAP_LABEL
     series: dict = {label: [] for label in (*norms, extra)}
@@ -281,10 +281,7 @@ def _observer(preset: ExperimentPreset, config: solver.SolverConfig | None,
         if preset.kind == "semilinear":
             series[extra].append(analysis.weighted_profile(u, t, PROFILE_R))
         else:
-            gap = heat(t)
-            gap -= u.values  # heat - u: the magnitudes of u - heat
-            series[extra].append(analysis.lp_norm(Field(u.grid, gap),
-                                                  math.inf))
+            series[extra].append(heat_gap(t, u.values))
         if snapshot_sink is not None:
             snapshot_sink(float(t), u)
 
@@ -301,11 +298,13 @@ def run_linear(preset: ExperimentPreset, snapshot_sink=None) -> ExperimentRun:
     """Evaluate the exact linear flow at the snapshot times.
 
     One solver.LinearFlow from the start state gives every snapshot; it
-    forms u_t only when a report reads a time derivative.  Also records
-    the sup distance to the heat evolution of u0 + u1, the series behind
-    the diffusion-phenomenon check, formed by the flow (LinearFlow.heat).  The
-    spectra of u0 + u1 and of the data size e0 are read off the start
-    state, so each datum is transformed once.
+    keeps the u and u_t rows only when a report reads a time derivative.
+    Also records the sup distance to the heat evolution of u0 + u1, the
+    series behind the diffusion-phenomenon check, formed by the flow
+    (LinearFlow.heat_gap).  The spectra of u0 + u1 and of the data size
+    e0 are read off the start state, so each datum is transformed once;
+    e0 is read once the flow is dropped, so its weights, which stay
+    cached, and its transients take the flow's arrays' place.
     """
     if preset.kind != "linear":
         raise ValueError(f"preset {preset.name!r} is not linear")
@@ -313,12 +312,13 @@ def run_linear(preset: ExperimentPreset, snapshot_sink=None) -> ExperimentRun:
     flow = solver.LinearFlow(
         start, with_v=any(h >= 1 for _p, _a, h in preset.reports))
 
-    series, observe = _observer(preset, None, snapshot_sink, flow.heat)
+    series, observe = _observer(preset, None, snapshot_sink, flow.heat_gap)
     for t in preset.snapshot_times:
         # the state holds the flow's arrays until the next at(); the
         # observer keeps norms and hands on a fresh physical u, so nothing
         # that leaves the run aliases them
         observe(t, flow.at(t))
+    del flow, observe  # the observer holds the flow through heat_gap
     e0 = analysis.e0_norm(start, preset.sobolev_s)
     return ExperimentRun(preset, _pairs(preset.snapshot_times, series), e0=e0)
 

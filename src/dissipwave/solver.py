@@ -57,7 +57,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import (Field, Grid, field_view, forward_transform,
-                   inverse_transform)
+                   inverse_transform, inverse_transform_rows)
 from .symbols import (SymbolTable, build_symbol_table, green_pair,
                       propagator_levels)
 
@@ -85,6 +85,11 @@ _QUAD_WEIGHTS = np.array([
 # hold about 0.3 GB.
 MAX_STATES = 10**6
 
+# A LinearFlow forms its cross terms and its heat gap's last transform
+# stage a block of lines along the last axis at a time: this many blocks
+# (one line, the whole spectrum, in 1-d).
+_LINE_BLOCKS = 16
+
 # Source spectra (F_{n-1}, F_{n-2}, F_{n-3}) on the kept box (_kept_slabs)
 # the Duhamel step carries to the next; it reads the two newest and
 # overwrites the spent F_{n-3} with F_n.
@@ -107,11 +112,12 @@ class InstabilityError(RuntimeError):
 class SolverState:
     """Spectral flow (u, u_t) at one instant, half-spectrum layout.
     Immutable; it holds no time and no equation (see the module docstring).
-    v_hat is None when u_t was not evaluated (a LinearFlow without
-    with_v); time_derivative then refuses h >= 1."""
+    Both spectra are None in a state of a LinearFlow without with_v,
+    which forms and transforms the u row alone: u is its one field, and
+    time_derivative refuses h >= 1."""
 
     grid: Grid
-    u_hat: np.ndarray
+    u_hat: np.ndarray | None
     v_hat: np.ndarray | None
 
     @cached_property
@@ -119,6 +125,12 @@ class SolverState:
         """Physical-space u, transformed once and shared by the step, the
         guard, the energy ledger and the observer."""
         return inverse_transform(self.grid, self.u_hat).values
+
+    @cached_property
+    def u_t(self) -> np.ndarray:
+        """Physical-space u_t, transformed once and shared by every
+        time_derivative of order 1 read off the state."""
+        return inverse_transform(self.grid, self.v_hat).values
 
     @cached_property
     def u_sup(self) -> float:
@@ -213,58 +225,112 @@ def _abs_power(u: np.ndarray, theta: int,
 
 class LinearFlow:
     """The exact linear flow from one start state, evaluated at one time
-    after another into spectra allocated once per flow.
+    after another in arrays allocated once per flow: a complex work
+    spectrum, scratch for one block of lines along the last axis (a
+    complex block and a real gather block) and, when with_v, the u and
+    u_t rows.
 
     at(t) forms the u row (G_t + G) u_hat + G v_hat and, when with_v, the
-    u_t row (G_tt + G_t) u_hat + G_t v_hat: each entry is tabulated per
-    |xi|^2 level at t (symbols.propagator_levels, which rejects a negative
-    or non-finite t), gathered onto the lattice into one work array and
-    multiplied into its row in place.  The state at(t) returns holds the
-    flow's spectra, so it is valid until the next call, and a fresh
-    physical u, transformed in the complex work array once the rows are
-    formed; without with_v it has no v_hat.  heat(t) works in the same
-    work arrays and leaves the rows as they are.
+    u_t row (G_tt + G_t) u_hat + G_t v_hat: each entry it needs is
+    tabulated per |xi|^2 level at t (green_pair, or
+    symbols.propagator_levels for both rows; each rejects a negative or
+    non-finite t), then, a block of lines at a time, gathered onto the
+    lattice and multiplied into its row.  Without with_v the u row is
+    formed in the work spectrum and transformed there in place, so the
+    state at(t) returns has no spectra; with it, the state holds the
+    flow's rows, valid until the next call, which time_derivative of
+    order 2 reads.  Its u and, when with_v, its u_t are fresh fields,
+    transformed in the work spectrum.  heat_gap(t, u) works in the work
+    spectrum and the scratch and leaves the state as it is.
     """
 
     def __init__(self, start: SolverState, with_v: bool = True) -> None:
         shape = start.grid.spectral_shape
+        size = -(-math.prod(shape[:-1]) // _LINE_BLOCKS)
         self.start = start
-        self._entry = np.empty(shape)
-        self._term = np.empty(shape, dtype=complex)
-        self._u_hat = np.empty(shape, dtype=complex)
-        self._v_hat = np.empty(shape, dtype=complex) if with_v else None
+        self._work = np.empty(shape, dtype=complex)
+        self._block = np.empty((size, shape[-1]), dtype=complex)
+        self._gather = np.empty((size, shape[-1]))
+        self._u_hat, self._v_hat = ((np.empty(shape, dtype=complex),
+                                     np.empty(shape, dtype=complex))
+                                    if with_v else (None, None))
 
-    def heat(self, t: float) -> np.ndarray:
-        """The heat evolution exp(t Laplacian) of u0 + u1, a fresh field:
-        oracle.heat_reference's operations in its order, so its field bit
-        for bit, in the flow's work arrays."""
-        if not 0 <= t < math.inf:  # nan fails both comparisons
-            raise ValueError(f"t must be finite and nonnegative, got {t}")
-        xi_sq, index = self.start.grid.freq_levels
-        np.take(np.exp(-xi_sq * t), index, out=self._entry, mode="clip")
-        product = np.add(self.start.u_hat, self.start.v_hat, out=self._term)
-        product *= self._entry
-        return inverse_transform(self.start.grid, product, work=product).values
+    def _blocks(self, *spectra: np.ndarray):
+        """Per block of lines along the last axis: each spectrum's lines
+        in it (the level index included), then the gather and complex
+        scratch cut to the block."""
+        width = self._block.shape[-1]
+        lines = [spectrum.reshape(-1, width) for spectrum in spectra]
+        for start in range(0, len(lines[0]), len(self._block)):
+            parts = [a[start:start + len(self._block)] for a in lines]
+            size = len(parts[0])
+            yield *parts, self._gather[:size], self._block[:size]
+
+    def _form_row(self, row: np.ndarray, on_u: np.ndarray,
+                  on_v: np.ndarray) -> None:
+        """row = on_u[index] u_hat + on_v[index] v_hat of the start state,
+        for level values on_u and on_v."""
+        start = self.start
+        # take into out= buffers its result unless mode is "clip"; the
+        # index is in range, so clipping changes nothing
+        for index, u_hat, v_hat, out, gather, term in self._blocks(
+                start.grid.freq_levels[1], start.u_hat, start.v_hat, row):
+            np.multiply(np.take(on_u, index, out=gather, mode="clip"),
+                        u_hat, out=out)
+            np.take(on_v, index, out=gather, mode="clip")
+            out += np.multiply(gather, v_hat, out=term)
+
+    def _form_rows(self, t: float) -> np.ndarray:
+        """Form the rows at t and return the u row; the level values of t
+        are dropped on return, before any field is made."""
+        xi_sq = self.start.grid.freq_levels[0]
+        if self._v_hat is None:  # the u row alone: uu = G_t + G, uv = G
+            g, uu = green_pair(xi_sq, t)
+            uu += g
+            self._form_row(self._work, uu, g)
+            return self._work
+        uu, uv, vu, vv = propagator_levels(xi_sq, t)
+        self._form_row(self._u_hat, uu, uv)
+        self._form_row(self._v_hat, vu, vv)
+        return self._u_hat
 
     def at(self, t: float) -> SolverState:
         grid = self.start.grid
-        xi_sq, index = grid.freq_levels
-        uu, uv, vu, vv = propagator_levels(xi_sq, t)
-        for row, on_u, on_v in ((self._u_hat, uu, uv), (self._v_hat, vu, vv)):
-            if row is None:
-                continue
-            # take into out= buffers its result unless mode is "clip"; the
-            # index is in range, so clipping changes nothing
-            np.take(on_u, index, out=self._entry, mode="clip")
-            np.multiply(self._entry, self.start.u_hat, out=row)
-            np.take(on_v, index, out=self._entry, mode="clip")
-            row += np.multiply(self._entry, self.start.v_hat, out=self._term)
+        u_row = self._form_rows(t)
         state = SolverState(grid, self._u_hat, self._v_hat)
-        # the cached_property u, a fresh array: nothing that leaves the
-        # flow aliases its arrays
-        state.__dict__["u"] = inverse_transform(grid, self._u_hat,
-                                                work=self._term).values
+        # the cached properties u and u_t, fresh arrays: nothing that
+        # leaves the flow aliases its arrays; a u row in the work
+        # spectrum is handed over to its transform
+        state.__dict__["u"] = inverse_transform(grid, u_row,
+                                                work=self._work).values
+        if self._v_hat is not None:
+            state.__dict__["u_t"] = inverse_transform(
+                grid, self._v_hat, work=self._work).values
         return state
+
+    def heat_gap(self, t: float, u: np.ndarray) -> float:
+        """sup |exp(t Laplacian)(u0 + u1) - u| for a field u on the flow's
+        grid, lp_norm(heat - u, inf) bit for bit with no heat field formed:
+        the heat spectrum is oracle.heat_reference's operations in its
+        order, in the work spectrum, and its last transform stage runs a
+        block of lines at a time (grid.inverse_transform_rows), each block
+        taking the larger of max and -min of heat - u as lp_norm does."""
+        if not 0 <= t < math.inf:  # nan fails both comparisons
+            raise ValueError(f"t must be finite and nonnegative, got {t}")
+        start, grid = self.start, self.start.grid
+        xi_sq, levels_index = grid.freq_levels
+        factor = np.exp(-xi_sq * t)
+        for index, u_hat, v_hat, heat, gather, _block in self._blocks(
+                levels_index, start.u_hat, start.v_hat, self._work):
+            np.add(u_hat, v_hat, out=heat)
+            heat *= np.take(factor, index, out=gather, mode="clip")
+        lines = u.reshape(-1, grid.points_per_dim)
+        sups = []
+        for rows, values in inverse_transform_rows(grid, self._work,
+                                                   self._block):
+            values -= lines[rows]
+            sups.append(max(float(values.max()), -float(values.min())))
+        return abs(float(np.max(sups)))
 
 
 def linear_solution(state: SolverState, t: float) -> SolverState:
@@ -578,7 +644,7 @@ def time_derivative(state: SolverState, h: int,
         raise ValueError("u_t was not evaluated for this state: its "
                          "LinearFlow formed the u row only")
     if h == 1:
-        return inverse_transform(state.grid, state.v_hat)
+        return Field(state.grid, state.u_t)
     grid = state.grid
     linear_part = inverse_transform(
         grid, -grid.freq_sq * state.u_hat - state.v_hat)

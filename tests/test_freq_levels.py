@@ -6,6 +6,9 @@ per-mode evaluation gives.  Each reference below evaluates its
 multiplier on every stored mode of the half spectrum.
 """
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -13,7 +16,7 @@ from numpy.polynomial.legendre import leggauss
 from dissipwave import (Field, SolverConfig, build_symbol_table,
                         builtin_presets, cutoff, forward_transform,
                         gaussian_bump, green_band, green_hat, heat_reference,
-                        inverse_transform, make_grid)
+                        inverse_transform, lp_norm, make_grid)
 from dissipwave.solver import (_QUAD_NODES, _QUAD_WEIGHTS, LinearFlow,
                                _make_step_cache, state_from_fields)
 from dissipwave.symbols import _delta_spectrum, green_pair
@@ -32,6 +35,8 @@ def test_level_table_reproduces_freq_sq(grid):
     assert np.all(np.diff(levels) > 0)
     assert index.shape == grid.spectral_shape
     assert np.array_equal(levels[index], grid.freq_sq)
+    # every level is some mode's, so the table is np.unique's exactly
+    assert np.array_equal(np.unique(index), np.arange(levels.size))
     if grid.n_dims == 1:  # |xi|^2 = xi_j^2 is distinct for j = 0 .. N/2
         assert levels.size == grid.freq_sq.size
     else:
@@ -42,6 +47,41 @@ def test_level_count_on_the_lin2d_grid():
     grid = builtin_presets()["lin2d"].grid
     assert grid.freq_sq.size == 131_584
     assert grid.freq_levels[0].size == 28_646
+
+
+@pytest.mark.parametrize("grid", [
+    make_grid(1, 64, 8.0), make_grid(1, 4096, 200.0), make_grid(2, 32, 8.0),
+    make_grid(2, 128, 3.0), make_grid(3, 16, 8.0), make_grid(3, 32, 5.0)],
+    ids=["1d-64", "1d-4096", "2d-32", "2d-128", "3d-16", "3d-32"])
+def test_folded_level_table_is_np_unique_of_freq_sq(grid):
+    # the table is built on rows 0 .. N/2 of each leading axis and spread
+    # by j -> min(j, N - j); it must be np.unique's over the whole stored
+    # spectrum, levels, index and index dtype alike
+    levels, index = np.unique(grid.freq_sq, return_inverse=True)
+    got_levels, got_index = grid.freq_levels
+    assert np.array_equal(got_levels, levels)
+    assert got_index.dtype == index.dtype
+    assert got_index.flags.c_contiguous
+    assert np.array_equal(got_index, index.reshape(grid.spectral_shape))
+
+
+def test_level_table_build_allocates_about_its_folded_size():
+    # on 512^2 the build holds the folded |xi|^2, 257^2 floats, and
+    # np.unique's sort order, sorted copy, flags, running count and
+    # inverse on it, then the stored spectrum's index: at most five
+    # folded intp arrays and the index.  np.unique over all 512 x 257
+    # stored modes took 6.7 MB here
+    grid = builtin_presets()["lin2d"].grid
+    grid.freq_grids
+    folded = np.empty((257, 257), dtype=np.intp).nbytes
+    index = np.empty(grid.spectral_shape, dtype=np.intp).nbytes
+    tracemalloc.start()
+    try:
+        grid.freq_levels
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= index + 5 * folded
 
 
 @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS)
@@ -105,23 +145,25 @@ def test_heat_reference_matches_per_mode_factor(grid, t):
 # late snapshot times
 @pytest.mark.parametrize("t", (0.0, 1.0, 7.3, 30.0))
 def test_heat_reference_in_scratch_is_the_allocating_call(grid, t):
-    # the heat a linear flow forms in its own work arrays is the oracle's
-    # allocating heat_reference of u0 + u1 bit for bit, a fresh field that
-    # leaves the rows of the flow's last evaluation as they were
+    # the heat gap a linear flow forms a block of lines at a time in its
+    # own arrays is lp_norm of the oracle's allocating heat_reference of
+    # u0 + u1 minus u, bit for bit; it leaves the rows of the flow's last
+    # evaluation as they were and repeats bit for bit
     start = state_from_fields(gaussian_bump(grid, 1.0, 1.5),
                               gaussian_bump(grid, -0.3, 0.8))
-    want = heat_reference(grid, start.u_hat + start.v_hat, t).values
     flow = LinearFlow(start)
     state = flow.at(2.0)
-    rows = (state.u_hat.copy(), state.v_hat.copy())
-    got = flow.heat(t)
-    assert np.array_equal(got, want)
-    assert np.array_equal(state.u_hat, rows[0])
-    assert np.array_equal(state.v_hat, rows[1])
-    flow_arrays = (flow._entry, flow._term, flow._u_hat, flow._v_hat,
-                   start.u_hat, start.v_hat)
-    assert not any(np.shares_memory(got, a) for a in flow_arrays)
-    assert np.array_equal(flow.heat(t), want)  # and again from its arrays
+    heat = heat_reference(grid, start.u_hat + start.v_hat, t)
+    want = lp_norm(Field(grid, heat.values - state.u), math.inf)
+    rows = (state.u_hat.copy(), state.v_hat.copy(), state.u.copy(),
+            state.u_t.copy())
+    assert flow.heat_gap(t, state.u) == want
+    for got, kept in zip((state.u_hat, state.v_hat, state.u, state.u_t),
+                         rows):
+        assert np.array_equal(got, kept)
+    assert flow.heat_gap(t, state.u) == want  # and again from its arrays
+    u_only = LinearFlow(start, with_v=False)
+    assert u_only.heat_gap(t, u_only.at(2.0).u) == want
 
 
 @pytest.mark.parametrize("bad", (np.nan, np.inf, -1.0))
@@ -129,8 +171,9 @@ def test_linear_flow_heat_rejects_a_time_that_is_not_finite(bad):
     grid = GRIDS["2d"]
     start = state_from_fields(gaussian_bump(grid, 1.0, 1.5),
                               gaussian_bump(grid, -0.3, 0.8))
+    flow = LinearFlow(start)
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        LinearFlow(start).heat(bad)
+        flow.heat_gap(bad, flow.at(1.0).u)
 
 
 @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS)

@@ -412,20 +412,20 @@ def test_gaussian_bump_allocates_only_its_field():
 
 
 @pytest.mark.parametrize("reports, rows", [
-    (((math.inf, 0, 0),), 1),
+    (((math.inf, 0, 0),), 0),
     (((math.inf, 0, 0), (math.inf, 0, 1)), 2),
 ], ids=["u-row", "u-and-v-rows"])
 def test_run_linear_peak_memory_is_its_design(reports, rows):
     # the budget in complex half spectra C, from what the run must hold:
-    # the start spectra (2); the flow's rows (1 each) and scratch (1
-    # complex, 0.5 real); the level table (an intp index of 0.5, at most
-    # 0.5 of levels); and, per snapshot, one physical u (< 1), one
-    # transient spectrum (1: u_t's inverse transform copies its row; u's
-    # works in the flow's scratch, see the next test) and one heat field
-    # (< 1), the heat formed in the flow's scratch.  A spectrum-sized
-    # array more while the heat is transformed, such as a kept u0 + u1
-    # spectrum, a fresh heat product or a cached |x|^2 or |xi|^2, breaks
-    # it, and no array may pile up across snapshots
+    # the start spectra (2); the flow's work spectrum (1), in which the u
+    # row alone is formed and transformed, its rows when a report reads
+    # u_t (1 each) and its scratch for a block of lines; the level table's
+    # intp index (0.5); the levels and the level values of one time (0.75:
+    # under 0.12 C each on this grid); and, per snapshot, the physical u
+    # and, with the rows, u_t (a field each).  The heat gap is formed a
+    # block of lines at a time, so a heat field, a kept u0 + u1 spectrum,
+    # a second work spectrum or a cached |x|^2 or |xi|^2 breaks it, and
+    # no array may pile up across snapshots
     few = _tiny_linear(n_dims=2, grid_points=128, half_width=16.0,
                        amplitude=0.8, u1_amplitude=-0.3, t_final=8.0,
                        snapshot_times=(1.0, 2.0), fit_window=(1.0, 8.0),
@@ -433,24 +433,48 @@ def test_run_linear_peak_memory_is_its_design(reports, rows):
     many = replace(few, snapshot_times=(0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0,
                                         8.0))
     spectrum = np.empty(few.grid.spectral_shape, dtype=complex).nbytes
+    field = np.empty(few.grid.shape).nbytes
+    flow = LinearFlow(state_from_fields(*few.initial_data()))
+    scratch = flow._block.nbytes + flow._gather.nbytes
     run_linear(few)  # fills the lru-cached e0 weights of this grid
     peak_few = _traced_peak(lambda: run_linear(few))
     peak_many = _traced_peak(lambda: run_linear(many))
-    assert peak_few <= (2 + (rows + 1.5) + 1 + 3) * spectrum
+    fields = 2 if rows else 1
+    assert peak_few <= ((2 + 1 + rows + 0.5 + 0.75) * spectrum
+                        + fields * field + scratch)
     assert peak_many <= peak_few + 0.05 * spectrum
 
 
-def test_linear_snapshot_allocates_no_complex_spectrum():
-    # from one snapshot's sink call to the next the run evaluates the flow,
-    # its u and the heat gap: u's inverse transform works in the flow's
-    # scratch and the heat's in its own product, so beyond the fresh u and
-    # heat field, which replace the last snapshot's, no spectrum-sized
-    # array is allocated
-    p = _tiny_linear(n_dims=2, grid_points=128, half_width=16.0,
+@pytest.mark.parametrize("reports, rows", [
+    (((math.inf, 0, 0),), 0),
+    (((math.inf, 0, 0), (math.inf, 0, 1)), 2),
+], ids=["u-row", "u-and-v-rows"])
+def test_run_linear_1d_peak_memory_is_its_design(reports, rows):
+    # in 1-d every stored mode is its own |xi|^2 level, so a level array
+    # is 0.5 C and the line scratch is the whole line (1.5 C).  The run
+    # holds the start spectra (2), the work spectrum (1), the rows when a
+    # report reads u_t (1 each), the scratch (1.5), the levels and their
+    # index (1), the grid's cached frequencies (0.5) and sample positions
+    # (2 fields).  On top of that, one time's tabulation: green_pair's
+    # working set, g, G_t and the five level arrays of its last branch
+    # with its masks, under 4 C, which also holds the entries of the rows
+    # and then the snapshot's u and u_t.  The parent's 14.3 and 15.3 C,
+    # with all four entries tabulated for the u row alone and green_pair's
+    # old temporaries, break it
+    p = _tiny_linear(n_dims=1, grid_points=4096, half_width=200.0,
                      amplitude=0.8, u1_amplitude=-0.3, t_final=8.0,
-                     snapshot_times=(1.0, 2.0, 4.0, 8.0),
-                     fit_window=(1.0, 8.0), reports=((math.inf, 0, 0),))
+                     snapshot_times=(1.0, 2.0), fit_window=(1.0, 8.0),
+                     reports=reports)
     spectrum = np.empty(p.grid.spectral_shape, dtype=complex).nbytes
+    field = np.empty(p.grid.shape).nbytes
+    run_linear(p)  # fills the lru-cached e0 weights of this grid
+    peak = _traced_peak(lambda: run_linear(p))
+    assert peak <= (2 + 1 + rows + 1.5 + 1 + 0.5 + 4) * spectrum + 2 * field
+
+
+def _snapshot_growth(p) -> list[int]:
+    """Per snapshot after the first, the most memory the run held beyond
+    what it held at the last snapshot's sink call."""
     marks = []
 
     def sink(t, u):
@@ -463,28 +487,82 @@ def test_linear_snapshot_allocates_no_complex_spectrum():
         run_linear(p, snapshot_sink=sink)
     finally:
         tracemalloc.stop()
-    growth = [peak - base for (base, _), (_, peak) in zip(marks, marks[1:])]
+    return [peak - base for (base, _), (_, peak) in zip(marks, marks[1:])]
+
+
+_PROBE_128 = dict(n_dims=2, grid_points=128, half_width=16.0, amplitude=0.8,
+                  u1_amplitude=-0.3, t_final=8.0,
+                  snapshot_times=(1.0, 2.0, 4.0, 8.0), fit_window=(1.0, 8.0))
+
+
+def test_linear_snapshot_allocates_no_complex_spectrum():
+    # from one snapshot's sink call to the next the run evaluates the flow,
+    # its u and the heat gap: u's inverse transform works in the flow's
+    # scratch and the heat's in its own product, so beyond the fresh u and
+    # heat field, which replace the last snapshot's, no spectrum-sized
+    # array is allocated
+    p = _tiny_linear(**_PROBE_128, reports=((math.inf, 0, 0),))
+    spectrum = np.empty(p.grid.spectral_shape, dtype=complex).nbytes
+    growth = _snapshot_growth(p)
     assert len(growth) == 3
     assert max(growth) < 0.5 * spectrum
 
 
+def test_linear_snapshot_with_u_t_allocates_no_complex_spectrum():
+    # with a u_t report the flow transforms the u_t row in its work
+    # spectrum into the state's u_t, so beyond the fresh u and u_t, which
+    # replace the last snapshot's, no spectrum-sized array is allocated;
+    # a transform that copied the row took 1.01 spectra per snapshot
+    p = _tiny_linear(**_PROBE_128,
+                     reports=((math.inf, 0, 0), (math.inf, 0, 1)))
+    spectrum = np.empty(p.grid.spectral_shape, dtype=complex).nbytes
+    growth = _snapshot_growth(p)
+    assert len(growth) == 3
+    assert max(growth) < 0.5 * spectrum
+
+
+def test_two_u_t_reports_read_one_u_t(monkeypatch):
+    # every h >= 1 report of one snapshot reads the state's one u_t, the
+    # transform of its u_t row
+    read = []
+
+    def spy(state, h, config):
+        f = time_derivative(state, h, config)
+        read.append((state, f.values))
+        return f
+
+    monkeypatch.setattr(solver, "time_derivative", spy)
+    p = _tiny_linear(**_TINY_2D_LINEAR,
+                     reports=((math.inf, 0, 1), (math.inf, 1, 1)))
+    run_linear(p)
+    start = state_from_fields(*p.initial_data())
+    assert len(read) == 2 * len(p.snapshot_times)
+    for k, t in enumerate(p.snapshot_times):
+        (state, u_t), *others = read[2 * k:2 * k + 2]
+        assert all(s is state and v is u_t for s, v in others)
+        want = inverse_transform(p.grid, linear_solution(start, t).v_hat)
+        assert np.array_equal(u_t, want.values)
+
+
 def test_heat_gap_observation_forms_no_field_sized_array():
-    # a |u - heat| array formed after the heat transform would fit in the
-    # run's budget above, which has room for a transient spectrum, so one
-    # observe call is traced alone, with u and the heat field built
-    # beforehand: reading the u norm and the heat gap must form no
-    # field-sized array
+    # one observe call is traced alone, with u built beforehand: reading
+    # the u norm and the heat gap, whose heat evolution is formed and
+    # compared a block of lines at a time in the flow's arrays, forms no
+    # field-sized array, only the heat factor on the levels (two level
+    # arrays)
     p = _tiny_linear(n_dims=2, grid_points=128, half_width=16.0,
                      amplitude=0.8, u1_amplitude=-0.3, t_final=8.0,
                      snapshot_times=(1.0, 2.0), fit_window=(1.0, 8.0),
                      reports=((math.inf, 0, 0),))
     start = state_from_fields(*p.initial_data())
-    state = LinearFlow(start).at(2.0)
+    flow = LinearFlow(start, with_v=False)
+    state = flow.at(2.0)
     heat = heat_reference(p.grid, start.u_hat + start.v_hat, 2.0).values
     want = float(np.max(np.abs(state.u - heat)))
-    series, observe = _observer(p, None, None, lambda t: heat)
+    series, observe = _observer(p, None, None, flow.heat_gap)
+    levels = p.grid.freq_levels[0].nbytes
     peak = _traced_peak(lambda: observe(2.0, state))
-    assert peak < 0.05 * state.u.nbytes
+    assert peak < 2 * levels + 0.05 * state.u.nbytes
     assert series[HEAT_GAP_LABEL] == [want]
     assert series["linf:u"] == [float(np.max(np.abs(state.u)))]
 

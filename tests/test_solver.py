@@ -225,26 +225,39 @@ def test_linear_flow_rejects_a_non_finite_time(bad):
 
 def test_linear_flow_walk_matches_linear_solution_bitwise():
     # one flow evaluated at one time after another gives what a fresh
-    # evaluation at each time gives; the u row alone is the same u row
-    g = make_grid(2, 32, 8.0)
+    # evaluation at each time gives; the u row alone, formed and
+    # transformed in the work spectrum, gives the same u and keeps no
+    # spectra
+    for g in (make_grid(1, 64, 8.0), make_grid(2, 32, 8.0),
+              make_grid(3, 16, 8.0)):
+        _check_linear_flow_walk(g)
+
+
+def _check_linear_flow_walk(g):
     start = state_from_fields(gaussian_bump(g, 1.0, 1.0),
                               gaussian_bump(g, -0.4, 1.5))
     both, u_only = solver.LinearFlow(start), solver.LinearFlow(start, False)
-    fields_u = []
+    fields = []
     for t in (0.0, 0.3, 2.0, 0.7, 9.0):
         want = linear_solution(start, t)
         got = both.at(t)
         assert np.array_equal(got.u_hat, want.u_hat)
         assert np.array_equal(got.v_hat, want.v_hat)
-        assert np.array_equal(u_only.at(t).u_hat, want.u_hat)
-        # u, transformed in the flow's work array, is a fresh array per call
+        # u and u_t, transformed in the flow's work spectrum, are fresh
+        # arrays per call
         assert np.array_equal(got.u, inverse_transform(g, want.u_hat).values)
-        fields_u.append(got.u)
+        assert np.array_equal(got.u_t,
+                              inverse_transform(g, want.v_hat).values)
+        alone = u_only.at(t)
+        assert alone.u_hat is None and alone.v_hat is None
+        assert np.array_equal(alone.u, got.u)
+        fields += [got.u, got.u_t, alone.u]
     rows = both.at(1.0)
-    flow_arrays = (both._entry, both._term, rows.u_hat, rows.v_hat)
-    for k, u in enumerate(fields_u):
-        assert not any(np.shares_memory(u, a)
-                       for a in (*fields_u[:k], *flow_arrays))
+    flow_arrays = (both._work, both._block, both._gather, u_only._work,
+                   rows.u_hat, rows.v_hat, start.u_hat, start.v_hat)
+    for k, field in enumerate(fields):
+        assert not any(np.shares_memory(field, a)
+                       for a in (*fields[:k], *flow_arrays))
     with pytest.raises(ValueError, match="nonnegative"):
         both.at(-0.5)
 

@@ -114,23 +114,19 @@ class SolverState:
     Immutable; it holds no time and no equation (see the module docstring).
     Both spectra are None in a state of a LinearFlow without with_v,
     which forms and transforms the u row alone: u is its one field, and
-    time_derivative refuses h >= 1."""
+    time_derivative refuses h >= 1.  u_t is the physical u_t when the
+    state's maker formed it (a LinearFlow with with_v), else None."""
 
     grid: Grid
     u_hat: np.ndarray | None
     v_hat: np.ndarray | None
+    u_t: np.ndarray | None = None
 
     @cached_property
     def u(self) -> np.ndarray:
         """Physical-space u, transformed once and shared by the step, the
         guard, the energy ledger and the observer."""
         return inverse_transform(self.grid, self.u_hat).values
-
-    @cached_property
-    def u_t(self) -> np.ndarray:
-        """Physical-space u_t, transformed once and shared by every
-        time_derivative of order 1 read off the state."""
-        return inverse_transform(self.grid, self.v_hat).values
 
     @cached_property
     def u_sup(self) -> float:
@@ -297,15 +293,13 @@ class LinearFlow:
     def at(self, t: float) -> SolverState:
         grid = self.start.grid
         u_row = self._form_rows(t)
-        state = SolverState(grid, self._u_hat, self._v_hat)
-        # the cached properties u and u_t, fresh arrays: nothing that
-        # leaves the flow aliases its arrays; a u row in the work
-        # spectrum is handed over to its transform
-        state.__dict__["u"] = inverse_transform(grid, u_row,
-                                                work=self._work).values
-        if self._v_hat is not None:
-            state.__dict__["u_t"] = inverse_transform(
-                grid, self._v_hat, work=self._work).values
+        # fresh fields, so nothing that leaves the flow aliases its arrays;
+        # a u row in the work spectrum is handed over to its transform
+        u = inverse_transform(grid, u_row, work=self._work).values
+        u_t = (None if self._v_hat is None else
+               inverse_transform(grid, self._v_hat, work=self._work).values)
+        state = SolverState(grid, self._u_hat, self._v_hat, u_t)
+        state.__dict__["u"] = u  # the cached property
         return state
 
     def heat_gap(self, t: float, u: np.ndarray) -> float:
@@ -644,7 +638,12 @@ def time_derivative(state: SolverState, h: int,
         raise ValueError("u_t was not evaluated for this state: its "
                          "LinearFlow formed the u row only")
     if h == 1:
-        return Field(state.grid, state.u_t)
+        # every h = 1 report of a flow's state reads the u_t it formed; a
+        # solve state holds the run's arrays only until the next step, so
+        # a u_t it kept would outlive them through that step
+        if state.u_t is not None:
+            return Field(state.grid, state.u_t)
+        return inverse_transform(state.grid, state.v_hat)
     grid = state.grid
     linear_part = inverse_transform(
         grid, -grid.freq_sq * state.u_hat - state.v_hat)

@@ -274,6 +274,24 @@ def test_state_without_v_raises_when_v_is_read():
             time_derivative(state, h, None)
 
 
+def test_a_solve_state_keeps_no_u_t(grid1d, bump1d):
+    # a solve state holds the run's arrays until the next step; the u_t a
+    # report reads is transformed per read and kept by no state, so it does
+    # not live on through that step
+    config = SolverConfig(theta=2, dt=0.125, t_final=0.25,
+                          snapshot_times=(0.125, 0.25))
+    seen = []
+
+    def observe(t, state):
+        u_t = time_derivative(state, 1, config).values
+        assert np.array_equal(u_t, inverse_transform(grid1d,
+                                                     state.v_hat).values)
+        seen.append(state.u_t)
+
+    solve(state_from_fields(bump1d, bump1d), config, observer=observe)
+    assert seen == [None, None]
+
+
 def test_linear_step_grid_mismatch():
     g1, g2 = make_grid(1, 64, 8.0), make_grid(1, 128, 8.0)
     state = state_from_fields(gaussian_bump(g1, 1.0, 1.0), _zero(g1))
@@ -627,8 +645,10 @@ def test_linear_solution_semigroup_property(t, s):
 
 def test_solver_state_holds_the_flow_only(grid1d, bump1d):
     # the equation is the config's and the clock is solve's: one step is
-    # the flow solve reaches at t = dt, and it hands on a source history
-    assert [f.name for f in fields(SolverState)] == ["grid", "u_hat", "v_hat"]
+    # the flow solve reaches at t = dt, and it hands on a source history;
+    # u_t is the flow's too, carried only by a state whose maker formed it
+    assert [f.name for f in fields(SolverState)] == ["grid", "u_hat", "v_hat",
+                                                     "u_t"]
     config = SolverConfig(theta=2, dt=0.125, t_final=0.125, nonlin_sign=+1)
     state = state_from_fields(bump1d, _zero(grid1d))
     stepped, history = step_semilinear(

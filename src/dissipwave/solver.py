@@ -114,13 +114,11 @@ class SolverState:
     Immutable; it holds no time and no equation (see the module docstring).
     Both spectra are None in a state of a LinearFlow without with_v,
     which forms and transforms the u row alone: u is its one field, and
-    time_derivative refuses h >= 1.  u_t is the physical u_t when the
-    state's maker formed it (a LinearFlow with with_v), else None."""
+    time_derivative refuses h >= 1."""
 
     grid: Grid
     u_hat: np.ndarray | None
     v_hat: np.ndarray | None
-    u_t: np.ndarray | None = None
 
     @cached_property
     def u(self) -> np.ndarray:
@@ -234,10 +232,10 @@ class LinearFlow:
     lattice and multiplied into its row.  Without with_v the u row is
     formed in the work spectrum and transformed there in place, so the
     state at(t) returns has no spectra; with it, the state holds the
-    flow's rows, valid until the next call, which time_derivative of
-    order 2 reads.  Its u and, when with_v, its u_t are fresh fields,
-    transformed in the work spectrum.  heat_gap(t, u) works in the work
-    spectrum and the scratch and leaves the state as it is.
+    flow's rows, valid until the next call, which time_derivative reads
+    for h >= 1.  Its u is a fresh field, transformed in the work
+    spectrum.  heat_gap(t, u) works in the work spectrum and the scratch
+    and leaves the state as it is.
     """
 
     def __init__(self, start: SolverState, with_v: bool = True) -> None:
@@ -293,13 +291,12 @@ class LinearFlow:
     def at(self, t: float) -> SolverState:
         grid = self.start.grid
         u_row = self._form_rows(t)
-        # fresh fields, so nothing that leaves the flow aliases its arrays;
-        # a u row in the work spectrum is handed over to its transform
-        u = inverse_transform(grid, u_row, work=self._work).values
-        u_t = (None if self._v_hat is None else
-               inverse_transform(grid, self._v_hat, work=self._work).values)
-        state = SolverState(grid, self._u_hat, self._v_hat, u_t)
-        state.__dict__["u"] = u  # the cached property
+        state = SolverState(grid, self._u_hat, self._v_hat)
+        # the cached property u, a fresh array: nothing that leaves the
+        # flow aliases its arrays; a u row in the work spectrum is handed
+        # over to its transform
+        state.__dict__["u"] = inverse_transform(grid, u_row,
+                                                work=self._work).values
         return state
 
     def heat_gap(self, t: float, u: np.ndarray) -> float:
@@ -638,11 +635,6 @@ def time_derivative(state: SolverState, h: int,
         raise ValueError("u_t was not evaluated for this state: its "
                          "LinearFlow formed the u row only")
     if h == 1:
-        # every h = 1 report of a flow's state reads the u_t it formed; a
-        # solve state holds the run's arrays only until the next step, so
-        # a u_t it kept would outlive them through that step
-        if state.u_t is not None:
-            return Field(state.grid, state.u_t)
         return inverse_transform(state.grid, state.v_hat)
     grid = state.grid
     linear_part = inverse_transform(

@@ -73,11 +73,6 @@ def green_pair(xi_sq, t):
         cosh = 1.0 + (ws / 2.0) * (1.0 + (ws / 12.0) * (1.0 + ws / 30.0))
         g[series] = ts * decay * sinhc
         g_t[series] = decay * (cosh - 0.5 * ts * sinhc)
-    # in 1-d every stored mode is its own level, so each array here is
-    # as long as the spectrum: w is dropped once read, m once the last
-    # branch has read it, and the last branch works in place, each step
-    # the operation of the expression it stands for
-    del w
     if np.any(over):
         # both exponents are nonpositive, so no overflow
         root = np.sqrt(m[over])
@@ -89,24 +84,13 @@ def green_pair(xi_sq, t):
         g[over] = (e_p - e_m) / root
         g_t[over] = (mu_p * e_p - mu_m * e_m) / root
     if np.any(under):
-        root = np.negative(m[under])
-        del m
-        np.sqrt(root, out=root)
-        decay = np.multiply(-0.5, t[under])
-        np.exp(decay, out=decay)
-        half_angle = np.multiply(0.5, root)
-        half_angle *= t[under]
+        root = np.sqrt(-m[under])
+        tu = t[under]
+        decay = np.exp(-0.5 * tu)
+        half_angle = 0.5 * root * tu
         sine = np.sin(half_angle)
-        value = np.multiply(2.0, decay)  # 2 decay sine / root
-        value *= sine
-        value /= root
-        g[under] = value
-        # decay (cos - sine / root), a product in either order
-        cosine = np.cos(half_angle, out=half_angle)
-        sine /= root
-        cosine -= sine
-        cosine *= decay
-        g_t[under] = cosine
+        g[under] = 2.0 * decay * sine / root
+        g_t[under] = decay * (np.cos(half_angle) - sine / root)
     if scalar:
         return float(g[()]), float(g_t[()])
     return g, g_t

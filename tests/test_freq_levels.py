@@ -155,11 +155,9 @@ def test_heat_reference_in_scratch_is_the_allocating_call(grid, t):
     state = flow.at(2.0)
     heat = heat_reference(grid, start.u_hat + start.v_hat, t)
     want = lp_norm(Field(grid, heat.values - state.u), math.inf)
-    rows = (state.u_hat.copy(), state.v_hat.copy(), state.u.copy(),
-            state.u_t.copy())
+    rows = (state.u_hat.copy(), state.v_hat.copy(), state.u.copy())
     assert flow.heat_gap(t, state.u) == want
-    for got, kept in zip((state.u_hat, state.v_hat, state.u, state.u_t),
-                         rows):
+    for got, kept in zip((state.u_hat, state.v_hat, state.u), rows):
         assert np.array_equal(got, kept)
     assert flow.heat_gap(t, state.u) == want  # and again from its arrays
     u_only = LinearFlow(start, with_v=False)

@@ -422,10 +422,11 @@ def test_run_linear_peak_memory_is_its_design(reports, rows):
     # u_t (1 each) and its scratch for a block of lines; the level table's
     # intp index (0.5); the levels and the level values of one time (0.75:
     # under 0.12 C each on this grid); and, per snapshot, the physical u
-    # and, with the rows, u_t (a field each).  The heat gap is formed a
-    # block of lines at a time, so a heat field, a kept u0 + u1 spectrum,
-    # a second work spectrum or a cached |x|^2 or |xi|^2 breaks it, and
-    # no array may pile up across snapshots
+    # and, with the rows, u_t (a field each), whose inverse transform
+    # copies its row (1).  The heat gap is formed a block of lines at a
+    # time, so a heat field, a kept u0 + u1 spectrum, a second work
+    # spectrum or a cached |x|^2 or |xi|^2 breaks it, and no array may
+    # pile up across snapshots
     few = _tiny_linear(n_dims=2, grid_points=128, half_width=16.0,
                        amplitude=0.8, u1_amplitude=-0.3, t_final=8.0,
                        snapshot_times=(1.0, 2.0), fit_window=(1.0, 8.0),
@@ -439,8 +440,8 @@ def test_run_linear_peak_memory_is_its_design(reports, rows):
     run_linear(few)  # fills the lru-cached e0 weights of this grid
     peak_few = _traced_peak(lambda: run_linear(few))
     peak_many = _traced_peak(lambda: run_linear(many))
-    fields = 2 if rows else 1
-    assert peak_few <= ((2 + 1 + rows + 0.5 + 0.75) * spectrum
+    copies, fields = (1, 2) if rows else (0, 1)
+    assert peak_few <= ((2 + 1 + rows + 0.5 + 0.75 + copies) * spectrum
                         + fields * field + scratch)
     assert peak_many <= peak_few + 0.05 * spectrum
 
@@ -456,11 +457,9 @@ def test_run_linear_1d_peak_memory_is_its_design(reports, rows):
     # report reads u_t (1 each), the scratch (1.5), the levels and their
     # index (1), the grid's cached frequencies (0.5) and sample positions
     # (2 fields).  On top of that, one time's tabulation: green_pair's
-    # working set, g, G_t and the five level arrays of its last branch
-    # with its masks, under 4 C, which also holds the entries of the rows
-    # and then the snapshot's u and u_t.  The parent's 14.3 and 15.3 C,
-    # with all four entries tabulated for the u row alone and green_pair's
-    # old temporaries, break it
+    # working set, m, w, g, G_t, its masks and the level arrays and
+    # temporaries of its last branch, under 6.5 C, which also holds the
+    # entries of the rows and then the snapshot's u and u_t
     p = _tiny_linear(n_dims=1, grid_points=4096, half_width=200.0,
                      amplitude=0.8, u1_amplitude=-0.3, t_final=8.0,
                      snapshot_times=(1.0, 2.0), fit_window=(1.0, 8.0),
@@ -469,12 +468,20 @@ def test_run_linear_1d_peak_memory_is_its_design(reports, rows):
     field = np.empty(p.grid.shape).nbytes
     run_linear(p)  # fills the lru-cached e0 weights of this grid
     peak = _traced_peak(lambda: run_linear(p))
-    assert peak <= (2 + 1 + rows + 1.5 + 1 + 0.5 + 4) * spectrum + 2 * field
+    assert peak <= (2 + 1 + rows + 1.5 + 1 + 0.5 + 6.5) * spectrum + 2 * field
 
 
-def _snapshot_growth(p) -> list[int]:
-    """Per snapshot after the first, the most memory the run held beyond
-    what it held at the last snapshot's sink call."""
+def test_linear_snapshot_allocates_no_complex_spectrum():
+    # from one snapshot's sink call to the next the run evaluates the flow,
+    # its u and the heat gap: u is formed and transformed in place in the
+    # flow's work spectrum, and the heat gap is taken there a block of
+    # lines at a time, so beyond the fresh u, which replaces the last
+    # snapshot's, no spectrum-sized array is allocated
+    p = _tiny_linear(n_dims=2, grid_points=128, half_width=16.0,
+                     amplitude=0.8, u1_amplitude=-0.3, t_final=8.0,
+                     snapshot_times=(1.0, 2.0, 4.0, 8.0),
+                     fit_window=(1.0, 8.0), reports=((math.inf, 0, 0),))
+    spectrum = np.empty(p.grid.spectral_shape, dtype=complex).nbytes
     marks = []
 
     def sink(t, u):
@@ -487,43 +494,15 @@ def _snapshot_growth(p) -> list[int]:
         run_linear(p, snapshot_sink=sink)
     finally:
         tracemalloc.stop()
-    return [peak - base for (base, _), (_, peak) in zip(marks, marks[1:])]
-
-
-_PROBE_128 = dict(n_dims=2, grid_points=128, half_width=16.0, amplitude=0.8,
-                  u1_amplitude=-0.3, t_final=8.0,
-                  snapshot_times=(1.0, 2.0, 4.0, 8.0), fit_window=(1.0, 8.0))
-
-
-def test_linear_snapshot_allocates_no_complex_spectrum():
-    # from one snapshot's sink call to the next the run evaluates the flow,
-    # its u and the heat gap: u's inverse transform works in the flow's
-    # scratch and the heat's in its own product, so beyond the fresh u and
-    # heat field, which replace the last snapshot's, no spectrum-sized
-    # array is allocated
-    p = _tiny_linear(**_PROBE_128, reports=((math.inf, 0, 0),))
-    spectrum = np.empty(p.grid.spectral_shape, dtype=complex).nbytes
-    growth = _snapshot_growth(p)
-    assert len(growth) == 3
-    assert max(growth) < 0.5 * spectrum
-
-
-def test_linear_snapshot_with_u_t_allocates_no_complex_spectrum():
-    # with a u_t report the flow transforms the u_t row in its work
-    # spectrum into the state's u_t, so beyond the fresh u and u_t, which
-    # replace the last snapshot's, no spectrum-sized array is allocated;
-    # a transform that copied the row took 1.01 spectra per snapshot
-    p = _tiny_linear(**_PROBE_128,
-                     reports=((math.inf, 0, 0), (math.inf, 0, 1)))
-    spectrum = np.empty(p.grid.spectral_shape, dtype=complex).nbytes
-    growth = _snapshot_growth(p)
+    growth = [peak - base for (base, _), (_, peak) in zip(marks, marks[1:])]
     assert len(growth) == 3
     assert max(growth) < 0.5 * spectrum
 
 
 def test_two_u_t_reports_read_one_u_t(monkeypatch):
-    # every h >= 1 report of one snapshot reads the state's one u_t, the
-    # transform of its u_t row
+    # every h >= 1 report of one snapshot reads the same state and the
+    # same u_t, the transform of its u_t row: a read leaves the row as it
+    # was for the next
     read = []
 
     def spy(state, h, config):
@@ -539,7 +518,7 @@ def test_two_u_t_reports_read_one_u_t(monkeypatch):
     assert len(read) == 2 * len(p.snapshot_times)
     for k, t in enumerate(p.snapshot_times):
         (state, u_t), *others = read[2 * k:2 * k + 2]
-        assert all(s is state and v is u_t for s, v in others)
+        assert all(s is state and np.array_equal(v, u_t) for s, v in others)
         want = inverse_transform(p.grid, linear_solution(start, t).v_hat)
         assert np.array_equal(u_t, want.values)
 

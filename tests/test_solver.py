@@ -243,15 +243,13 @@ def _check_linear_flow_walk(g):
         got = both.at(t)
         assert np.array_equal(got.u_hat, want.u_hat)
         assert np.array_equal(got.v_hat, want.v_hat)
-        # u and u_t, transformed in the flow's work spectrum, are fresh
-        # arrays per call
+        # u, transformed in the flow's work spectrum, is a fresh array per
+        # call
         assert np.array_equal(got.u, inverse_transform(g, want.u_hat).values)
-        assert np.array_equal(got.u_t,
-                              inverse_transform(g, want.v_hat).values)
         alone = u_only.at(t)
         assert alone.u_hat is None and alone.v_hat is None
         assert np.array_equal(alone.u, got.u)
-        fields += [got.u, got.u_t, alone.u]
+        fields += [got.u, alone.u]
     rows = both.at(1.0)
     flow_arrays = (both._work, both._block, both._gather, u_only._work,
                    rows.u_hat, rows.v_hat, start.u_hat, start.v_hat)
@@ -272,24 +270,6 @@ def test_state_without_v_raises_when_v_is_read():
     for h in (1, 2):
         with pytest.raises(ValueError, match="u_t was not evaluated"):
             time_derivative(state, h, None)
-
-
-def test_a_solve_state_keeps_no_u_t(grid1d, bump1d):
-    # a solve state holds the run's arrays until the next step; the u_t a
-    # report reads is transformed per read and kept by no state, so it does
-    # not live on through that step
-    config = SolverConfig(theta=2, dt=0.125, t_final=0.25,
-                          snapshot_times=(0.125, 0.25))
-    seen = []
-
-    def observe(t, state):
-        u_t = time_derivative(state, 1, config).values
-        assert np.array_equal(u_t, inverse_transform(grid1d,
-                                                     state.v_hat).values)
-        seen.append(state.u_t)
-
-    solve(state_from_fields(bump1d, bump1d), config, observer=observe)
-    assert seen == [None, None]
 
 
 def test_linear_step_grid_mismatch():
@@ -645,10 +625,8 @@ def test_linear_solution_semigroup_property(t, s):
 
 def test_solver_state_holds_the_flow_only(grid1d, bump1d):
     # the equation is the config's and the clock is solve's: one step is
-    # the flow solve reaches at t = dt, and it hands on a source history;
-    # u_t is the flow's too, carried only by a state whose maker formed it
-    assert [f.name for f in fields(SolverState)] == ["grid", "u_hat", "v_hat",
-                                                     "u_t"]
+    # the flow solve reaches at t = dt, and it hands on a source history
+    assert [f.name for f in fields(SolverState)] == ["grid", "u_hat", "v_hat"]
     config = SolverConfig(theta=2, dt=0.125, t_final=0.125, nonlin_sign=+1)
     state = state_from_fields(bump1d, _zero(grid1d))
     stepped, history = step_semilinear(

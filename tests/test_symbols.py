@@ -107,21 +107,6 @@ def test_green_pair_pins_values():
         assert repr(green_hat_dt(xi_sq[k], t[k])) == want_gt[k]
 
 
-@pytest.mark.parametrize("t", [0.7, 3.0, 30.0, 1e3])
-def test_green_pair_oscillatory_branch_is_its_expression_bit_for_bit(t):
-    # the oscillatory branch works in place to spare 1-d level arrays;
-    # each step must be the operation of the plain expression, evaluated
-    # here on every level of a 1-d lattice past the branch point
-    xi_sq = (np.pi / 200.0 * np.arange(64, 2049)) ** 2
-    root = np.sqrt(-(1.0 - 4.0 * xi_sq))
-    decay = np.exp(-0.5 * t)
-    half_angle = 0.5 * root * t
-    sine = np.sin(half_angle)
-    g, g_t = green_pair(xi_sq, t)
-    assert np.array_equal(g, 2.0 * decay * sine / root)
-    assert np.array_equal(g_t, decay * (np.cos(half_angle) - sine / root))
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_green_pair_and_propagator_reject_a_non_finite_time(bad):
     # nan used to give an all-nan table, inf an invalid-value warning deep

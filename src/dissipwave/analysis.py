@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -41,10 +40,10 @@ class NonpositiveSample(ValueError):
     """Some sample inside the fit window is zero, negative or not finite."""
 
 
-@lru_cache(maxsize=64)
 def parseval_weight(grid: Grid) -> np.ndarray:
     """Per-mode weight of the half-spectrum Parseval sum: (dx/N)^n times
-    the Hermitian multiplicity of each last-axis column."""
+    the Hermitian multiplicity of each last-axis column, one value per
+    column (it broadcasts over the half spectrum)."""
     return grid.mode_multiplicity * (grid.cell_volume / grid.mode_count)
 
 
@@ -96,24 +95,26 @@ def lp_norm(f: Field, p) -> float:
     return sup * (float(np.sum(scaled)) * f.grid.cell_volume) ** (1 / p)
 
 
-@lru_cache(maxsize=64)
 def sobolev_weight(grid: Grid, s: int) -> np.ndarray:
     """Parseval weight of the squared H^s norm on the half spectrum:
     sum_{k=0}^{s} |xi|^(2k) times parseval_weight; s a nonnegative
     integer.  The order-k block counts all mixed partials of order k with
-    their multinomial multiplicity."""
+    their multinomial multiplicity.  A fresh array on each call, formed
+    in place beside two working spectra; its owner is the caller.  |xi|^2
+    is formed first, so numpy's buffers for its broadcast sum are freed
+    before the other two are made."""
     if s < 0 or s != int(s):
         raise ValueError(f"s must be a nonnegative integer, got {s}")
+    xi_sq = grid.freq_sq
     out = np.ones(grid.spectral_shape)
     power = np.ones(grid.spectral_shape)
-    xi_sq = grid.freq_sq
     for _ in range(int(s)):
-        power = power * xi_sq
-        out = out + power
-    return out * parseval_weight(grid)
+        power *= xi_sq
+        out += power
+    out *= parseval_weight(grid)
+    return out
 
 
-@lru_cache(maxsize=64)
 def _gradient_weight(grid: Grid) -> np.ndarray:
     """Parseval weight of |grad u|^2 on the half spectrum: |xi|^2 times
     parseval_weight."""
@@ -122,7 +123,9 @@ def _gradient_weight(grid: Grid) -> np.ndarray:
 
 def e0_norm(state, s: int) -> float:
     """Size of a solver state's pair (u, u_t), the data size of a run from
-    it: |u|_{H^{s+1}} + |u_t|_{H^s}, read off its half spectra."""
+    it: |u|_{H^{s+1}} + |u_t|_{H^s}, read off its half spectra.  Each of
+    its two weights is built for its sum and dropped after it, so a call
+    keeps nothing."""
     grid = state.grid
     return sum(math.sqrt(spectral_l2_sq(grid, spectrum,
                                         sobolev_weight(grid, k)))
@@ -394,33 +397,47 @@ class EnergyLedger:
     sup_norm: list = field(default_factory=list)
     u_sobolev: list = field(default_factory=list)
     ut_sobolev: list = field(default_factory=list)
-    # the power spectrum, its work array and the |u|^(theta+2) density,
-    # views on two real half spectra allocated at the first record: the
-    # density lies over their first N^n floats, free once the power
-    # spectra are summed
+    # the arrays of one grid, built at its first record and rebuilt when
+    # the grid changes: the power spectrum, its work array and the
+    # |u|^(theta+2) density, views on two real half spectra (the density
+    # lies over their first N^n floats, free once the power spectra are
+    # summed), then the Parseval weights of |grad u|^2, the H^{s+1} norm
+    # of u, |u_t|^2 and the H^s norm of u_t
+    _grid: Grid | None = field(default=None, init=False, repr=False,
+                               compare=False)
     _powers: tuple = field(default=(), init=False, repr=False, compare=False)
+    _weights: tuple = field(default=(), init=False, repr=False, compare=False)
+
+    def _build(self, grid: Grid) -> None:
+        """The ledger's arrays for grid, the last grid's dropped first, so
+        it holds one grid's at a time."""
+        self._grid, self._powers, self._weights = None, (), ()
+        buffer = np.empty((2, *grid.spectral_shape))
+        self._powers = (*buffer, field_view(grid, buffer))
+        s = self.sobolev_index
+        self._weights = (_gradient_weight(grid), sobolev_weight(grid, s + 1),
+                         sobolev_weight(grid, 0), sobolev_weight(grid, s))
+        self._grid = grid
 
     def record(self, t: float, state, theta: int) -> None:
         """Record the state at time t of the flow with source power theta."""
         if self.times and t <= self.times[-1]:
             raise ValueError("ledger times must be strictly increasing")
         grid = state.grid
-        s = self.sobolev_index
         q = theta + 2
-        if not self._powers or self._powers[0].shape != grid.spectral_shape:
-            buffer = np.empty((2, *grid.spectral_shape))
-            self._powers = (*buffer, field_view(grid, buffer))
+        if grid != self._grid:
+            self._build(grid)
         power_u, power_work, density = self._powers
+        w_gradient, w_u, w_kinetic, w_ut = self._weights
         # the four spectral sums: dot products of the power spectra of u
         # and then u_t, each formed in the ledger's arrays, against the
-        # weights cached per grid
+        # ledger's weights
         power = _power(state.u_hat, power_u, power_work)
-        gradient = 0.5 * _weighted_sum(power, _gradient_weight(grid))
-        u_sobolev = math.sqrt(_weighted_sum(power,
-                                            sobolev_weight(grid, s + 1)))
+        gradient = 0.5 * _weighted_sum(power, w_gradient)
+        u_sobolev = math.sqrt(_weighted_sum(power, w_u))
         power = _power(state.v_hat, power_u, power_work)
-        kinetic = 0.5 * _weighted_sum(power, sobolev_weight(grid, 0))
-        ut_sobolev = math.sqrt(_weighted_sum(power, sobolev_weight(grid, s)))
+        kinetic = 0.5 * _weighted_sum(power, w_kinetic)
+        ut_sobolev = math.sqrt(_weighted_sum(power, w_ut))
         # |u|^q from integer powers, multiplied in place
         density = _abs_power(state.u, theta, out=density)
         density *= state.u

@@ -112,11 +112,12 @@ class Grid:
         return tuple(np.meshgrid(*(full,) * (self.n_dims - 1), half,
                                  indexing="ij", sparse=True))
 
-    @cached_property
+    @property
     def mode_multiplicity(self) -> np.ndarray:
         """Lattice modes each stored last-axis column stands for: 2 for the
         interior columns, whose conjugate partners are not stored, 1 for
-        the zero and Nyquist columns."""
+        the zero and Nyquist columns.  A fresh array on each read: the
+        weights and the band checks read it once each."""
         out = np.full(self.points_per_dim // 2 + 1, 2.0)
         out[0] = out[-1] = 1.0
         return out
@@ -124,7 +125,7 @@ class Grid:
     @property
     def freq_sq(self) -> np.ndarray:
         """|xi|^2 on the stored half spectrum, a fresh array on each read:
-        the level table and the cached weights are built from it once;
+        the level table and each weight are built from it once;
         solver.time_derivative reads it on each call with h = 2, which no
         built-in preset reports."""
         return sum(f * f for f in self.freq_grids)

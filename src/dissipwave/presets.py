@@ -302,15 +302,19 @@ def run_linear(preset: ExperimentPreset, snapshot_sink=None) -> ExperimentRun:
     Also records the sup distance to the heat evolution of u0 + u1, the
     series behind the diffusion-phenomenon check, formed by the flow
     (LinearFlow.heat_gap).  The spectra of u0 + u1 and of the data size
-    e0 are read off the start state, so each datum is transformed once;
-    e0 is read once the flow is dropped, so its weights, which stay
-    cached, and its transients take the flow's arrays' place.
+    e0 are read off the start state, so each datum is transformed once.
+    e0 is read first, and its weights are dropped with its call; then the
+    run hands the start state to the flow and keeps no reference of its
+    own, so a zero u1 spectrum, which the flow does not keep, is freed
+    before the first snapshot.
     """
     if preset.kind != "linear":
         raise ValueError(f"preset {preset.name!r} is not linear")
     start = solver.state_from_fields(*preset.initial_data())
+    e0 = analysis.e0_norm(start, preset.sobolev_s)
     flow = solver.LinearFlow(
         start, with_v=any(h >= 1 for _p, _a, h in preset.reports))
+    del start
 
     series, observe = _observer(preset, None, snapshot_sink, flow.heat_gap)
     for t in preset.snapshot_times:
@@ -318,8 +322,6 @@ def run_linear(preset: ExperimentPreset, snapshot_sink=None) -> ExperimentRun:
         # observer keeps norms and hands on a fresh physical u, so nothing
         # that leaves the run aliases them
         observe(t, flow.at(t))
-    del flow, observe  # the observer holds the flow through heat_gap
-    e0 = analysis.e0_norm(start, preset.sobolev_s)
     return ExperimentRun(preset, _pairs(preset.snapshot_times, series), e0=e0)
 
 
@@ -353,13 +355,15 @@ def run_bands(preset: ExperimentPreset) -> ExperimentRun:
     if preset.kind != "bands":
         raise ValueError(f"preset {preset.name!r} is not a bands preset")
     grid = preset.grid
+    delta_hat = symbols._delta_spectrum(grid)  # formed once for the run
     band1: dict = {"linf:band1": [], "linf:dx_band1": []}
     for t in preset.band1_times:
-        kernel = symbols.green_band(1, grid, t)
+        kernel = symbols.green_band(1, grid, t, delta_hat)
         band1["linf:band1"].append(analysis.lp_norm(kernel, math.inf))
         grad = derivative_field(kernel, (1,) + (0,) * (grid.n_dims - 1))
         band1["linf:dx_band1"].append(analysis.lp_norm(grad, math.inf))
-    band2 = [analysis.lp_norm(symbols.green_band(2, grid, t), math.inf)
+    band2 = [analysis.lp_norm(symbols.green_band(2, grid, t, delta_hat),
+                              math.inf)
              for t in preset.band2_times]
     return ExperimentRun(preset, {
         **_pairs(preset.band1_times, band1),

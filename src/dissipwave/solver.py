@@ -224,6 +224,11 @@ class LinearFlow:
     complex block and a real gather block) and, when with_v, the u and
     u_t rows.
 
+    The flow keeps references to the data spectra its rows read, not to
+    the start state: u_hat always, v_hat only when it holds a nonzero
+    mode, found by one read when the flow is built.  A zero v_hat drops
+    the G-weighted terms, which it would only add as zeros.
+
     at(t) forms the u row (G_t + G) u_hat + G v_hat and, when with_v, the
     u_t row (G_tt + G_t) u_hat + G_t v_hat: each entry it needs is
     tabulated per |xi|^2 level at t (green_pair, or
@@ -241,20 +246,23 @@ class LinearFlow:
     def __init__(self, start: SolverState, with_v: bool = True) -> None:
         shape = start.grid.spectral_shape
         size = -(-math.prod(shape[:-1]) // _LINE_BLOCKS)
-        self.start = start
+        self.grid = start.grid
+        self._data = ((start.u_hat, start.v_hat) if start.v_hat.any()
+                      else (start.u_hat,))
         self._work = np.empty(shape, dtype=complex)
         self._block = np.empty((size, shape[-1]), dtype=complex)
         self._gather = np.empty((size, shape[-1]))
-        self._u_hat, self._v_hat = ((np.empty(shape, dtype=complex),
+        self._u_row, self._v_row = ((np.empty(shape, dtype=complex),
                                      np.empty(shape, dtype=complex))
                                     if with_v else (None, None))
 
     def _blocks(self, *spectra: np.ndarray):
-        """Per block of lines along the last axis: each spectrum's lines
-        in it (the level index included), then the gather and complex
-        scratch cut to the block."""
+        """Per block of lines along the last axis: the lines of the level
+        index, of each kept data spectrum and of each given spectrum in
+        it, then the gather and complex scratch cut to the block."""
         width = self._block.shape[-1]
-        lines = [spectrum.reshape(-1, width) for spectrum in spectra]
+        lines = [spectrum.reshape(-1, width) for spectrum in
+                 (self.grid.freq_levels[1], *self._data, *spectra)]
         for start in range(0, len(lines[0]), len(self._block)):
             parts = [a[start:start + len(self._block)] for a in lines]
             size = len(parts[0])
@@ -262,40 +270,39 @@ class LinearFlow:
 
     def _form_row(self, row: np.ndarray, on_u: np.ndarray,
                   on_v: np.ndarray) -> None:
-        """row = on_u[index] u_hat + on_v[index] v_hat of the start state,
-        for level values on_u and on_v."""
-        start = self.start
+        """row = on_u[index] u_hat + on_v[index] v_hat of the data, for
+        level values on_u and on_v; on_u[index] u_hat alone for a zero
+        v_hat."""
         # take into out= buffers its result unless mode is "clip"; the
         # index is in range, so clipping changes nothing
-        for index, u_hat, v_hat, out, gather, term in self._blocks(
-                start.grid.freq_levels[1], start.u_hat, start.v_hat, row):
+        for index, u_hat, *v_hat, out, gather, term in self._blocks(row):
             np.multiply(np.take(on_u, index, out=gather, mode="clip"),
                         u_hat, out=out)
-            np.take(on_v, index, out=gather, mode="clip")
-            out += np.multiply(gather, v_hat, out=term)
+            if v_hat:
+                np.take(on_v, index, out=gather, mode="clip")
+                out += np.multiply(gather, v_hat[0], out=term)
 
     def _form_rows(self, t: float) -> np.ndarray:
         """Form the rows at t and return the u row; the level values of t
         are dropped on return, before any field is made."""
-        xi_sq = self.start.grid.freq_levels[0]
-        if self._v_hat is None:  # the u row alone: uu = G_t + G, uv = G
+        xi_sq = self.grid.freq_levels[0]
+        if self._v_row is None:  # the u row alone: uu = G_t + G, uv = G
             g, uu = green_pair(xi_sq, t)
             uu += g
             self._form_row(self._work, uu, g)
             return self._work
         uu, uv, vu, vv = propagator_levels(xi_sq, t)
-        self._form_row(self._u_hat, uu, uv)
-        self._form_row(self._v_hat, vu, vv)
-        return self._u_hat
+        self._form_row(self._u_row, uu, uv)
+        self._form_row(self._v_row, vu, vv)
+        return self._u_row
 
     def at(self, t: float) -> SolverState:
-        grid = self.start.grid
         u_row = self._form_rows(t)
-        state = SolverState(grid, self._u_hat, self._v_hat)
+        state = SolverState(self.grid, self._u_row, self._v_row)
         # the cached property u, a fresh array: nothing that leaves the
         # flow aliases its arrays; a u row in the work spectrum is handed
         # over to its transform
-        state.__dict__["u"] = inverse_transform(grid, u_row,
+        state.__dict__["u"] = inverse_transform(self.grid, u_row,
                                                 work=self._work).values
         return state
 
@@ -303,18 +310,22 @@ class LinearFlow:
         """sup |exp(t Laplacian)(u0 + u1) - u| for a field u on the flow's
         grid, lp_norm(heat - u, inf) bit for bit with no heat field formed:
         the heat spectrum is oracle.heat_reference's operations in its
-        order, in the work spectrum, and its last transform stage runs a
-        block of lines at a time (grid.inverse_transform_rows), each block
-        taking the larger of max and -min of heat - u as lp_norm does."""
+        order (u1's term only when the flow keeps it), in the work
+        spectrum, and its last transform stage runs a block of lines at a
+        time (grid.inverse_transform_rows), each block taking the larger
+        of max and -min of heat - u as lp_norm does."""
         if not 0 <= t < math.inf:  # nan fails both comparisons
             raise ValueError(f"t must be finite and nonnegative, got {t}")
-        start, grid = self.start, self.start.grid
-        xi_sq, levels_index = grid.freq_levels
-        factor = np.exp(-xi_sq * t)
-        for index, u_hat, v_hat, heat, gather, _block in self._blocks(
-                levels_index, start.u_hat, start.v_hat, self._work):
-            np.add(u_hat, v_hat, out=heat)
-            heat *= np.take(factor, index, out=gather, mode="clip")
+        grid = self.grid
+        factor = np.exp(-grid.freq_levels[0] * t)
+        for index, u_hat, *v_hat, heat, gather, _block in self._blocks(
+                self._work):
+            np.take(factor, index, out=gather, mode="clip")
+            if v_hat:
+                np.add(u_hat, v_hat[0], out=heat)
+                heat *= gather
+            else:
+                np.multiply(u_hat, gather, out=heat)
         lines = u.reshape(-1, grid.points_per_dim)
         sups = []
         for rows, values in inverse_transform_rows(grid, self._work,

@@ -11,7 +11,6 @@ stable, including a neighborhood of the collision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -192,9 +191,10 @@ def cutoff(band: int, radius):
     raise ValueError(f"band must be 1, 2 or 3, got {band}")
 
 
-@lru_cache(maxsize=32)
 def _delta_spectrum(grid: Grid) -> np.ndarray:
-    """Transform of the discrete delta at the origin, scaled to unit mass."""
+    """Transform of the discrete delta at the origin, scaled to unit mass;
+    a fresh array, which a run over many times forms once (green_band's
+    delta_hat)."""
     values = np.zeros(grid.shape)
     values[grid.origin_index] = 1.0 / grid.cell_volume
     return forward_transform(Field(grid, values))
@@ -223,16 +223,20 @@ def _check_band_resolution(band: int, grid: Grid) -> None:
                 f"{count} lattice modes; need at least {MIN_TRANSITION_MODES}")
 
 
-def green_band(band: int, grid: Grid, t: float) -> Field:
+def green_band(band: int, grid: Grid, t: float,
+               delta_hat: np.ndarray | None = None) -> Field:
     """Band kernel: inverse transform of chi_band(|xi|) * green_hat(xi, t).
 
-    The kernel is centered at x = 0.  Raises if the grid does not resolve
-    the cutoff transition zones.
+    The kernel is centered at x = 0.  delta_hat is the grid's
+    _delta_spectrum, formed here when None; it is read, not written.
+    Raises if the grid does not resolve the cutoff transition zones.
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
     _check_band_resolution(band, grid)
+    if delta_hat is None:
+        delta_hat = _delta_spectrum(grid)
     xi_sq, index = grid.freq_levels
     mult = cutoff(band, np.sqrt(xi_sq)) * green_hat(xi_sq, t)
-    product = _delta_spectrum(grid) * mult[index]
+    product = delta_hat * mult[index]
     return inverse_transform(grid, product, work=product)

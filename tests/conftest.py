@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,3 +28,16 @@ def bump1d(grid1d):
 
 def zero_field(grid):
     return Field(grid, np.zeros(grid.shape))
+
+
+def traced_peak(run) -> int:
+    """The most memory, in bytes, that tracemalloc sees allocated from
+    the start of tracing through run(); tracing is stopped however run
+    ends.  run may read tracemalloc itself (marks at snapshot times, or
+    what is left when it returns)."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import linregress
 
+from conftest import traced_peak
 from dissipwave import (EnergyLedger, Field, builtin_presets, decay_report,
                         derivative_field, e0_norm, fit_decay_rate,
                         fit_exponential_rate, forward_transform,
@@ -437,13 +438,60 @@ def test_energy_ledger_record_allocates_no_field():
                               gaussian_bump(g, -0.2, 1.2))
     led = EnergyLedger(sobolev_index=1)
     led.record(0.0, state, 2)
-    tracemalloc.start()
-    try:
-        led.record(1.0, state, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: led.record(1.0, state, 2))
     assert peak < 0.25 * np.empty(g.shape).nbytes
+
+
+def _record_fields(ledger):
+    return (ledger.times, ledger.energy, ledger.diss_rate, ledger.sup_norm,
+            ledger.u_sobolev, ledger.ut_sobolev)
+
+
+def test_energy_ledger_weights_follow_the_grid():
+    # a regrid keeps N and doubles the half width, so the spectra keep
+    # their shape while the weights change: one ledger recording on each
+    # grid in turn, and on a grid of another N, records what a fresh
+    # ledger records on each, bit for bit
+    grids = (make_grid(2, 64, 8.0), make_grid(2, 64, 16.0),
+             make_grid(2, 32, 16.0))
+    states = [state_from_fields(gaussian_bump(g, 0.4, 1.5),
+                                gaussian_bump(g, -0.2, 1.2)) for g in grids]
+    one = EnergyLedger(sobolev_index=3)
+    fresh = []
+    for t, state in enumerate(states):
+        one.record(float(t), state, 2)
+        fresh.append(EnergyLedger(sobolev_index=3))
+        fresh[-1].record(float(t), state, 2)
+    for got, *want in zip(_record_fields(one),
+                          *map(_record_fields, fresh)):
+        assert got == [w for (w,) in want]
+
+
+def test_doubling_grids_hold_one_grids_weights_at_a_time():
+    # one ledger record and one e0_norm on each of eight grids whose half
+    # width doubles, as a regrid's does: the ledger owns the arrays of the
+    # grid it last recorded, its two real power spectra and four weights
+    # (3 complex half spectra C), and e0_norm keeps nothing, so what is
+    # held once a grid's state is dropped stays one grid's: those 3 C,
+    # the grid's cached axes and the records (0.22 C here).  Weights
+    # cached per grid kept 2 C more for every grid
+    ledger = EnergyLedger(sobolev_index=3)
+    spectrum = np.empty((64, 33), dtype=complex).nbytes
+    held = []
+
+    def run():
+        for k in range(8):
+            g = make_grid(2, 64, 8.0 * 2**k)
+            state = state_from_fields(gaussian_bump(g, 0.4, 1.5),
+                                      gaussian_bump(g, -0.2, 1.2))
+            ledger.record(float(k), state, 2)
+            e0_norm(state, 3)
+            del g, state
+            held.append(tracemalloc.get_traced_memory()[0])
+
+    traced_peak(run)
+    assert max(held) < 3.25 * spectrum
+    assert max(held) - held[0] < 0.1 * spectrum
 
 
 def _energy_series(energy, integral, integral_times=None):

@@ -7,19 +7,21 @@ multiplier on every stored mode of the half spectrum.
 """
 
 import math
-import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
+from conftest import traced_peak, zero_field
 from dissipwave import (Field, SolverConfig, build_symbol_table,
                         builtin_presets, cutoff, forward_transform,
                         gaussian_bump, green_band, green_hat, heat_reference,
                         inverse_transform, lp_norm, make_grid)
 from dissipwave.solver import (_QUAD_NODES, _QUAD_WEIGHTS, LinearFlow,
-                               _make_step_cache, state_from_fields)
-from dissipwave.symbols import _delta_spectrum, green_pair
+                               _make_step_cache, state_from_fields,
+                               time_derivative)
+from dissipwave.symbols import _delta_spectrum, green_pair, propagator_levels
 
 # small grids whose lattices reach both sides of the branch point
 # |xi|^2 = 1/4 and resolve the band transitions
@@ -75,12 +77,7 @@ def test_level_table_build_allocates_about_its_folded_size():
     grid.freq_grids
     folded = np.empty((257, 257), dtype=np.intp).nbytes
     index = np.empty(grid.spectral_shape, dtype=np.intp).nbytes
-    tracemalloc.start()
-    try:
-        grid.freq_levels
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: grid.freq_levels)
     assert peak <= index + 5 * folded
 
 
@@ -162,6 +159,35 @@ def test_heat_reference_in_scratch_is_the_allocating_call(grid, t):
     assert flow.heat_gap(t, state.u) == want  # and again from its arrays
     u_only = LinearFlow(start, with_v=False)
     assert u_only.heat_gap(t, u_only.at(2.0).u) == want
+
+
+@pytest.mark.parametrize("grid", [make_grid(1, 64, 8.0), GRIDS["2d"]],
+                         ids=["1d", "2d"])
+@pytest.mark.parametrize("t", (1.0, 30.0))  # 30: the subnormal case
+def test_a_flow_from_zero_velocity_drops_its_zero_spectrum(grid, t):
+    # with u1 = 0 the flow keeps u0's spectrum alone, so the start state's
+    # zero spectrum is freed with it; each row is one gather and one
+    # product, and u, u_t and the heat gap are still the two-term forms'
+    # bit for bit
+    start = state_from_fields(gaussian_bump(grid, 1.0, 1.5),
+                              zero_field(grid))
+    uu, uv, vu, vv = (entry[grid.freq_levels[1]] for entry in
+                      propagator_levels(grid.freq_levels[0], t))
+    want_u = inverse_transform(grid, uu * start.u_hat + uv * start.v_hat)
+    want_u_t = inverse_transform(grid, vu * start.u_hat + vv * start.v_hat)
+    heat = heat_reference(grid, start.u_hat + start.v_hat, t).values
+    zero = weakref.ref(start.v_hat)
+    flows = (LinearFlow(start), LinearFlow(start, with_v=False))
+    del start
+    assert zero() is None
+    for flow in flows:
+        state = flow.at(t)
+        assert np.array_equal(state.u, want_u.values)
+        if state.v_hat is not None:
+            assert np.array_equal(time_derivative(state, 1, None).values,
+                                  want_u_t.values)
+        want = lp_norm(Field(grid, heat - state.u), math.inf)
+        assert flow.heat_gap(t, state.u) == want
 
 
 @pytest.mark.parametrize("bad", (np.nan, np.inf, -1.0))

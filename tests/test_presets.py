@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from dissipwave import (ExperimentPreset, SolverConfig, apply_nonlinearity,
                         build_symbol_table, builtin_presets,
                         derivative_field, derivative_multiplier,
@@ -18,7 +19,7 @@ from dissipwave import (ExperimentPreset, SolverConfig, apply_nonlinearity,
                         quantity_label, run_bands, run_experiment, run_linear,
                         run_semilinear, spectral_l2_sq, state_from_fields,
                         write_snapshot)
-from dissipwave import solver
+from dissipwave import solver, symbols
 from dissipwave.analysis import energy_audit, sobolev_weight
 from dissipwave.presets import (HEAT_GAP_LABEL, PROFILE_LABEL, _norm_of,
                                 _observer, _rounded_times)
@@ -394,41 +395,41 @@ def test_run_linear_snapshots_alias_no_flow_array():
         float(np.max(np.abs(u.values))) for _t, u in kept]
 
 
-def _traced_peak(run) -> int:
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_gaussian_bump_allocates_only_its_field():
     # the field is formed in place in the fresh |x|^2
     g = make_grid(2, 256, 16.0)
     g.coords
     field = np.empty(g.shape).nbytes
-    assert _traced_peak(lambda: gaussian_bump(g, 0.4, 1.5)) <= 1.5 * field
+    assert traced_peak(lambda: gaussian_bump(g, 0.4, 1.5)) <= 1.5 * field
 
 
-@pytest.mark.parametrize("reports, rows", [
-    (((math.inf, 0, 0),), 0),
-    (((math.inf, 0, 0), (math.inf, 0, 1)), 2),
-], ids=["u-row", "u-and-v-rows"])
-def test_run_linear_peak_memory_is_its_design(reports, rows):
+# with u1 = 0 the flow keeps u0's spectrum alone, and the run drops the
+# start state once the flow is built, so its budget counts one start
+# spectrum, not two
+_ROWS_AND_U1 = pytest.mark.parametrize("reports, rows, u1", [
+    (((math.inf, 0, 0),), 0, -0.3),
+    (((math.inf, 0, 0), (math.inf, 0, 1)), 2, -0.3),
+    (((math.inf, 0, 0),), 0, 0.0),
+    (((math.inf, 0, 0), (math.inf, 0, 1)), 2, 0.0),
+], ids=["u-row", "u-and-v-rows", "u-row-zero-u1", "u-and-v-rows-zero-u1"])
+
+
+@_ROWS_AND_U1
+def test_run_linear_peak_memory_is_its_design(reports, rows, u1):
     # the budget in complex half spectra C, from what the run must hold:
-    # the start spectra (2); the flow's work spectrum (1), in which the u
-    # row alone is formed and transformed, its rows when a report reads
-    # u_t (1 each) and its scratch for a block of lines; the level table's
-    # intp index (0.5); the levels and the level values of one time (0.75:
-    # under 0.12 C each on this grid); and, per snapshot, the physical u
-    # and, with the rows, u_t (a field each), whose inverse transform
-    # copies its row (1).  The heat gap is formed a block of lines at a
-    # time, so a heat field, a kept u0 + u1 spectrum, a second work
-    # spectrum or a cached |x|^2 or |xi|^2 breaks it, and no array may
-    # pile up across snapshots
+    # the start spectra (2, or 1 for u1 = 0); the flow's work spectrum
+    # (1), in which the u row alone is formed and transformed, its rows
+    # when a report reads u_t (1 each) and its scratch for a block of
+    # lines; the level table's intp index (0.5); the levels and the level
+    # values of one time (0.75: under 0.12 C each on this grid); and, per
+    # snapshot, the physical u and, with the rows, u_t (a field each),
+    # whose inverse transform copies its row (1).  The heat gap is formed
+    # a block of lines at a time, so a heat field, a kept u0 + u1
+    # spectrum, a second work spectrum or a cached |x|^2 or |xi|^2 breaks
+    # it, and no array may pile up across snapshots.  e0 is read before
+    # the flow is built, its weights formed and dropped in its call
     few = _tiny_linear(n_dims=2, grid_points=128, half_width=16.0,
-                       amplitude=0.8, u1_amplitude=-0.3, t_final=8.0,
+                       amplitude=0.8, u1_amplitude=u1, t_final=8.0,
                        snapshot_times=(1.0, 2.0), fit_window=(1.0, 8.0),
                        reports=reports)
     many = replace(few, snapshot_times=(0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0,
@@ -437,38 +438,54 @@ def test_run_linear_peak_memory_is_its_design(reports, rows):
     field = np.empty(few.grid.shape).nbytes
     flow = LinearFlow(state_from_fields(*few.initial_data()))
     scratch = flow._block.nbytes + flow._gather.nbytes
-    run_linear(few)  # fills the lru-cached e0 weights of this grid
-    peak_few = _traced_peak(lambda: run_linear(few))
-    peak_many = _traced_peak(lambda: run_linear(many))
+    peak_few = traced_peak(lambda: run_linear(few))
+    peak_many = traced_peak(lambda: run_linear(many))
     copies, fields = (1, 2) if rows else (0, 1)
-    assert peak_few <= ((2 + 1 + rows + 0.5 + 0.75 + copies) * spectrum
+    starts = 2 if u1 else 1
+    assert peak_few <= ((starts + 1 + rows + 0.5 + 0.75 + copies) * spectrum
                         + fields * field + scratch)
     assert peak_many <= peak_few + 0.05 * spectrum
 
 
-@pytest.mark.parametrize("reports, rows", [
-    (((math.inf, 0, 0),), 0),
-    (((math.inf, 0, 0), (math.inf, 0, 1)), 2),
-], ids=["u-row", "u-and-v-rows"])
-def test_run_linear_1d_peak_memory_is_its_design(reports, rows):
+@_ROWS_AND_U1
+def test_run_linear_1d_peak_memory_is_its_design(reports, rows, u1):
     # in 1-d every stored mode is its own |xi|^2 level, so a level array
     # is 0.5 C and the line scratch is the whole line (1.5 C).  The run
-    # holds the start spectra (2), the work spectrum (1), the rows when a
-    # report reads u_t (1 each), the scratch (1.5), the levels and their
-    # index (1), the grid's cached frequencies (0.5) and sample positions
-    # (2 fields).  On top of that, one time's tabulation: green_pair's
-    # working set, m, w, g, G_t, its masks and the level arrays and
-    # temporaries of its last branch, under 6.5 C, which also holds the
-    # entries of the rows and then the snapshot's u and u_t
+    # holds the start spectra (2, or 1 for u1 = 0), the work spectrum
+    # (1), the rows when a report reads u_t (1 each), the scratch (1.5),
+    # the levels and their index (1), the grid's cached frequencies (0.5)
+    # and sample positions (2 fields).  On top of that, one time's
+    # tabulation: green_pair's working set, m, w, g, G_t, its masks and
+    # the level arrays and temporaries of its last branch, under 6.5 C,
+    # which also holds the entries of the rows and then the snapshot's u
+    # and u_t
     p = _tiny_linear(n_dims=1, grid_points=4096, half_width=200.0,
-                     amplitude=0.8, u1_amplitude=-0.3, t_final=8.0,
+                     amplitude=0.8, u1_amplitude=u1, t_final=8.0,
                      snapshot_times=(1.0, 2.0), fit_window=(1.0, 8.0),
                      reports=reports)
     spectrum = np.empty(p.grid.spectral_shape, dtype=complex).nbytes
     field = np.empty(p.grid.shape).nbytes
-    run_linear(p)  # fills the lru-cached e0 weights of this grid
-    peak = _traced_peak(lambda: run_linear(p))
-    assert peak <= (2 + 1 + rows + 1.5 + 1 + 0.5 + 6.5) * spectrum + 2 * field
+    peak = traced_peak(lambda: run_linear(p))
+    starts = 2 if u1 else 1
+    assert peak <= ((starts + 1 + rows + 1.5 + 1 + 0.5 + 6.5) * spectrum
+                    + 2 * field)
+
+
+def test_run_linear_leaves_no_traced_memory():
+    # a run owns every array it makes, weights included, so once it
+    # returns nothing of its grid, its data or its flow is left.  lin2d's
+    # run on a box no other test uses, so nothing of it was cached before;
+    # numpy's own caches leave a few hundred bytes
+    p = replace(builtin_presets()["lin2d"], half_width=96.0)
+    spectrum = np.empty(p.grid.spectral_shape, dtype=complex).nbytes
+    left = []
+
+    def run():
+        run_linear(p)
+        left.append(tracemalloc.get_traced_memory()[0])
+
+    traced_peak(run)
+    assert left[0] < 0.01 * spectrum
 
 
 def test_linear_snapshot_allocates_no_complex_spectrum():
@@ -488,12 +505,7 @@ def test_linear_snapshot_allocates_no_complex_spectrum():
         marks.append(tracemalloc.get_traced_memory())
         tracemalloc.reset_peak()
 
-    run_linear(p)  # fills the lru-cached e0 weights of this grid
-    tracemalloc.start()
-    try:
-        run_linear(p, snapshot_sink=sink)
-    finally:
-        tracemalloc.stop()
+    traced_peak(lambda: run_linear(p, snapshot_sink=sink))
     growth = [peak - base for (base, _), (_, peak) in zip(marks, marks[1:])]
     assert len(growth) == 3
     assert max(growth) < 0.5 * spectrum
@@ -540,7 +552,7 @@ def test_heat_gap_observation_forms_no_field_sized_array():
     want = float(np.max(np.abs(state.u - heat)))
     series, observe = _observer(p, None, None, flow.heat_gap)
     levels = p.grid.freq_levels[0].nbytes
-    peak = _traced_peak(lambda: observe(2.0, state))
+    peak = traced_peak(lambda: observe(2.0, state))
     assert peak < 2 * levels + 0.05 * state.u.nbytes
     assert series[HEAT_GAP_LABEL] == [want]
     assert series["linf:u"] == [float(np.max(np.abs(state.u)))]
@@ -711,6 +723,28 @@ def test_tiny_bands_run_shapes():
     assert report.window == (2.0, 16.0)
     # the middle band decays monotonically from the start
     assert np.all(np.diff(run.series["linf:band2"][1]) < 0)
+
+
+def test_bands_run_forms_its_delta_spectrum_once(monkeypatch):
+    # every kernel of the run is the transform of one delta spectrum
+    # times its multiplier, so the run forms that spectrum once and hands
+    # it to each green_band call
+    made = []
+
+    def delta_spectrum(grid, make=symbols._delta_spectrum):
+        made.append(grid)
+        return make(grid)
+
+    p = ExperimentPreset(name="b", kind="bands", n_dims=1, grid_points=512,
+                         half_width=64.0,
+                         band1_times=(2.0, 4.0, 8.0, 12.0, 16.0),
+                         band2_times=(1.0, 2.0, 3.0, 4.0, 5.0))
+    want = run_bands(p).series
+    monkeypatch.setattr(symbols, "_delta_spectrum", delta_spectrum)
+    got = run_bands(p).series
+    assert made == [p.grid]
+    for label, (times, values) in want.items():
+        assert got[label][1].tolist() == values.tolist()
 
 
 def test_report_runs_on_tiny_series():

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from dissipwave import (Field, InstabilityError, SolverConfig, SolverState,
                         apply_nonlinearity, build_symbol_table,
                         forward_transform, gaussian_bump, inverse_transform,
@@ -455,11 +456,7 @@ def test_steady_steps_allocate_no_spectrum_sized_array():
         marks.append(tracemalloc.get_traced_memory())
         tracemalloc.reset_peak()
 
-    tracemalloc.start()
-    try:
-        solve(start, cfg, observer=observe)
-    finally:
-        tracemalloc.stop()
+    traced_peak(lambda: solve(start, cfg, observer=observe))
     (base, _peak), (_current, peak) = marks
     assert (peak - base) / spectrum < 0.5
 
@@ -485,14 +482,8 @@ def test_solve_peak_memory_is_its_design():
     m = g.points_per_dim // 3
     box = np.empty((2 * m + 1, m + 1), dtype=complex).nbytes
     design = 7 * spectrum + 2 * field + 4 * box
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        solve(start, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (peak - base - design) / spectrum < 0.25
+    peak = traced_peak(lambda: solve(start, cfg))
+    assert (peak - design) / spectrum < 0.25
 
 
 @pytest.mark.parametrize("theta", [1, 2])

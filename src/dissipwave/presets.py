@@ -27,7 +27,7 @@ import numpy as np
 from . import analysis, solver, symbols
 from .analysis import MIN_FIT_POINTS, EnergyLedger, quantity_label
 from .grid import (Field, Grid, check_multi_index, derivative_field,
-                   make_grid, read_snapshot)
+                   forward_transform, make_grid, read_snapshot)
 
 # the fields each kind's run reads; a preset's config holds these alone
 _GRID = ("name", "kind", "n_dims", "grid_points", "half_width")
@@ -197,12 +197,15 @@ class ExperimentPreset:
 
     def initial_data(self) -> tuple[Field, Field]:
         grid = self.grid
-        files = self.data_files
-        u0 = (files[self.u0_file] if self.u0_file
-              else gaussian_bump(grid, self.amplitude, self.width))
-        u1 = (files[self.u1_file] if self.u1_file
-              else gaussian_bump(grid, self.u1_amplitude, self.width))
-        return u0, u1
+        return (self.datum(grid, self.u0_file, self.amplitude),
+                self.datum(grid, self.u1_file, self.u1_amplitude))
+
+    def datum(self, grid: Grid, path: str, amplitude: float) -> Field:
+        """One initial datum on grid, the preset's grid: the samples of
+        the data file at path, else the Gaussian bump of amplitude."""
+        if path:
+            return Field(grid, self.data_files[path].values)
+        return gaussian_bump(grid, amplitude, self.width)
 
     @cached_property
     def data_files(self) -> dict[str, Field]:
@@ -303,14 +306,30 @@ def run_linear(preset: ExperimentPreset, snapshot_sink=None) -> ExperimentRun:
     series behind the diffusion-phenomenon check, formed by the flow
     (LinearFlow.heat_gap).  The spectra of u0 + u1 and of the data size
     e0 are read off the start state, so each datum is transformed once.
-    e0 is read first, and its weights are dropped with its call; then the
-    run hands the start state to the flow and keeps no reference of its
-    own, so a zero u1 spectrum, which the flow does not keep, is freed
-    before the first snapshot.
+
+    The run builds its grid's level table before it forms any datum, so
+    the table's build transient is not laid over the data and the flow.
+    A u1 that is zero by construction (u1_amplitude 0, no u1_file) is no
+    field and no transformed spectrum: its spectrum is one read-only zero
+    broadcast over the half spectrum, which has no pages (np.zeros would
+    have 2.1 MB of them on 512^2, untouched but allocated).  e0 is read
+    first, and its weights are dropped with its call; then the run hands
+    the start state to the flow and keeps no reference of its own.
     """
     if preset.kind != "linear":
         raise ValueError(f"preset {preset.name!r} is not linear")
-    start = solver.state_from_fields(*preset.initial_data())
+    grid = preset.grid
+    grid.freq_levels  # cached on grid, which the start state and flow share
+    u_hat = forward_transform(
+        preset.datum(grid, preset.u0_file, preset.amplitude))
+    if preset.u1_file or preset.u1_amplitude:
+        v_hat = forward_transform(
+            preset.datum(grid, preset.u1_file, preset.u1_amplitude))
+    else:
+        v_hat = np.broadcast_to(np.zeros((), dtype=complex),
+                                grid.spectral_shape)
+    start = solver.SolverState(grid, u_hat, v_hat)
+    del u_hat, v_hat
     e0 = analysis.e0_norm(start, preset.sobolev_s)
     flow = solver.LinearFlow(
         start, with_v=any(h >= 1 for _p, _a, h in preset.reports))

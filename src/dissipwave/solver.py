@@ -227,14 +227,19 @@ class LinearFlow:
     The flow keeps references to the data spectra its rows read, not to
     the start state: u_hat always, v_hat only when it holds a nonzero
     mode, found by one read when the flow is built.  A zero v_hat drops
-    the G-weighted terms, which it would only add as zeros.
+    the G-weighted terms, which it would only add as zeros; it may be a
+    read-only broadcast of one zero, as presets.run_linear passes for a
+    u1 that is zero by construction.  The level table is the grid's
+    (Grid.freq_levels), built on first read unless the caller built it
+    first, as run_linear does before it forms any datum.
 
     at(t) forms the u row (G_t + G) u_hat + G v_hat and, when with_v, the
     u_t row (G_tt + G_t) u_hat + G_t v_hat: each entry it needs is
     tabulated per |xi|^2 level at t (green_pair, or
-    symbols.propagator_levels for both rows; each rejects a negative or
-    non-finite t), then, a block of lines at a time, gathered onto the
-    lattice and multiplied into its row.  Without with_v the u row is
+    symbols.propagator_levels for both rows, with t a scalar; each
+    rejects a negative or non-finite t), then, a block of lines at a time,
+    gathered onto the lattice and multiplied into its row.  Without
+    with_v the u row is
     formed in the work spectrum and transformed there in place, so the
     state at(t) returns has no spectra; with it, the state holds the
     flow's rows, valid until the next call, which time_derivative reads
@@ -313,11 +318,14 @@ class LinearFlow:
         order (u1's term only when the flow keeps it), in the work
         spectrum, and its last transform stage runs a block of lines at a
         time (grid.inverse_transform_rows), each block taking the larger
-        of max and -min of heat - u as lp_norm does."""
+        of max and -min of heat - u as lp_norm does.  The heat factor
+        exp(-|xi|^2 t) is formed in place, one level array."""
         if not 0 <= t < math.inf:  # nan fails both comparisons
             raise ValueError(f"t must be finite and nonnegative, got {t}")
         grid = self.grid
-        factor = np.exp(-grid.freq_levels[0] * t)
+        factor = np.negative(grid.freq_levels[0])
+        factor *= t
+        np.exp(factor, out=factor)
         for index, u_hat, *v_hat, heat, gather, _block in self._blocks(
                 self._work):
             np.take(factor, index, out=gather, mode="clip")

@@ -41,41 +41,67 @@ def green_pair(xi_sq, t):
 
     Vectorized over broadcastable xi_sq >= 0 and finite t >= 0; each
     exponential, sine and cosine is computed once and shared by G and G_t.
+    A scalar t stays a scalar: no array of it is broadcast or gathered per
+    branch.  The series and oscillatory branches, which take nearly every
+    level of a lattice between them, work in place, and each working
+    array is dropped once read, so on n levels at one t the call holds
+    at most about seven arrays of n floats (m, w or G and G_t, the branch
+    masks and the four of the branch at work).
     """
     scalar = np.ndim(xi_sq) == 0 and np.ndim(t) == 0
-    xi_sq = np.asarray(xi_sq, dtype=np.float64)
+    xi_sq = np.array(xi_sq, dtype=np.float64, copy=None, ndmin=1)
     t = np.asarray(t, dtype=np.float64)
-    if np.any(xi_sq < 0):
+    # nan fails every comparison, so it is refused with the negatives;
+    # no branch would take it, and its G and G_t would be left unset
+    if not np.all(xi_sq >= 0):
         raise ValueError("xi_sq must be nonnegative")
     # nan fails both comparisons; an infinite t would give inf * 0
     if not np.all((t >= 0) & (t < np.inf)):
         raise ValueError("t must be finite and nonnegative")
-    xi_sq, t = np.broadcast_arrays(xi_sq, t)
-    m = 1.0 - 4.0 * xi_sq
+    if t.ndim:
+        xi_sq, t = np.broadcast_arrays(xi_sq, t)
+    else:
+        t = t[()]
+
+    def on(mask):
+        """t on the modes of mask; a scalar t as it is."""
+        return t[mask] if np.ndim(t) else t
+
+    m = 4.0 * xi_sq
+    np.subtract(1.0, m, out=m)
     # past t ~ 1e154 w overflows to +-inf (m = 0 still gives 0), which
     # lies beyond W_SERIES as the exact w does, so the branch is the same
     with np.errstate(over="ignore"):
-        w = m * t * t / 4.0
-    g = np.empty_like(w)
-    g_t = np.empty_like(w)
-
+        w = m * t
+        w *= t
+        w /= 4.0
     series = np.abs(w) <= W_SERIES
-    over = ~series & (m > 0)
-    under = ~series & (m < 0)
+    ws = w[series]
+    del w
+    over = m > 0
+    over &= ~series
+    under = m < 0
+    under &= ~series
+    g = np.empty_like(m)
+    g_t = np.empty_like(m)
 
-    if np.any(series):
-        ts, ws = t[series], w[series]
+    if ws.size:
+        ts = on(series)
         decay = np.exp(-0.5 * ts)
         # sinh(sqrt(w))/sqrt(w) = 1 + w/6 + w^2/120 + w^3/5040 + O(w^4)
-        sinhc = 1.0 + (ws / 6.0) * (1.0 + (ws / 20.0) * (1.0 + ws / 42.0))
+        sinhc = _nested_series(ws, (6.0, 20.0, 42.0))
         # cosh(sqrt(w)) = 1 + w/2 + w^2/24 + w^3/720 + O(w^4)
-        cosh = 1.0 + (ws / 2.0) * (1.0 + (ws / 12.0) * (1.0 + ws / 30.0))
-        g[series] = ts * decay * sinhc
-        g_t[series] = decay * (cosh - 0.5 * ts * sinhc)
+        cosh = _nested_series(ws, (2.0, 12.0, 30.0))
+        cosh -= 0.5 * ts * sinhc
+        cosh *= decay
+        g_t[series] = cosh
+        sinhc *= ts * decay
+        g[series] = sinhc
     if np.any(over):
-        # both exponents are nonpositive, so no overflow
+        # both exponents are nonpositive, so no overflow; |xi| < 1/2 is a
+        # few levels of a lattice's
         root = np.sqrt(m[over])
-        to = t[over]
+        to = on(over)
         mu_p = 0.5 * (root - 1.0)
         mu_m = -0.5 * (root + 1.0)
         e_p = np.exp(mu_p * to)
@@ -83,16 +109,39 @@ def green_pair(xi_sq, t):
         g[over] = (e_p - e_m) / root
         g_t[over] = (mu_p * e_p - mu_m * e_m) / root
     if np.any(under):
-        root = np.sqrt(-m[under])
-        tu = t[under]
+        root = m[under]
+        del m
+        np.negative(root, out=root)
+        np.sqrt(root, out=root)
+        tu = on(under)
         decay = np.exp(-0.5 * tu)
-        half_angle = 0.5 * root * tu
+        half_angle = 0.5 * root
+        half_angle *= tu
         sine = np.sin(half_angle)
-        g[under] = 2.0 * decay * sine / root
-        g_t[under] = decay * (np.cos(half_angle) - sine / root)
+        cosine = np.cos(half_angle, out=half_angle)
+        cosine -= sine / root
+        cosine *= decay
+        g_t[under] = cosine
+        sine *= 2.0 * decay
+        sine /= root
+        g[under] = sine
     if scalar:
-        return float(g[()]), float(g_t[()])
+        return float(g[0]), float(g_t[0])
     return g, g_t
+
+
+def _nested_series(w: np.ndarray, divisors: tuple[float, float, float]
+                   ) -> np.ndarray:
+    """1 + (w/a) (1 + (w/b) (1 + w/c)) for divisors (a, b, c), in one
+    fresh array, with the operations of that expression in its order."""
+    a, b, c = divisors
+    out = w / c
+    out += 1.0
+    out *= w / b
+    out += 1.0
+    out *= w / a
+    out += 1.0
+    return out
 
 
 def green_hat(xi_sq, t):
@@ -146,8 +195,10 @@ def propagator_levels(xi_sq: np.ndarray,
     """The SymbolTable entries (uu, uv, vu, vv) at time increment delta,
     one value per |xi|^2 in xi_sq (green_pair rejects a bad delta)."""
     g, g_t = green_pair(xi_sq, delta)
-    g_tt = -g_t - xi_sq * g
-    return g_t + g, g, g_tt + g_t, g_t
+    vu = np.negative(g_t)  # G_tt = -G_t - |xi|^2 G, then vu = G_tt + G_t
+    vu -= xi_sq * g
+    vu += g_t
+    return g_t + g, g, vu, g_t
 
 
 def build_symbol_table(grid: Grid, delta: float) -> SymbolTable:

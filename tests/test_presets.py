@@ -403,9 +403,9 @@ def test_gaussian_bump_allocates_only_its_field():
     assert traced_peak(lambda: gaussian_bump(g, 0.4, 1.5)) <= 1.5 * field
 
 
-# with u1 = 0 the flow keeps u0's spectrum alone, and the run drops the
-# start state once the flow is built, so its budget counts one start
-# spectrum, not two
+# with u1 = 0 the run forms no u1 field and no u1 spectrum, and the flow
+# keeps u0's spectrum alone, so its budget counts one start spectrum, not
+# two
 _ROWS_AND_U1 = pytest.mark.parametrize("reports, rows, u1", [
     (((math.inf, 0, 0),), 0, -0.3),
     (((math.inf, 0, 0), (math.inf, 0, 1)), 2, -0.3),
@@ -420,14 +420,18 @@ def test_run_linear_peak_memory_is_its_design(reports, rows, u1):
     # the start spectra (2, or 1 for u1 = 0); the flow's work spectrum
     # (1), in which the u row alone is formed and transformed, its rows
     # when a report reads u_t (1 each) and its scratch for a block of
-    # lines; the level table's intp index (0.5); the levels and the level
-    # values of one time (0.75: under 0.12 C each on this grid); and, per
-    # snapshot, the physical u and, with the rows, u_t (a field each),
-    # whose inverse transform copies its row (1).  The heat gap is formed
-    # a block of lines at a time, so a heat field, a kept u0 + u1
-    # spectrum, a second work spectrum or a cached |x|^2 or |xi|^2 breaks
-    # it, and no array may pile up across snapshots.  e0 is read before
-    # the flow is built, its weights formed and dropped in its call
+    # lines; the level table's intp index (0.5); five level arrays
+    # (0.115 C each on this grid): the levels, the heat factor and
+    # slack, for green_pair's working set of about seven is dropped
+    # before u is formed; and, per snapshot, the physical u and, with
+    # the rows, u_t (a field each), whose inverse transform copies its
+    # row (1).  The heat gap is formed a block of lines at a time, so a
+    # heat field, a kept u0 + u1 spectrum, a second work spectrum, a
+    # zero u1 field or spectrum, green_pair's broadcast working set or
+    # a cached |x|^2 or |xi|^2 breaks it, and no array may pile up
+    # across snapshots.  The table is built before the data, and e0 is
+    # read before the flow is built, its weights formed and dropped in
+    # its call
     few = _tiny_linear(n_dims=2, grid_points=128, half_width=16.0,
                        amplitude=0.8, u1_amplitude=u1, t_final=8.0,
                        snapshot_times=(1.0, 2.0), fit_window=(1.0, 8.0),
@@ -438,12 +442,13 @@ def test_run_linear_peak_memory_is_its_design(reports, rows, u1):
     field = np.empty(few.grid.shape).nbytes
     flow = LinearFlow(state_from_fields(*few.initial_data()))
     scratch = flow._block.nbytes + flow._gather.nbytes
+    levels = few.grid.freq_levels[0].nbytes
     peak_few = traced_peak(lambda: run_linear(few))
     peak_many = traced_peak(lambda: run_linear(many))
     copies, fields = (1, 2) if rows else (0, 1)
     starts = 2 if u1 else 1
-    assert peak_few <= ((starts + 1 + rows + 0.5 + 0.75 + copies) * spectrum
-                        + fields * field + scratch)
+    assert peak_few <= ((starts + 1 + rows + 0.5 + copies) * spectrum
+                        + 5 * levels + fields * field + scratch)
     assert peak_many <= peak_few + 0.05 * spectrum
 
 
@@ -453,12 +458,12 @@ def test_run_linear_1d_peak_memory_is_its_design(reports, rows, u1):
     # is 0.5 C and the line scratch is the whole line (1.5 C).  The run
     # holds the start spectra (2, or 1 for u1 = 0), the work spectrum
     # (1), the rows when a report reads u_t (1 each), the scratch (1.5),
-    # the levels and their index (1), the grid's cached frequencies (0.5)
-    # and sample positions (2 fields).  On top of that, one time's
-    # tabulation: green_pair's working set, m, w, g, G_t, its masks and
-    # the level arrays and temporaries of its last branch, under 6.5 C,
-    # which also holds the entries of the rows and then the snapshot's u
-    # and u_t
+    # the levels and their index (1), the grid's cached
+    # frequencies (0.5) and sample positions (2 fields).  On top of that,
+    # one time's tabulation: green_pair's working set, about seven level
+    # arrays at its peak (m, w or G and G_t, its masks and the four of
+    # its last branch), under 3.75 C, which also holds the entries of the
+    # rows and then the snapshot's u and u_t
     p = _tiny_linear(n_dims=1, grid_points=4096, half_width=200.0,
                      amplitude=0.8, u1_amplitude=u1, t_final=8.0,
                      snapshot_times=(1.0, 2.0), fit_window=(1.0, 8.0),
@@ -467,7 +472,7 @@ def test_run_linear_1d_peak_memory_is_its_design(reports, rows, u1):
     field = np.empty(p.grid.shape).nbytes
     peak = traced_peak(lambda: run_linear(p))
     starts = 2 if u1 else 1
-    assert peak <= ((starts + 1 + rows + 1.5 + 1 + 0.5 + 6.5) * spectrum
+    assert peak <= ((starts + 1 + rows + 1.5 + 1 + 0.5 + 3.75) * spectrum
                     + 2 * field)
 
 
@@ -539,8 +544,8 @@ def test_heat_gap_observation_forms_no_field_sized_array():
     # one observe call is traced alone, with u built beforehand: reading
     # the u norm and the heat gap, whose heat evolution is formed and
     # compared a block of lines at a time in the flow's arrays, forms no
-    # field-sized array, only the heat factor on the levels (two level
-    # arrays)
+    # field-sized array, only the heat factor on the levels (one level
+    # array, formed in place) and each block's index lines as intp
     p = _tiny_linear(n_dims=2, grid_points=128, half_width=16.0,
                      amplitude=0.8, u1_amplitude=-0.3, t_final=8.0,
                      snapshot_times=(1.0, 2.0), fit_window=(1.0, 8.0),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from dissipwave import (build_symbol_table, builtin_presets, cutoff,
                         green_band, green_hat, green_hat_dt, make_grid,
                         mode_ode, smooth_step)
@@ -107,6 +108,14 @@ def test_green_pair_pins_values():
         assert repr(green_hat_dt(xi_sq[k], t[k])) == want_gt[k]
 
 
+def test_green_pair_rejects_a_nan_frequency():
+    # nan takes no branch, so its G and G_t would be np.empty's leftovers
+    with pytest.raises(ValueError, match="nonnegative"):
+        green_pair(math.nan, 1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        green_pair(np.array([0.3, math.nan, 2.0]), 1.0)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_green_pair_and_propagator_reject_a_non_finite_time(bad):
     # nan used to give an all-nan table, inf an invalid-value warning deep
@@ -132,6 +141,39 @@ def test_green_pair_at_a_huge_finite_time_is_the_limit_quietly(t):
     g, g_t = green_pair(xi_sq, t)
     assert g.tolist() == [1.0] + [0.0] * 6
     assert g_t.tolist() == [0.0] * 7
+
+
+def _same_bits(got, want):
+    return all(np.array_equal(a, b) and np.array_equal(np.signbit(a),
+                                                       np.signbit(b))
+               for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("grid", [make_grid(1, 64, 8.0), make_grid(2, 32, 8.0),
+                                  make_grid(3, 16, 8.0)],
+                         ids=["1d", "2d", "3d"])
+def test_green_pair_at_a_scalar_t_is_the_broadcast_t_bit_for_bit(grid):
+    # a scalar t is used as a scalar, not broadcast and gathered per
+    # branch; each value must still be what that t broadcast over the
+    # levels gives, sign bits included.  Levels within 1e-4 of the branch
+    # point 1/4 put the series branch beside the two closed forms
+    near = 0.25 + np.linspace(-1e-4, 1e-4, 41)
+    for xi_sq in (grid.freq_levels[0], near):
+        for t in (0.0, 0.013, 0.7, 3.0, 30.0, 1e155):
+            want = green_pair(xi_sq, np.full(xi_sq.shape, t))
+            assert _same_bits(green_pair(xi_sq, t), want), t
+
+
+@pytest.mark.parametrize("t", [0.0, 1e-3, 0.5, 2.0, 30.0])
+def test_green_pair_working_set_is_about_seven_level_arrays(t):
+    # on lin2d's 28 646 levels at one t the call holds m, w or G and G_t,
+    # the branch masks (1/8 each) and the arrays of one branch at a time,
+    # each formed in place and dropped once read; t = 0 puts every level
+    # in the series branch.  Broadcasting t and gathering it per branch
+    # held about 12.3 level arrays
+    levels = builtin_presets()["lin2d"].grid.freq_levels[0]
+    assert levels.size == 28_646
+    assert traced_peak(lambda: green_pair(levels, t)) <= 7.5 * levels.nbytes
 
 
 def test_symbol_table_structure():

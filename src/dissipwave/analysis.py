@@ -360,7 +360,8 @@ def energy_audit(series: dict, mono_tol: float = MONO_TOL,
                  balance_tol: float = BALANCE_TOL) -> EnergyAudit:
     """The energy law checked on energy.csv's series, {label: (times,
     values)}; a ValueError if the energy or diss_integral series is
-    missing or the two have different times."""
+    missing, the two have different times or the times do not strictly
+    increase."""
     for need in ("energy", "diss_integral"):
         if need not in series:
             raise ValueError(f"no {need!r} series")
@@ -368,6 +369,8 @@ def energy_audit(series: dict, mono_tol: float = MONO_TOL,
     if not np.array_equal(t_e, t_i):
         raise ValueError("the energy and diss_integral series have "
                          "different times")
+    if np.any(np.diff(t_e) <= 0):
+        raise ValueError("the energy series' times do not strictly increase")
     e = np.asarray(energy, dtype=float)
     e0 = float(e[0])
     worst_rise = float(np.max(np.diff(e))) if len(e) > 1 else 0.0
@@ -494,12 +497,11 @@ def write_series_csv(path, series: dict) -> None:
     series maps each label to its (times, values) pair, as decay_report
     takes it; values are written with repr for lossless, byte-stable rereads.
     """
-    lines = ["t,quantity,value"]
-    for name, (times, values) in series.items():
-        lines += [f"{float(t)!r},{name},{float(v)!r}"
-                  for t, v in zip(times, values)]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("t,quantity,value\n")
+        for name, (times, values) in series.items():
+            fh.writelines(f"{float(t)!r},{name},{float(v)!r}\n"
+                          for t, v in zip(times, values))
 
 
 def read_series_csv(path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -530,10 +532,9 @@ def read_series_csv(path) -> dict[str, tuple[np.ndarray, np.ndarray]]:
 
 def write_report_csv(path, report: DecayReport) -> None:
     """Decay report: header quantity,slope,stderr,target,tolerance,verdict."""
-    lines = ["quantity,slope,stderr,target,tolerance,verdict"]
-    for r in report.rows:
-        verdict = "pass" if r.passed else "fail"
-        lines.append(f"{r.quantity},{float(r.slope)!r},{float(r.stderr)!r},"
-                     f"{float(r.target)!r},{float(r.tolerance)!r},{verdict}")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("quantity,slope,stderr,target,tolerance,verdict\n")
+        for r in report.rows:
+            verdict = "pass" if r.passed else "fail"
+            fh.write(f"{r.quantity},{float(r.slope)!r},{float(r.stderr)!r},"
+                     f"{float(r.target)!r},{float(r.tolerance)!r},{verdict}\n")

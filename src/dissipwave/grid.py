@@ -59,8 +59,9 @@ class Grid:
         if n ** self.n_dims > MAX_POINTS:
             raise ValueError(f"a grid may have at most {MAX_POINTS} "
                              f"points, got {n}^{self.n_dims}")
-        if not self.half_width > 0:
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
+        if not 0 < self.half_width < np.inf:
+            raise ValueError(f"half_width must be positive and finite, "
+                             f"got {self.half_width}")
 
     @property
     def dx(self) -> float:
@@ -310,10 +311,9 @@ def write_snapshot(path, field: Field, time: float) -> None:
     g = field.grid
     header = SNAPSHOT_MAGIC + struct.pack(
         "<IIdd", g.n_dims, g.points_per_dim, g.half_width, float(time))
-    payload = np.ascontiguousarray(field.values, dtype="<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
+        fh.write(np.ascontiguousarray(field.values, dtype="<f8"))
 
 
 def read_snapshot(path) -> tuple[Field, float]:
@@ -327,9 +327,8 @@ def read_snapshot(path) -> tuple[Field, float]:
         "<IIdd", raw[4:head_len])
     grid = Grid(n_dims=n_dims, points_per_dim=n_pts, half_width=half_width)
     expected = grid.mode_count * 8
-    payload = raw[head_len:]
-    if len(payload) != expected:
-        raise ValueError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    values = np.frombuffer(payload, dtype="<f8").reshape(grid.shape)
-    return Field(grid, values.astype(np.float64)), time
+    if len(raw) - head_len != expected:
+        raise ValueError(f"{path}: payload is {len(raw) - head_len} bytes, "
+                         f"expected {expected}")
+    values = np.frombuffer(raw, dtype="<f8", offset=head_len)
+    return Field(grid, values.reshape(grid.shape).astype(np.float64)), time

@@ -158,6 +158,7 @@ class SolverConfig:
         if not 1 <= self.theta <= MAX_THETA or self.theta != int(self.theta):
             raise ValueError(f"theta must be a positive integer at most "
                              f"{MAX_THETA}, got {self.theta}")
+        object.__setattr__(self, "theta", int(self.theta))
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not self.t_final >= self.dt:

@@ -568,6 +568,23 @@ def test_report_csv_format(tmp_path):
     assert lines[1].startswith("linf:u,") and lines[1].endswith(",pass")
 
 
+def test_series_csv_is_written_row_by_row(tmp_path, rng):
+    # six ledger-like series of 2 000 rows: the writer formats and writes
+    # one row at a time, holding neither a list of rows nor the joined
+    # text, and writes exactly the text that join gives
+    t = np.cumsum(rng.uniform(0.01, 0.1, 2000))
+    series = {f"q{k}": (t, rng.standard_normal(t.size)) for k in range(6)}
+    rows = ["t,quantity,value"]
+    for name, (times, values) in series.items():
+        rows += [f"{float(a)!r},{name},{float(b)!r}"
+                 for a, b in zip(times, values)]
+    text = "\n".join(rows) + "\n"
+    path = tmp_path / "series.csv"
+    peak = traced_peak(lambda: write_series_csv(path, series))
+    assert path.read_text() == text
+    assert peak < 0.5 * len(text)
+
+
 def test_csv_byte_determinism(tmp_path):
     t = 0.1 * np.arange(20)
     series = {"l2:u": (t, np.exp(-0.3 * t))}

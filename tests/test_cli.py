@@ -827,7 +827,10 @@ def test_replay_manifests_name_their_series_source(tmp_path, capsys):
     "t,quantity,value\n0.0,energy,1.0\n0.0,diss_integral,x\n",
     "t,quantity,value\n0.0,energy,1.0\n",
     "t,quantity,value\n0.0,energy,1.0\n0.1,energy,0.9\n0.0,diss_integral,0.0\n",
-], ids=["missing", "unparsable", "no-integral", "unaligned"])
+    # aligned, but the times run backward: E(0) would be read at t = 0.1
+    "t,quantity,value\n0.1,energy,0.9\n0.0,energy,1.0\n"
+    "0.1,diss_integral,0.1\n0.0,diss_integral,0.0\n",
+], ids=["missing", "unparsable", "no-integral", "unaligned", "reversed"])
 def test_energy_audit_bad_run_input_exits_2(tmp_path, capsys, energy_text):
     path = _write_config(tmp_path, _tiny_preset())
     run_dir = tmp_path / "prior"
@@ -997,6 +1000,32 @@ def test_a_traced_name_that_is_gone_is_caught(monkeypatch):
     launch = _load_perfbench(monkeypatch, "launch")
     monkeypatch.delattr("dissipwave.solver.linear_solution")
     assert _untraceable(launch) == ["solver.linear_solution"]
+
+
+def test_every_package_export_is_imported_from_the_package():
+    # a name the package exports must be read as `from dissipwave import`
+    # by a test, a script, the benchmark or the README; the rest use the
+    # submodules, so an export nothing imports is dead weight
+    import ast
+    import re
+    import types
+
+    import dissipwave
+
+    root = Path(__file__).resolve().parent.parent
+    imported = set()
+    for folder in ("tests", "scripts", "perfbench"):
+        for path in (root / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.level == 0 \
+                        and node.module == "dissipwave":
+                    imported.update(alias.name for alias in node.names)
+    for names in re.findall(r"from dissipwave import (\([^)]*\)|.*)",
+                            (root / "README.md").read_text()):
+        imported.update(re.findall(r"\w+", names))
+    exports = {name for name in dissipwave.__all__ if not isinstance(
+        getattr(dissipwave, name), types.ModuleType)}
+    assert sorted(exports - imported) == []
 
 
 def test_each_kind_calls_its_runner_once_through_the_module(tmp_path, capsys,

@@ -1,10 +1,14 @@
 """Grid construction, transforms, spectral derivatives, snapshot IO."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from dissipwave import (Field, derivative_field, derivative_multiplier,
                         forward_transform, inverse_transform, make_grid,
                         read_snapshot, write_snapshot)
@@ -41,6 +45,9 @@ def test_grid_validation():
         make_grid(4, 64, 8.0)
     with pytest.raises(ValueError, match="half_width"):
         make_grid(1, 64, -1.0)
+    # an infinite box would have nan coordinates and zero frequencies
+    with pytest.raises(ValueError, match="positive and finite, got inf"):
+        make_grid(1, 64, math.inf)
 
 
 def test_field_shape_validation(grid1d, grid2d):
@@ -257,6 +264,41 @@ def test_snapshot_rejects_garbage(tmp_path):
     path.write_bytes(b"DW")
     with pytest.raises(ValueError, match="DWF1"):
         read_snapshot(path)
+
+
+def test_snapshot_refuses_an_infinite_half_width(tmp_path, grid1d):
+    path = tmp_path / "inf.dwf"
+    write_snapshot(path, Field(grid1d, np.zeros(grid1d.shape)), 0.0)
+    raw = bytearray(path.read_bytes())
+    raw[12:20] = struct.pack("<d", math.inf)  # after magic, n_dims, N
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match="half_width"):
+        read_snapshot(path)
+
+
+def test_snapshot_write_hands_the_field_to_the_file(tmp_path, rng):
+    # the payload goes out of the field's own array, not a bytes copy
+    g = make_grid(2, 512, 8.0)
+    f = Field(g, rng.standard_normal(g.shape))
+    path = tmp_path / "big.dwf"
+    assert traced_peak(lambda: write_snapshot(path, f, 1.0)) \
+        < 0.1 * f.values.nbytes
+    assert path.read_bytes()[28:] == f.values.tobytes()
+
+
+def test_snapshot_read_holds_the_file_and_one_copy(tmp_path, rng):
+    # the file's bytes and the field's own copy of them; the values are
+    # read off the bytes at the header's end, not off a sliced copy
+    g = make_grid(2, 512, 8.0)
+    f = Field(g, rng.standard_normal(g.shape))
+    path = tmp_path / "big.dwf"
+    write_snapshot(path, f, 1.0)
+    read = []
+    assert traced_peak(lambda: read.append(read_snapshot(path))) \
+        <= 2.2 * f.values.nbytes
+    (back, t), = read
+    assert t == 1.0 and np.array_equal(back.values, f.values)
+    assert back.values.flags.writeable
 
 
 def test_snapshot_rejects_truncated_payload(tmp_path, grid1d):

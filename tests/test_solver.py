@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import traced_peak
-from dissipwave import (Field, InstabilityError, SolverConfig, SolverState,
-                        apply_nonlinearity, build_symbol_table,
+from dissipwave import (EnergyLedger, Field, InstabilityError, SolverConfig,
+                        SolverState, apply_nonlinearity, build_symbol_table,
                         forward_transform, gaussian_bump, inverse_transform,
                         linear_solution, linear_step, make_grid, solve,
                         state_from_fields)
@@ -52,6 +52,22 @@ def test_theta_is_capped_where_the_ledger_density_stays_finite():
     assert SolverConfig(theta=439, dt=0.1, t_final=1.0).theta == 439
     with pytest.raises(ValueError, match="at most 439, got 440"):
         SolverConfig(theta=440, dt=0.1, t_final=1.0)
+
+
+def test_an_integral_float_theta_runs_as_its_integer(bump1d, grid1d):
+    # 3.0 passes the integer check and is stored as 3: the source rate
+    # and the ledger's density take it by repeated squaring, which needs
+    # an int, so the run must equal the int run bit for bit
+    runs = []
+    for theta in (3.0, 3):
+        ledger = EnergyLedger(sobolev_index=1)
+        final = solve(state_from_fields(bump1d, _zero(grid1d)),
+                      SolverConfig(theta=theta, dt=0.1, t_final=0.2),
+                      ledger=ledger)
+        runs.append((final.u_hat, final.v_hat, ledger.energy))
+    for got, want in zip(*runs):
+        assert np.array_equal(got, want)
+    assert type(SolverConfig(theta=3.0, dt=0.1, t_final=0.2).theta) is int
 
 
 def _painted_slabs(grid, theta):
